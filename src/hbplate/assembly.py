@@ -6,6 +6,15 @@ normalization nu = 0, D = 1 it reduces to the Frobenius product of Hessians.
 Quadrature uses one tensor Gauss rule with degree + 2 points per direction
 on every active element, for the stiffness, loads, error norms and the
 estimator blocks alike.
+
+Every basis evaluation goes through one tabulation kernel,
+:func:`hbplate.splines.tabulate_in_span`, which runs Cox-de Boor over all
+points of a span at once. Tables at quadrature points (element Gauss points,
+edge points, graded load subcells) are cached on the knot vector of their
+level by :meth:`~hbplate.splines.KnotVector.table`; refined meshes share
+those knot vectors, so the tables carry over from iteration to iteration,
+while a new space starts with none. Values at user points (:func:`evaluate`,
+point loads) are tabulated and not kept.
 """
 
 from __future__ import annotations
@@ -18,7 +27,10 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .hierarchy import connectivity
-from .splines import eval_ders, eval_ders_in_span
+from .splines import find_span, tabulate_in_span
+# bench/tracer.py counts calls by wrapping this module's names, so they stay
+# bound here although nothing in this module calls them any more
+from .splines import eval_ders, eval_ders_in_span  # noqa: F401
 
 __all__ = [
     "SIDES",
@@ -97,20 +109,33 @@ class GeometryMap:
     def is_identity(self):
         return self.kind == "identity"
 
+    def _spline_basis(self, pts, max_der):
+        """Control-net blocks (point, i, j, component) and the univariate
+        tables (derivative, i, point) in x and y at every point; points
+        that share a span are tabulated together."""
+        kv, p = self.kv, self.kv.degree
+        firsts, tabs = [], []
+        for col in pts.T:
+            spans = np.array([find_span(kv, x) for x in col], dtype=np.intp)
+            tab = np.empty((max(max_der, 2) + 1, p + 1, col.size))
+            for span in np.unique(spans):
+                sel = spans == span
+                tab[:, :, sel] = tabulate_in_span(kv, col[sel], span, max_der)
+            firsts.append(spans - p)
+            tabs.append(tab)
+        local = np.arange(p + 1)
+        ix = (firsts[0][:, None] + local)[:, :, None]
+        iy = (firsts[1][:, None] + local)[:, None, :]
+        return self.control[ix, iy], tabs[0], tabs[1]
+
     def map_points(self, pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         if self.kind == "identity":
             return pts.copy()
         if self.kind == "affine":
             return pts @ self.matrix.T + self.offset
-        out = np.empty_like(pts)
-        for r, (x, y) in enumerate(pts):
-            bx = eval_ders(self.kv, x, 0)
-            by = eval_ders(self.kv, y, 0)
-            blk = self.control[bx.first_index:bx.first_index + self.kv.degree + 1,
-                               by.first_index:by.first_index + self.kv.degree + 1]
-            out[r] = np.einsum("i,j,ijk->k", bx.values, by.values, blk)
-        return out
+        blk, bx, by = self._spline_basis(pts, 0)
+        return np.einsum("iq,jq,qijk->qk", bx[0], by[0], blk)
 
     def jacobians(self, pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -119,14 +144,10 @@ class GeometryMap:
             return np.broadcast_to(np.eye(2), (n, 2, 2)).copy()
         if self.kind == "affine":
             return np.broadcast_to(self.matrix, (n, 2, 2)).copy()
+        blk, bx, by = self._spline_basis(pts, 1)
         out = np.empty((n, 2, 2))
-        for r, (x, y) in enumerate(pts):
-            bx = eval_ders(self.kv, x, 1)
-            by = eval_ders(self.kv, y, 1)
-            blk = self.control[bx.first_index:bx.first_index + self.kv.degree + 1,
-                               by.first_index:by.first_index + self.kv.degree + 1]
-            out[r, :, 0] = np.einsum("i,j,ijk->k", bx.d1, by.values, blk)
-            out[r, :, 1] = np.einsum("i,j,ijk->k", bx.values, by.d1, blk)
+        out[:, :, 0] = np.einsum("iq,jq,qijk->qk", bx[1], by[0], blk)
+        out[:, :, 1] = np.einsum("iq,jq,qijk->qk", bx[0], by[1], blk)
         return out
 
     def hessians(self, pts):
@@ -135,19 +156,12 @@ class GeometryMap:
         n = pts.shape[0]
         if self.kind in ("identity", "affine"):
             return np.zeros((n, 2, 2, 2))
+        blk, bx, by = self._spline_basis(pts, 2)
         out = np.empty((n, 2, 2, 2))
-        for r, (x, y) in enumerate(pts):
-            bx = eval_ders(self.kv, x, 2)
-            by = eval_ders(self.kv, y, 2)
-            blk = self.control[bx.first_index:bx.first_index + self.kv.degree + 1,
-                               by.first_index:by.first_index + self.kv.degree + 1]
-            hxx = np.einsum("i,j,ijk->k", bx.d2, by.values, blk)
-            hxy = np.einsum("i,j,ijk->k", bx.d1, by.d1, blk)
-            hyy = np.einsum("i,j,ijk->k", bx.values, by.d2, blk)
-            out[r, :, 0, 0] = hxx
-            out[r, :, 0, 1] = hxy
-            out[r, :, 1, 0] = hxy
-            out[r, :, 1, 1] = hyy
+        out[:, :, 0, 0] = np.einsum("iq,jq,qijk->qk", bx[2], by[0], blk)
+        out[:, :, 0, 1] = np.einsum("iq,jq,qijk->qk", bx[1], by[1], blk)
+        out[:, :, 1, 0] = out[:, :, 0, 1]
+        out[:, :, 1, 1] = np.einsum("iq,jq,qijk->qk", bx[0], by[2], blk)
         return out
 
 
@@ -286,12 +300,61 @@ class LinearSystem:
 _ASSEMBLY_COMBOS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
 
 
-class _ElementEvaluator:
-    """Caches univariate basis tables at element quadrature points.
+def _local_indices(e, funcs):
+    """Lowest level and, per function of ``connectivity(mesh, basis, e)``,
+    its level offset and its x and y indices within e's spans."""
+    lmin = funcs[0].level if funcs else e.level
+    lev = np.array([f.level - lmin for f in funcs], dtype=np.intp)
+    lx = np.array([f.ix - (e.ix >> (e.level - f.level)) for f in funcs], dtype=np.intp)
+    ly = np.array([f.iy - (e.iy >> (e.level - f.level)) for f in funcs], dtype=np.intp)
+    return lmin, lev, lx, ly
 
-    Tables are keyed by (function level, element level, 1d cell index);
-    the same cache serves both parametric directions because the mesh is
-    square with identical knot vectors.
+
+def _level_tables(mesh, e, lmin, cell, xs, max_der, cached=True):
+    """Univariate tables of the levels lmin..e.level at the points xs of
+    one direction, over the spans containing e's cell index `cell` there:
+    array (levels, derivatives, p + 1, points).
+
+    Quadrature points go through the knot vectors' caches; one-off points
+    (``cached=False``) are tabulated and dropped.
+    """
+    p = mesh.p
+    tabs = []
+    for k in range(lmin, e.level + 1):
+        kv = mesh.knots(k)
+        span = (cell >> (e.level - k)) + p
+        tabs.append(kv.table(xs, span, max_der) if cached
+                    else tabulate_in_span(kv, xs, span, max_der))
+    return np.stack(tabs)
+
+
+def _field_ders(space, coeff, e, xs, ys, combos, max_der=2):
+    """Parametric derivatives (one row per combo) of the discrete field at
+    the points (xs, ys) of element e, taking one-sided limits on e.
+
+    Each point sums its function terms one after another in connectivity
+    order, starting from 0.0 (the leading zero row), so the result does not
+    depend on which points are batched together.
+    """
+    funcs = connectivity(space.mesh, space.basis, e)
+    lmin, lev, lx, ly = _local_indices(e, funcs)
+    tx = _level_tables(space.mesh, e, lmin, e.ix, xs, max_der, cached=False)[lev, :, lx]
+    ty = _level_tables(space.mesh, e, lmin, e.iy, ys, max_der, cached=False)[lev, :, ly]
+    c = coeff[[space.basis.dof_index[f] for f in funcs]][:, None]
+    terms = np.zeros((len(combos), len(funcs) + 1, len(xs)))
+    for r, (dx, dy) in enumerate(combos):
+        terms[r, 1:] = c * tx[:, dx] * ty[:, dy]
+    return np.add.accumulate(terms, axis=1)[:, -1]
+
+
+class _ElementEvaluator:
+    """Tensor Gauss rule of an element and the basis rows on it.
+
+    Univariate tables come from the one tabulation kernel of
+    :mod:`hbplate.splines`, cached on each level's knot vector by span,
+    derivative order and points; the evaluator itself holds no tables, and
+    one table serves both parametric directions because the mesh is square
+    with identical knot vectors.
     """
 
     def __init__(self, space, max_der=2, nq1=None):
@@ -303,24 +366,14 @@ class _ElementEvaluator:
         self.nq1 = nq1 if nq1 is not None else p + 2
         self.nodes, self.w1 = _gauss01(self.nq1)
         self.max_der = max(2, max_der)
-        self._uni = {}
 
     def univariate(self, func_level, elem_level, cell):
-        key = (func_level, elem_level, cell)
-        tab = self._uni.get(key)
-        if tab is None:
-            mesh = self.mesh
-            kv = mesh.knots(func_level)
-            a = mesh.interval[0]
-            h = mesh.h(elem_level)
-            xs = a + (cell + self.nodes) * h
-            span = (cell >> (elem_level - func_level)) + self.p
-            tab = np.empty((self.max_der + 1, self.p + 1, self.nq1))
-            for q, x in enumerate(xs):
-                ev = eval_ders_in_span(kv, x, span, self.max_der)
-                tab[:, :, q] = ev.ders[: self.max_der + 1]
-            self._uni[key] = tab
-        return tab
+        """Table (derivative, local function, point) of the level-func_level
+        functions at the Gauss points of cell `cell` of elem_level."""
+        mesh = self.mesh
+        xs = mesh.interval[0] + (cell + self.nodes) * mesh.h(elem_level)
+        span = (cell >> (elem_level - func_level)) + self.p
+        return mesh.knots(func_level).table(xs, span, self.max_der)
 
     def element_points(self, e):
         """Parametric quadrature points (x-major) and parametric weights."""
@@ -334,12 +387,15 @@ class _ElementEvaluator:
     def element_rows(self, e, combos=_ASSEMBLY_COMBOS):
         """Active functions on e and their parametric derivative rows.
 
-        Returns (funcs, rows) with rows[(dx, dy)] of shape (nloc, nq).
+        Returns (funcs, rows) with rows[(dx, dy)] of shape (nloc, nq). Each
+        level contributes all combos at once: one tensor product, one mask.
         """
         p = self.p
         basis = self.basis
+        cdx = [c[0] for c in combos]
+        cdy = [c[1] for c in combos]
         funcs = []
-        blocks = {c: [] for c in combos}
+        blocks = []
         for k in range(e.level + 1):
             fns = basis.level_sets[k] if k < len(basis.level_sets) else None
             if not fns:
@@ -357,13 +413,14 @@ class _ElementEvaluator:
                 continue
             bx = self.univariate(k, e.level, e.ix)
             by = self.univariate(k, e.level, e.iy)
-            for c in combos:
-                t = np.einsum("iq,jr->ijqr", bx[c[0]], by[c[1]])
-                blocks[c].append(t.reshape((p + 1) * (p + 1), -1)[mask])
+            t = np.einsum("ciq,cjr->cijqr", bx[cdx], by[cdy])
+            blocks.append(t.reshape(len(combos), (p + 1) * (p + 1), -1)[:, mask])
             funcs.extend(lvl_funcs)
-        rows = {c: (np.vstack(blocks[c]) if blocks[c] else
-                    np.zeros((0, self.nq1 * self.nq1))) for c in combos}
-        return funcs, rows
+        if blocks:
+            rows = np.concatenate(blocks, axis=1)
+        else:
+            rows = np.zeros((len(combos), 0, self.nq1 * self.nq1))
+        return funcs, dict(zip(combos, rows))
 
 
 def _transform_rows(geo, pts, rows, wts):
@@ -483,8 +540,7 @@ def _edge_basis_rows(space, geo, e, side, nq1=None):
     """
     mesh = space.mesh
     basis = space.basis
-    p = space.degree
-    nq1 = nq1 or (p + 2)
+    nq1 = nq1 or (space.degree + 2)
     nodes, w1 = _gauss01(nq1)
     x0, y0, x1, y1 = mesh.element_rect(e)
     if side in ("left", "right"):
@@ -498,29 +554,12 @@ def _edge_basis_rows(space, geo, e, side, nq1=None):
         pts = np.column_stack([ts, np.full(nq1, yb)])
         h_t = x1 - x0
     funcs = connectivity(mesh, basis, e)
-    nloc = len(funcs)
-    vals = np.zeros((nloc, nq1))
-    gx = np.zeros((nloc, nq1))
-    gy = np.zeros((nloc, nq1))
-    uni = {}
-    for r, f in enumerate(funcs):
-        kv = mesh.knots(f.level)
-        shift = e.level - f.level
-        span_x = (e.ix >> shift) + p
-        span_y = (e.iy >> shift) + p
-        kx = ("x", f.level)
-        if kx not in uni:
-            uni[kx] = [eval_ders_in_span(kv, x, span_x, 1) for x in pts[:, 0]]
-        ky = ("y", f.level)
-        if ky not in uni:
-            uni[ky] = [eval_ders_in_span(kv, y, span_y, 1) for y in pts[:, 1]]
-        ex, ey = uni[kx], uni[ky]
-        lx = f.ix - span_x + p
-        ly = f.iy - span_y + p
-        for q in range(nq1):
-            vals[r, q] = ex[q].values[lx] * ey[q].values[ly]
-            gx[r, q] = ex[q].d1[lx] * ey[q].values[ly]
-            gy[r, q] = ex[q].values[lx] * ey[q].d1[ly]
+    lmin, lev, lx, ly = _local_indices(e, funcs)
+    tx = _level_tables(mesh, e, lmin, e.ix, pts[:, 0], 1)[lev, :, lx]
+    ty = _level_tables(mesh, e, lmin, e.iy, pts[:, 1], 1)[lev, :, ly]
+    vals = tx[:, 0] * ty[:, 0]
+    gx = tx[:, 1] * ty[:, 0]
+    gy = tx[:, 0] * ty[:, 1]
     dn, pts_phys, wts = _edge_transform(geo, pts, side, h_t, w1, gx, gy)
     return funcs, vals, dn, pts_phys, wts
 
@@ -541,9 +580,9 @@ def _edge_transform(geo, pts, side, h_t, w1, gx, gy):
 # ---------------------------------------------------------------------------
 # load vector
 
-def _graded_subrects(rect, sides, ratio=0.15, n_strips=4):
-    """Tensor decomposition of an element with geometric grading toward
-    the listed domain sides."""
+def _graded_breaks(rect, sides, ratio=0.15, n_strips=4):
+    """Strip breaks (x, y) of an element, graded geometrically toward the
+    listed domain sides; the subrectangles are their tensor product."""
     x0, y0, x1, y1 = rect
     def breaks(lo, hi, toward_lo):
         fr = [0.0] + [ratio ** (n_strips - i) for i in range(1, n_strips)] + [1.0]
@@ -561,37 +600,36 @@ def _graded_subrects(rect, sides, ratio=0.15, n_strips=4):
         by = breaks(y0, y1, True)
     elif "top" in sides:
         by = breaks(y0, y1, False)
-    return [(bx[i], by[j], bx[i + 1], by[j + 1])
-            for i in range(len(bx) - 1) for j in range(len(by) - 1)]
+    return bx, by
 
 
-def _rect_basis_values(space, e, rect, nodes, w1):
-    """Basis values of functions on e at a tensor grid inside a sub-rectangle."""
+def _graded_element_load(space, geo, e, grading, gfun, nodes, w1, rhs):
+    """Body load of one element integrated over its graded subrectangles.
+
+    Connectivity and dof indices are found once per element, and each strip
+    is tabulated once; subrectangles are added to rhs one at a time.
+    """
     mesh = space.mesh
-    p = space.degree
-    x0, y0, x1, y1 = rect
-    xs = x0 + (x1 - x0) * nodes
-    ys = y0 + (y1 - y0) * nodes
     funcs = connectivity(mesh, space.basis, e)
+    idx = [space.basis.dof_index[f] for f in funcs]
+    lmin, lev, lx, ly = _local_indices(e, funcs)
+    bx, by = _graded_breaks(mesh.element_rect(e), grading)
     nq1 = nodes.size
-    vals = np.zeros((len(funcs), nq1 * nq1))
-    tabs = {}
-    for r, f in enumerate(funcs):
-        kv = mesh.knots(f.level)
-        shift = e.level - f.level
-        span_x = (e.ix >> shift) + p
-        span_y = (e.iy >> shift) + p
-        if f.level not in tabs:
-            bx = np.array([eval_ders_in_span(kv, x, span_x, 0).values for x in xs]).T
-            by = np.array([eval_ders_in_span(kv, y, span_y, 0).values for y in ys]).T
-            tabs[f.level] = (bx, by)
-        bx, by = tabs[f.level]
-        lx = f.ix - span_x + p
-        ly = f.iy - span_y + p
-        vals[r] = np.outer(bx[lx], by[ly]).ravel()
-    pts = np.column_stack([np.repeat(xs, nq1), np.tile(ys, nq1)])
-    wts = np.outer(w1, w1).ravel() * (x1 - x0) * (y1 - y0)
-    return funcs, vals, pts, wts
+    xs = [bx[i] + (bx[i + 1] - bx[i]) * nodes for i in range(len(bx) - 1)]
+    ys = [by[j] + (by[j + 1] - by[j]) * nodes for j in range(len(by) - 1)]
+    tx = [_level_tables(mesh, e, lmin, e.ix, x, 0)[lev, 0, lx] for x in xs]
+    ty = [_level_tables(mesh, e, lmin, e.iy, y, 0)[lev, 0, ly] for y in ys]
+    for i in range(len(xs)):
+        for j in range(len(ys)):
+            vals = (tx[i][:, :, None] * ty[j][:, None, :]).reshape(len(funcs), -1)
+            pts = np.column_stack([np.repeat(xs[i], nq1), np.tile(ys[j], nq1)])
+            wts = np.outer(w1, w1).ravel() * (bx[i + 1] - bx[i]) * (by[j + 1] - by[j])
+            if not geo.is_identity:
+                jac = geo.jacobians(pts)
+                wts = wts * np.linalg.det(jac)
+                pts = geo.map_points(pts)
+            gv = gfun(pts[:, 0], pts[:, 1])
+            rhs[idx] += vals @ (wts * gv)
 
 
 def _element_touches_side(mesh, e, side):
@@ -611,16 +649,7 @@ def assemble_load(space, geo, problem):
             grading = tuple(s for s in problem.load_grading
                             if _element_touches_side(space.mesh, e, s))
             if grading:
-                for rect in _graded_subrects(space.mesh.element_rect(e), grading):
-                    funcs, vals, pts, wts = _rect_basis_values(
-                        space, e, rect, ev.nodes, ev.w1)
-                    if not geo.is_identity:
-                        jac = geo.jacobians(pts)
-                        wts = wts * np.linalg.det(jac)
-                        pts = geo.map_points(pts)
-                    gv = gfun(pts[:, 0], pts[:, 1])
-                    idx = [dof[f] for f in funcs]
-                    rhs[idx] += vals @ (wts * gv)
+                _graded_element_load(space, geo, e, grading, gfun, ev.nodes, ev.w1, rhs)
             else:
                 funcs, rows = ev.element_rows(e, combos=((0, 0),))
                 pts, wts = ev.element_points(e)
@@ -656,20 +685,10 @@ def _point_values(space, pt):
     mesh = space.mesh
     e = mesh.locate(pt[0], pt[1])
     funcs = connectivity(mesh, space.basis, e)
-    p = space.degree
-    vals = np.zeros(len(funcs))
-    uni = {}
-    for r, f in enumerate(funcs):
-        if f.level not in uni:
-            kv = mesh.knots(f.level)
-            shift = e.level - f.level
-            uni[f.level] = (
-                eval_ders_in_span(kv, pt[0], (e.ix >> shift) + p, 0),
-                eval_ders_in_span(kv, pt[1], (e.iy >> shift) + p, 0),
-            )
-        ex, ey = uni[f.level]
-        vals[r] = ex.values[f.ix - ex.first_index] * ey.values[f.iy - ey.first_index]
-    return funcs, vals
+    lmin, lev, lx, ly = _local_indices(e, funcs)
+    tx = _level_tables(mesh, e, lmin, e.ix, [pt[0]], 0, cached=False)
+    ty = _level_tables(mesh, e, lmin, e.iy, [pt[1]], 0, cached=False)
+    return funcs, tx[lev, 0, lx, 0] * ty[lev, 0, ly, 0]
 
 
 def assemble_system(space, geo, problem):
@@ -804,7 +823,9 @@ def solve(system):
     x = np.zeros(n)
     for d, v in system.constraints.items():
         x[d] = v
-    free = np.array(sorted(set(range(n)) - set(system.constraints)), dtype=np.int64)
+    constrained = np.zeros(n, dtype=bool)
+    constrained[list(system.constraints)] = True
+    free = np.flatnonzero(~constrained)
     if free.size == 0:
         return DiscreteField(x)
     b = system.rhs - a @ x
@@ -872,42 +893,19 @@ def evaluate(field, space, geo, points):
     """
     geo = geo or GeometryMap.identity()
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    mesh = space.mesh
-    p = space.degree
-    coeff = field.coefficients
-    dof = space.basis.dof_index
-    vals = np.zeros(pts.shape[0])
-    grads = np.zeros((pts.shape[0], 2))
-    hess = np.zeros((pts.shape[0], 3))
+    owned = {}
     for r, (x, y) in enumerate(pts):
-        e = mesh.locate(x, y)
-        funcs = connectivity(mesh, space.basis, e)
-        uni = {}
-        gp = np.zeros(2)
-        hp = np.zeros((2, 2))
-        val = 0.0
-        for f in funcs:
-            if f.level not in uni:
-                kv = mesh.knots(f.level)
-                shift = e.level - f.level
-                uni[f.level] = (
-                    eval_ders_in_span(kv, x, (e.ix >> shift) + p, 2),
-                    eval_ders_in_span(kv, y, (e.iy >> shift) + p, 2),
-                )
-            ex, ey = uni[f.level]
-            lx, ly = f.ix - ex.first_index, f.iy - ey.first_index
-            c = coeff[dof[f]]
-            val += c * ex.values[lx] * ey.values[ly]
-            gp[0] += c * ex.d1[lx] * ey.values[ly]
-            gp[1] += c * ex.values[lx] * ey.d1[ly]
-            hp[0, 0] += c * ex.d2[lx] * ey.values[ly]
-            hp[0, 1] += c * ex.d1[lx] * ey.d1[ly]
-            hp[1, 1] += c * ex.values[lx] * ey.d2[ly]
-        hp[1, 0] = hp[0, 1]
-        if not geo.is_identity:
-            push = pushforward2(geo, (x, y))
-            gp, hp = push.apply(gp, hp)
-        vals[r] = val
-        grads[r] = gp
-        hess[r] = (hp[0, 0], hp[0, 1], hp[1, 1])
+        owned.setdefault(space.mesh.locate(x, y), []).append(r)
+    ders = np.empty((len(_ASSEMBLY_COMBOS), pts.shape[0]))
+    for e, rs in owned.items():
+        ders[:, rs] = _field_ders(space, field.coefficients, e, pts[rs, 0], pts[rs, 1],
+                                  _ASSEMBLY_COMBOS)
+    vals, gx, gy, hxx, hxy, hyy = ders
+    grads = np.column_stack([gx, gy])
+    hess = np.column_stack([hxx, hxy, hyy])
+    if not geo.is_identity:
+        for r, xi in enumerate(pts):
+            hp = np.array([[hxx[r], hxy[r]], [hxy[r], hyy[r]]])
+            grads[r], hp = pushforward2(geo, xi).apply(grads[r], hp)
+            hess[r] = (hp[0, 0], hp[0, 1], hp[1, 1])
     return vals, grads, hess

@@ -49,23 +49,23 @@ class FunctionId(NamedTuple):
 
 
 class _Level:
-    __slots__ = ("kv", "nel", "active", "deactivated")
+    __slots__ = ("kv", "nel", "active")
 
-    def __init__(self, kv, nel, active, deactivated):
+    def __init__(self, kv, nel, active):
         self.kv = kv
         self.nel = nel
         self.active = active
-        self.deactivated = deactivated
 
     def copy(self):
-        return _Level(self.kv, self.nel, set(self.active), set(self.deactivated))
+        return _Level(self.kv, self.nel, set(self.active))
 
 
 class HierarchicalMesh:
     """Multi-level dyadic mesh over a square parametric domain.
 
-    Deactivated parents are kept (flagged inactive) so level domains can be
-    reconstructed; refinement never mutates a mesh in place.
+    Each level holds its knot vector and its set of active cells; refinement
+    never mutates a mesh in place, and refined meshes share the knot vectors
+    (and so the basis tables cached on them) of the mesh they came from.
     """
 
     def __init__(self, n0, p, interval=(0.0, 1.0), max_level=20):
@@ -80,7 +80,7 @@ class HierarchicalMesh:
         self.max_level = int(max_level)
         kv0 = make_open_uniform(self.n0, self.p, self.interval)
         active0 = {(i, j) for i in range(self.n0) for j in range(self.n0)}
-        self._levels = [_Level(kv0, self.n0, active0, set())]
+        self._levels = [_Level(kv0, self.n0, active0)]
 
     @classmethod
     def _from_levels(cls, template, levels):
@@ -101,7 +101,7 @@ class HierarchicalMesh:
                 raise RefinementLimitError(
                     "refinement beyond maximum level %d refused" % self.max_level)
             prev = self._levels[-1]
-            self._levels.append(_Level(dyadic_refine(prev.kv), 2 * prev.nel, set(), set()))
+            self._levels.append(_Level(dyadic_refine(prev.kv), 2 * prev.nel, set()))
 
     @property
     def num_levels(self):
@@ -270,7 +270,6 @@ def _subdivide(mesh, e):
     mesh._ensure_level(e.level + 1)
     lv = mesh._levels[e.level]
     lv.active.remove((e.ix, e.iy))
-    lv.deactivated.add((e.ix, e.iy))
     child = mesh._levels[e.level + 1].active
     for dx in (0, 1):
         for dy in (0, 1):

@@ -22,6 +22,7 @@ __all__ = [
     "find_span",
     "eval_ders",
     "eval_ders_in_span",
+    "tabulate_in_span",
     "eval_bernstein_ders",
     "tensor_eval",
 ]
@@ -33,9 +34,13 @@ class KnotVector:
     The first and last knot are repeated ``degree + 1`` times and interior
     knots are strictly increasing, so the spline space has maximum
     smoothness C^{p-1} everywhere inside the domain.
+
+    A knot vector keeps the basis tables that :meth:`table` computed on it,
+    so every mesh that shares it (the refinements of one mesh do) reuses
+    them; a new knot vector starts with none.
     """
 
-    __slots__ = ("knots", "degree")
+    __slots__ = ("knots", "degree", "_tables")
 
     def __init__(self, knots, degree):
         knots = np.ascontiguousarray(knots, dtype=float)
@@ -57,6 +62,7 @@ class KnotVector:
         knots.setflags(write=False)
         self.knots = knots
         self.degree = p
+        self._tables = {}
 
     @property
     def num_basis(self):
@@ -76,6 +82,27 @@ class KnotVector:
     @property
     def domain(self):
         return float(self.knots[0]), float(self.knots[-1])
+
+    @property
+    def num_tables(self):
+        """Number of tables :meth:`table` has cached on this knot vector."""
+        return len(self._tables)
+
+    def table(self, xs, span, max_der=2):
+        """:func:`tabulate_in_span` at the points xs, cached by (span,
+        derivative order, points); the returned array is read-only.
+
+        Meant for quadrature points, which repeat across elements, phases
+        and iterations; one-off points go to :func:`tabulate_in_span`.
+        """
+        xs = np.ascontiguousarray(xs, dtype=float).reshape(-1)
+        key = (span, max(int(max_der), 2), xs.tobytes())
+        tab = self._tables.get(key)
+        if tab is None:
+            tab = tabulate_in_span(self, xs, span, max_der)
+            tab.setflags(write=False)
+            self._tables[key] = tab
+        return tab
 
     def __eq__(self, other):
         if not isinstance(other, KnotVector):
@@ -167,53 +194,57 @@ def find_span(kv, x):
     return min(max(span, kv.degree), kv.num_basis - 1)
 
 
-def _ders_basis(knots, p, span, x, nders):
-    """Cox-de Boor values/derivatives of the p+1 functions on a span.
+def _ders_basis(knots, p, span, xs, nders):
+    """Cox-de Boor values/derivatives of the p+1 functions on a span, at
+    every point of the 1d array xs at once.
 
-    Returns an array of shape (nders+1, p+1); rows beyond degree p are zero.
+    Returns an array of shape (nders+1, p+1, len(xs)); rows beyond degree p
+    are zero. Each point goes through the same floating-point operations in
+    the same order whatever the other points are, so a table does not
+    depend on how its points were batched.
     """
-    ndu = np.empty((p + 1, p + 1))
-    left = np.empty(p + 1)
-    right = np.empty(p + 1)
-    ndu[0, 0] = 1.0
+    ndu = [[None] * (p + 1) for _ in range(p + 1)]
+    left = [None] * (p + 1)
+    right = [None] * (p + 1)
+    ndu[0][0] = np.ones_like(xs)
     for j in range(1, p + 1):
-        left[j] = x - knots[span + 1 - j]
-        right[j] = knots[span + j] - x
+        left[j] = xs - knots[span + 1 - j]
+        right[j] = knots[span + j] - xs
         saved = 0.0
         for r in range(j):
-            ndu[j, r] = right[r + 1] + left[j - r]
-            temp = ndu[r, j - 1] / ndu[j, r]
-            ndu[r, j] = saved + right[r + 1] * temp
+            ndu[j][r] = right[r + 1] + left[j - r]
+            temp = ndu[r][j - 1] / ndu[j][r]
+            ndu[r][j] = saved + right[r + 1] * temp
             saved = left[j - r] * temp
-        ndu[j, j] = saved
+        ndu[j][j] = saved
 
-    ders = np.zeros((nders + 1, p + 1))
-    ders[0, :] = ndu[:, p]
-    a = np.empty((2, p + 1))
+    ders = np.zeros((nders + 1, p + 1, xs.size))
+    a = [[None] * (p + 1), [None] * (p + 1)]
     for r in range(p + 1):
+        ders[0, r] = ndu[r][p]
         s1, s2 = 0, 1
-        a[0, 0] = 1.0
+        a[0][0] = 1.0
         for k in range(1, min(nders, p) + 1):
             d = 0.0
             rk = r - k
             pk = p - k
             if r >= k:
-                a[s2, 0] = a[s1, 0] / ndu[pk + 1, rk]
-                d = a[s2, 0] * ndu[rk, pk]
+                a[s2][0] = a[s1][0] / ndu[pk + 1][rk]
+                d = a[s2][0] * ndu[rk][pk]
             j1 = 1 if rk >= -1 else -rk
             j2 = k - 1 if r - 1 <= pk else p - r
             for j in range(j1, j2 + 1):
-                a[s2, j] = (a[s1, j] - a[s1, j - 1]) / ndu[pk + 1, rk + j]
-                d += a[s2, j] * ndu[rk + j, pk]
+                a[s2][j] = (a[s1][j] - a[s1][j - 1]) / ndu[pk + 1][rk + j]
+                d += a[s2][j] * ndu[rk + j][pk]
             if r <= pk:
-                a[s2, k] = -a[s1, k - 1] / ndu[pk + 1, r]
-                d += a[s2, k] * ndu[r, pk]
+                a[s2][k] = -a[s1][k - 1] / ndu[pk + 1][r]
+                d += a[s2][k] * ndu[r][pk]
             ders[k, r] = d
             s1, s2 = s2, s1
 
     fac = float(p)
     for k in range(1, min(nders, p) + 1):
-        ders[k, :] *= fac
+        ders[k] *= fac
         fac *= p - k
     return ders
 
@@ -233,10 +264,22 @@ def eval_ders_in_span(kv, x, span, max_der=2):
 
     Useful for one-sided limits at knots: the recurrence evaluates the
     polynomial piece of the requested span even when x sits on its boundary.
+    This is the one-point case of :func:`tabulate_in_span`.
     """
-    nders = max(int(max_der), 2)
-    ders = _ders_basis(kv.knots, kv.degree, span, float(x), nders)
+    ders = tabulate_in_span(kv, [float(x)], span, max_der)[:, :, 0]
     return BasisEval(first_index=span - kv.degree, ders=ders)
+
+
+def tabulate_in_span(kv, xs, span, max_der=2):
+    """Basis table of one span at many points: ``ders[k, j, q]`` is the k-th
+    derivative of basis function ``span - degree + j`` at ``xs[q]``.
+
+    Derivatives are computed at least up to second order, as in
+    :func:`eval_ders`. The span is forced by the caller, so points on its
+    ends give one-sided limits. Nothing is cached; see :meth:`KnotVector.table`.
+    """
+    xs = np.ascontiguousarray(xs, dtype=float).reshape(-1)
+    return _ders_basis(kv.knots, kv.degree, span, xs, max(int(max_der), 2))
 
 
 def _bernstein_values(q, t):

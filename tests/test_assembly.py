@@ -395,3 +395,50 @@ class TestEvaluate:
         field = DiscreteField(np.zeros(space.num_dofs))
         with pytest.raises(ValueError):
             evaluate(field, space, IDENTITY, [[1.2, 0.5]])
+
+
+class TestTableCache:
+    @staticmethod
+    def tables(space):
+        mesh = space.mesh
+        return [mesh.knots(k).num_tables for k in range(mesh.num_levels)]
+
+    @staticmethod
+    def study(space):
+        from hbplate.adaptivity import LoopConfig, run
+        from hbplate.benchmarks import benchmark_smooth
+        spec = benchmark_smooth()
+        final = []
+
+        def keep_last(sp, u_h, record):
+            final[:] = [sp, u_h]
+
+        run(spec.problem, space, LoopConfig(max_iterations=3), exact_hessian=spec.exact_hessian,
+            on_iteration=keep_last)
+        return final
+
+    def test_fresh_space_starts_cold(self):
+        space = HierarchicalSpace.create(4, 3)
+        assert self.tables(space) == [0]
+        assert self.tables(space.refined([ElementId(0, 1, 1)], 2)) == [0, 0]
+
+    def test_studies_do_not_share_tables(self):
+        first, _ = self.study(HierarchicalSpace.create(2, 3))
+        counts = self.tables(first)
+        assert first.mesh.num_levels > 1 and all(c > 0 for c in counts)
+        second, _ = self.study(HierarchicalSpace.create(2, 3))
+        assert self.tables(first) == counts
+        assert all(second.mesh.knots(k) is not first.mesh.knots(k)
+                   for k in range(first.mesh.num_levels))
+
+    def test_only_quadrature_rules_are_cached(self):
+        space, u_h = self.study(HierarchicalSpace.create(2, 3))
+        counts = self.tables(space)
+        pts = np.random.default_rng(3).uniform(0.0, 1.0, size=(40, 2))
+        evaluate(u_h, space, IDENTITY, pts)
+        assert self.tables(space) == counts
+        # reassembling on the same mesh finds every table it needs
+        problem = simply_supported(g=1.0)
+        apply_dirichlet(assemble_system(space, IDENTITY, problem), space, problem)
+        h2_seminorm_error(u_h, exact_hessian_x2y2, space, IDENTITY)
+        assert self.tables(space) == counts

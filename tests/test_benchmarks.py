@@ -70,6 +70,13 @@ class TestPointLoadSpec:
         ref = center_deflection_reference()
         assert ref == pytest.approx(REFERENCE_DEFLECTION, abs=1e-10)
 
+    def test_single_series_matches_double_series(self):
+        from hbplate.benchmarks import _odd_series_sum
+        double = 4.0 * (-1.0) / np.pi**4 * _odd_series_sum()
+        assert center_deflection_reference() == pytest.approx(double, rel=1e-8, abs=0.0)
+        assert center_deflection_reference(-2.0, 3.0, 0.5) == pytest.approx(
+            36.0 * double, rel=1e-8, abs=0.0)
+
     def test_series_stagnation(self):
         from hbplate.benchmarks import _odd_series_sum
         full = _odd_series_sum()

@@ -10,6 +10,7 @@ from hbplate.splines import (
     eval_ders,
     eval_ders_in_span,
     make_open_uniform,
+    tabulate_in_span,
     tensor_eval,
 )
 
@@ -120,6 +121,95 @@ class TestEvalDers:
         lv[left.first_index:left.first_index + 4] = left.ders[3]
         rv[right.first_index:right.first_index + 4] = right.ders[3]
         assert np.abs(lv - rv).max() > 1.0
+
+
+def scalar_cox_de_boor(knots, p, span, x, nders):
+    """Reference loop: Cox-de Boor values and derivatives at one point
+    (Piegl & Tiller, The NURBS Book, A2.3), one scalar at a time."""
+    ndu = np.empty((p + 1, p + 1))
+    left = np.empty(p + 1)
+    right = np.empty(p + 1)
+    ndu[0, 0] = 1.0
+    for j in range(1, p + 1):
+        left[j] = x - knots[span + 1 - j]
+        right[j] = knots[span + j] - x
+        saved = 0.0
+        for r in range(j):
+            ndu[j, r] = right[r + 1] + left[j - r]
+            temp = ndu[r, j - 1] / ndu[j, r]
+            ndu[r, j] = saved + right[r + 1] * temp
+            saved = left[j - r] * temp
+        ndu[j, j] = saved
+    ders = np.zeros((nders + 1, p + 1))
+    ders[0, :] = ndu[:, p]
+    a = np.empty((2, p + 1))
+    for r in range(p + 1):
+        s1, s2 = 0, 1
+        a[0, 0] = 1.0
+        for k in range(1, min(nders, p) + 1):
+            d = 0.0
+            rk = r - k
+            pk = p - k
+            if r >= k:
+                a[s2, 0] = a[s1, 0] / ndu[pk + 1, rk]
+                d = a[s2, 0] * ndu[rk, pk]
+            j1 = 1 if rk >= -1 else -rk
+            j2 = k - 1 if r - 1 <= pk else p - r
+            for j in range(j1, j2 + 1):
+                a[s2, j] = (a[s1, j] - a[s1, j - 1]) / ndu[pk + 1, rk + j]
+                d += a[s2, j] * ndu[rk + j, pk]
+            if r <= pk:
+                a[s2, k] = -a[s1, k - 1] / ndu[pk + 1, r]
+                d += a[s2, k] * ndu[r, pk]
+            ders[k, r] = d
+            s1, s2 = s2, s1
+    fac = float(p)
+    for k in range(1, min(nders, p) + 1):
+        ders[k, :] *= fac
+        fac *= p - k
+    return ders
+
+
+class TestTabulationKernel:
+    @pytest.mark.parametrize("p", [3, 4, 5])
+    def test_batch_equals_one_point_bit_for_bit(self, p):
+        # every span of 4 dyadic levels; both span ends, Gauss and random points
+        rng = np.random.default_rng(p)
+        gauss = 0.5 * (np.polynomial.legendre.leggauss(p + 2)[0] + 1.0)
+        kv = make_open_uniform(1, p)
+        checked = 0
+        for _ in range(4):
+            for span in range(p, kv.num_basis):
+                a, b = kv.knots[span], kv.knots[span + 1]
+                xs = np.concatenate([[a, b], a + (b - a) * gauss,
+                                     a + (b - a) * rng.uniform(size=5)])
+                for max_der in (2, 3, 4):
+                    tab = tabulate_in_span(kv, xs, span, max_der)
+                    assert tab.shape == (max_der + 1, p + 1, xs.size)
+                    for q, x in enumerate(xs):
+                        one = eval_ders_in_span(kv, x, span, max_der).ders
+                        ref = scalar_cox_de_boor(kv.knots, p, span, float(x), max_der)
+                        got = np.ascontiguousarray(tab[:, :, q])
+                        assert got.tobytes() == one.tobytes() == ref.tobytes()
+                        checked += 1
+            kv = dyadic_refine(kv)
+        assert checked == 3 * xs.size * (1 + 2 + 4 + 8)
+
+    def test_table_is_cached_read_only_and_per_knot_vector(self):
+        kv = make_open_uniform(4, 3)
+        xs = np.array([0.3, 0.4, 0.45])
+        assert kv.num_tables == 0
+        tab = kv.table(xs, 4, 1)
+        assert kv.num_tables == 1
+        assert kv.table(xs.copy(), 4, 2) is tab  # derivative orders below 2 share
+        assert not tab.flags.writeable
+        np.testing.assert_array_equal(tab, tabulate_in_span(kv, xs, 4, 2))
+        kv.table(xs, 5, 2)
+        kv.table(xs, 4, 4)
+        assert kv.num_tables == 3
+        tabulate_in_span(kv, xs, 4, 2)
+        assert kv.num_tables == 3
+        assert make_open_uniform(4, 3).num_tables == 0
 
 
 class TestBernstein:
