@@ -7,6 +7,11 @@ Quadrature uses one tensor Gauss rule with degree + 2 points per direction
 on every active element, for the stiffness, loads, error norms and the
 estimator blocks alike.
 
+Element integrals run through one level-batch kernel, :func:`_element_batches`,
+which hands out chunks of active elements of one level as arrays (dofs
+padded with -1, derivative rows, weights, points), so the stiffness, body
+load, energy error and estimator blocks contract a chunk in one product.
+
 Every basis evaluation goes through one tabulation kernel,
 :func:`hbplate.splines.tabulate_in_span`, which runs Cox-de Boor over all
 points of a span at once. Tables at quadrature points (element Gauss points,
@@ -26,7 +31,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .hierarchy import connectivity
+from .hierarchy import ElementId, connectivity
 from .splines import find_span, tabulate_in_span
 # bench/tracer.py counts calls by wrapping this module's names, so they stay
 # bound here although nothing in this module calls them any more
@@ -298,34 +303,30 @@ class LinearSystem:
 # element-wise evaluation tables
 
 _ASSEMBLY_COMBOS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
+_DERIVATIVES = _ASSEMBLY_COMBOS[1:]
+_CHUNK_BYTES = 1 << 20  # basis rows held for one chunk of elements
 
 
-def _local_indices(e, funcs):
-    """Lowest level and, per function of ``connectivity(mesh, basis, e)``,
-    its level offset and its x and y indices within e's spans."""
-    lmin = funcs[0].level if funcs else e.level
-    lev = np.array([f.level - lmin for f in funcs], dtype=np.intp)
-    lx = np.array([f.ix - (e.ix >> (e.level - f.level)) for f in funcs], dtype=np.intp)
-    ly = np.array([f.iy - (e.iy >> (e.level - f.level)) for f in funcs], dtype=np.intp)
-    return lmin, lev, lx, ly
-
-
-def _level_tables(mesh, e, lmin, cell, xs, max_der, cached=True):
-    """Univariate tables of the levels lmin..e.level at the points xs of
-    one direction, over the spans containing e's cell index `cell` there:
-    array (levels, derivatives, p + 1, points).
+def _element_tables(space, e, xs, ys, max_der, cached=True):
+    """Active functions on element e, in connectivity order, and their
+    univariate tables (function, derivative, point) at the points xs in x
+    and ys in y, taking one-sided limits on e.
 
     Quadrature points go through the knot vectors' caches; one-off points
     (``cached=False``) are tabulated and dropped.
     """
-    p = mesh.p
-    tabs = []
-    for k in range(lmin, e.level + 1):
-        kv = mesh.knots(k)
-        span = (cell >> (e.level - k)) + p
-        tabs.append(kv.table(xs, span, max_der) if cached
-                    else tabulate_in_span(kv, xs, span, max_der))
-    return np.stack(tabs)
+    mesh, p = space.mesh, space.degree
+    funcs = connectivity(mesh, space.basis, e)
+    lev = np.array([f.level for f in funcs], dtype=np.intp)
+    out = [funcs]
+    for cell, pts, index in ((e.ix, xs, [f.ix for f in funcs]), (e.iy, ys, [f.iy for f in funcs])):
+        tabs = []
+        for k in range(lev[0], e.level + 1):
+            kv, span = mesh.knots(k), (cell >> (e.level - k)) + p
+            tabs.append(kv.table(pts, span, max_der) if cached
+                        else tabulate_in_span(kv, pts, span, max_der))
+        out.append(np.stack(tabs)[lev - lev[0], :, np.array(index) - (cell >> (e.level - lev))])
+    return out
 
 
 def _field_ders(space, coeff, e, xs, ys, combos, max_der=2):
@@ -336,10 +337,7 @@ def _field_ders(space, coeff, e, xs, ys, combos, max_der=2):
     order, starting from 0.0 (the leading zero row), so the result does not
     depend on which points are batched together.
     """
-    funcs = connectivity(space.mesh, space.basis, e)
-    lmin, lev, lx, ly = _local_indices(e, funcs)
-    tx = _level_tables(space.mesh, e, lmin, e.ix, xs, max_der, cached=False)[lev, :, lx]
-    ty = _level_tables(space.mesh, e, lmin, e.iy, ys, max_der, cached=False)[lev, :, ly]
+    funcs, tx, ty = _element_tables(space, e, xs, ys, max_der, cached=False)
     c = coeff[[space.basis.dof_index[f] for f in funcs]][:, None]
     terms = np.zeros((len(combos), len(funcs) + 1, len(xs)))
     for r, (dx, dy) in enumerate(combos):
@@ -347,145 +345,161 @@ def _field_ders(space, coeff, e, xs, ys, combos, max_der=2):
     return np.add.accumulate(terms, axis=1)[:, -1]
 
 
-class _ElementEvaluator:
-    """Tensor Gauss rule of an element and the basis rows on it.
+def _level_cells(mesh, skip=frozenset()):
+    """(level, cells) for every level with active elements not in skip:
+    their cell indices as an (E, 2) array in (ix, iy) order."""
+    for l in range(mesh.num_levels):
+        cells = [c for c in sorted(mesh.active_level(l)) if (l,) + c not in skip]
+        if cells:
+            yield l, np.array(cells, dtype=np.int64)
 
-    Univariate tables come from the one tabulation kernel of
-    :mod:`hbplate.splines`, cached on each level's knot vector by span,
-    derivative order and points; the evaluator itself holds no tables, and
-    one table serves both parametric directions because the mesh is square
-    with identical knot vectors.
+
+def _element_batches(space, level, cells, combos):
+    """The level-batch kernel: active basis functions and their rows on
+    chunks of active elements of one level, given by their (E, 2) cells.
+
+    Yields (sl, dofs, rows, wts, pts) for each chunk ``cells[sl]`` of e
+    elements. dofs (e, nloc) lists each element's active functions in
+    connectivity order, padded with -1; rows maps each combo (dx, dy) to
+    parametric derivative rows (e, nloc, nq), exactly zero on padded slots;
+    wts (e, nq) and pts (e, nq, 2) are the tensor Gauss rule (x-major) of
+    p + 2 points per direction. Functions come from the basis's dof lookup
+    per level, and rows from the tables cached on each level's knot vector,
+    gathered per active slot; a chunk's rows fill at most _CHUNK_BYTES.
     """
+    mesh, basis, p = space.mesh, space.basis, space.degree
+    nodes, w1 = _gauss01(p + 2)
+    h, a = mesh.h(level), mesh.interval[0]
+    loc = np.arange(p + 1)
+    levels, slot_dofs = [], []
+    for k in range(level + 1):
+        ax, ay = (cells >> (level - k)).T
+        d = basis.level_dofs(k, ax[:, None, None] + loc[:, None], ay[:, None, None] + loc)
+        if (d >= 0).any():
+            levels.append(k)
+            slot_dofs.append(d.reshape(len(cells), -1))
+    # slots run over (level, i, j) as connectivity does; a stable sort puts
+    # the active ones first, in that order, and the inactive (-1) after them
+    slot_dofs = np.concatenate(slot_dofs, axis=1)
+    order = np.argsort(slot_dofs < 0, axis=1, kind="stable")
+    count = (slot_dofs >= 0).sum(axis=1)
+    ucells, where = np.unique(cells, return_inverse=True)
+    where = where.reshape(cells.shape)
+    max_der = max(max(c) for c in combos)
+    tabs = np.array([[mesh.knots(k).table(a + (c + nodes) * h, (c >> (level - k)) + p, max_der)
+                      for k in levels] for c in ucells])
+    cdx = [c[0] for c in combos]
+    cdy = [c[1] for c in combos]
+    w = np.outer(w1, w1).ravel() * (h * h)
+    step = max(1, _CHUNK_BYTES // (8 * len(combos) * int(count.max()) * w.size))
+    for start in range(0, len(cells), step):
+        sl = slice(start, start + step)
+        nloc = int(count[sl].max())
+        slot = order[sl, :nloc]
+        dofs = np.take_along_axis(slot_dofs[sl], slot, axis=1)
+        k, i, j = np.unravel_index(slot, (len(levels), p + 1, p + 1))
+        tx = tabs[where[sl, 0, None], k, :, i][:, :, cdx]
+        ty = tabs[where[sl, 1, None], k, :, j][:, :, cdy]
+        tx[dofs < 0] = 0.0
+        rows = (np.moveaxis(tx, 2, 0)[..., :, None] * np.moveaxis(ty, 2, 0)[..., None, :])
+        e = len(dofs)
+        xs = a + (cells[sl, 0, None] + nodes) * h
+        ys = a + (cells[sl, 1, None] + nodes) * h
+        pts = np.stack([np.repeat(xs, nodes.size, axis=1), np.tile(ys, nodes.size)], axis=-1)
+        yield (sl, dofs, dict(zip(combos, rows.reshape(len(combos), e, nloc, -1))),
+               np.broadcast_to(w, (e, w.size)), pts)
 
-    def __init__(self, space, max_der=2, nq1=None):
-        self.space = space
-        self.mesh = space.mesh
-        self.basis = space.basis
-        p = space.degree
-        self.p = p
-        self.nq1 = nq1 if nq1 is not None else p + 2
-        self.nodes, self.w1 = _gauss01(self.nq1)
-        self.max_der = max(2, max_der)
 
-    def univariate(self, func_level, elem_level, cell):
-        """Table (derivative, local function, point) of the level-func_level
-        functions at the Gauss points of cell `cell` of elem_level."""
-        mesh = self.mesh
-        xs = mesh.interval[0] + (cell + self.nodes) * mesh.h(elem_level)
-        span = (cell >> (elem_level - func_level)) + self.p
-        return mesh.knots(func_level).table(xs, span, self.max_der)
+def _field_rows(coeff, dofs, rows):
+    """Derivative rows (e, 1, nq) of the discrete field with coefficients
+    coeff, from a chunk's dofs and basis rows."""
+    c = np.where(dofs >= 0, coeff[dofs], 0.0)
+    return {k: np.einsum("elq,el->eq", r, c)[:, None] for k, r in rows.items()}
 
-    def element_points(self, e):
-        """Parametric quadrature points (x-major) and parametric weights."""
-        x0, y0, x1, y1 = self.mesh.element_rect(e)
-        xs = x0 + (x1 - x0) * self.nodes
-        ys = y0 + (y1 - y0) * self.nodes
-        pts = np.column_stack([np.repeat(xs, self.nq1), np.tile(ys, self.nq1)])
-        wts = np.outer(self.w1, self.w1).ravel() * (x1 - x0) * (y1 - y0)
-        return pts, wts
 
-    def element_rows(self, e, combos=_ASSEMBLY_COMBOS):
-        """Active functions on e and their parametric derivative rows.
+def _at_points(fn, pts):
+    """fn(x, y) called once on the flattened points (..., 2); each returned
+    value comes back in the points' shape."""
+    x, y = pts[..., 0].ravel(), pts[..., 1].ravel()
+    out = fn(x, y)
 
-        Returns (funcs, rows) with rows[(dx, dy)] of shape (nloc, nq). Each
-        level contributes all combos at once: one tensor product, one mask.
-        """
-        p = self.p
-        basis = self.basis
-        cdx = [c[0] for c in combos]
-        cdy = [c[1] for c in combos]
-        funcs = []
-        blocks = []
-        for k in range(e.level + 1):
-            fns = basis.level_sets[k] if k < len(basis.level_sets) else None
-            if not fns:
-                continue
-            shift = e.level - k
-            ax, ay = e.ix >> shift, e.iy >> shift
-            mask = np.zeros((p + 1) * (p + 1), dtype=bool)
-            lvl_funcs = []
-            for i in range(p + 1):
-                for j in range(p + 1):
-                    if (ax + i, ay + j) in fns:
-                        mask[i * (p + 1) + j] = True
-                        lvl_funcs.append((k, ax + i, ay + j))
-            if not lvl_funcs:
-                continue
-            bx = self.univariate(k, e.level, e.ix)
-            by = self.univariate(k, e.level, e.iy)
-            t = np.einsum("ciq,cjr->cijqr", bx[cdx], by[cdy])
-            blocks.append(t.reshape(len(combos), (p + 1) * (p + 1), -1)[:, mask])
-            funcs.extend(lvl_funcs)
-        if blocks:
-            rows = np.concatenate(blocks, axis=1)
-        else:
-            rows = np.zeros((len(combos), 0, self.nq1 * self.nq1))
-        return funcs, dict(zip(combos, rows))
+    def shaped(v):
+        return np.broadcast_to(np.asarray(v, dtype=float), x.shape).reshape(pts.shape[:-1])
+    return tuple(map(shaped, out)) if isinstance(out, tuple) else shaped(out)
 
 
 def _transform_rows(geo, pts, rows, wts):
-    """Push parametric derivative rows to physical ones; scales weights."""
+    """Push parametric derivative rows (e, n, nq) at the points (e, nq, 2)
+    to physical ones; scales the weights (e, nq) and maps the points."""
     if geo.is_identity:
         return rows, wts, pts
-    jac = geo.jacobians(pts)
+    flat = pts.reshape(-1, 2)
+    jac = geo.jacobians(flat)
     det = np.linalg.det(jac)
     if np.any(det <= 0.0):
         raise GeometryError("geometry Jacobian is singular on an element")
-    jinv = np.linalg.inv(jac)
-    gx, gy = rows[(1, 0)], rows[(0, 1)]
-    # grad_phys_a = sum_b Jinv[q, b, a] grad_par_b
-    px = jinv[:, 0, 0] * gx + jinv[:, 1, 0] * gy
-    py = jinv[:, 0, 1] * gx + jinv[:, 1, 1] * gy
-    hg = geo.hessians(pts)
-    cxx = rows[(2, 0)] - px * hg[:, 0, 0, 0] - py * hg[:, 1, 0, 0]
-    cxy = rows[(1, 1)] - px * hg[:, 0, 0, 1] - py * hg[:, 1, 0, 1]
-    cyy = rows[(0, 2)] - px * hg[:, 0, 1, 1] - py * hg[:, 1, 1, 1]
+    shape = pts.shape[:2]
+    jinv = np.linalg.inv(jac).reshape(shape + (2, 2))[:, None]
     out = dict(rows)
-    out[(1, 0)], out[(0, 1)] = px, py
-    # H_phys = Jinv^T C Jinv, per point
-    a, b, c, d = jinv[:, 0, 0], jinv[:, 0, 1], jinv[:, 1, 0], jinv[:, 1, 1]
-    out[(2, 0)] = a * (a * cxx + c * cxy) + c * (a * cxy + c * cyy)
-    out[(1, 1)] = b * (a * cxx + c * cxy) + d * (a * cxy + c * cyy)
-    out[(0, 2)] = b * (b * cxx + d * cxy) + d * (b * cxy + d * cyy)
-    return out, wts * det, geo.map_points(pts)
+    if (1, 0) in rows:
+        gx, gy = rows[(1, 0)], rows[(0, 1)]
+        # grad_phys_a = sum_b Jinv[q, b, a] grad_par_b
+        px = jinv[..., 0, 0] * gx + jinv[..., 1, 0] * gy
+        py = jinv[..., 0, 1] * gx + jinv[..., 1, 1] * gy
+        out[(1, 0)], out[(0, 1)] = px, py
+    if (2, 0) in rows:
+        hg = geo.hessians(flat).reshape(shape + (2, 2, 2))[:, None]
+        cxx = rows[(2, 0)] - px * hg[..., 0, 0, 0] - py * hg[..., 1, 0, 0]
+        cxy = rows[(1, 1)] - px * hg[..., 0, 0, 1] - py * hg[..., 1, 0, 1]
+        cyy = rows[(0, 2)] - px * hg[..., 0, 1, 1] - py * hg[..., 1, 1, 1]
+        # H_phys = Jinv^T C Jinv, per point
+        a, b, c, d = jinv[..., 0, 0], jinv[..., 0, 1], jinv[..., 1, 0], jinv[..., 1, 1]
+        out[(2, 0)] = a * (a * cxx + c * cxy) + c * (a * cxy + c * cyy)
+        out[(1, 1)] = b * (a * cxx + c * cxy) + d * (a * cxy + c * cyy)
+        out[(0, 2)] = b * (b * cxx + d * cxy) + d * (b * cxy + d * cyy)
+    return out, wts * det.reshape(shape), geo.map_points(flat).reshape(pts.shape)
 
 
-def _local_stiffness(rows, wts, stiffness, poisson):
+def _energy_terms(rows, wts, poisson):
+    """Hessian rows (e, n, nq) laid side by side as (e, n, k nq), with
+    weights (e, k nq), so that the plate energy of two function sets is
+    the stiffness times (terms * weights) @ terms^T."""
     hxx, hxy, hyy = rows[(2, 0)], rows[(1, 1)], rows[(0, 2)]
-    wh = wts
-    a = (hxx * wh) @ hxx.T + 2.0 * (hxy * wh) @ hxy.T + (hyy * wh) @ hyy.T
+    terms = [hxx, hxy, hyy]
+    scales = [1.0 - poisson, 2.0 * (1.0 - poisson), 1.0 - poisson]
     if poisson != 0.0:
-        lap = hxx + hyy
-        a = (1.0 - poisson) * a + poisson * (lap * wh) @ lap.T
-    return stiffness * a
+        terms.append(hxx + hyy)
+        scales.append(poisson)
+    return (np.concatenate(terms, axis=-1),
+            np.concatenate([s * wts for s in scales], axis=-1))
 
 
 def assemble_stiffness(space, geo, problem):
-    """Sparse symmetric plate stiffness matrix over the active basis."""
-    ev = _ElementEvaluator(space)
-    dof = space.basis.dof_index
+    """Sparse symmetric plate stiffness matrix over the active basis: one
+    stacked product per kernel chunk, summed into CSR (int32 indices) at
+    the end of each level and whenever 1M entries are pending."""
     n = space.num_dofs
+
+    def summed(parts):
+        i, j, v = (np.concatenate(x) for x in zip(*parts))
+        return sp.csr_matrix((v, (i, j)), shape=(n, n))
+
     mat = sp.csr_matrix((n, n))
-    ii, jj, vv = [], [], []
-    pending = 0
-    for e in space.mesh.active_elements():
-        funcs, rows = ev.element_rows(e)
-        pts, wts = ev.element_points(e)
-        rows, wts, _ = _transform_rows(geo, pts, rows, wts)
-        aloc = _local_stiffness(rows, wts, problem.stiffness, problem.poisson)
-        idx = np.fromiter((dof[f] for f in funcs), dtype=np.int64, count=len(funcs))
-        k = idx.size
-        ii.append(np.repeat(idx, k))
-        jj.append(np.tile(idx, k))
-        vv.append(aloc.ravel())
-        pending += k * k
-        if pending > 2_000_000:
-            mat = mat + sp.csr_matrix(
-                (np.concatenate(vv), (np.concatenate(ii), np.concatenate(jj))), shape=(n, n))
-            ii, jj, vv, pending = [], [], [], 0
-    if vv:
-        mat = mat + sp.csr_matrix(
-            (np.concatenate(vv), (np.concatenate(ii), np.concatenate(jj))), shape=(n, n))
+    for level, cells in _level_cells(space.mesh):
+        parts, pending = [], 0
+        for _, dofs, rows, wts, pts in _element_batches(space, level, cells, _DERIVATIVES):
+            rows, wts, _ = _transform_rows(geo, pts, rows, wts)
+            terms, w = _energy_terms(rows, wts, problem.poisson)
+            aloc = problem.stiffness * ((terms * w[:, None]) @ terms.swapaxes(1, 2))
+            pair = (dofs[:, :, None] >= 0) & (dofs[:, None, :] >= 0)
+            idx = dofs.astype(np.int32)
+            parts.append((np.broadcast_to(idx[:, :, None], aloc.shape)[pair],
+                          np.broadcast_to(idx[:, None, :], aloc.shape)[pair], aloc[pair]))
+            pending += parts[-1][2].size
+            if pending > 1_000_000:
+                mat, parts, pending = mat + summed(parts), [], 0
+        if parts:
+            mat = mat + summed(parts)
     return mat
 
 
@@ -493,17 +507,17 @@ def assemble_stiffness(space, geo, problem):
 # boundary edges
 
 def _boundary_cells(mesh, side):
+    """Active elements with an edge on one side of the domain, by level and
+    then along the side; each level reads only its boundary row or column."""
     out = []
-    for e in mesh.active_elements():
-        nel = mesh.n_elements_1d(e.level)
-        if side == "left" and e.ix == 0:
-            out.append(e)
-        elif side == "right" and e.ix == nel - 1:
-            out.append(e)
-        elif side == "bottom" and e.iy == 0:
-            out.append(e)
-        elif side == "top" and e.iy == nel - 1:
-            out.append(e)
+    for l in range(mesh.num_levels):
+        act = mesh.active_level(l)
+        nel = mesh.n_elements_1d(l)
+        edge = 0 if side in ("left", "bottom") else nel - 1
+        for t in range(nel):
+            cell = (edge, t) if side in ("left", "right") else (t, edge)
+            if cell in act:
+                out.append(ElementId(l, *cell))
     return out
 
 
@@ -511,38 +525,16 @@ _SIDE_NORMAL = {"left": (-1.0, 0.0), "right": (1.0, 0.0),
                 "bottom": (0.0, -1.0), "top": (0.0, 1.0)}
 
 
-def _edge_geometry(geo, pts, side, tangential_h, w1):
-    """Physical points, arc weights and outward normals along one edge."""
-    n_par = np.array(_SIDE_NORMAL[side])
-    t_par = np.array([abs(n_par[1]), abs(n_par[0])])
-    if geo.is_identity:
-        n = pts.shape[0]
-        wts = w1 * tangential_h
-        normals = np.broadcast_to(n_par, (n, 2)).copy()
-        return pts.copy(), wts, normals
-    jac = geo.jacobians(pts)
-    t_phys = jac @ t_par
-    arc = np.linalg.norm(t_phys, axis=1)
-    jinv = np.linalg.inv(jac)
-    normals = np.einsum("qba,b->qa", jinv, n_par)
-    norms = np.linalg.norm(normals, axis=1)
-    if np.any(norms <= 0.0) or np.any(arc <= 0.0):
-        raise GeometryError("degenerate geometry along boundary side %r" % side)
-    return geo.map_points(pts), w1 * tangential_h * arc, normals / norms[:, None]
-
-
-def _edge_basis_rows(space, geo, e, side, nq1=None):
+def _edge_basis_rows(space, geo, e, side):
     """Values and outward-normal derivatives of the active functions on the
     edge of element e lying on a domain side.
 
     Returns (funcs, values (nloc, nq), dn (nloc, nq), physical points,
     arc-length weights).
     """
-    mesh = space.mesh
-    basis = space.basis
-    nq1 = nq1 or (space.degree + 2)
+    nq1 = space.degree + 2
     nodes, w1 = _gauss01(nq1)
-    x0, y0, x1, y1 = mesh.element_rect(e)
+    x0, y0, x1, y1 = space.mesh.element_rect(e)
     if side in ("left", "right"):
         xb = x0 if side == "left" else x1
         ts = y0 + (y1 - y0) * nodes
@@ -553,10 +545,7 @@ def _edge_basis_rows(space, geo, e, side, nq1=None):
         ts = x0 + (x1 - x0) * nodes
         pts = np.column_stack([ts, np.full(nq1, yb)])
         h_t = x1 - x0
-    funcs = connectivity(mesh, basis, e)
-    lmin, lev, lx, ly = _local_indices(e, funcs)
-    tx = _level_tables(mesh, e, lmin, e.ix, pts[:, 0], 1)[lev, :, lx]
-    ty = _level_tables(mesh, e, lmin, e.iy, pts[:, 1], 1)[lev, :, ly]
+    funcs, tx, ty = _element_tables(space, e, pts[:, 0], pts[:, 1], 1)
     vals = tx[:, 0] * ty[:, 0]
     gx = tx[:, 1] * ty[:, 0]
     gy = tx[:, 0] * ty[:, 1]
@@ -565,16 +554,21 @@ def _edge_basis_rows(space, geo, e, side, nq1=None):
 
 
 def _edge_transform(geo, pts, side, h_t, w1, gx, gy):
-    """Outward-normal derivative rows, physical points and arc weights."""
-    pts_phys, wts, normals = _edge_geometry(geo, pts, side, h_t, w1)
+    """Outward-normal derivative rows, physical points and arc weights along
+    one edge, from parametric gradient rows (n, nq) at its points."""
+    normals = np.broadcast_to(_SIDE_NORMAL[side], pts.shape)
+    wts = w1 * h_t
     if not geo.is_identity:
         jac = geo.jacobians(pts)
-        jinv = np.linalg.inv(jac)
-        px = jinv[:, 0, 0] * gx + jinv[:, 1, 0] * gy
-        py = jinv[:, 0, 1] * gx + jinv[:, 1, 1] * gy
-        gx, gy = px, py
-    dn = gx * normals[:, 0] + gy * normals[:, 1]
-    return dn, pts_phys, wts
+        arc = np.linalg.norm(jac @ np.abs(normals[0, ::-1]), axis=1)
+        normals = np.einsum("qba,qb->qa", np.linalg.inv(jac), normals)
+        norms = np.linalg.norm(normals, axis=1)
+        if np.any(norms <= 0.0) or np.any(arc <= 0.0):
+            raise GeometryError("degenerate geometry along boundary side %r" % side)
+        normals, wts = normals / norms[:, None], wts * arc
+    grad, _, pts_phys = _transform_rows(
+        geo, pts[None], {(1, 0): gx[None], (0, 1): gy[None]}, wts[None])
+    return grad[(1, 0)][0] * normals[:, 0] + grad[(0, 1)][0] * normals[:, 1], pts_phys[0], wts
 
 
 # ---------------------------------------------------------------------------
@@ -606,60 +600,46 @@ def _graded_breaks(rect, sides, ratio=0.15, n_strips=4):
 def _graded_element_load(space, geo, e, grading, gfun, nodes, w1, rhs):
     """Body load of one element integrated over its graded subrectangles.
 
-    Connectivity and dof indices are found once per element, and each strip
-    is tabulated once; subrectangles are added to rhs one at a time.
+    Connectivity and dof indices are found once per element, and all
+    strips are tabulated at once; subrectangles are added to rhs one at a
+    time.
     """
-    mesh = space.mesh
-    funcs = connectivity(mesh, space.basis, e)
-    idx = [space.basis.dof_index[f] for f in funcs]
-    lmin, lev, lx, ly = _local_indices(e, funcs)
-    bx, by = _graded_breaks(mesh.element_rect(e), grading)
+    bx, by = _graded_breaks(space.mesh.element_rect(e), grading)
     nq1 = nodes.size
     xs = [bx[i] + (bx[i + 1] - bx[i]) * nodes for i in range(len(bx) - 1)]
     ys = [by[j] + (by[j + 1] - by[j]) * nodes for j in range(len(by) - 1)]
-    tx = [_level_tables(mesh, e, lmin, e.ix, x, 0)[lev, 0, lx] for x in xs]
-    ty = [_level_tables(mesh, e, lmin, e.iy, y, 0)[lev, 0, ly] for y in ys]
+    funcs, tx, ty = _element_tables(space, e, np.concatenate(xs), np.concatenate(ys), 0)
+    idx = [space.basis.dof_index[f] for f in funcs]
+    tx = tx[:, 0].reshape(len(funcs), len(xs), nq1)
+    ty = ty[:, 0].reshape(len(funcs), len(ys), nq1)
     for i in range(len(xs)):
         for j in range(len(ys)):
-            vals = (tx[i][:, :, None] * ty[j][:, None, :]).reshape(len(funcs), -1)
+            vals = (tx[:, i, :, None] * ty[:, j, None, :]).reshape(len(funcs), -1)
             pts = np.column_stack([np.repeat(xs[i], nq1), np.tile(ys[j], nq1)])
             wts = np.outer(w1, w1).ravel() * (bx[i + 1] - bx[i]) * (by[j + 1] - by[j])
-            if not geo.is_identity:
-                jac = geo.jacobians(pts)
-                wts = wts * np.linalg.det(jac)
-                pts = geo.map_points(pts)
-            gv = gfun(pts[:, 0], pts[:, 1])
-            rhs[idx] += vals @ (wts * gv)
-
-
-def _element_touches_side(mesh, e, side):
-    nel = mesh.n_elements_1d(e.level)
-    return ((side == "left" and e.ix == 0) or (side == "right" and e.ix == nel - 1)
-            or (side == "bottom" and e.iy == 0) or (side == "top" and e.iy == nel - 1))
+            _, wts, pts = _transform_rows(geo, pts[None], {}, wts[None])
+            rhs[idx] += vals @ (wts[0] * gfun(pts[0, :, 0], pts[0, :, 1]))
 
 
 def assemble_load(space, geo, problem):
-    """Right-hand side: body load, natural boundary terms and point loads."""
-    ev = _ElementEvaluator(space)
+    """Right-hand side: body load (over graded subcells on graded sides,
+    else by the level-batch kernel), natural boundary terms, point loads."""
     dof = space.basis.dof_index
     rhs = np.zeros(space.num_dofs)
     gfun = _as_fn(problem.g)
     if gfun is not None:
-        for e in space.mesh.active_elements():
-            grading = tuple(s for s in problem.load_grading
-                            if _element_touches_side(space.mesh, e, s))
-            if grading:
-                _graded_element_load(space, geo, e, grading, gfun, ev.nodes, ev.w1, rhs)
-            else:
-                funcs, rows = ev.element_rows(e, combos=((0, 0),))
-                pts, wts = ev.element_points(e)
-                if not geo.is_identity:
-                    jac = geo.jacobians(pts)
-                    wts = wts * np.linalg.det(jac)
-                    pts = geo.map_points(pts)
-                gv = gfun(pts[:, 0], pts[:, 1])
-                idx = [dof[f] for f in funcs]
-                rhs[idx] += rows[(0, 0)] @ (wts * gv)
+        graded = {}
+        for side in problem.load_grading:
+            for e in _boundary_cells(space.mesh, side):
+                graded.setdefault(e, []).append(side)
+        nodes, w1 = _gauss01(space.degree + 2)
+        for e, sides in graded.items():
+            _graded_element_load(space, geo, e, sides, gfun, nodes, w1, rhs)
+        for level, cells in _level_cells(space.mesh, skip=graded):
+            for _, dofs, rows, wts, pts in _element_batches(space, level, cells, ((0, 0),)):
+                rows, wts, pts = _transform_rows(geo, pts, rows, wts)
+                loc = np.einsum("elq,eq->el", rows[(0, 0)], wts * _at_points(gfun, pts))
+                rhs += np.bincount(dofs[dofs >= 0], loc[dofs >= 0], minlength=rhs.size)
     for side, data in problem.neumann_M.items():
         fn = _as_fn(data)
         for e in _boundary_cells(space.mesh, side):
@@ -684,11 +664,8 @@ def assemble_load(space, geo, problem):
 def _point_values(space, pt):
     mesh = space.mesh
     e = mesh.locate(pt[0], pt[1])
-    funcs = connectivity(mesh, space.basis, e)
-    lmin, lev, lx, ly = _local_indices(e, funcs)
-    tx = _level_tables(mesh, e, lmin, e.ix, [pt[0]], 0, cached=False)
-    ty = _level_tables(mesh, e, lmin, e.iy, [pt[1]], 0, cached=False)
-    return funcs, tx[lev, 0, lx, 0] * ty[lev, 0, ly, 0]
+    funcs, tx, ty = _element_tables(space, e, [pt[0]], [pt[1]], 0, cached=False)
+    return funcs, tx[:, 0, 0] * ty[:, 0, 0]
 
 
 def assemble_system(space, geo, problem):
@@ -832,7 +809,10 @@ def solve(system):
     aff = a[free][:, free].tocsc()
     bf = b[free]
     try:
-        lu = spla.splu(aff)
+        # the free block is SPD: a symmetric minimum-degree ordering on the
+        # diagonal keeps fill low without pivoting
+        lu = spla.splu(aff, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                       options=dict(SymmetricMode=True))
         xf = lu.solve(bf)
         scale = np.linalg.norm(bf)
         resid = np.linalg.norm(bf - aff @ xf)
@@ -866,22 +846,15 @@ def solve(system):
 def h2_seminorm_error(field, exact_hessian, space, geo=None):
     """Energy-norm distance sqrt(int |H(u_h) - H_exact|_F^2) by element quadrature."""
     geo = geo or GeometryMap.identity()
-    ev = _ElementEvaluator(space)
-    dof = space.basis.dof_index
-    coeff = field.coefficients
     total = 0.0
-    for e in space.mesh.active_elements():
-        funcs, rows = ev.element_rows(e)
-        pts, wts = ev.element_points(e)
-        rows, wts, pts_phys = _transform_rows(geo, pts, rows, wts)
-        idx = [dof[f] for f in funcs]
-        c = coeff[idx]
-        hxx = c @ rows[(2, 0)]
-        hxy = c @ rows[(1, 1)]
-        hyy = c @ rows[(0, 2)]
-        exx, exy, eyy = exact_hessian(pts_phys[:, 0], pts_phys[:, 1])
-        total += float(np.sum(wts * ((hxx - exx) ** 2 + 2.0 * (hxy - exy) ** 2
-                                     + (hyy - eyy) ** 2)))
+    for level, cells in _level_cells(space.mesh):
+        for _, dofs, rows, wts, pts in _element_batches(space, level, cells, _DERIVATIVES):
+            ders, wts, pts = _transform_rows(
+                geo, pts, _field_rows(field.coefficients, dofs, rows), wts)
+            exx, exy, eyy = _at_points(exact_hessian, pts)
+            total += float(np.sum(wts * ((ders[(2, 0)][:, 0] - exx) ** 2
+                                         + 2.0 * (ders[(1, 1)][:, 0] - exy) ** 2
+                                         + (ders[(0, 2)][:, 0] - eyy) ** 2)))
     return float(np.sqrt(total))
 
 
@@ -900,12 +873,7 @@ def evaluate(field, space, geo, points):
     for e, rs in owned.items():
         ders[:, rs] = _field_ders(space, field.coefficients, e, pts[rs, 0], pts[rs, 1],
                                   _ASSEMBLY_COMBOS)
-    vals, gx, gy, hxx, hxy, hyy = ders
-    grads = np.column_stack([gx, gy])
-    hess = np.column_stack([hxx, hxy, hyy])
-    if not geo.is_identity:
-        for r, xi in enumerate(pts):
-            hp = np.array([[hxx[r], hxy[r]], [hxy[r], hyy[r]]])
-            grads[r], hp = pushforward2(geo, xi).apply(grads[r], hp)
-            hess[r] = (hp[0, 0], hp[0, 1], hp[1, 1])
-    return vals, grads, hess
+    rows = {k: d[None, None] for k, d in zip(_ASSEMBLY_COMBOS, ders)}
+    d = _transform_rows(geo, pts[None], rows, np.ones((1, len(pts))))[0]
+    return (d[(0, 0)][0, 0], np.column_stack([d[k][0, 0] for k in _DERIVATIVES[:2]]),
+            np.column_stack([d[k][0, 0] for k in _DERIVATIVES[2:]]))

@@ -19,18 +19,22 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
 
 from .assembly import (
+    _DERIVATIVES,
+    SIDES,
     GeometryMap,
-    _ElementEvaluator,
-    _edge_transform,
-    _element_touches_side,
-    _field_ders,
-    _gauss01,
-    _local_stiffness,
-    _transform_rows,
     _as_fn,
+    _at_points,
+    _boundary_cells,
+    _edge_transform,
+    _element_batches,
+    _energy_terms,
+    _field_ders,
+    _field_rows,
+    _gauss01,
+    _level_cells,
+    _transform_rows,
 )
 from .hierarchy import ElementId
 from .splines import eval_bernstein_ders
@@ -122,18 +126,15 @@ def build_bubble_space(mesh, p, neumann_sides=None):
     q = p + 1
     interior = list(range(2, q - 1))
     neumann_sides = neumann_sides or {}
-    per_element = {}
-    for e in mesh.active_elements():
-        pairs = [(i, j) for i in interior for j in interior]
-        for side, kinds in neumann_sides.items():
-            if not _element_touches_side(mesh, e, side):
-                continue
+    per_element = {e: [(i, j) for i in interior for j in interior]
+                   for e in mesh.active_elements()}
+    for side, kinds in neumann_sides.items():
+        for e in _boundary_cells(mesh, side):
             for b in _side_indices(side, kinds, q):
                 if side in ("left", "right"):
-                    pairs.extend((b, j) for j in interior)
+                    per_element[e].extend((b, j) for j in interior)
                 else:
-                    pairs.extend((i, b) for i in interior)
-        per_element[e] = pairs
+                    per_element[e].extend((i, b) for i in interior)
     return BubbleSpace(degree=q, per_element=per_element)
 
 
@@ -151,21 +152,6 @@ def _bernstein_table(q, nq1, max_der=2):
 def _bernstein_end(q, at_one):
     ev = eval_bernstein_ders(q, 1.0 if at_one else 0.0, 1)
     return ev.ders[0].copy(), ev.ders[1].copy()
-
-
-def _bubble_rows(bubbles, e, h, nq1):
-    """Parametric derivative rows of the element's bubbles at quad points."""
-    q = bubbles.degree
-    tab = _bernstein_table(q, nq1)
-    pairs = bubbles.per_element[e]
-    ii = np.array([i for i, _ in pairs], dtype=int)
-    jj = np.array([j for _, j in pairs], dtype=int)
-    rows = {}
-    for (dx, dy) in ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)):
-        scale = h ** (-(dx + dy))
-        rows[(dx, dy)] = scale * np.einsum(
-            "bq,br->bqr", tab[dx][ii], tab[dy][jj]).reshape(len(pairs), -1)
-    return pairs, rows
 
 
 def _bubble_edge_terms(bubbles, e, side, rect, problem, geo, rhs):
@@ -208,91 +194,116 @@ def _bubble_edge_terms(bubbles, e, side, rect, problem, geo, rhs):
 
 
 def assemble_blocks(bubbles, u_h, space, geo, problem, elements=None):
-    """Independent residual systems, one dense block per active element."""
+    """Independent residual systems, one dense block per element.
+
+    Elements of one level with the same bubble indices form a group whose
+    matrices, body loads and residuals of u_h come from stacked products
+    over the level-batch kernel's chunks. Blocks come back in the order of
+    `elements` (by default all active elements).
+    """
     geo = geo or GeometryMap.identity()
     mesh = space.mesh
-    ev = _ElementEvaluator(space)
-    dof = space.basis.dof_index
-    coeff = u_h.coefficients
+    q = bubbles.degree
     gfun = _as_fn(problem.g)
-    d_const = problem.stiffness
-    nu = problem.poisson
+    d_const, nu = problem.stiffness, problem.poisson
     owners = {}
     for (pt, magnitude) in problem.point_loads:
         owners.setdefault(mesh.locate(pt[0], pt[1]), []).append((pt, magnitude))
+    natural = {side: set(_boundary_cells(mesh, side)) for side in SIDES
+               if side in problem.neumann_M or side in problem.neumann_Q}
     if elements is None:
         elements = mesh.active_elements()
-    blocks = []
-    for e in elements:
-        rect = mesh.element_rect(e)
-        h = rect[2] - rect[0]
-        pairs, rows = _bubble_rows(bubbles, e, h, ev.nq1)
-        pts, wts = ev.element_points(e)
-        rows, bwts, pts_phys = _transform_rows(geo, pts, rows, wts)
-        amat = _local_stiffness(rows, bwts, d_const, nu)
-        rhs = np.zeros(len(pairs))
-        if gfun is not None:
-            gv = np.asarray(gfun(pts_phys[:, 0], pts_phys[:, 1]), dtype=float)
-            rhs += rows[(0, 0)] @ (bwts * gv)
-        # residual of the discrete solution against each bubble
-        funcs, urows = ev.element_rows(e)
-        urows, uwts, _ = _transform_rows(geo, pts, urows, wts)
-        c = coeff[[dof[f] for f in funcs]]
-        hxx = c @ urows[(2, 0)]
-        hxy = c @ urows[(1, 1)]
-        hyy = c @ urows[(0, 2)]
-        pair_e = (rows[(2, 0)] @ (uwts * hxx) + 2.0 * (rows[(1, 1)] @ (uwts * hxy))
-                  + rows[(0, 2)] @ (uwts * hyy))
-        if nu != 0.0:
-            lap_u = hxx + hyy
-            lap_b = rows[(2, 0)] + rows[(0, 2)]
-            pair_e = (1.0 - nu) * pair_e + nu * (lap_b @ (uwts * lap_u))
-        rhs -= d_const * pair_e
-        for side in ("left", "bottom", "right", "top"):
-            if (side in problem.neumann_M or side in problem.neumann_Q) \
-                    and _element_touches_side(mesh, e, side):
-                _bubble_edge_terms(bubbles, e, side, rect, problem, geo, rhs)
-        for (pt, magnitude) in owners.get(e, ()):
-            tx = (pt[0] - rect[0]) / h
-            ty = (pt[1] - rect[1]) / h
-            bx = eval_bernstein_ders(bubbles.degree, tx, 0).values
-            by = eval_bernstein_ders(bubbles.degree, ty, 0).values
-            for k, (i, j) in enumerate(pairs):
-                rhs[k] += magnitude * bx[i] * by[j]
-        blocks.append(BubbleBlock(element=e, indices=list(pairs), matrix=amat, rhs=rhs))
+    groups = {}
+    for pos, e in enumerate(elements):
+        groups.setdefault((e.level, tuple(bubbles.per_element[e])), []).append(pos)
+    tab = _bernstein_table(q, space.degree + 2)
+    blocks = [None] * len(elements)
+    for (level, pairs), where in groups.items():
+        h = mesh.h(level)
+        ii, jj = np.array(pairs).T
+        brows = {(dx, dy): h ** (-(dx + dy)) * (tab[dx][ii][:, :, None] * tab[dy][jj][:, None, :])
+                 .reshape(len(pairs), -1) for (dx, dy) in ((0, 0),) + _DERIVATIVES}
+        cells = np.array([elements[k][1:] for k in where], dtype=np.int64)
+        for sl, dofs, rows, wts, pts in _element_batches(space, level, cells, _DERIVATIVES):
+            n = len(dofs)
+            u, _, _ = _transform_rows(geo, pts, _field_rows(u_h.coefficients, dofs, rows), wts)
+            b, bwts, pts = _transform_rows(
+                geo, pts, {k: np.broadcast_to(r, (n,) + r.shape) for k, r in brows.items()}, wts)
+            terms, w = _energy_terms(b, bwts, nu)
+            weighted = terms * w[:, None]
+            amat = d_const * (weighted @ terms.swapaxes(1, 2))
+            rhs = -d_const * (weighted @ _energy_terms(u, bwts, nu)[0].swapaxes(1, 2))[..., 0]
+            if gfun is not None:
+                rhs += np.einsum("ebq,eq->eb", b[(0, 0)], bwts * _at_points(gfun, pts))
+            for r, k in enumerate(where[sl]):
+                el = elements[k]
+                for side, on_side in natural.items():
+                    if el in on_side:
+                        _bubble_edge_terms(bubbles, el, side, mesh.element_rect(el),
+                                           problem, geo, rhs[r])
+                for (pt, magnitude) in owners.get(el, ()):
+                    x0, y0, _, _ = mesh.element_rect(el)
+                    bx = eval_bernstein_ders(q, (pt[0] - x0) / h, 0).values
+                    by = eval_bernstein_ders(q, (pt[1] - y0) / h, 0).values
+                    rhs[r] += magnitude * bx[ii] * by[jj]
+                blocks[k] = BubbleBlock(element=el, indices=list(pairs),
+                                        matrix=amat[r], rhs=rhs[r])
     return blocks
 
 
+def _by_shape(blocks):
+    """Positions of the blocks grouped by matrix shape."""
+    groups = {}
+    for k, blk in enumerate(blocks):
+        groups.setdefault(blk.matrix.shape, []).append(k)
+    return groups.values()
+
+
+def _cho_solve(low, rhs):
+    """Solve the stacked systems (L L^T) x = rhs from Cholesky factors L."""
+    y = np.linalg.solve(low, rhs[..., None])
+    return np.linalg.solve(low.swapaxes(1, 2), y)[..., 0]
+
+
 def solve_blocks(blocks):
-    """Solve every block by dense Cholesky; blocks must be SPD."""
-    for blk in blocks:
-        if blk.matrix.size == 0:
-            blk.coeffs = np.zeros(0)
-            continue
+    """Solve every block by dense Cholesky, one stacked factorization per
+    block shape; blocks must be SPD. One step of iterative refinement is
+    taken where the residual exceeds 1e-12 of the right-hand side."""
+    for where in _by_shape(blocks):
+        mats = np.stack([blocks[k].matrix for k in where])
+        rhs = np.stack([blocks[k].rhs for k in where])
         try:
-            cho = scipy.linalg.cho_factor(blk.matrix)
-            blk.coeffs = scipy.linalg.cho_solve(cho, blk.rhs)
-        except scipy.linalg.LinAlgError as exc:
-            raise RuntimeError(
-                "bubble block on %s is not SPD (assembly bug): %s"
-                % (blk.element, exc)) from exc
-        resid = np.linalg.norm(blk.matrix @ blk.coeffs - blk.rhs)
-        scale = np.linalg.norm(blk.rhs)
-        if scale > 0.0 and resid > 1e-12 * scale:
-            blk.coeffs = blk.coeffs + scipy.linalg.cho_solve(cho, blk.rhs - blk.matrix @ blk.coeffs)
+            low = np.linalg.cholesky(mats)
+        except np.linalg.LinAlgError as exc:
+            for k in where:
+                try:
+                    np.linalg.cholesky(blocks[k].matrix)
+                except np.linalg.LinAlgError:
+                    raise RuntimeError("bubble block on %s is not SPD (assembly bug): %s"
+                                       % (blocks[k].element, exc)) from exc
+            raise
+        coeffs = _cho_solve(low, rhs)
+        resid = rhs - np.einsum("eij,ej->ei", mats, coeffs)
+        scale = np.linalg.norm(rhs, axis=1)
+        redo = (scale > 0.0) & (np.linalg.norm(resid, axis=1) > 1e-12 * scale)
+        if redo.any():
+            coeffs[redo] += _cho_solve(low[redo], resid[redo])
+        for k, c in zip(where, coeffs):
+            blocks[k].coeffs = c
     return blocks
 
 
 def eta_elements(blocks, calibration=3.0):
     """Element indicators: calibration times the local energy norm."""
-    out = []
-    for blk in blocks:
-        if blk.coeffs is None:
-            raise ValueError("blocks must be solved before computing indicators")
-        energy = float(blk.coeffs @ blk.matrix @ blk.coeffs) if blk.coeffs.size else 0.0
-        out.append(ElementEstimate(element=blk.element,
-                                   eta=calibration * math.sqrt(max(energy, 0.0))))
-    return out
+    if any(blk.coeffs is None for blk in blocks):
+        raise ValueError("blocks must be solved before computing indicators")
+    energy = np.zeros(len(blocks))
+    for where in _by_shape(blocks):
+        c = np.stack([blocks[k].coeffs for k in where])
+        mats = np.stack([blocks[k].matrix for k in where])
+        energy[where] = np.einsum("ei,eij,ej->e", c, mats, c)
+    eta = calibration * np.sqrt(np.maximum(energy, 0.0))
+    return [ElementEstimate(element=blk.element, eta=float(v)) for blk, v in zip(blocks, eta)]
 
 
 def estimate(u_h, space, problem, geo=None, calibration=3.0):
@@ -397,8 +408,6 @@ def residual_estimator(u_h, space, problem, point_load_sigma=None, geo=None):
     if not geo.is_identity:
         raise ValueError("the strong-residual estimator supports the identity geometry only")
     mesh = space.mesh
-    ev = _ElementEvaluator(space, max_der=4)
-    dof = space.basis.dof_index
     coeff = u_h.coefficients
     gfun = _as_fn(problem.g)
     d_const = problem.stiffness
@@ -410,22 +419,23 @@ def residual_estimator(u_h, space, problem, point_load_sigma=None, geo=None):
         if captured < 1.0 - 1e-6:
             raise ValueError("Gaussian regularization too wide for the load at %s" % (pt,))
         loads.append(_gaussian_load(pt, magnitude, sigma))
-    nq1 = ev.nq1
+    nq1 = space.degree + 2
     nodes, w1 = _gauss01(nq1)
+    interior = []
+    for level, cells in _level_cells(mesh):
+        for _, dofs, rows, wts, pts in _element_batches(
+                space, level, cells, ((4, 0), (2, 2), (0, 4))):
+            d = _field_rows(coeff, dofs, rows)
+            bilap = (d[(4, 0)] + 2.0 * d[(2, 2)] + d[(0, 4)])[:, 0]
+            gv = np.zeros(bilap.shape)
+            if gfun is not None:
+                gv += _at_points(gfun, pts)
+            for fn in loads:
+                gv += _at_points(fn, pts)
+            interior.extend(mesh.h(level)**4 * np.sum(wts * (gv - d_const * bilap) ** 2, axis=1))
     out = []
-    for e in mesh.active_elements():
+    for e, eta2 in zip(mesh.active_elements(), interior):
         rect = mesh.element_rect(e)
-        h = rect[2] - rect[0]
-        funcs, rows = ev.element_rows(e, combos=((4, 0), (2, 2), (0, 4)))
-        pts, wts = ev.element_points(e)
-        c = coeff[[dof[f] for f in funcs]]
-        bilap = c @ (rows[(4, 0)] + 2.0 * rows[(2, 2)] + rows[(0, 4)])
-        gv = np.zeros(pts.shape[0])
-        if gfun is not None:
-            gv += np.asarray(gfun(pts[:, 0], pts[:, 1]), dtype=float)
-        for fn in loads:
-            gv += fn(pts[:, 0], pts[:, 1])
-        eta2 = h**4 * float(np.sum(wts * (gv - d_const * bilap) ** 2))
         for side in ("left", "bottom", "right", "top"):
             vertical = side in ("left", "right")
             if vertical:

@@ -9,6 +9,7 @@ but no active cell of any coarser level.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -171,10 +172,27 @@ class HierarchicalBasis:
         self.active = tuple(active)
         self.level_sets = level_sets
         self.dof_index = {f: i for i, f in enumerate(self.active)}
+        # dofs are numbered by (level, ix, iy), so within a level they follow
+        # the sorted keys ix * 2**32 + iy from the level's first dof on
+        table = np.fromiter(chain.from_iterable(self.active), dtype=np.int64,
+                            count=3 * len(self.active)).reshape(-1, 3)
+        self._starts = np.searchsorted(table[:, 0], np.arange(len(level_sets) + 1))
+        self._keys = (table[:, 1] << 32) + table[:, 2]
 
     @property
     def num_dofs(self):
         return len(self.active)
+
+    def level_dofs(self, level, ix, iy):
+        """Dof numbers of the level-`level` functions (ix, iy), elementwise
+        over broadcast index arrays, and -1 where a function is inactive."""
+        lo, hi = self._starts[level], self._starts[level + 1]
+        want = (np.asarray(ix, dtype=np.int64) << 32) + iy
+        if hi == lo:
+            return np.full(want.shape, -1, dtype=np.int64)
+        keys = self._keys[lo:hi]
+        pos = np.minimum(np.searchsorted(keys, want), hi - lo - 1)
+        return np.where(keys[pos] == want, lo + pos, -1)
 
     def is_active(self, f):
         return f.level < len(self.level_sets) and (f.ix, f.iy) in self.level_sets[f.level]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hbplate.assembly import (
+    _ASSEMBLY_COMBOS,
     BoundaryDataError,
     GeometryMap,
     LinearSystem,
@@ -18,9 +19,11 @@ from hbplate.assembly import (
     pushforward2,
     quadrature,
     solve,
+    _element_batches,
+    _level_cells,
 )
-from hbplate.hierarchy import ElementId, HierarchicalSpace
-from hbplate.splines import make_open_uniform
+from hbplate.hierarchy import ElementId, HierarchicalSpace, check_admissible, connectivity
+from hbplate.splines import make_open_uniform, tabulate_in_span
 
 IDENTITY = GeometryMap.identity()
 
@@ -215,6 +218,96 @@ class TestStiffness:
         np.testing.assert_allclose(a2.toarray(), 2.0 * a1.toarray(), rtol=1e-14)
 
 
+class TestLevelBatchKernel:
+    @staticmethod
+    def three_level_space(p):
+        space = HierarchicalSpace.create(8, p).refined([ElementId(0, 1, 1)], 2)
+        space = space.refined([ElementId(1, 2, 2)], 2)
+        assert space.mesh.num_levels == 3 and check_admissible(space.mesh, 2, space.basis)
+        return space
+
+    @pytest.mark.parametrize("p", [3, 4, 5])
+    def test_rows_follow_connectivity_and_tables(self, p):
+        space = self.three_level_space(p)
+        mesh, basis = space.mesh, space.basis
+        nodes, w1 = np.polynomial.legendre.leggauss(p + 2)
+        nodes, w1 = 0.5 * (nodes + 1.0), 0.5 * w1
+        a = mesh.interval[0]
+        seen = padded = 0
+        for level, cells in _level_cells(mesh):
+            h = mesh.h(level)
+            for sl, dofs, rows, wts, pts in _element_batches(space, level, cells, _ASSEMBLY_COMBOS):
+                for r, (ix, iy) in enumerate(cells[sl]):
+                    e = ElementId(level, int(ix), int(iy))
+                    funcs = connectivity(mesh, basis, e)
+                    n = len(funcs)
+                    assert list(dofs[r, :n]) == [basis.dof_index[f] for f in funcs]
+                    assert np.all(dofs[r, n:] == -1)
+                    xs, ys = a + (ix + nodes) * h, a + (iy + nodes) * h
+                    np.testing.assert_array_equal(pts[r, :, 0], np.repeat(xs, p + 2))
+                    np.testing.assert_array_equal(pts[r, :, 1], np.tile(ys, p + 2))
+                    np.testing.assert_allclose(wts[r], np.outer(w1, w1).ravel() * h * h,
+                                               rtol=1e-15)
+                    for s, f in enumerate(funcs):
+                        shift = level - f.level
+                        kv = mesh.knots(f.level)
+                        tx = tabulate_in_span(kv, xs, (ix >> shift) + p, 2)[:, f.ix - (ix >> shift)]
+                        ty = tabulate_in_span(kv, ys, (iy >> shift) + p, 2)[:, f.iy - (iy >> shift)]
+                        for (dx, dy) in _ASSEMBLY_COMBOS:
+                            np.testing.assert_array_equal(
+                                rows[(dx, dy)][r, s], np.outer(tx[dx], ty[dy]).ravel())
+                    for row in rows.values():
+                        assert np.all(row[r, n:] == 0.0)
+                    seen += 1
+                    padded += dofs.shape[1] - n
+        assert seen == mesh.n_active and padded > 0
+
+    def test_spline_geometry_stiffness_matches_element_loop(self):
+        kv = make_open_uniform(2, 3)
+        grev = np.array([np.mean(kv.knots[i + 1:i + 4]) for i in range(kv.num_basis)])
+        control = np.zeros((kv.num_basis, kv.num_basis, 2))
+        for i, gx in enumerate(grev):
+            for j, gy in enumerate(grev):
+                control[i, j] = (gx + 0.3 * gx * gy, gy + 0.2 * gx * (1.0 - gy))
+        geo = GeometryMap.spline(kv, control)
+        space = HierarchicalSpace.create(2, 3).refined([ElementId(0, 0, 1)], 2)
+        prob = PlateProblem(stiffness=2.0, poisson=0.3,
+                            dirichlet_w={s: 0.0 for s in ("left", "bottom", "right", "top")},
+                            neumann_M={s: 0.0 for s in ("left", "bottom", "right", "top")})
+        got = assemble_stiffness(space, geo, prob).toarray()
+        # reference: one element at a time, one point at a time, through pushforward2
+        mesh, basis = space.mesh, space.basis
+        nodes, w1 = np.polynomial.legendre.leggauss(5)
+        nodes, w1 = 0.5 * (nodes + 1.0), 0.5 * w1
+        ref = np.zeros_like(got)
+        for e in mesh.active_elements():
+            x0, y0, x1, y1 = mesh.element_rect(e)
+            xs, ys = x0 + (x1 - x0) * nodes, y0 + (y1 - y0) * nodes
+            funcs = connectivity(mesh, basis, e)
+            tabs = []
+            for f in funcs:
+                k = mesh.knots(f.level)
+                ax, ay = e.ix >> (e.level - f.level), e.iy >> (e.level - f.level)
+                tabs.append((tabulate_in_span(k, xs, ax + 3, 2)[:, f.ix - ax],
+                             tabulate_in_span(k, ys, ay + 3, 2)[:, f.iy - ay]))
+            idx = [basis.dof_index[f] for f in funcs]
+            for qx, x in enumerate(xs):
+                for qy, y in enumerate(ys):
+                    push = pushforward2(geo, (x, y))
+                    w = w1[qx] * w1[qy] * (x1 - x0) * (y1 - y0) * push.jacobian_det
+                    hess = []
+                    for tx, ty in tabs:
+                        grad = [tx[1, qx] * ty[0, qy], tx[0, qx] * ty[1, qy]]
+                        hpar = [[tx[2, qx] * ty[0, qy], tx[1, qx] * ty[1, qy]],
+                                [tx[1, qx] * ty[1, qy], tx[0, qx] * ty[2, qy]]]
+                        hess.append(push.apply(grad, hpar)[1])
+                    hess = np.array(hess)
+                    frob = np.einsum("iab,jab->ij", hess, hess)
+                    lap = hess[:, 0, 0] + hess[:, 1, 1]
+                    ref[np.ix_(idx, idx)] += 2.0 * w * (0.7 * frob + 0.3 * np.outer(lap, lap))
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
 class TestLoad:
     def test_zero_data_gives_zero_vector(self):
         space = HierarchicalSpace.create(2, 3)
@@ -225,16 +318,21 @@ class TestLoad:
         space = HierarchicalSpace.create(8, 3)
         g = lambda x, y: 64.0 * np.pi**4 * np.sin(2 * np.pi * x) * np.sin(2 * np.pi * y)
         rhs = assemble_load(space, IDENTITY, simply_supported(g=g))
-        # oracle: the same integrals with twice as many Gauss points
-        space7 = HierarchicalSpace.create(8, 3)
-        from hbplate.assembly import _ElementEvaluator
-        ev = _ElementEvaluator(space7, nq1=10)
-        ref = np.zeros(space7.num_dofs)
-        dof = space7.basis.dof_index
-        for e in space7.mesh.active_elements():
-            funcs, rows = ev.element_rows(e, combos=((0, 0),))
-            pts, wts = ev.element_points(e)
-            ref[[dof[f] for f in funcs]] += rows[(0, 0)] @ (wts * g(pts[:, 0], pts[:, 1]))
+        # oracle: the same integrals with 10 Gauss points per direction, from
+        # connectivity and the univariate tables of the one-level space
+        mesh = space.mesh
+        kv = mesh.knots(0)
+        nodes, w1 = np.polynomial.legendre.leggauss(10)
+        nodes, w1 = 0.5 * (nodes + 1.0), 0.5 * w1
+        ref = np.zeros(space.num_dofs)
+        for e in mesh.active_elements():
+            x0, y0, x1, y1 = mesh.element_rect(e)
+            xs, ys = x0 + (x1 - x0) * nodes, y0 + (y1 - y0) * nodes
+            tx = tabulate_in_span(kv, xs, e.ix + 3, 0)[0]
+            ty = tabulate_in_span(kv, ys, e.iy + 3, 0)[0]
+            gw = g(xs[:, None], ys[None, :]) * np.outer(w1, w1) * (x1 - x0) * (y1 - y0)
+            for f in connectivity(mesh, space.basis, e):
+                ref[space.basis.dof_index[f]] += tx[f.ix - e.ix] @ gw @ ty[f.iy - e.iy]
         scale = np.abs(ref).max()
         assert np.abs(rhs - ref).max() <= 1e-10 * scale
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -205,6 +206,15 @@ class TestBlocks:
         solve_blocks([blk2])
         assert blk2.coeffs[0] == 0.0
 
+
+    def test_solve_blocks_names_the_block_that_is_not_spd(self):
+        from hbplate.estimators import BubbleBlock
+        good = BubbleBlock(element=ElementId(1, 0, 0), indices=[(2, 2), (2, 3)],
+                           matrix=np.array([[4.0, 1.0], [1.0, 3.0]]), rhs=np.ones(2))
+        bad = BubbleBlock(element=ElementId(1, 2, 3), indices=[(2, 2), (2, 3)],
+                          matrix=np.array([[1.0, 2.0], [2.0, 1.0]]), rhs=np.ones(2))
+        with pytest.raises(RuntimeError, match=re.escape(str(bad.element))):
+            solve_blocks([good, bad])
 
 class TestEta:
     def test_zero_coeffs_zero_eta(self):
