@@ -7,19 +7,22 @@ Quadrature uses one tensor Gauss rule with degree + 2 points per direction
 on every active element, for the stiffness, loads, error norms and the
 estimator blocks alike.
 
-Element integrals run through one level-batch kernel, :func:`_element_batches`,
-which hands out chunks of active elements of one level as arrays (dofs
-padded with -1, derivative rows, weights, points), so the stiffness, body
-load, energy error and estimator blocks contract a chunk in one product.
+Every element integral and every point value runs through one kernel,
+:func:`_element_batches`. It hands out chunks of active elements of one
+level as arrays (dofs padded with -1, derivative rows, weights, points) at
+the nodes of a tensor reference rule on [0, 1]^2: the interior Gauss rule,
+an edge rule with one node on a domain side (moment and shear loads,
+Dirichlet fits), a graded rule whose strips crowd toward graded sides (the
+graded body load), or a one-off rule at given points (:func:`evaluate`,
+point loads, the residual estimator's edge jumps).
 
-Every basis evaluation goes through one tabulation kernel,
+Basis values come from one tabulation kernel,
 :func:`hbplate.splines.tabulate_in_span`, which runs Cox-de Boor over all
-points of a span at once. Tables at quadrature points (element Gauss points,
-edge points, graded load subcells) are cached on the knot vector of their
-level by :meth:`~hbplate.splines.KnotVector.table`; refined meshes share
-those knot vectors, so the tables carry over from iteration to iteration,
-while a new space starts with none. Values at user points (:func:`evaluate`,
-point loads) are tabulated and not kept.
+points of a span at once. Tables of the fixed rules are cached on the knot
+vector of their level by :meth:`~hbplate.splines.KnotVector.table`; refined
+meshes share those knot vectors, so the tables carry over from iteration to
+iteration, while a new space starts with none. Tables of one-off rules are
+tabulated and not kept.
 """
 
 from __future__ import annotations
@@ -31,10 +34,10 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .hierarchy import ElementId, connectivity
-from .splines import find_span, tabulate_in_span
+from .splines import KnotVector, find_span, tabulate_in_span
 # bench/tracer.py counts calls by wrapping this module's names, so they stay
 # bound here although nothing in this module calls them any more
+from .hierarchy import connectivity  # noqa: F401
 from .splines import eval_ders, eval_ders_in_span  # noqa: F401
 
 __all__ = [
@@ -47,8 +50,6 @@ __all__ = [
     "PlateProblem",
     "DiscreteField",
     "LinearSystem",
-    "QuadRule",
-    "quadrature",
     "pushforward2",
     "assemble_stiffness",
     "assemble_load",
@@ -212,23 +213,43 @@ def _gauss01(n):
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-@dataclass
-class QuadRule:
-    nodes1d: np.ndarray
-    weights1d: np.ndarray
-    points: np.ndarray
-    weights: np.ndarray
+_GRADING_RATIO = 0.15  # width ratio of neighbouring strips toward a graded side
+_GRADING_STRIPS = 4
 
 
-def quadrature(p):
-    """Tensor Gauss rule with p + 2 points per direction on [0, 1]^2."""
-    if p < 3:
-        raise ValueError("plate quadrature expects degree >= 3, got %d" % p)
-    n = p + 2
-    x, w = _gauss01(n)
-    pts = np.column_stack([np.repeat(x, n), np.tile(x, n)])
-    wts = np.outer(w, w).ravel()
-    return QuadRule(nodes1d=x, weights1d=w, points=pts, weights=wts)
+def _graded_breaks(toward_lo, toward_hi):
+    """Strip breaks on [0, 1], graded geometrically toward 0 (or else
+    toward 1); [0, 1] itself when neither end is graded."""
+    if not (toward_lo or toward_hi):
+        return np.array([0.0, 1.0])
+    fr = np.array([0.0] + [_GRADING_RATIO ** (_GRADING_STRIPS - i)
+                           for i in range(1, _GRADING_STRIPS)] + [1.0])
+    return fr if toward_lo else 1.0 - fr[::-1]
+
+
+@lru_cache(maxsize=None)
+def _graded_rule(p, sides):
+    """Reference rule of an element touching the graded sides: per
+    direction, the Gauss nodes of every strip of :func:`_graded_breaks`,
+    concatenated, with weights scaled by the strip widths."""
+    nodes, w1 = _gauss01(p + 2)
+    rule = []
+    for lo, hi in (("left", "right"), ("bottom", "top")):
+        br = _graded_breaks(lo in sides, hi in sides)
+        rule.append((np.concatenate([b0 + (b1 - b0) * nodes for b0, b1 in zip(br, br[1:])]),
+                     np.concatenate([(b1 - b0) * w1 for b0, b1 in zip(br, br[1:])])))
+    return tuple(rule)
+
+
+@lru_cache(maxsize=None)
+def _edge_rule(p, side, part=(0, 1)):
+    """Reference rule of the edge on one side of an element: one node of
+    weight 1 at the side's end of [0, 1] across it, the Gauss rule along
+    it, on part r of f equal parts of the edge for part (r, f)."""
+    end = (np.array([0.0 if side in ("left", "bottom") else 1.0]), np.ones(1))
+    (r, f), (nodes, w1) = part, _gauss01(p + 2)
+    along = ((r + nodes) / f, w1 / f)
+    return (end, along) if side in ("left", "right") else (along, end)
 
 
 # ---------------------------------------------------------------------------
@@ -300,75 +321,60 @@ class LinearSystem:
 
 
 # ---------------------------------------------------------------------------
-# element-wise evaluation tables
+# the element kernel
 
 _ASSEMBLY_COMBOS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
 _DERIVATIVES = _ASSEMBLY_COMBOS[1:]
 _CHUNK_BYTES = 1 << 20  # basis rows held for one chunk of elements
 
 
-def _element_tables(space, e, xs, ys, max_der, cached=True):
-    """Active functions on element e, in connectivity order, and their
-    univariate tables (function, derivative, point) at the points xs in x
-    and ys in y, taking one-sided limits on e.
-
-    Quadrature points go through the knot vectors' caches; one-off points
-    (``cached=False``) are tabulated and dropped.
-    """
-    mesh, p = space.mesh, space.degree
-    funcs = connectivity(mesh, space.basis, e)
-    lev = np.array([f.level for f in funcs], dtype=np.intp)
-    out = [funcs]
-    for cell, pts, index in ((e.ix, xs, [f.ix for f in funcs]), (e.iy, ys, [f.iy for f in funcs])):
-        tabs = []
-        for k in range(lev[0], e.level + 1):
-            kv, span = mesh.knots(k), (cell >> (e.level - k)) + p
-            tabs.append(kv.table(pts, span, max_der) if cached
-                        else tabulate_in_span(kv, pts, span, max_der))
-        out.append(np.stack(tabs)[lev - lev[0], :, np.array(index) - (cell >> (e.level - lev))])
-    return out
-
-
-def _field_ders(space, coeff, e, xs, ys, combos, max_der=2):
-    """Parametric derivatives (one row per combo) of the discrete field at
-    the points (xs, ys) of element e, taking one-sided limits on e.
-
-    Each point sums its function terms one after another in connectivity
-    order, starting from 0.0 (the leading zero row), so the result does not
-    depend on which points are batched together.
-    """
-    funcs, tx, ty = _element_tables(space, e, xs, ys, max_der, cached=False)
-    c = coeff[[space.basis.dof_index[f] for f in funcs]][:, None]
-    terms = np.zeros((len(combos), len(funcs) + 1, len(xs)))
-    for r, (dx, dy) in enumerate(combos):
-        terms[r, 1:] = c * tx[:, dx] * ty[:, dy]
-    return np.add.accumulate(terms, axis=1)[:, -1]
-
-
-def _level_cells(mesh, skip=frozenset()):
-    """(level, cells) for every level with active elements not in skip:
-    their cell indices as an (E, 2) array in (ix, iy) order."""
+def _level_cells(mesh):
+    """(level, cells) for every level with active elements: their cell
+    indices as an (E, 2) array in (ix, iy) order."""
     for l in range(mesh.num_levels):
-        cells = [c for c in sorted(mesh.active_level(l)) if (l,) + c not in skip]
-        if cells:
-            yield l, np.array(cells, dtype=np.int64)
+        if mesh.active_level(l):
+            yield l, np.array(sorted(mesh.active_level(l)), dtype=np.int64)
 
 
-def _element_batches(space, level, cells, combos):
-    """The level-batch kernel: active basis functions and their rows on
-    chunks of active elements of one level, given by their (E, 2) cells.
+def _rule_on_cells(mesh, level, cells, rule):
+    """Points (E, nq, 2), x-major, and weights (nq,) of a reference rule on
+    cells of one level. A direction with several nodes scales its weights
+    by h; a direction with one node is a trace and keeps its weight."""
+    h, a = mesh.h(level), mesh.interval[0]
+    (xn, xw), (yn, yw) = rule
+    xs = a + (cells[:, 0, None] + xn) * h
+    ys = a + (cells[:, 1, None] + yn) * h
+    pts = np.stack([np.repeat(xs, yn.size, axis=1), np.tile(ys, xn.size)], axis=-1)
+    scale = (h if xn.size > 1 else 1.0) * (h if yn.size > 1 else 1.0)
+    return pts, np.outer(xw, yw).ravel() * scale
+
+
+def _element_batches(space, level, cells, combos, rule=None, cached=True):
+    """The element kernel: active basis functions and their rows on chunks
+    of active elements of one level, given by their (E, 2) cells, at the
+    nodes of a tensor reference rule.
+
+    A rule is ((x nodes, x weights), (y nodes, y weights)) on [0, 1]; the
+    default is the interior Gauss rule of p + 2 points per direction. Every
+    node is evaluated in the span of its element, so nodes at 0 or 1 give
+    one-sided limits on the element. Weights are the products of the 1-D
+    weights times h for each direction with more than one node: h^2 (the
+    element area) for the interior and graded rules, h (the edge length)
+    for an edge rule, whose single node across the edge has weight 1.
 
     Yields (sl, dofs, rows, wts, pts) for each chunk ``cells[sl]`` of e
     elements. dofs (e, nloc) lists each element's active functions in
     connectivity order, padded with -1; rows maps each combo (dx, dy) to
     parametric derivative rows (e, nloc, nq), exactly zero on padded slots;
-    wts (e, nq) and pts (e, nq, 2) are the tensor Gauss rule (x-major) of
-    p + 2 points per direction. Functions come from the basis's dof lookup
-    per level, and rows from the tables cached on each level's knot vector,
-    gathered per active slot; a chunk's rows fill at most _CHUNK_BYTES.
+    wts (e, nq) and pts (e, nq, 2) are the rule's weights and points
+    (x-major). Functions come from the basis's dof lookup per level, and
+    rows from univariate tables gathered per active slot; a chunk's rows
+    fill at most _CHUNK_BYTES. The tables of fixed rules are cached on each
+    level's knot vector; ``cached=False`` tabulates one-off rules and drops
+    them.
     """
     mesh, basis, p = space.mesh, space.basis, space.degree
-    nodes, w1 = _gauss01(p + 2)
+    rule = rule or (_gauss01(p + 2),) * 2
     h, a = mesh.h(level), mesh.interval[0]
     loc = np.arange(p + 1)
     levels, slot_dofs = [], []
@@ -383,31 +389,45 @@ def _element_batches(space, level, cells, combos):
     slot_dofs = np.concatenate(slot_dofs, axis=1)
     order = np.argsort(slot_dofs < 0, axis=1, kind="stable")
     count = (slot_dofs >= 0).sum(axis=1)
-    ucells, where = np.unique(cells, return_inverse=True)
-    where = where.reshape(cells.shape)
     max_der = max(max(c) for c in combos)
-    tabs = np.array([[mesh.knots(k).table(a + (c + nodes) * h, (c >> (level - k)) + p, max_der)
-                      for k in levels] for c in ucells])
+    tabulate = KnotVector.table if cached else tabulate_in_span
+    tabs, where = [], []
+    for axis, (nodes, _) in enumerate(rule):
+        ucells, inverse = np.unique(cells[:, axis], return_inverse=True)
+        tabs.append(np.array([[tabulate(mesh.knots(k), a + (c + nodes) * h,
+                                        (c >> (level - k)) + p, max_der)
+                               for k in levels] for c in ucells]))
+        where.append(inverse)
     cdx = [c[0] for c in combos]
     cdy = [c[1] for c in combos]
-    w = np.outer(w1, w1).ravel() * (h * h)
-    step = max(1, _CHUNK_BYTES // (8 * len(combos) * int(count.max()) * w.size))
+    nq = rule[0][0].size * rule[1][0].size
+    step = max(1, _CHUNK_BYTES // (8 * len(combos) * int(count.max()) * nq))
     for start in range(0, len(cells), step):
         sl = slice(start, start + step)
         nloc = int(count[sl].max())
         slot = order[sl, :nloc]
         dofs = np.take_along_axis(slot_dofs[sl], slot, axis=1)
         k, i, j = np.unravel_index(slot, (len(levels), p + 1, p + 1))
-        tx = tabs[where[sl, 0, None], k, :, i][:, :, cdx]
-        ty = tabs[where[sl, 1, None], k, :, j][:, :, cdy]
+        tx = tabs[0][where[0][sl, None], k, :, i][:, :, cdx]
+        ty = tabs[1][where[1][sl, None], k, :, j][:, :, cdy]
         tx[dofs < 0] = 0.0
         rows = (np.moveaxis(tx, 2, 0)[..., :, None] * np.moveaxis(ty, 2, 0)[..., None, :])
         e = len(dofs)
-        xs = a + (cells[sl, 0, None] + nodes) * h
-        ys = a + (cells[sl, 1, None] + nodes) * h
-        pts = np.stack([np.repeat(xs, nodes.size, axis=1), np.tile(ys, nodes.size)], axis=-1)
-        yield (sl, dofs, dict(zip(combos, rows.reshape(len(combos), e, nloc, -1))),
-               np.broadcast_to(w, (e, w.size)), pts)
+        pts, w = _rule_on_cells(mesh, level, cells[sl], rule)
+        yield (sl, dofs, dict(zip(combos, rows.reshape(len(combos), e, nloc, nq))),
+               np.broadcast_to(w, (e, nq)), pts)
+
+
+def _point_rows(space, e, xs, ys, combos):
+    """The kernel on element e alone, at the parametric points xs x ys
+    (x-major) taken as one-sided limits on e: dofs (1, nloc) and rows
+    (1, nloc, nq). The rule is made for the call and its tables dropped."""
+    h, a = space.mesh.h(e.level), space.mesh.interval[0]
+    rule = [((np.asarray(t, dtype=float) - a) / h - c, np.ones(len(t)))
+            for t, c in ((xs, e.ix), (ys, e.iy))]
+    cells = np.array([e[1:]], dtype=np.int64)
+    _, dofs, rows, _, _ = next(_element_batches(space, e.level, cells, combos, rule, cached=False))
+    return dofs, rows
 
 
 def _field_rows(coeff, dofs, rows):
@@ -417,14 +437,36 @@ def _field_rows(coeff, dofs, rows):
     return {k: np.einsum("elq,el->eq", r, c)[:, None] for k, r in rows.items()}
 
 
-def _at_points(fn, pts):
+def _field_ders(space, coeff, e, xs, ys, combos):
+    """Parametric derivatives (combo, nq) of the discrete field at the
+    points xs x ys of element e, taking one-sided limits on e."""
+    d = _field_rows(coeff, *_point_rows(space, e, xs, ys, combos))
+    return np.array([d[c][0, 0] for c in combos])
+
+
+def _add_local(vec, dofs, loc):
+    """Add local values (e, nloc) into vec at the dofs, skipping padding."""
+    live = dofs >= 0
+    vec += np.bincount(dofs[live], loc[live], minlength=vec.size)
+
+
+def _at_points(fn, pts, what):
     """fn(x, y) called once on the flattened points (..., 2); each returned
-    value comes back in the points' shape."""
+    value comes back in the points' shape, so scalar returns broadcast.
+    Values that are not finite or do not fit the points raise ValueError
+    naming `what`."""
     x, y = pts[..., 0].ravel(), pts[..., 1].ravel()
     out = fn(x, y)
 
     def shaped(v):
-        return np.broadcast_to(np.asarray(v, dtype=float), x.shape).reshape(pts.shape[:-1])
+        try:
+            v = np.broadcast_to(np.asarray(v, dtype=float), x.shape)
+        except (TypeError, ValueError) as exc:
+            raise ValueError("%s: values of shape %s do not fit %d points"
+                             % (what, np.shape(v), x.size)) from exc
+        if not np.all(np.isfinite(v)):
+            raise ValueError("%s: non-finite values" % what)
+        return v.reshape(pts.shape[:-1])
     return tuple(map(shaped, out)) if isinstance(out, tuple) else shaped(out)
 
 
@@ -507,165 +549,95 @@ def assemble_stiffness(space, geo, problem):
 # boundary edges
 
 def _boundary_cells(mesh, side):
-    """Active elements with an edge on one side of the domain, by level and
-    then along the side; each level reads only its boundary row or column."""
-    out = []
+    """(level, cells) of the active elements with an edge on one side of the
+    domain, as (E, 2) arrays by level and then along the side; each level
+    reads only its boundary row or column."""
     for l in range(mesh.num_levels):
         act = mesh.active_level(l)
         nel = mesh.n_elements_1d(l)
         edge = 0 if side in ("left", "bottom") else nel - 1
-        for t in range(nel):
-            cell = (edge, t) if side in ("left", "right") else (t, edge)
-            if cell in act:
-                out.append(ElementId(l, *cell))
-    return out
+        line = [(edge, t) if side in ("left", "right") else (t, edge) for t in range(nel)]
+        cells = [c for c in line if c in act]
+        if cells:
+            yield l, np.array(cells, dtype=np.int64)
 
 
 _SIDE_NORMAL = {"left": (-1.0, 0.0), "right": (1.0, 0.0),
                 "bottom": (0.0, -1.0), "top": (0.0, 1.0)}
 
 
-def _edge_basis_rows(space, geo, e, side):
-    """Values and outward-normal derivatives of the active functions on the
-    edge of element e lying on a domain side.
-
-    Returns (funcs, values (nloc, nq), dn (nloc, nq), physical points,
-    arc-length weights).
-    """
-    nq1 = space.degree + 2
-    nodes, w1 = _gauss01(nq1)
-    x0, y0, x1, y1 = space.mesh.element_rect(e)
-    if side in ("left", "right"):
-        xb = x0 if side == "left" else x1
-        ts = y0 + (y1 - y0) * nodes
-        pts = np.column_stack([np.full(nq1, xb), ts])
-        h_t = y1 - y0
-    else:
-        yb = y0 if side == "bottom" else y1
-        ts = x0 + (x1 - x0) * nodes
-        pts = np.column_stack([ts, np.full(nq1, yb)])
-        h_t = x1 - x0
-    funcs, tx, ty = _element_tables(space, e, pts[:, 0], pts[:, 1], 1)
-    vals = tx[:, 0] * ty[:, 0]
-    gx = tx[:, 1] * ty[:, 0]
-    gy = tx[:, 0] * ty[:, 1]
-    dn, pts_phys, wts = _edge_transform(geo, pts, side, h_t, w1, gx, gy)
-    return funcs, vals, dn, pts_phys, wts
+def _side_batches(space, geo, side):
+    """The boundary cells of one side through the kernel's edge rule, chunk
+    by chunk: (level, dofs, values (e, nloc, nq), outward normal
+    derivatives (e, nloc, nq), physical points (e, nq, 2), arc weights)."""
+    rule = _edge_rule(space.degree, side)
+    for level, cells in _boundary_cells(space.mesh, side):
+        for _, dofs, rows, wts, pts in _element_batches(
+                space, level, cells, _ASSEMBLY_COMBOS[:3], rule):
+            dn, pts, wts = _edge_transform(geo, pts, side, wts, rows[(1, 0)], rows[(0, 1)])
+            yield level, dofs, rows[(0, 0)], dn, pts, wts
 
 
-def _edge_transform(geo, pts, side, h_t, w1, gx, gy):
-    """Outward-normal derivative rows, physical points and arc weights along
-    one edge, from parametric gradient rows (n, nq) at its points."""
-    normals = np.broadcast_to(_SIDE_NORMAL[side], pts.shape)
-    wts = w1 * h_t
+def _edge_transform(geo, pts, side, wts, gx, gy):
+    """Outward-normal derivative rows (e, n, nq), physical points and arc
+    weights along boundary edges, from parametric gradient rows (e, n, nq)
+    at the points (e, nq, 2) and parametric arc weights (e, nq)."""
+    normal = np.array(_SIDE_NORMAL[side])
+    nx, ny = normal
     if not geo.is_identity:
-        jac = geo.jacobians(pts)
-        arc = np.linalg.norm(jac @ np.abs(normals[0, ::-1]), axis=1)
-        normals = np.einsum("qba,qb->qa", np.linalg.inv(jac), normals)
+        flat = pts.reshape(-1, 2)
+        jac = geo.jacobians(flat)
+        arc = np.linalg.norm(jac @ np.abs(normal[::-1]), axis=1)
+        normals = np.einsum("qba,b->qa", np.linalg.inv(jac), normal)
         norms = np.linalg.norm(normals, axis=1)
         if np.any(norms <= 0.0) or np.any(arc <= 0.0):
             raise GeometryError("degenerate geometry along boundary side %r" % side)
-        normals, wts = normals / norms[:, None], wts * arc
-    grad, _, pts_phys = _transform_rows(
-        geo, pts[None], {(1, 0): gx[None], (0, 1): gy[None]}, wts[None])
-    return grad[(1, 0)][0] * normals[:, 0] + grad[(0, 1)][0] * normals[:, 1], pts_phys[0], wts
+        nx, ny = (normals / norms[:, None]).T.reshape((2, wts.shape[0], 1, -1))
+        wts = wts * arc.reshape(wts.shape)
+    grad, _, pts_phys = _transform_rows(geo, pts, {(1, 0): gx, (0, 1): gy}, wts)
+    return grad[(1, 0)] * nx + grad[(0, 1)] * ny, pts_phys, wts
 
 
 # ---------------------------------------------------------------------------
 # load vector
 
-def _graded_breaks(rect, sides, ratio=0.15, n_strips=4):
-    """Strip breaks (x, y) of an element, graded geometrically toward the
-    listed domain sides; the subrectangles are their tensor product."""
-    x0, y0, x1, y1 = rect
-    def breaks(lo, hi, toward_lo):
-        fr = [0.0] + [ratio ** (n_strips - i) for i in range(1, n_strips)] + [1.0]
-        fr = np.array(fr)
-        if not toward_lo:
-            fr = 1.0 - fr[::-1]
-        return lo + (hi - lo) * fr
-    bx = np.array([x0, x1])
-    by = np.array([y0, y1])
-    if "left" in sides:
-        bx = breaks(x0, x1, True)
-    elif "right" in sides:
-        bx = breaks(x0, x1, False)
-    if "bottom" in sides:
-        by = breaks(y0, y1, True)
-    elif "top" in sides:
-        by = breaks(y0, y1, False)
-    return bx, by
-
-
-def _graded_element_load(space, geo, e, grading, gfun, nodes, w1, rhs):
-    """Body load of one element integrated over its graded subrectangles.
-
-    Connectivity and dof indices are found once per element, and all
-    strips are tabulated at once; subrectangles are added to rhs one at a
-    time.
-    """
-    bx, by = _graded_breaks(space.mesh.element_rect(e), grading)
-    nq1 = nodes.size
-    xs = [bx[i] + (bx[i + 1] - bx[i]) * nodes for i in range(len(bx) - 1)]
-    ys = [by[j] + (by[j + 1] - by[j]) * nodes for j in range(len(by) - 1)]
-    funcs, tx, ty = _element_tables(space, e, np.concatenate(xs), np.concatenate(ys), 0)
-    idx = [space.basis.dof_index[f] for f in funcs]
-    tx = tx[:, 0].reshape(len(funcs), len(xs), nq1)
-    ty = ty[:, 0].reshape(len(funcs), len(ys), nq1)
-    for i in range(len(xs)):
-        for j in range(len(ys)):
-            vals = (tx[:, i, :, None] * ty[:, j, None, :]).reshape(len(funcs), -1)
-            pts = np.column_stack([np.repeat(xs[i], nq1), np.tile(ys[j], nq1)])
-            wts = np.outer(w1, w1).ravel() * (bx[i + 1] - bx[i]) * (by[j + 1] - by[j])
-            _, wts, pts = _transform_rows(geo, pts[None], {}, wts[None])
-            rhs[idx] += vals @ (wts[0] * gfun(pts[0, :, 0], pts[0, :, 1]))
-
-
 def assemble_load(space, geo, problem):
-    """Right-hand side: body load (over graded subcells on graded sides,
-    else by the level-batch kernel), natural boundary terms, point loads."""
-    dof = space.basis.dof_index
+    """Right-hand side: body load (by the kernel's Gauss rule, or its graded
+    rule on elements touching graded sides), natural boundary terms by the
+    edge rule, point loads by exact evaluation."""
+    mesh = space.mesh
     rhs = np.zeros(space.num_dofs)
     gfun = _as_fn(problem.g)
     if gfun is not None:
         graded = {}
         for side in problem.load_grading:
-            for e in _boundary_cells(space.mesh, side):
-                graded.setdefault(e, []).append(side)
-        nodes, w1 = _gauss01(space.degree + 2)
-        for e, sides in graded.items():
-            _graded_element_load(space, geo, e, sides, gfun, nodes, w1, rhs)
-        for level, cells in _level_cells(space.mesh, skip=graded):
-            for _, dofs, rows, wts, pts in _element_batches(space, level, cells, ((0, 0),)):
-                rows, wts, pts = _transform_rows(geo, pts, rows, wts)
-                loc = np.einsum("elq,eq->el", rows[(0, 0)], wts * _at_points(gfun, pts))
-                rhs += np.bincount(dofs[dofs >= 0], loc[dofs >= 0], minlength=rhs.size)
-    for side, data in problem.neumann_M.items():
-        fn = _as_fn(data)
-        for e in _boundary_cells(space.mesh, side):
-            funcs, _, dn, pts, wts = _edge_basis_rows(space, geo, e, side)
-            mv = fn(pts[:, 0], pts[:, 1])
-            idx = [dof[f] for f in funcs]
-            rhs[idx] += dn @ (wts * mv)
-    for side, data in problem.neumann_Q.items():
-        fn = _as_fn(data)
-        for e in _boundary_cells(space.mesh, side):
-            funcs, vals, _, pts, wts = _edge_basis_rows(space, geo, e, side)
-            qv = fn(pts[:, 0], pts[:, 1])
-            idx = [dof[f] for f in funcs]
-            rhs[idx] += vals @ (wts * qv)
+            for level, cells in _boundary_cells(mesh, side):
+                for c in cells.tolist():
+                    graded.setdefault((level, *c), set()).add(side)
+        for level, cells in _level_cells(mesh):
+            keys = [frozenset(graded.get((level, *c), ())) for c in cells.tolist()]
+            for key in dict.fromkeys(keys):
+                rule = _graded_rule(space.degree, key) if key else None
+                part = cells[[k == key for k in keys]]
+                for _, dofs, rows, wts, pts in _element_batches(
+                        space, level, part, ((0, 0),), rule):
+                    rows, wts, pts = _transform_rows(geo, pts, rows, wts)
+                    gv = _at_points(gfun, pts, "load g on level %d" % level)
+                    _add_local(rhs, dofs, np.einsum("elq,eq->el", rows[(0, 0)], wts * gv))
+    for side in SIDES:
+        moment, shear = problem.neumann_M.get(side), problem.neumann_Q.get(side)
+        if moment is None and shear is None:
+            continue
+        for level, dofs, vals, dn, pts, wts in _side_batches(space, geo, side):
+            for data, kind, rows in ((moment, "moment", dn), (shear, "shear", vals)):
+                if data is not None:
+                    dv = _at_points(_as_fn(data), pts, "%s data on side %r, level %d"
+                                    % (kind, side, level))
+                    _add_local(rhs, dofs, np.einsum("elq,eq->el", rows, wts * dv))
     for (pt, magnitude) in problem.point_loads:
-        funcs, vals = _point_values(space, pt)
-        idx = [dof[f] for f in funcs]
-        rhs[idx] += magnitude * vals
+        dofs, rows = _point_rows(space, mesh.locate(pt[0], pt[1]), [pt[0]], [pt[1]], ((0, 0),))
+        _add_local(rhs, dofs, magnitude * rows[(0, 0)][..., 0])
     return rhs
-
-
-def _point_values(space, pt):
-    mesh = space.mesh
-    e = mesh.locate(pt[0], pt[1])
-    funcs, tx, ty = _element_tables(space, e, [pt[0]], [pt[1]], 0, cached=False)
-    return funcs, tx[:, 0, 0] * ty[:, 0, 0]
 
 
 def assemble_system(space, geo, problem):
@@ -690,72 +662,63 @@ def _side_corner_points(interval):
     }
 
 
-def _value_trace_funcs(space, side):
-    """Active functions with a nonzero deflection trace on the side."""
+def _trace_dofs(space, side, depth):
+    """Dofs of the active functions in the first `depth` layers along a
+    side: depth 1 has the nonzero deflection traces, depth 2 the nonzero
+    rotation traces."""
     out = []
-    for f in space.basis.active:
-        n = space.mesh.knots(f.level).num_basis
-        if ((side == "left" and f.ix == 0) or (side == "right" and f.ix == n - 1)
-                or (side == "bottom" and f.iy == 0) or (side == "top" and f.iy == n - 1)):
-            out.append(f)
-    return out
+    for k in range(space.mesh.num_levels):
+        n = space.mesh.knots(k).num_basis
+        near = np.arange(depth) if side in ("left", "bottom") else n - 1 - np.arange(depth)
+        along = np.arange(n)
+        ix, iy = (near[:, None], along) if side in ("left", "right") else (along[:, None], near)
+        d = space.basis.level_dofs(k, ix, iy)
+        out.append(d[d >= 0])
+    return np.concatenate(out)
 
 
-def _rotation_trace_funcs(space, side):
-    """Active functions with a nonzero normal-derivative trace on the side."""
-    out = []
-    for f in space.basis.active:
-        n = space.mesh.knots(f.level).num_basis
-        if ((side == "left" and f.ix <= 1) or (side == "right" and f.ix >= n - 2)
-                or (side == "bottom" and f.iy <= 1) or (side == "top" and f.iy >= n - 2)):
-            out.append(f)
-    return out
+def _fit_side(space, geo, side, kind, data_fn, constraints):
+    """Weighted least-squares fit of one side's "deflection" or (outward)
+    "rotation" data.
 
-
-def _fit_side(space, geo, side, rows_kind, data_fn, constraints):
-    """Weighted least-squares fit of one side's boundary data.
-
-    Already-constrained dofs contribute to the right-hand side; remaining
-    trace dofs become new constraints. rows_kind selects the deflection
-    trace ("value") or the outward rotation trace ("rotation").
+    Already-constrained trace dofs contribute to the right-hand side; the
+    remaining trace dofs become new constraints, one least-squares column
+    each, in dof order.
     """
-    if rows_kind == "value":
-        wanted = set(_value_trace_funcs(space, side))
-    else:
-        wanted = set(_rotation_trace_funcs(space, side))
-    if not wanted:
+    n = space.num_dofs
+    trace = np.zeros(n, dtype=bool)
+    trace[_trace_dofs(space, side, 1 if kind == "deflection" else 2)] = True
+    fixed = np.zeros(n, dtype=bool)
+    fixed[list(constraints)] = True
+    known = np.zeros(n)
+    known[list(constraints)] = list(constraints.values())
+    unknowns = np.flatnonzero(trace & ~fixed)
+    if not unknowns.size:
         return
-    unknowns = sorted(f for f in wanted if space.basis.dof_index[f] not in constraints)
-    if not unknowns:
-        return
-    col = {f: c for c, f in enumerate(unknowns)}
+    col = np.full(n, -1)
+    col[unknowns] = np.arange(unknowns.size)
     blocks = []
     rhs_blocks = []
-    for e in _boundary_cells(space.mesh, side):
-        funcs, vals, dn, pts, wts = _edge_basis_rows(space, geo, e, side)
-        rows = vals if rows_kind == "value" else -dn
-        target = data_fn(pts[:, 0], pts[:, 1]).astype(float)
+    for level, dofs, vals, dn, pts, wts in _side_batches(space, geo, side):
+        rows = vals if kind == "deflection" else -dn
+        target = _at_points(data_fn, pts, "%s data on side %r, level %d" % (kind, side, level))
+        live = dofs >= 0
+        given = np.where(live & trace[dofs] & fixed[dofs], known[dofs], 0.0)
+        target = target - np.einsum("elq,el->eq", rows, given)
+        block = np.zeros(pts.shape[:2] + (unknowns.size,))
+        e, l = np.nonzero(live & (col[dofs] >= 0))
+        block[e, :, col[dofs[e, l]]] = rows[e, l]
         w = np.sqrt(wts)
-        block = np.zeros((pts.shape[0], len(unknowns)))
-        for r, f in enumerate(funcs):
-            if f not in wanted:
-                continue
-            d = space.basis.dof_index[f]
-            if d in constraints:
-                target = target - constraints[d] * rows[r]
-            else:
-                block[:, col[f]] += rows[r]
-        blocks.append(block * w[:, None])
-        rhs_blocks.append(target * w)
+        blocks.append((block * w[..., None]).reshape(-1, unknowns.size))
+        rhs_blocks.append((target * w).ravel())
     a = np.vstack(blocks)
     b = np.concatenate(rhs_blocks)
     scale = np.abs(b).max() if b.size else 0.0
     if scale <= 1e-14:
-        values = np.zeros(len(unknowns))
+        values = np.zeros(unknowns.size)
     else:
         values, *_ = np.linalg.lstsq(a, b, rcond=None)
-    for f, v in zip(unknowns, values):
-        constraints[space.basis.dof_index[f]] = float(v)
+    constraints.update(zip(unknowns.tolist(), values.tolist()))
 
 
 def apply_dirichlet(system, space, problem, geo=None):
@@ -771,15 +734,15 @@ def apply_dirichlet(system, space, problem, geo=None):
     phi_data = {s: _as_fn(d) for s, d in problem.dirichlet_phi.items()}
     for (s1, s2), pt in _side_corner_points(space.mesh.interval).items():
         if s1 in w_data and s2 in w_data:
-            x, y = geo.map_points([pt])[0]
-            v1 = float(np.asarray(w_data[s1](np.array([x]), np.array([y])))[0])
-            v2 = float(np.asarray(w_data[s2](np.array([x]), np.array([y])))[0])
+            xy = geo.map_points([pt])
+            v1, v2 = (float(_at_points(w_data[s], xy, "deflection data on side %r at corner %s"
+                                       % (s, pt))[0]) for s in (s1, s2))
             if abs(v1 - v2) > 1e-8 * (1.0 + max(abs(v1), abs(v2))):
                 raise BoundaryDataError(
                     "deflection data disagrees at corner %s: %g vs %g" % (pt, v1, v2))
     for side in SIDES:
         if side in w_data:
-            _fit_side(space, geo, side, "value", w_data[side], constraints)
+            _fit_side(space, geo, side, "deflection", w_data[side], constraints)
     for side in SIDES:
         if side in phi_data:
             _fit_side(space, geo, side, "rotation", phi_data[side], constraints)
@@ -851,7 +814,7 @@ def h2_seminorm_error(field, exact_hessian, space, geo=None):
         for _, dofs, rows, wts, pts in _element_batches(space, level, cells, _DERIVATIVES):
             ders, wts, pts = _transform_rows(
                 geo, pts, _field_rows(field.coefficients, dofs, rows), wts)
-            exx, exy, eyy = _at_points(exact_hessian, pts)
+            exx, exy, eyy = _at_points(exact_hessian, pts, "exact Hessian on level %d" % level)
             total += float(np.sum(wts * ((ders[(2, 0)][:, 0] - exx) ** 2
                                          + 2.0 * (ders[(1, 1)][:, 0] - exy) ** 2
                                          + (ders[(0, 2)][:, 0] - eyy) ** 2)))
@@ -866,13 +829,10 @@ def evaluate(field, space, geo, points):
     """
     geo = geo or GeometryMap.identity()
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    owned = {}
-    for r, (x, y) in enumerate(pts):
-        owned.setdefault(space.mesh.locate(x, y), []).append(r)
     ders = np.empty((len(_ASSEMBLY_COMBOS), pts.shape[0]))
-    for e, rs in owned.items():
-        ders[:, rs] = _field_ders(space, field.coefficients, e, pts[rs, 0], pts[rs, 1],
-                                  _ASSEMBLY_COMBOS)
+    for r, (x, y) in enumerate(pts):
+        ders[:, r] = _field_ders(space, field.coefficients, space.mesh.locate(x, y), [x], [y],
+                                 _ASSEMBLY_COMBOS)[:, 0]
     rows = {k: d[None, None] for k, d in zip(_ASSEMBLY_COMBOS, ders)}
     d = _transform_rows(geo, pts[None], rows, np.ones((1, len(pts))))[0]
     return (d[(0, 0)][0, 0], np.column_stack([d[k][0, 0] for k in _DERIVATIVES[:2]]),

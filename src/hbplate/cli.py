@@ -54,9 +54,6 @@ def build_parser():
     parser.add_argument("--out", default="records.csv")
     parser.add_argument("--dump-mesh", action="store_true",
                         help="write one mesh dump file per iteration")
-    parser.add_argument("--seq", action="store_true",
-                        help="force sequential execution (the default; kept for "
-                             "reproducibility-sensitive scripts)")
     return parser
 
 

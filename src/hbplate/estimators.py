@@ -27,13 +27,14 @@ from .assembly import (
     _as_fn,
     _at_points,
     _boundary_cells,
+    _edge_rule,
     _edge_transform,
     _element_batches,
     _energy_terms,
-    _field_ders,
     _field_rows,
     _gauss01,
     _level_cells,
+    _rule_on_cells,
     _transform_rows,
 )
 from .hierarchy import ElementId
@@ -129,12 +130,11 @@ def build_bubble_space(mesh, p, neumann_sides=None):
     per_element = {e: [(i, j) for i in interior for j in interior]
                    for e in mesh.active_elements()}
     for side, kinds in neumann_sides.items():
-        for e in _boundary_cells(mesh, side):
-            for b in _side_indices(side, kinds, q):
-                if side in ("left", "right"):
-                    per_element[e].extend((b, j) for j in interior)
-                else:
-                    per_element[e].extend((i, b) for i in interior)
+        for level, cells in _boundary_cells(mesh, side):
+            for ix, iy in cells.tolist():
+                pairs = per_element[ElementId(level, ix, iy)]
+                for b in _side_indices(side, kinds, q):
+                    pairs.extend((b, t) if side in ("left", "right") else (t, b) for t in interior)
     return BubbleSpace(degree=q, per_element=per_element)
 
 
@@ -154,63 +154,50 @@ def _bernstein_end(q, at_one):
     return ev.ders[0].copy(), ev.ders[1].copy()
 
 
-def _bubble_edge_terms(bubbles, e, side, rect, problem, geo, rhs):
-    """Add natural-boundary data integrals to the bubble right-hand side."""
-    q = bubbles.degree
-    pairs = bubbles.per_element[e]
-    x0, y0, x1, y1 = rect
-    h = x1 - x0
-    nq1 = len(_gauss01(q + 1)[0])
-    nodes, w1 = _gauss01(nq1)
-    tab = _bernstein_table(q, nq1)
-    at_one = side in ("right", "top")
-    vend, dend = _bernstein_end(q, at_one)
-    if side in ("left", "right"):
-        xb = x0 if side == "left" else x1
-        pts = np.column_stack([np.full(nq1, xb), y0 + h * nodes])
-        perp = np.array([i for i, _ in pairs])
-        tang = np.array([j for _, j in pairs])
-    else:
-        yb = y0 if side == "bottom" else y1
-        pts = np.column_stack([x0 + h * nodes, np.full(nq1, yb)])
-        perp = np.array([j for _, j in pairs])
-        tang = np.array([i for i, _ in pairs])
+def _bubble_edge_terms(q, pairs, side, mesh, level, cells, problem, geo):
+    """Natural-boundary data integrals (e, nb) of the bubbles `pairs` over
+    the edges on one side of the cells (e, 2) of one level."""
+    h = mesh.h(level)
+    tab = _bernstein_table(q, q + 1)
+    vend, dend = _bernstein_end(q, side in ("right", "top"))
+    ii, jj = np.array(pairs).T
+    perp, tang = (ii, jj) if side in ("left", "right") else (jj, ii)
     vals = vend[perp][:, None] * tab[0][tang]
     dperp = (dend[perp] / h)[:, None] * tab[0][tang]
     dtang = vend[perp][:, None] * (tab[1][tang] / h)
-    if side in ("left", "right"):
-        gx, gy = dperp, dtang
-    else:
-        gx, gy = dtang, dperp
-    dn, pts_phys, wts = _edge_transform(geo, pts, side, h, w1, gx, gy)
-    mdata = problem.neumann_M.get(side)
-    if mdata is not None:
-        mv = _as_fn(mdata)(pts_phys[:, 0], pts_phys[:, 1])
-        rhs += dn @ (wts * np.asarray(mv, dtype=float))
-    qdata = problem.neumann_Q.get(side)
-    if qdata is not None:
-        qv = _as_fn(qdata)(pts_phys[:, 0], pts_phys[:, 1])
-        rhs += vals @ (wts * np.asarray(qv, dtype=float))
+    grad = (dperp, dtang) if side in ("left", "right") else (dtang, dperp)
+    pts, w = _rule_on_cells(mesh, level, cells, _edge_rule(q - 1, side))
+    e = len(cells)
+    dn, pts, wts = _edge_transform(geo, pts, side, np.broadcast_to(w, (e, w.size)),
+                                   *(np.broadcast_to(g, (e,) + g.shape) for g in grad))
+    out = np.zeros((e, len(pairs)))
+    vals = np.broadcast_to(vals, dn.shape)
+    for data, kind, rows in ((problem.neumann_M.get(side), "moment", dn),
+                             (problem.neumann_Q.get(side), "shear", vals)):
+        if data is not None:
+            what = "%s data on side %r, level %d" % (kind, side, level)
+            out += np.einsum("ebq,eq->eb", rows, wts * _at_points(_as_fn(data), pts, what))
+    return out
 
 
 def assemble_blocks(bubbles, u_h, space, geo, problem, elements=None):
     """Independent residual systems, one dense block per element.
 
     Elements of one level with the same bubble indices form a group whose
-    matrices, body loads and residuals of u_h come from stacked products
-    over the level-batch kernel's chunks. Blocks come back in the order of
-    `elements` (by default all active elements).
+    matrices, body loads, natural-boundary terms, point loads and residuals
+    of u_h come from stacked products over the element kernel's chunks.
+    Blocks come back in the order of `elements` (by default all active
+    elements).
     """
     geo = geo or GeometryMap.identity()
     mesh = space.mesh
     q = bubbles.degree
     gfun = _as_fn(problem.g)
     d_const, nu = problem.stiffness, problem.poisson
-    owners = {}
-    for (pt, magnitude) in problem.point_loads:
-        owners.setdefault(mesh.locate(pt[0], pt[1]), []).append((pt, magnitude))
-    natural = {side: set(_boundary_cells(mesh, side)) for side in SIDES
-               if side in problem.neumann_M or side in problem.neumann_Q}
+    loads = [(mesh.locate(pt[0], pt[1]), pt, magnitude) for pt, magnitude in problem.point_loads]
+    natural = {side: {(level, *c) for level, cells in _boundary_cells(mesh, side)
+                      for c in cells.tolist()}
+               for side in SIDES if side in problem.neumann_M or side in problem.neumann_Q}
     if elements is None:
         elements = mesh.active_elements()
     groups = {}
@@ -234,19 +221,23 @@ def assemble_blocks(bubbles, u_h, space, geo, problem, elements=None):
             amat = d_const * (weighted @ terms.swapaxes(1, 2))
             rhs = -d_const * (weighted @ _energy_terms(u, bwts, nu)[0].swapaxes(1, 2))[..., 0]
             if gfun is not None:
-                rhs += np.einsum("ebq,eq->eb", b[(0, 0)], bwts * _at_points(gfun, pts))
-            for r, k in enumerate(where[sl]):
-                el = elements[k]
-                for side, on_side in natural.items():
-                    if el in on_side:
-                        _bubble_edge_terms(bubbles, el, side, mesh.element_rect(el),
-                                           problem, geo, rhs[r])
-                for (pt, magnitude) in owners.get(el, ()):
-                    x0, y0, _, _ = mesh.element_rect(el)
+                gv = _at_points(gfun, pts, "load g on level %d" % level)
+                rhs += np.einsum("ebq,eq->eb", b[(0, 0)], bwts * gv)
+            chunk = cells[sl]
+            for side, members in natural.items():
+                on = np.array([(level, *c) in members for c in chunk.tolist()])
+                if on.any():
+                    rhs[on] += _bubble_edge_terms(q, pairs, side, mesh, level, chunk[on],
+                                                  problem, geo)
+            for owner, pt, magnitude in loads:
+                hit = (owner.level == level) & np.all(chunk == owner[1:], axis=1)
+                if hit.any():
+                    x0, y0, _, _ = mesh.element_rect(owner)
                     bx = eval_bernstein_ders(q, (pt[0] - x0) / h, 0).values
                     by = eval_bernstein_ders(q, (pt[1] - y0) / h, 0).values
-                    rhs[r] += magnitude * bx[ii] * by[jj]
-                blocks[k] = BubbleBlock(element=el, indices=list(pairs),
+                    rhs[hit] += magnitude * bx[ii] * by[jj]
+            for r, k in enumerate(where[sl]):
+                blocks[k] = BubbleBlock(element=elements[k], indices=list(pairs),
                                         matrix=amat[r], rhs=rhs[r])
     return blocks
 
@@ -351,14 +342,15 @@ def _gaussian_load(pt, magnitude, sigma):
 
 
 def _edge_neighbor_pieces(mesh, e, side):
-    """Active elements across one edge with the shared tangential interval.
+    """Active elements across one edge, each with the piece of the edge the
+    two share: part r of f equal parts of the edge of the coarser element
+    (r = 0, f = 1 when both are on one level), as (element, (r, f)).
 
     Returns [] for edges on the domain boundary. Pieces are found with
     exact integer index arithmetic across all levels.
     """
     l = e.level
     nel = mesh.n_elements_1d(l)
-    a = mesh.interval[0]
     vertical = side in ("left", "right")
     if vertical:
         line = e.ix if side == "left" else e.ix + 1
@@ -369,7 +361,6 @@ def _edge_neighbor_pieces(mesh, e, side):
     if line == 0 or line == nel:
         return []
     pieces = []
-    h_l = mesh.h(l)
     for lp in range(mesh.num_levels):
         act = mesh.active_level(lp)
         if not act:
@@ -380,9 +371,7 @@ def _edge_neighbor_pieces(mesh, e, side):
             for row in range(t_lo * f, t_hi * f):
                 cell = (col, row) if vertical else (row, col)
                 if cell in act:
-                    hp = mesh.h(lp)
-                    pieces.append((ElementId(lp, cell[0], cell[1]),
-                                   a + row * hp, a + (row + 1) * hp))
+                    pieces.append((ElementId(lp, cell[0], cell[1]), (row - t_lo * f, f)))
         else:
             f = 1 << (l - lp)
             if line % f:
@@ -391,8 +380,7 @@ def _edge_neighbor_pieces(mesh, e, side):
             row = t_lo // f
             cell = (col, row) if vertical else (row, col)
             if cell in act:
-                pieces.append((ElementId(lp, cell[0], cell[1]),
-                               a + t_lo * h_l, a + t_hi * h_l))
+                pieces.append((ElementId(lp, cell[0], cell[1]), (t_lo % f, f)))
     return pieces
 
 
@@ -419,8 +407,6 @@ def residual_estimator(u_h, space, problem, point_load_sigma=None, geo=None):
         if captured < 1.0 - 1e-6:
             raise ValueError("Gaussian regularization too wide for the load at %s" % (pt,))
         loads.append(_gaussian_load(pt, magnitude, sigma))
-    nq1 = space.degree + 2
-    nodes, w1 = _gauss01(nq1)
     interior = []
     for level, cells in _level_cells(mesh):
         for _, dofs, rows, wts, pts in _element_batches(
@@ -429,31 +415,45 @@ def residual_estimator(u_h, space, problem, point_load_sigma=None, geo=None):
             bilap = (d[(4, 0)] + 2.0 * d[(2, 2)] + d[(0, 4)])[:, 0]
             gv = np.zeros(bilap.shape)
             if gfun is not None:
-                gv += _at_points(gfun, pts)
+                gv += _at_points(gfun, pts, "load g on level %d" % level)
             for fn in loads:
-                gv += _at_points(fn, pts)
+                gv += _at_points(fn, pts, "regularized point load on level %d" % level)
             interior.extend(mesh.h(level)**4 * np.sum(wts * (gv - d_const * bilap) ** 2, axis=1))
-    out = []
-    for e, eta2 in zip(mesh.active_elements(), interior):
-        rect = mesh.element_rect(e)
-        for side in ("left", "bottom", "right", "top"):
-            vertical = side in ("left", "right")
-            if vertical:
-                xb = rect[0] if side == "left" else rect[2]
-            else:
-                yb = rect[1] if side == "bottom" else rect[3]
-            lap_c = ((2, 0), (0, 2))
-            dn_c = ((3, 0), (1, 2)) if vertical else ((0, 3), (2, 1))
-            combos = lap_c + dn_c
-            for (nb, t0, t1) in _edge_neighbor_pieces(mesh, e, side):
-                he = t1 - t0
-                ts = t0 + he * nodes
-                xs, ys = (np.full(nq1, xb), ts) if vertical else (ts, np.full(nq1, yb))
-                own = _field_ders(space, coeff, e, xs, ys, combos, 4)
-                oth = _field_ders(space, coeff, nb, xs, ys, combos, 4)
-                jl = (own[0] + own[1]) - (oth[0] + oth[1])
-                jn = (own[2] + own[3]) - (oth[2] + oth[3])
-                eta2 += 0.5 * he * float(np.sum(w1 * he * jl**2))
-                eta2 += 0.5 * he**3 * float(np.sum(w1 * he * jn**2))
-        out.append(ElementEstimate(element=e, eta=math.sqrt(eta2)))
-    return out
+    # each interior edge piece is evaluated from both of its elements, with
+    # the edge rule of that element's side restricted to the piece; the
+    # evaluations that share a level, a side and a piece go through the
+    # kernel together, with tables that are not kept
+    opposite = dict(zip(SIDES, SIDES[2:] + SIDES[:2]))
+    batches, pieces = {}, []
+
+    def at(el, side, part):
+        cells = batches.setdefault((el.level, side, part), [])
+        cells.append(el[1:])
+        return (el.level, side, part), len(cells) - 1
+
+    active = mesh.active_elements()
+    for pos, e in enumerate(active):
+        for side in SIDES:
+            for nb, part in _edge_neighbor_pieces(mesh, e, side):
+                finer = nb.level >= e.level
+                pieces.append((pos, mesh.h(max(e.level, nb.level)),
+                               at(e, side, part if finer else (0, 1)),
+                               at(nb, opposite[side], (0, 1) if finer else part)))
+    traces = {}
+    for (level, side, part), cells in batches.items():
+        combos = ((2, 0), (0, 2)) + (((3, 0), (1, 2)) if side in ("left", "right")
+                                     else ((0, 3), (2, 1)))
+        rule = _edge_rule(space.degree, side, part)
+        d = [_field_rows(coeff, dofs, rows) for _, dofs, rows, _, _ in _element_batches(
+            space, level, np.array(cells), combos, rule, cached=False)]
+        # rows (E, nq) of the Laplacian and of its derivative across the edge
+        traces[level, side, part] = [np.concatenate([c[k1][:, 0] + c[k2][:, 0] for c in d])
+                                     for k1, k2 in (combos[:2], combos[2:])]
+    w1 = _gauss01(space.degree + 2)[1]
+    eta2 = list(interior)
+    for pos, he, (own, i), (oth, j) in pieces:
+        jl = traces[own][0][i] - traces[oth][0][j]
+        jn = traces[own][1][i] - traces[oth][1][j]
+        eta2[pos] += 0.5 * he * float(np.sum(w1 * he * jl**2))
+        eta2[pos] += 0.5 * he**3 * float(np.sum(w1 * he * jn**2))
+    return [ElementEstimate(element=e, eta=math.sqrt(v)) for e, v in zip(active, eta2)]

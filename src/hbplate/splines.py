@@ -1,4 +1,4 @@
-"""Univariate and tensor-product B-spline evaluation with derivatives.
+"""Univariate B-spline and Bernstein evaluation with derivatives.
 
 Only open knot vectors of maximum smoothness (single interior knots) are
 supported; this is all the dyadic hierarchical construction needs. Basis
@@ -16,7 +16,6 @@ import numpy as np
 __all__ = [
     "KnotVector",
     "BasisEval",
-    "TensorBasisEval",
     "make_open_uniform",
     "dyadic_refine",
     "find_span",
@@ -24,7 +23,6 @@ __all__ = [
     "eval_ders_in_span",
     "tabulate_in_span",
     "eval_bernstein_ders",
-    "tensor_eval",
 ]
 
 
@@ -139,24 +137,6 @@ class BasisEval:
     @property
     def d2(self):
         return self.ders[2]
-
-
-@dataclass
-class TensorBasisEval:
-    """Values, gradients and Hessians of the nonzero tensor-product functions.
-
-    Arrays are indexed ``[i, j]`` for the function with univariate indices
-    ``(first_x + i, first_y + j)``.
-    """
-
-    first_x: int
-    first_y: int
-    values: np.ndarray
-    dx: np.ndarray
-    dy: np.ndarray
-    dxx: np.ndarray
-    dxy: np.ndarray
-    dyy: np.ndarray
 
 
 def make_open_uniform(n_elements, p, interval=(0.0, 1.0)):
@@ -322,18 +302,3 @@ def eval_bernstein_ders(q, t, max_der=2):
             ders[k, i] = fac * acc
     return BasisEval(first_index=0, ders=ders)
 
-
-def tensor_eval(kv_x, kv_y, point):
-    """Bivariate values, gradients and second derivatives at one point."""
-    bx = eval_ders(kv_x, point[0], 2)
-    by = eval_ders(kv_y, point[1], 2)
-    return TensorBasisEval(
-        first_x=bx.first_index,
-        first_y=by.first_index,
-        values=np.outer(bx.values, by.values),
-        dx=np.outer(bx.d1, by.values),
-        dy=np.outer(bx.values, by.d1),
-        dxx=np.outer(bx.d2, by.values),
-        dxy=np.outer(bx.d1, by.d1),
-        dyy=np.outer(bx.values, by.d2),
-    )

@@ -323,7 +323,7 @@ def test_criterion_6_structural_invariants():
 
 def test_criterion_7_reproducibility(tmp_path):
     argv = ["--benchmark", "smooth", "--degree", "3", "--refine", "uniform",
-            "--n0", "4", "--max-iter", "6", "--seq"]
+            "--n0", "4", "--max-iter", "6"]
     out1 = tmp_path / "run1.csv"
     out2 = tmp_path / "run2.csv"
     assert cli_main(argv + ["--out", str(out1)]) == 0

@@ -17,9 +17,11 @@ from hbplate.assembly import (
     evaluate,
     h2_seminorm_error,
     pushforward2,
-    quadrature,
     solve,
+    _edge_rule,
     _element_batches,
+    _gauss01,
+    _graded_rule,
     _level_cells,
 )
 from hbplate.hierarchy import ElementId, HierarchicalSpace, check_admissible, connectivity
@@ -78,21 +80,23 @@ class TestPlateProblemValidation:
 
 
 class TestQuadrature:
+    """The interior rule of every element integral: _gauss01(p + 2) per direction."""
+
     def test_point_count_and_weight_sum(self):
-        rule = quadrature(3)
-        assert rule.points.shape == (25, 2)
-        assert rule.weights.sum() == pytest.approx(1.0, abs=1e-14)
+        nodes, w1 = _gauss01(3 + 2)
+        assert nodes.shape == w1.shape == (5,)
+        assert np.all((nodes > 0.0) & (nodes < 1.0))
+        assert np.outer(w1, w1).sum() == pytest.approx(1.0, abs=1e-14)
 
     def test_degree_nine_monomial_exact(self):
-        rule = quadrature(3)
-        val = np.sum(rule.weights * rule.points[:, 0] ** 8)
-        assert val == pytest.approx(1.0 / 9.0, abs=1e-14)
+        nodes, w1 = _gauss01(3 + 2)
+        assert np.sum(w1 * nodes ** 8) == pytest.approx(1.0 / 9.0, abs=1e-14)
+        assert np.sum(w1 * nodes ** 9) == pytest.approx(1.0 / 10.0, abs=1e-14)
 
     def test_p5_rule_integrates_degree_13(self):
-        rule = quadrature(5)
+        nodes, w1 = _gauss01(5 + 2)
         for k in (12, 13):
-            val = np.sum(rule.weights * rule.points[:, 1] ** k)
-            assert val == pytest.approx(1.0 / (k + 1), rel=1e-14)
+            assert np.sum(w1 * nodes ** k) == pytest.approx(1.0 / (k + 1), rel=1e-14)
 
 
 class TestPushforward:
@@ -231,36 +235,64 @@ class TestLevelBatchKernel:
         space = self.three_level_space(p)
         mesh, basis = space.mesh, space.basis
         nodes, w1 = np.polynomial.legendre.leggauss(p + 2)
-        nodes, w1 = 0.5 * (nodes + 1.0), 0.5 * w1
+        gauss = (0.5 * (nodes + 1.0), 0.5 * w1)
+        # (rule passed to the kernel, its 1-D nodes and weights, power of h in the weights)
+        rules = {"interior": (None, (gauss, gauss), 2)}
+        for side in ("left", "bottom", "right", "top"):
+            rule = _edge_rule(p, side)
+            across, along = rule if side in ("left", "right") else rule[::-1]
+            assert across[0].tolist() == [0.0 if side in ("left", "bottom") else 1.0]
+            assert across[1].tolist() == [1.0]
+            np.testing.assert_array_equal(along[0], gauss[0])
+            np.testing.assert_array_equal(along[1], gauss[1])
+            rules[side] = (rule, rule, 1)
+        corner = _graded_rule(p, frozenset({"left", "bottom"}))
+        for xn, xw in corner:
+            # four strips graded toward 0, each with its own exact Gauss rule
+            assert xn.size == 4 * (p + 2) and xn[0] < 0.15 ** 3 and np.all(np.diff(xn) > 0.0)
+            for k in range(2 * (p + 2)):
+                assert np.sum(xw * xn ** k) == pytest.approx(1.0 / (k + 1), rel=1e-13)
+        rules["graded corner"] = (corner, corner, 2)
         a = mesh.interval[0]
-        seen = padded = 0
-        for level, cells in _level_cells(mesh):
-            h = mesh.h(level)
-            for sl, dofs, rows, wts, pts in _element_batches(space, level, cells, _ASSEMBLY_COMBOS):
-                for r, (ix, iy) in enumerate(cells[sl]):
-                    e = ElementId(level, int(ix), int(iy))
-                    funcs = connectivity(mesh, basis, e)
-                    n = len(funcs)
-                    assert list(dofs[r, :n]) == [basis.dof_index[f] for f in funcs]
-                    assert np.all(dofs[r, n:] == -1)
-                    xs, ys = a + (ix + nodes) * h, a + (iy + nodes) * h
-                    np.testing.assert_array_equal(pts[r, :, 0], np.repeat(xs, p + 2))
-                    np.testing.assert_array_equal(pts[r, :, 1], np.tile(ys, p + 2))
-                    np.testing.assert_allclose(wts[r], np.outer(w1, w1).ravel() * h * h,
-                                               rtol=1e-15)
-                    for s, f in enumerate(funcs):
-                        shift = level - f.level
-                        kv = mesh.knots(f.level)
-                        tx = tabulate_in_span(kv, xs, (ix >> shift) + p, 2)[:, f.ix - (ix >> shift)]
-                        ty = tabulate_in_span(kv, ys, (iy >> shift) + p, 2)[:, f.iy - (iy >> shift)]
+        padded = 0
+        for name, (rule, ((xn, xw), (yn, yw)), dims) in rules.items():
+            seen = 0
+            for level, cells in _level_cells(mesh):
+                h = mesh.h(level)
+                for sl, dofs, rows, wts, pts in _element_batches(
+                        space, level, cells, _ASSEMBLY_COMBOS, rule):
+                    for r, (ix, iy) in enumerate(cells[sl]):
+                        e = ElementId(level, int(ix), int(iy))
+                        funcs = connectivity(mesh, basis, e)
+                        n = len(funcs)
+                        assert list(dofs[r, :n]) == [basis.dof_index[f] for f in funcs], name
+                        assert np.all(dofs[r, n:] == -1)
+                        xs, ys = a + (ix + xn) * h, a + (iy + yn) * h
+                        np.testing.assert_array_equal(pts[r, :, 0], np.repeat(xs, yn.size))
+                        np.testing.assert_array_equal(pts[r, :, 1], np.tile(ys, xn.size))
+                        np.testing.assert_allclose(wts[r], np.outer(xw, yw).ravel() * h ** dims,
+                                                   rtol=1e-15)
+                        tables = {}  # (level of f, its cell there, direction) -> table
+                        tx, ty = [], []
+                        for f in funcs:
+                            shift = level - f.level
+                            for out, t, cell, fi, axis in ((tx, xs, ix >> shift, f.ix, 0),
+                                                           (ty, ys, iy >> shift, f.iy, 1)):
+                                key = (f.level, cell, axis)
+                                if key not in tables:
+                                    kv = mesh.knots(f.level)
+                                    tables[key] = tabulate_in_span(kv, t, cell + p, 2)
+                                out.append(tables[key][:, fi - cell])
+                        tx, ty = np.array(tx), np.array(ty)
                         for (dx, dy) in _ASSEMBLY_COMBOS:
-                            np.testing.assert_array_equal(
-                                rows[(dx, dy)][r, s], np.outer(tx[dx], ty[dy]).ravel())
-                    for row in rows.values():
-                        assert np.all(row[r, n:] == 0.0)
-                    seen += 1
-                    padded += dofs.shape[1] - n
-        assert seen == mesh.n_active and padded > 0
+                            ref = (tx[:, dx, :, None] * ty[:, dy, None, :]).reshape(n, -1)
+                            np.testing.assert_array_equal(rows[(dx, dy)][r, :n], ref,
+                                                          err_msg=name)
+                            assert np.all(rows[(dx, dy)][r, n:] == 0.0)
+                        seen += 1
+                        padded += dofs.shape[1] - n
+            assert seen == mesh.n_active
+        assert padded > 0
 
     def test_spline_geometry_stiffness_matches_element_loop(self):
         kv = make_open_uniform(2, 3)
@@ -340,11 +372,16 @@ class TestLoad:
         space = HierarchicalSpace.create(4, 3)
         rhs = assemble_load(space, IDENTITY,
                             simply_supported(point_loads=[((0.4, 0.55), -1.0)]))
-        from hbplate.assembly import _point_values
-        funcs, vals = _point_values(space, (0.4, 0.55))
+        # oracle: the functions on the owning element, from connectivity and
+        # the univariate tables of the one-level space at the point
+        mesh = space.mesh
+        e = mesh.locate(0.4, 0.55)
+        kv = mesh.knots(0)
+        tx = tabulate_in_span(kv, [0.4], e.ix + 3, 0)[0, :, 0]
+        ty = tabulate_in_span(kv, [0.55], e.iy + 3, 0)[0, :, 0]
         expected = np.zeros(space.num_dofs)
-        for f, v in zip(funcs, vals):
-            expected[space.basis.dof_index[f]] = -v
+        for f in connectivity(mesh, space.basis, e):
+            expected[space.basis.dof_index[f]] = -tx[f.ix - e.ix] * ty[f.iy - e.iy]
         np.testing.assert_allclose(rhs, expected, atol=1e-15)
 
     def test_point_load_outside_domain(self):
@@ -398,6 +435,47 @@ class TestDirichlet:
                             rhs=np.zeros(space.num_dofs))
         with pytest.raises(BoundaryDataError):
             apply_dirichlet(sys0, space, prob)
+
+
+class TestDataCallables:
+    def test_scalar_returns_broadcast(self):
+        space = HierarchicalSpace.create(4, 3).refined([ElementId(0, 0, 0)], 2)
+        sides = ("left", "bottom", "right", "top")
+        const = PlateProblem(g=1.0, dirichlet_w={s: 0.5 for s in sides},
+                             neumann_M={s: 0.25 for s in sides}, load_grading=("left",))
+        scalar = PlateProblem(g=lambda x, y: 1.0,
+                              dirichlet_w={s: (lambda x, y: 0.5) for s in sides},
+                              neumann_M={s: (lambda x, y: 0.25) for s in sides},
+                              load_grading=("left",))
+        want = apply_dirichlet(assemble_system(space, IDENTITY, const), space, const)
+        got = apply_dirichlet(assemble_system(space, IDENTITY, scalar), space, scalar)
+        np.testing.assert_array_equal(got.rhs, want.rhs)
+        assert got.constraints == want.constraints
+
+    def test_nan_load_names_the_datum_and_level(self):
+        space = HierarchicalSpace.create(2, 3)
+        prob = simply_supported(g=lambda x, y: np.where(x > 0.5, np.nan, 1.0))
+        with pytest.raises(ValueError, match="load g on level 0: non-finite"):
+            assemble_load(space, IDENTITY, prob)
+
+    def test_nan_side_data_names_the_side_and_kind(self):
+        space = HierarchicalSpace.create(2, 3)
+        sides = ("left", "bottom", "right", "top")
+        prob = PlateProblem(dirichlet_w={s: 0.0 for s in sides},
+                            neumann_M={**{s: 0.0 for s in sides}, "top": lambda x, y: np.nan})
+        with pytest.raises(ValueError, match="moment data on side 'top', level 0: non-finite"):
+            assemble_load(space, IDENTITY, prob)
+        prob = PlateProblem(dirichlet_w={**{s: 0.0 for s in sides}, "right": lambda x, y: x / 0.0},
+                            neumann_M={s: 0.0 for s in sides})
+        with np.errstate(divide="ignore", invalid="ignore"), \
+                pytest.raises(ValueError, match="deflection data on side 'right'"):
+            apply_dirichlet(assemble_system(space, IDENTITY, prob), space, prob)
+
+    def test_values_that_do_not_fit_the_points_are_rejected(self):
+        space = HierarchicalSpace.create(2, 3)
+        prob = simply_supported(g=lambda x, y: np.ones(3))
+        with pytest.raises(ValueError, match="load g on level 0: values of shape"):
+            assemble_load(space, IDENTITY, prob)
 
 
 class TestSolve:

@@ -95,7 +95,7 @@ class TestMain:
         out1 = tmp_path / "a.csv"
         out2 = tmp_path / "b.csv"
         argv = ["--benchmark", "smooth", "--degree", "3", "--refine", "adaptive",
-                "--max-iter", "3", "--n0", "2", "--seq"]
+                "--max-iter", "3", "--n0", "2"]
         assert main(argv + ["--out", str(out1)]) == 0
         assert main(argv + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()

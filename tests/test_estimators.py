@@ -24,6 +24,7 @@ from hbplate.estimators import (
     residual_estimator,
     solve_blocks,
 )
+from hbplate.benchmarks import benchmark_spline_exact
 from hbplate.hierarchy import ElementId, HierarchicalSpace
 from hbplate.splines import eval_bernstein_ders
 
@@ -245,6 +246,24 @@ class TestEta:
             assert max(e.eta for e in estimates) <= 1e-8 * energy
 
 
+class TestMappedDomain:
+    @pytest.mark.parametrize("p", [3, 4, 5])
+    def test_spline_exact_solution_on_an_affine_map(self, p):
+        # x^2 y^2 on the physical rectangle [-1, 1] x [0.25, 0.75]: still in the
+        # mapped space, and the map keeps normals axis-aligned, so the moment
+        # data n.H.n of benchmark_spline_exact stay exact on every side
+        spec = benchmark_spline_exact()
+        geo = GeometryMap.affine(np.diag([2.0, 0.5]), (-1.0, 0.25))
+        space = HierarchicalSpace.create(3, p).refined([ElementId(0, 0, 0), ElementId(0, 2, 1)], 2)
+        system = apply_dirichlet(assemble_system(space, geo, spec.problem), space, spec.problem,
+                                 geo)
+        u = solve(system)
+        assert h2_seminorm_error(u, spec.exact_hessian, space, geo) <= 1e-8
+        energy = math.sqrt(float(u.coefficients @ (system.matrix @ u.coefficients)))
+        estimates, _ = estimate(u, space, spec.problem, geo)
+        assert max(e.eta for e in estimates) <= 1e-8 * energy
+
+
 class TestEstimate:
     def test_processing_order_invariance(self):
         space = HierarchicalSpace.create(3, 3)
@@ -287,11 +306,14 @@ class TestEstimate:
 
 class TestResidualEstimator:
     def test_spline_exact_estimates_vanish(self):
-        space = HierarchicalSpace.create(3, 3)
+        uniform = HierarchicalSpace.create(3, 3)
+        # level interfaces: the two sides of a jump meet on part of an edge
+        graded = uniform.refined([ElementId(0, 1, 1)], 2).refined([ElementId(1, 2, 3)], 2)
         prob = spline_exact_problem()
-        u = solve_problem(space, prob)
-        ests = residual_estimator(u, space, prob)
-        assert max(e.eta for e in ests) <= 1e-8
+        for space in (uniform, graded):
+            u = solve_problem(space, prob)
+            ests = residual_estimator(u, space, prob)
+            assert max(e.eta for e in ests) <= 1e-8
 
     def test_smooth_uniform_slope(self):
         prob = smooth_problem()

@@ -11,7 +11,6 @@ from hbplate.splines import (
     eval_ders_in_span,
     make_open_uniform,
     tabulate_in_span,
-    tensor_eval,
 )
 
 
@@ -257,34 +256,6 @@ class TestBernstein:
     def test_out_of_domain(self):
         with pytest.raises(ValueError):
             eval_bernstein_ders(4, 1.2)
-
-
-class TestTensorEval:
-    def test_corner_single_nonzero(self):
-        kv = make_open_uniform(2, 3)
-        te = tensor_eval(kv, kv, (0.0, 0.0))
-        assert te.values[0, 0] == pytest.approx(1.0)
-        assert abs(te.values.sum() - 1.0) < 1e-12
-
-    def test_partition_of_unity_and_gradient_sums(self):
-        kv = make_open_uniform(3, 4)
-        rng = np.random.default_rng(2)
-        for _ in range(20):
-            pt = rng.uniform(0, 1, size=2)
-            te = tensor_eval(kv, kv, pt)
-            assert abs(te.values.sum() - 1.0) < 1e-12
-            assert abs(te.dx.sum()) < 1e-10
-            assert abs(te.dy.sum()) < 1e-10
-
-    def test_mixed_partial_is_product_of_univariate_derivatives(self):
-        # product-rule oracle through univariate eval_ders
-        kvx = make_open_uniform(4, 3)
-        kvy = make_open_uniform(2, 3)
-        pt = (0.37, 0.81)
-        te = tensor_eval(kvx, kvy, pt)
-        bx = eval_ders(kvx, pt[0])
-        by = eval_ders(kvy, pt[1])
-        np.testing.assert_allclose(te.dxy, np.outer(bx.d1, by.d1), rtol=1e-13)
 
 
 class TestDyadicRefine:
