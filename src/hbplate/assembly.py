@@ -326,14 +326,16 @@ class LinearSystem:
 _ASSEMBLY_COMBOS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
 _DERIVATIVES = _ASSEMBLY_COMBOS[1:]
 _CHUNK_BYTES = 1 << 20  # basis rows held for one chunk of elements
+_EVAL_POINTS = 32  # points per kernel call of evaluate on one element
 
 
 def _level_cells(mesh):
     """(level, cells) for every level with active elements: their cell
     indices as an (E, 2) array in (ix, iy) order."""
     for l in range(mesh.num_levels):
-        if mesh.active_level(l):
-            yield l, np.array(sorted(mesh.active_level(l)), dtype=np.int64)
+        cells = mesh.cells(l)
+        if len(cells):
+            yield l, cells
 
 
 def _rule_on_cells(mesh, level, cells, rule):
@@ -437,13 +439,6 @@ def _field_rows(coeff, dofs, rows):
     return {k: np.einsum("elq,el->eq", r, c)[:, None] for k, r in rows.items()}
 
 
-def _field_ders(space, coeff, e, xs, ys, combos):
-    """Parametric derivatives (combo, nq) of the discrete field at the
-    points xs x ys of element e, taking one-sided limits on e."""
-    d = _field_rows(coeff, *_point_rows(space, e, xs, ys, combos))
-    return np.array([d[c][0, 0] for c in combos])
-
-
 def _add_local(vec, dofs, loc):
     """Add local values (e, nloc) into vec at the dofs, skipping padding."""
     live = dofs >= 0
@@ -470,17 +465,20 @@ def _at_points(fn, pts, what):
     return tuple(map(shaped, out)) if isinstance(out, tuple) else shaped(out)
 
 
-def _transform_rows(geo, pts, rows, wts):
+def _transform_rows(geo, pts, rows, wts, level, cells):
     """Push parametric derivative rows (e, n, nq) at the points (e, nq, 2)
-    to physical ones; scales the weights (e, nq) and maps the points."""
+    of the cells (e, 2) of one level to physical ones; scales the weights
+    (e, nq) and maps the points."""
     if geo.is_identity:
         return rows, wts, pts
     flat = pts.reshape(-1, 2)
     jac = geo.jacobians(flat)
     det = np.linalg.det(jac)
-    if np.any(det <= 0.0):
-        raise GeometryError("geometry Jacobian is singular on an element")
     shape = pts.shape[:2]
+    if np.any(det <= 0.0):
+        ix, iy = cells[(det.reshape(shape) <= 0.0).any(axis=1).argmax()]
+        raise GeometryError("geometry Jacobian is singular on level %d, cell (%d, %d)"
+                            % (level, ix, iy))
     jinv = np.linalg.inv(jac).reshape(shape + (2, 2))[:, None]
     out = dict(rows)
     if (1, 0) in rows:
@@ -529,8 +527,8 @@ def assemble_stiffness(space, geo, problem):
     mat = sp.csr_matrix((n, n))
     for level, cells in _level_cells(space.mesh):
         parts, pending = [], 0
-        for _, dofs, rows, wts, pts in _element_batches(space, level, cells, _DERIVATIVES):
-            rows, wts, _ = _transform_rows(geo, pts, rows, wts)
+        for sl, dofs, rows, wts, pts in _element_batches(space, level, cells, _DERIVATIVES):
+            rows, wts, _ = _transform_rows(geo, pts, rows, wts, level, cells[sl])
             terms, w = _energy_terms(rows, wts, problem.poisson)
             aloc = problem.stiffness * ((terms * w[:, None]) @ terms.swapaxes(1, 2))
             pair = (dofs[:, :, None] >= 0) & (dofs[:, None, :] >= 0)
@@ -548,18 +546,20 @@ def assemble_stiffness(space, geo, problem):
 # ---------------------------------------------------------------------------
 # boundary edges
 
+def _on_side(mesh, level, cells, side):
+    """Which of the cells (E, 2) of one level have an edge on one side of
+    the domain."""
+    edge = 0 if side in ("left", "bottom") else mesh.n_elements_1d(level) - 1
+    return cells[:, 0 if side in ("left", "right") else 1] == edge
+
+
 def _boundary_cells(mesh, side):
     """(level, cells) of the active elements with an edge on one side of the
-    domain, as (E, 2) arrays by level and then along the side; each level
-    reads only its boundary row or column."""
-    for l in range(mesh.num_levels):
-        act = mesh.active_level(l)
-        nel = mesh.n_elements_1d(l)
-        edge = 0 if side in ("left", "bottom") else nel - 1
-        line = [(edge, t) if side in ("left", "right") else (t, edge) for t in range(nel)]
-        cells = [c for c in line if c in act]
-        if cells:
-            yield l, np.array(cells, dtype=np.int64)
+    domain, as (E, 2) arrays by level and then along the side."""
+    for level, cells in _level_cells(mesh):
+        on = _on_side(mesh, level, cells, side)
+        if on.any():
+            yield level, cells[on]
 
 
 _SIDE_NORMAL = {"left": (-1.0, 0.0), "right": (1.0, 0.0),
@@ -572,29 +572,28 @@ def _side_batches(space, geo, side):
     derivatives (e, nloc, nq), physical points (e, nq, 2), arc weights)."""
     rule = _edge_rule(space.degree, side)
     for level, cells in _boundary_cells(space.mesh, side):
-        for _, dofs, rows, wts, pts in _element_batches(
+        for sl, dofs, rows, wts, pts in _element_batches(
                 space, level, cells, _ASSEMBLY_COMBOS[:3], rule):
-            dn, pts, wts = _edge_transform(geo, pts, side, wts, rows[(1, 0)], rows[(0, 1)])
+            dn, pts, wts = _edge_transform(geo, pts, side, wts, rows[(1, 0)], rows[(0, 1)],
+                                           level, cells[sl])
             yield level, dofs, rows[(0, 0)], dn, pts, wts
 
 
-def _edge_transform(geo, pts, side, wts, gx, gy):
+def _edge_transform(geo, pts, side, wts, gx, gy, level, cells):
     """Outward-normal derivative rows (e, n, nq), physical points and arc
-    weights along boundary edges, from parametric gradient rows (e, n, nq)
-    at the points (e, nq, 2) and parametric arc weights (e, nq)."""
+    weights along the boundary edges of the cells (e, 2) of one level, from
+    parametric gradient rows (e, n, nq) at the points (e, nq, 2) and
+    parametric arc weights (e, nq)."""
+    grad, _, pts_phys = _transform_rows(geo, pts, {(1, 0): gx, (0, 1): gy}, wts, level, cells)
     normal = np.array(_SIDE_NORMAL[side])
     nx, ny = normal
     if not geo.is_identity:
-        flat = pts.reshape(-1, 2)
-        jac = geo.jacobians(flat)
-        arc = np.linalg.norm(jac @ np.abs(normal[::-1]), axis=1)
+        # _transform_rows found det J > 0, so arcs and normals are nonzero
+        jac = geo.jacobians(pts.reshape(-1, 2))
         normals = np.einsum("qba,b->qa", np.linalg.inv(jac), normal)
         norms = np.linalg.norm(normals, axis=1)
-        if np.any(norms <= 0.0) or np.any(arc <= 0.0):
-            raise GeometryError("degenerate geometry along boundary side %r" % side)
         nx, ny = (normals / norms[:, None]).T.reshape((2, wts.shape[0], 1, -1))
-        wts = wts * arc.reshape(wts.shape)
-    grad, _, pts_phys = _transform_rows(geo, pts, {(1, 0): gx, (0, 1): gy}, wts)
+        wts = wts * np.linalg.norm(jac @ np.abs(normal[::-1]), axis=1).reshape(wts.shape)
     return grad[(1, 0)] * nx + grad[(0, 1)] * ny, pts_phys, wts
 
 
@@ -609,19 +608,20 @@ def assemble_load(space, geo, problem):
     rhs = np.zeros(space.num_dofs)
     gfun = _as_fn(problem.g)
     if gfun is not None:
-        graded = {}
-        for side in problem.load_grading:
-            for level, cells in _boundary_cells(mesh, side):
-                for c in cells.tolist():
-                    graded.setdefault((level, *c), set()).add(side)
         for level, cells in _level_cells(mesh):
-            keys = [frozenset(graded.get((level, *c), ())) for c in cells.tolist()]
-            for key in dict.fromkeys(keys):
+            # bit b of a cell's code: the cell touches graded side SIDES[b];
+            # cells of one code share a rule, codes go in order of first cell
+            code = np.zeros(len(cells), dtype=np.int64)
+            for b, side in enumerate(SIDES):
+                if side in problem.load_grading:
+                    code |= _on_side(mesh, level, cells, side) << b
+            for c in dict.fromkeys(code.tolist()):
+                key = frozenset(side for b, side in enumerate(SIDES) if c >> b & 1)
                 rule = _graded_rule(space.degree, key) if key else None
-                part = cells[[k == key for k in keys]]
-                for _, dofs, rows, wts, pts in _element_batches(
+                part = cells[code == c]
+                for sl, dofs, rows, wts, pts in _element_batches(
                         space, level, part, ((0, 0),), rule):
-                    rows, wts, pts = _transform_rows(geo, pts, rows, wts)
+                    rows, wts, pts = _transform_rows(geo, pts, rows, wts, level, part[sl])
                     gv = _at_points(gfun, pts, "load g on level %d" % level)
                     _add_local(rhs, dofs, np.einsum("elq,eq->el", rows[(0, 0)], wts * gv))
     for side in SIDES:
@@ -811,9 +811,9 @@ def h2_seminorm_error(field, exact_hessian, space, geo=None):
     geo = geo or GeometryMap.identity()
     total = 0.0
     for level, cells in _level_cells(space.mesh):
-        for _, dofs, rows, wts, pts in _element_batches(space, level, cells, _DERIVATIVES):
+        for sl, dofs, rows, wts, pts in _element_batches(space, level, cells, _DERIVATIVES):
             ders, wts, pts = _transform_rows(
-                geo, pts, _field_rows(field.coefficients, dofs, rows), wts)
+                geo, pts, _field_rows(field.coefficients, dofs, rows), wts, level, cells[sl])
             exx, exy, eyy = _at_points(exact_hessian, pts, "exact Hessian on level %d" % level)
             total += float(np.sum(wts * ((ders[(2, 0)][:, 0] - exx) ** 2
                                          + 2.0 * (ders[(1, 1)][:, 0] - exy) ** 2
@@ -829,11 +829,18 @@ def evaluate(field, space, geo, points):
     """
     geo = geo or GeometryMap.identity()
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    ders = np.empty((len(_ASSEMBLY_COMBOS), pts.shape[0]))
-    for r, (x, y) in enumerate(pts):
-        ders[:, r] = _field_ders(space, field.coefficients, space.mesh.locate(x, y), [x], [y],
-                                 _ASSEMBLY_COMBOS)[:, 0]
-    rows = {k: d[None, None] for k, d in zip(_ASSEMBLY_COMBOS, ders)}
-    d = _transform_rows(geo, pts[None], rows, np.ones((1, len(pts))))[0]
-    return (d[(0, 0)][0, 0], np.column_stack([d[k][0, 0] for k in _DERIVATIVES[:2]]),
-            np.column_stack([d[k][0, 0] for k in _DERIVATIVES[2:]]))
+    ders = np.empty((len(_ASSEMBLY_COMBOS), len(pts)))
+    owned = {}
+    for r, (x, y) in enumerate(pts.tolist()):
+        owned.setdefault(space.mesh.locate(x, y), []).append(r)
+    for e, at in owned.items():
+        # the kernel tabulates the x-by-y grid of a call's points, whose
+        # diagonal holds the points, so a call takes at most _EVAL_POINTS
+        for part in (at[i:i + _EVAL_POINTS] for i in range(0, len(at), _EVAL_POINTS)):
+            d = _field_rows(field.coefficients, *_point_rows(
+                space, e, pts[part, 0], pts[part, 1], _ASSEMBLY_COMBOS))
+            d = {k: r[..., ::len(part) + 1] for k, r in d.items()}
+            d = _transform_rows(geo, pts[part][None], d, np.ones((1, len(part))),
+                                e.level, np.array([e[1:]]))[0]
+            ders[:, part] = [d[k][0, 0] for k in _ASSEMBLY_COMBOS]
+    return ders[0], ders[1:3].T, ders[3:].T

@@ -1,6 +1,6 @@
 """Element-local error estimation for the plate solver.
 
-The primary estimator solves, level by level, tiny independent systems in a
+The primary estimator solves tiny independent systems, one per element, in a
 space of degree p+1 Bernstein bubbles supported on single active elements
 (value and gradient vanish on the element boundary, so the global system is
 block diagonal by construction). Natural-boundary sides get extra bubbles
@@ -34,6 +34,7 @@ from .assembly import (
     _field_rows,
     _gauss01,
     _level_cells,
+    _on_side,
     _rule_on_cells,
     _transform_rows,
 )
@@ -169,7 +170,8 @@ def _bubble_edge_terms(q, pairs, side, mesh, level, cells, problem, geo):
     pts, w = _rule_on_cells(mesh, level, cells, _edge_rule(q - 1, side))
     e = len(cells)
     dn, pts, wts = _edge_transform(geo, pts, side, np.broadcast_to(w, (e, w.size)),
-                                   *(np.broadcast_to(g, (e,) + g.shape) for g in grad))
+                                   *(np.broadcast_to(g, (e,) + g.shape) for g in grad),
+                                   level, cells)
     out = np.zeros((e, len(pairs)))
     vals = np.broadcast_to(vals, dn.shape)
     for data, kind, rows in ((problem.neumann_M.get(side), "moment", dn),
@@ -195,9 +197,7 @@ def assemble_blocks(bubbles, u_h, space, geo, problem, elements=None):
     gfun = _as_fn(problem.g)
     d_const, nu = problem.stiffness, problem.poisson
     loads = [(mesh.locate(pt[0], pt[1]), pt, magnitude) for pt, magnitude in problem.point_loads]
-    natural = {side: {(level, *c) for level, cells in _boundary_cells(mesh, side)
-                      for c in cells.tolist()}
-               for side in SIDES if side in problem.neumann_M or side in problem.neumann_Q}
+    natural = [side for side in SIDES if side in problem.neumann_M or side in problem.neumann_Q]
     if elements is None:
         elements = mesh.active_elements()
     groups = {}
@@ -212,10 +212,12 @@ def assemble_blocks(bubbles, u_h, space, geo, problem, elements=None):
                  .reshape(len(pairs), -1) for (dx, dy) in ((0, 0),) + _DERIVATIVES}
         cells = np.array([elements[k][1:] for k in where], dtype=np.int64)
         for sl, dofs, rows, wts, pts in _element_batches(space, level, cells, _DERIVATIVES):
-            n = len(dofs)
-            u, _, _ = _transform_rows(geo, pts, _field_rows(u_h.coefficients, dofs, rows), wts)
+            n, chunk = len(dofs), cells[sl]
+            u, _, _ = _transform_rows(geo, pts, _field_rows(u_h.coefficients, dofs, rows), wts,
+                                      level, chunk)
             b, bwts, pts = _transform_rows(
-                geo, pts, {k: np.broadcast_to(r, (n,) + r.shape) for k, r in brows.items()}, wts)
+                geo, pts, {k: np.broadcast_to(r, (n,) + r.shape) for k, r in brows.items()}, wts,
+                level, chunk)
             terms, w = _energy_terms(b, bwts, nu)
             weighted = terms * w[:, None]
             amat = d_const * (weighted @ terms.swapaxes(1, 2))
@@ -223,9 +225,8 @@ def assemble_blocks(bubbles, u_h, space, geo, problem, elements=None):
             if gfun is not None:
                 gv = _at_points(gfun, pts, "load g on level %d" % level)
                 rhs += np.einsum("ebq,eq->eb", b[(0, 0)], bwts * gv)
-            chunk = cells[sl]
-            for side, members in natural.items():
-                on = np.array([(level, *c) in members for c in chunk.tolist()])
+            for side in natural:
+                on = _on_side(mesh, level, chunk, side)
                 if on.any():
                     rhs[on] += _bubble_edge_terms(q, pairs, side, mesh, level, chunk[on],
                                                   problem, geo)
@@ -298,22 +299,11 @@ def eta_elements(blocks, calibration=3.0):
 
 
 def estimate(u_h, space, problem, geo=None, calibration=3.0):
-    """Bubble estimate of the energy error, processed level by level.
-
-    Blocks are independent across elements, so the level-wise sweep returns
-    the same indicators as any other processing order.
-    """
-    geo = geo or GeometryMap.identity()
-    mesh = space.mesh
-    bubbles = build_bubble_space(mesh, space.degree, natural_boundary_sides(problem))
-    estimates = []
-    for level in range(mesh.num_levels):
-        elems = [ElementId(level, i, j) for (i, j) in sorted(mesh.active_level(level))]
-        if not elems:
-            continue
-        blocks = assemble_blocks(bubbles, u_h, space, geo, problem, elements=elems)
-        solve_blocks(blocks)
-        estimates.extend(eta_elements(blocks, calibration))
+    """Bubble estimate of the energy error: one block per active element,
+    in the order of ``mesh.active_elements()``."""
+    bubbles = build_bubble_space(space.mesh, space.degree, natural_boundary_sides(problem))
+    blocks = solve_blocks(assemble_blocks(bubbles, u_h, space, geo, problem))
+    estimates = eta_elements(blocks, calibration)
     eta_total = math.sqrt(sum(est.eta**2 for est in estimates))
     return estimates, eta_total
 
@@ -350,37 +340,24 @@ def _edge_neighbor_pieces(mesh, e, side):
     exact integer index arithmetic across all levels.
     """
     l = e.level
-    nel = mesh.n_elements_1d(l)
     vertical = side in ("left", "right")
-    if vertical:
-        line = e.ix if side == "left" else e.ix + 1
-        t_lo, t_hi = e.iy, e.iy + 1
-    else:
-        line = e.iy if side == "bottom" else e.iy + 1
-        t_lo, t_hi = e.ix, e.ix + 1
-    if line == 0 or line == nel:
+    # the grid line of the edge, across it, and the edge's cell along it
+    line, t_lo = (e.ix, e.iy) if vertical else (e.iy, e.ix)
+    line += side in ("right", "top")
+    if line == 0 or line == mesh.n_elements_1d(l):
         return []
     pieces = []
     for lp in range(mesh.num_levels):
-        act = mesh.active_level(lp)
-        if not act:
+        finer = lp >= l
+        f = 1 << abs(lp - l)
+        if not finer and line % f:
             continue
-        if lp >= l:
-            f = 1 << (lp - l)
-            col = line * f if side in ("right", "top") else line * f - 1
-            for row in range(t_lo * f, t_hi * f):
-                cell = (col, row) if vertical else (row, col)
-                if cell in act:
-                    pieces.append((ElementId(lp, cell[0], cell[1]), (row - t_lo * f, f)))
-        else:
-            f = 1 << (l - lp)
-            if line % f:
-                continue
-            col = line // f if side in ("right", "top") else line // f - 1
-            row = t_lo // f
-            cell = (col, row) if vertical else (row, col)
-            if cell in act:
-                pieces.append((ElementId(lp, cell[0], cell[1]), (t_lo % f, f)))
+        col = (line * f if finer else line // f) - (side in ("left", "bottom"))
+        rows = np.arange(t_lo * f, (t_lo + 1) * f) if finer else np.array([t_lo // f])
+        found = mesh.cell_index(lp, *((col, rows) if vertical else (rows, col))) >= 0
+        for row in rows[found].tolist():
+            pieces.append((ElementId(lp, *((col, row) if vertical else (row, col))),
+                           (row - t_lo * f, f) if finer else (t_lo % f, f)))
     return pieces
 
 

@@ -6,6 +6,7 @@ import pytest
 from hbplate.assembly import (
     _ASSEMBLY_COMBOS,
     BoundaryDataError,
+    GeometryError,
     GeometryMap,
     LinearSystem,
     PlateProblem,
@@ -165,6 +166,22 @@ def bernstein_poly(q, i):
         c = math.comb(q, i) * math.comb(q - i, k) * (-1.0) ** k
         poly = poly + c * np.poly1d([1.0] + [0.0] * (i + k))
     return poly
+
+
+class TestGeometryErrors:
+    def test_folded_spline_net_names_level_and_cell(self):
+        # one interior control point pulled across its neighbours folds the
+        # map over [0.55, 1]^2, inside the refined level-1 cells
+        kv = make_open_uniform(2, 3)
+        grev = np.array([np.mean(kv.knots[i + 1:i + 4]) for i in range(kv.num_basis)])
+        control = np.stack(np.meshgrid(grev, grev, indexing="ij"), axis=-1)
+        control[3, 3] = (0.05, 0.05)
+        geo = GeometryMap.spline(kv, control)
+        space = HierarchicalSpace.create(2, 3).refined([ElementId(0, 1, 1)], 2)
+        prob = simply_supported(g=1.0)
+        for assemble in (assemble_stiffness, assemble_load):
+            with pytest.raises(GeometryError, match=r"level 1, cell \(2, 2\)"):
+                assemble(space, geo, prob)
 
 
 class TestStiffness:
@@ -512,6 +529,32 @@ class TestSolve:
         err = h2_seminorm_error(u, exact_hessian_x2y2, space, IDENTITY)
         assert err <= 1e-8
 
+    def test_clamped_solve_on_a_rotated_sheared_map(self):
+        # physical u = x^2 y^2 through x = A xi + b with A a rotation times a
+        # shear: a degree-4 tensor polynomial in the parameters, so p = 4
+        # reproduces it; the normals of the mapped sides are not axis-aligned
+        c, s = math.cos(0.5), math.sin(0.5)
+        matrix = np.array([[c, -s], [s, c]]) @ np.array([[1.0, 0.4], [0.0, 1.0]])
+        geo = GeometryMap.affine(matrix, (0.3, -0.2))
+        inv_t = np.linalg.inv(matrix).T
+
+        def rotation(side):
+            # rotation data are minus the outward normal derivative
+            n = inv_t @ {"left": (-1, 0), "right": (1, 0), "bottom": (0, -1), "top": (0, 1)}[side]
+            nx, ny = n / np.linalg.norm(n)
+            return lambda x, y: -(2.0 * x * y**2 * nx + 2.0 * x**2 * y * ny)
+
+        sides = ("left", "bottom", "right", "top")
+        prob = PlateProblem(g=8.0, dirichlet_w={side: lambda x, y: x**2 * y**2 for side in sides},
+                            dirichlet_phi={side: rotation(side) for side in sides})
+        space = HierarchicalSpace.create(3, 4).refined([ElementId(0, 1, 1)], 2)
+        u = solve(apply_dirichlet(assemble_system(space, geo, prob), space, prob, geo))
+        from hbplate.assembly import DiscreteField
+        norm = h2_seminorm_error(DiscreteField(np.zeros(space.num_dofs)), exact_hessian_x2y2,
+                                 space, geo)
+        assert norm > 1.0
+        assert h2_seminorm_error(u, exact_hessian_x2y2, space, geo) <= 1e-8 * norm
+
     def test_solver_reports_breakdown(self):
         # singular reduced matrix: no constraints at all on the plate energy
         space = HierarchicalSpace.create(2, 3)
@@ -564,6 +607,24 @@ class TestEvaluate:
         np.testing.assert_allclose(vals, pts[:, 0] + pts[:, 1], atol=1e-10)
         np.testing.assert_allclose(grads, 1.0, atol=1e-10)
         np.testing.assert_allclose(hess, 0.0, atol=1e-10)
+
+    def test_many_points_match_one_point_calls(self):
+        # points in one call are grouped by owning element; on grid lines and
+        # corners they must still agree with one call per point
+        space = HierarchicalSpace.create(4, 3).refined(
+            [ElementId(0, 1, 1), ElementId(0, 1, 2), ElementId(0, 2, 1)], 2)
+        from hbplate.assembly import DiscreteField
+        rng = np.random.default_rng(21)
+        field = DiscreteField(rng.standard_normal(space.num_dofs))
+        grid = np.linspace(0.0, 1.0, 9)
+        pts = np.vstack([rng.uniform(0, 1, size=(150, 2)), np.stack(np.meshgrid(
+            grid, grid), axis=-1).reshape(-1, 2), np.full((40, 2), 0.3)])
+        for geo in (IDENTITY, GeometryMap.affine([[1.0, 0.3], [-0.2, 0.8]], (0.5, 1.0))):
+            together = evaluate(field, space, geo, pts)
+            single = [evaluate(field, space, geo, [pt]) for pt in pts]
+            for k, got in enumerate(together):
+                want = np.concatenate([one[k] for one in single])
+                assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
     def test_out_of_domain_point(self):
         space = HierarchicalSpace.create(2, 3)

@@ -226,13 +226,13 @@ class TestAdmissibility:
     def test_adversarial_mesh_detected(self):
         # bypass the closure: manually refine one cell down three levels
         mesh, _ = init(4, 3)
-        m2 = mesh._copy()
-        from hbplate.hierarchy import _subdivide
+        from hbplate.hierarchy import _Draft, _subdivide
+        work = _Draft(mesh)
         e = ElementId(0, 0, 0)
         for l in range(3):
-            _subdivide(m2, e)
+            _subdivide(work, e)
             e = ElementId(l + 1, 0, 0)
-        assert not check_admissible(m2, 2)
+        assert not check_admissible(work.finish(), 2)
 
     def test_random_marking_sequences_stay_admissible(self):
         rng = np.random.default_rng(123)
@@ -314,3 +314,150 @@ class TestSpace:
         refined = space.refined([ElementId(0, 0, 0)], m=2)
         assert refined.num_dofs > 49
         assert space.num_dofs == 49  # original untouched
+
+
+# ---------------------------------------------------------------------------
+# the key lookups against geometric oracles
+
+SIDE_NAMES = ("left", "bottom", "right", "top")
+TOL = 1e-12
+
+
+def random_admissible_meshes(p, m, count=3):
+    """Seeded random meshes of admissibility class m, closed by refine."""
+    rng = np.random.default_rng(100 * p + m)
+    for _ in range(count):
+        mesh, _ = init(int(rng.integers(2, 4)), p)
+        for _ in range(4):
+            active = mesh.active_elements()
+            k = int(rng.integers(1, max(2, len(active) // 3)))
+            picks = rng.choice(len(active), size=k, replace=False)
+            mesh = refine(mesh, [active[i] for i in picks], m=m)
+        yield mesh
+
+
+def touches(a, b):
+    """Closed rectangles a and b meet (in an edge, a vertex or more)."""
+    return (max(a[0], b[0]) <= min(a[2], b[2]) + TOL
+            and max(a[1], b[1]) <= min(a[3], b[3]) + TOL)
+
+
+def contains(rect, x, y):
+    return rect[0] - TOL <= x <= rect[2] + TOL and rect[1] - TOL <= y <= rect[3] + TOL
+
+
+def on_domain_side(mesh, rect, side):
+    a, b = mesh.interval
+    coord, end = {"left": (rect[0], a), "right": (rect[2], b),
+                  "bottom": (rect[1], a), "top": (rect[3], b)}[side]
+    return abs(coord - end) <= TOL
+
+
+def edge_segment(rect, side):
+    """(line position, lo, hi) of one side of a rectangle."""
+    x0, y0, x1, y1 = rect
+    return {"left": (x0, y0, y1), "right": (x1, y0, y1),
+            "bottom": (y0, x0, x1), "top": (y1, x0, x1)}[side]
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("p", [3, 4, 5])
+class TestQueriesAgainstGeometry:
+    def test_cells_partition_the_square_and_side_masks_follow_the_rects(self, p, m):
+        from hbplate.assembly import _boundary_cells, _on_side
+        rng = np.random.default_rng(p + m)
+        for mesh in random_admissible_meshes(p, m):
+            rects = []
+            for l in range(mesh.num_levels):
+                cells = mesh.cells(l)
+                assert cells.dtype == np.int64 and cells.shape == (len(cells), 2)
+                as_tuples = [tuple(c) for c in cells.tolist()]
+                assert as_tuples == sorted(set(as_tuples))
+                for ix, iy in as_tuples:
+                    rect = mesh.element_rect(ElementId(l, ix, iy))
+                    assert rect[2] - rect[0] == pytest.approx(mesh.h(l), rel=1e-12)
+                    rects.append(rect)
+                for side in SIDE_NAMES:
+                    want = [on_domain_side(mesh, mesh.element_rect(ElementId(l, *c)), side)
+                            for c in as_tuples]
+                    np.testing.assert_array_equal(_on_side(mesh, l, cells, side), want)
+            assert sum((r[2] - r[0]) * (r[3] - r[1]) for r in rects) == pytest.approx(1.0)
+            for x, y in rng.uniform(0.0, 1.0, size=(200, 2)):
+                assert sum(r[0] < x < r[2] and r[1] < y < r[3] for r in rects) == 1
+            for side in SIDE_NAMES:
+                got = [ElementId(l, *c) for l, cells in _boundary_cells(mesh, side)
+                       for c in cells.tolist()]
+                assert got == [e for e in mesh.active_elements()
+                               if on_domain_side(mesh, mesh.element_rect(e), side)]
+
+    def test_basis_and_admissibility(self, p, m):
+        for mesh in random_admissible_meshes(p, m):
+            basis = rebuild_basis(mesh)
+            assert set(basis.active) == brute_force_active_functions(mesh)
+            assert list(basis.active) == sorted(basis.active)
+            assert check_admissible(mesh, m, basis)
+
+    def test_neighbors(self, p, m):
+        for mesh in random_admissible_meshes(p, m):
+            active = mesh.active_elements()
+            for e in active:
+                rect = mesh.element_rect(e)
+                want = {f for f in active if f.level == e.level and f != e
+                        and touches(rect, mesh.element_rect(f))}
+                assert neighbors(mesh, e) == want
+
+    def test_connectivity(self, p, m):
+        for mesh in random_admissible_meshes(p, m):
+            basis = rebuild_basis(mesh)
+            for e in mesh.active_elements():
+                rect = mesh.element_rect(e)
+                want = []
+                for f in basis.active:
+                    t = mesh.knots(f.level).knots
+                    sup = (t[f.ix], t[f.iy], t[f.ix + p + 1], t[f.iy + p + 1])
+                    if f.level <= e.level and overlap_area(sup, rect) > 1e-14:
+                        want.append(f)
+                assert connectivity(mesh, basis, e) == want
+
+    def test_edge_neighbor_pieces_tile_each_interior_edge(self, p, m):
+        from hbplate.estimators import _edge_neighbor_pieces
+        opposite = dict(zip(SIDE_NAMES, SIDE_NAMES[2:] + SIDE_NAMES[:2]))
+        for mesh in random_admissible_meshes(p, m):
+            active = mesh.active_elements()
+            for e in active:
+                rect = mesh.element_rect(e)
+                for side in SIDE_NAMES:
+                    pieces = _edge_neighbor_pieces(mesh, e, side)
+                    if on_domain_side(mesh, rect, side):
+                        assert pieces == []
+                        continue
+                    line, lo, hi = edge_segment(rect, side)
+                    want = set()
+                    for f in active:
+                        fline, flo, fhi = edge_segment(mesh.element_rect(f), opposite[side])
+                        if abs(fline - line) <= TOL and min(hi, fhi) - max(lo, flo) > TOL:
+                            want.add(f)
+                    assert {nb for nb, _ in pieces} == want
+                    total = 0.0
+                    for nb, (r, f) in pieces:
+                        _, nlo, nhi = edge_segment(mesh.element_rect(nb), opposite[side])
+                        clo, chi = (lo, hi) if e.level <= nb.level else (nlo, nhi)
+                        length = (chi - clo) / f
+                        piece = (clo + r * length, clo + (r + 1) * length)
+                        assert piece[0] == pytest.approx(max(lo, nlo), abs=TOL)
+                        assert piece[1] == pytest.approx(min(hi, nhi), abs=TOL)
+                        total += length
+                    assert total == pytest.approx(hi - lo, rel=1e-12)
+
+    def test_locate_finds_the_finest_element_at_corners_and_edge_midpoints(self, p, m):
+        for mesh in random_admissible_meshes(p, m):
+            active = mesh.active_elements()
+            rects = {e: mesh.element_rect(e) for e in active}
+            for e in active:
+                x0, y0, x1, y1 = rects[e]
+                xm, ym = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
+                for x, y in ((x0, y0), (x1, y0), (x0, y1), (x1, y1),
+                             (xm, y0), (xm, y1), (x0, ym), (x1, ym)):
+                    finest = max(f.level for f in active if contains(rects[f], x, y))
+                    got = mesh.locate(x, y)
+                    assert got.level == finest and contains(rects[got], x, y)
