@@ -22,7 +22,7 @@ from .assembly import (
     solve,
 )
 from .estimators import effectivity, estimate, residual_estimator
-from .hierarchy import check_admissible, neighbors
+from .hierarchy import ElementId, check_admissible
 
 __all__ = [
     "MarkParams",
@@ -91,11 +91,24 @@ def mark_maximum(estimates, params):
     return {est.element for est in estimates if est.eta > params.gamma * top}
 
 
+_AROUND = np.array([(dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)])  # (0, 0) at 4
+
+
 def expand_marks(mesh, marked):
-    """Marked set plus all active same-level neighbors of each element."""
+    """Marked set plus all active same-level neighbors of each element: one
+    lookup per level of the cells around all marked elements of the level."""
     out = set(marked)
+    by_level = {}
     for e in marked:
-        out |= neighbors(mesh, e)
+        by_level.setdefault(e.level, []).append(e[1:])
+    for level, cells in by_level.items():
+        near = np.array(cells)[:, None] + _AROUND
+        found = (mesh.cell_index(level, near[..., 0], near[..., 1]) >= 0
+                 if level < mesh.num_levels else np.zeros(near.shape[:2], dtype=bool))
+        if not found[:, 4].all():
+            raise ValueError("element %s is not active"
+                             % (ElementId(level, *cells[found[:, 4].argmin()]),))
+        out.update(ElementId(level, i, j) for i, j in near[found].tolist())
     return out
 
 

@@ -7,14 +7,24 @@ Quadrature uses one tensor Gauss rule with degree + 2 points per direction
 on every active element, for the stiffness, loads, error norms and the
 estimator blocks alike.
 
-Every element integral and every point value runs through one kernel,
-:func:`_element_batches`. It hands out chunks of active elements of one
-level as arrays (dofs padded with -1, derivative rows, weights, points) at
-the nodes of a tensor reference rule on [0, 1]^2: the interior Gauss rule,
-an edge rule with one node on a domain side (moment and shear loads,
-Dirichlet fits), a graded rule whose strips crowd toward graded sides (the
-graded body load), or a one-off rule at given points (:func:`evaluate`,
-point loads, the residual estimator's edge jumps).
+Every element integral and every point value runs through one element
+kernel, which works on chunks of active elements of one level at the nodes
+of a tensor reference rule on [0, 1]^2: the interior Gauss rule, an edge
+rule with one node on a domain side (moment and shear loads, Dirichlet
+fits, the residual estimator's edge jumps), a graded rule whose strips
+crowd toward graded sides (the graded body load), or a one-off rule at
+given points (:func:`evaluate`, point loads). Both of its modes share one
+set-up, :func:`_kernel_setup`: each level's dof lookup and the univariate
+tables at the rule's nodes.
+
+- Rows mode, :func:`_element_batches`, hands out the basis: dofs padded
+  with -1 and derivative rows (element, function, node), for the integrals
+  whose test functions are the basis (stiffness, loads, Dirichlet fits).
+- Field mode, :func:`_field_batches`, hands out the derivatives of one
+  discrete field (element, 1, node) by sum factorisation: each element's
+  coefficients, as (p + 1) x (p + 1) tensors per level, are contracted with
+  the tables in y and then in x, and no basis rows are built. The error
+  norm, :func:`evaluate` and the estimators' u_h terms use it.
 
 Basis values come from one tabulation kernel,
 :func:`hbplate.splines.tabulate_in_span`, which runs Cox-de Boor over all
@@ -46,11 +56,9 @@ __all__ = [
     "SolverError",
     "BoundaryDataError",
     "GeometryMap",
-    "PushForward",
     "PlateProblem",
     "DiscreteField",
     "LinearSystem",
-    "pushforward2",
     "assemble_stiffness",
     "assemble_load",
     "assemble_system",
@@ -115,6 +123,10 @@ class GeometryMap:
     def is_identity(self):
         return self.kind == "identity"
 
+    @property
+    def constant_jacobian(self):
+        return self.kind in ("identity", "affine")
+
     def _spline_basis(self, pts, max_der):
         """Control-net blocks (point, i, j, component) and the univariate
         tables (derivative, i, point) in x and y at every point; points
@@ -169,38 +181,6 @@ class GeometryMap:
         out[:, :, 1, 0] = out[:, :, 0, 1]
         out[:, :, 1, 1] = np.einsum("iq,jq,qijk->qk", bx[0], by[2], blk)
         return out
-
-
-@dataclass
-class PushForward:
-    """Transforms parametric gradients/Hessians at one point to physical ones."""
-
-    jacobian: np.ndarray
-    geometry_hessian: np.ndarray
-
-    @property
-    def jacobian_det(self):
-        return float(np.linalg.det(self.jacobian))
-
-    def apply(self, grad, hess):
-        grad = np.asarray(grad, dtype=float)
-        hess = np.asarray(hess, dtype=float)
-        jinv = np.linalg.inv(self.jacobian)
-        grad_phys = jinv.T @ grad
-        corr = hess - grad_phys[0] * self.geometry_hessian[0] \
-            - grad_phys[1] * self.geometry_hessian[1]
-        hess_phys = jinv.T @ corr @ jinv
-        return grad_phys, hess_phys
-
-
-def pushforward2(geo, xi):
-    """Chain-rule transform of (gradient, Hessian) through the geometry at xi."""
-    pt = np.asarray(xi, dtype=float).reshape(1, 2)
-    jac = geo.jacobians(pt)[0]
-    det = float(np.linalg.det(jac))
-    if det <= 0.0 or not np.isfinite(det):
-        raise GeometryError("singular geometry Jacobian at %s (det=%g)" % (tuple(xi), det))
-    return PushForward(jacobian=jac, geometry_hessian=geo.hessians(pt)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -351,10 +331,40 @@ def _rule_on_cells(mesh, level, cells, rule):
     return pts, np.outer(xw, yw).ravel() * scale
 
 
+def _kernel_setup(space, level, cells, combos, rule, cached):
+    """What both modes of the element kernel share on the cells (E, 2) of
+    one level: the rule (by default the interior Gauss rule), the dofs
+    (E, L, p + 1, p + 1) of the functions of the L levels k <= level that
+    act on the cells, from the basis's dof lookup per level and -1 where
+    inactive, and per direction the univariate tables (cell, L, derivative,
+    i, node) at the rule's nodes of the distinct cell indices, with each
+    cell's position among them."""
+    mesh, basis, p = space.mesh, space.basis, space.degree
+    rule = rule or (_gauss01(p + 2),) * 2
+    h, a = mesh.h(level), mesh.interval[0]
+    loc = np.arange(p + 1)
+    levels, dofs = [], []
+    for k in range(level + 1):
+        ax, ay = (cells >> (level - k)).T
+        d = basis.level_dofs(k, ax[:, None, None] + loc[:, None], ay[:, None, None] + loc)
+        if (d >= 0).any():
+            levels.append(k)
+            dofs.append(d)
+    max_der = max(max(c) for c in combos)
+    tabulate = KnotVector.table if cached else tabulate_in_span
+    tabs = []
+    for axis, (nodes, _) in enumerate(rule):
+        ucells, inverse = np.unique(cells[:, axis], return_inverse=True)
+        tabs.append((np.array([[tabulate(mesh.knots(k), a + (c + nodes) * h,
+                                         (c >> (level - k)) + p, max_der)
+                                for k in levels] for c in ucells]), inverse))
+    return rule, np.stack(dofs, axis=1), tabs
+
+
 def _element_batches(space, level, cells, combos, rule=None, cached=True):
-    """The element kernel: active basis functions and their rows on chunks
-    of active elements of one level, given by their (E, 2) cells, at the
-    nodes of a tensor reference rule.
+    """The element kernel in rows mode: active basis functions and their
+    rows on chunks of active elements of one level, given by their (E, 2)
+    cells, at the nodes of a tensor reference rule.
 
     A rule is ((x nodes, x weights), (y nodes, y weights)) on [0, 1]; the
     default is the interior Gauss rule of p + 2 points per direction. Every
@@ -375,31 +385,13 @@ def _element_batches(space, level, cells, combos, rule=None, cached=True):
     level's knot vector; ``cached=False`` tabulates one-off rules and drops
     them.
     """
-    mesh, basis, p = space.mesh, space.basis, space.degree
-    rule = rule or (_gauss01(p + 2),) * 2
-    h, a = mesh.h(level), mesh.interval[0]
-    loc = np.arange(p + 1)
-    levels, slot_dofs = [], []
-    for k in range(level + 1):
-        ax, ay = (cells >> (level - k)).T
-        d = basis.level_dofs(k, ax[:, None, None] + loc[:, None], ay[:, None, None] + loc)
-        if (d >= 0).any():
-            levels.append(k)
-            slot_dofs.append(d.reshape(len(cells), -1))
+    rule, dofs_by_level, ((xtab, xat), (ytab, yat)) = _kernel_setup(
+        space, level, cells, combos, rule, cached)
     # slots run over (level, i, j) as connectivity does; a stable sort puts
     # the active ones first, in that order, and the inactive (-1) after them
-    slot_dofs = np.concatenate(slot_dofs, axis=1)
+    slot_dofs = dofs_by_level.reshape(len(cells), -1)
     order = np.argsort(slot_dofs < 0, axis=1, kind="stable")
     count = (slot_dofs >= 0).sum(axis=1)
-    max_der = max(max(c) for c in combos)
-    tabulate = KnotVector.table if cached else tabulate_in_span
-    tabs, where = [], []
-    for axis, (nodes, _) in enumerate(rule):
-        ucells, inverse = np.unique(cells[:, axis], return_inverse=True)
-        tabs.append(np.array([[tabulate(mesh.knots(k), a + (c + nodes) * h,
-                                        (c >> (level - k)) + p, max_der)
-                               for k in levels] for c in ucells]))
-        where.append(inverse)
     cdx = [c[0] for c in combos]
     cdy = [c[1] for c in combos]
     nq = rule[0][0].size * rule[1][0].size
@@ -409,34 +401,65 @@ def _element_batches(space, level, cells, combos, rule=None, cached=True):
         nloc = int(count[sl].max())
         slot = order[sl, :nloc]
         dofs = np.take_along_axis(slot_dofs[sl], slot, axis=1)
-        k, i, j = np.unravel_index(slot, (len(levels), p + 1, p + 1))
-        tx = tabs[0][where[0][sl, None], k, :, i][:, :, cdx]
-        ty = tabs[1][where[1][sl, None], k, :, j][:, :, cdy]
+        k, i, j = np.unravel_index(slot, dofs_by_level.shape[1:])
+        tx = xtab[xat[sl, None], k, :, i][:, :, cdx]
+        ty = ytab[yat[sl, None], k, :, j][:, :, cdy]
         tx[dofs < 0] = 0.0
         rows = (np.moveaxis(tx, 2, 0)[..., :, None] * np.moveaxis(ty, 2, 0)[..., None, :])
         e = len(dofs)
-        pts, w = _rule_on_cells(mesh, level, cells[sl], rule)
+        pts, w = _rule_on_cells(space.mesh, level, cells[sl], rule)
         yield (sl, dofs, dict(zip(combos, rows.reshape(len(combos), e, nloc, nq))),
                np.broadcast_to(w, (e, nq)), pts)
 
 
-def _point_rows(space, e, xs, ys, combos):
-    """The kernel on element e alone, at the parametric points xs x ys
-    (x-major) taken as one-sided limits on e: dofs (1, nloc) and rows
-    (1, nloc, nq). The rule is made for the call and its tables dropped."""
-    h, a = space.mesh.h(e.level), space.mesh.interval[0]
+def _field_batches(space, level, cells, coeff, combos, rule=None, cached=True):
+    """The element kernel in field mode: derivatives of the discrete field
+    with coefficients coeff on chunks of the cells (E, 2) of one level, at
+    the nodes of a tensor reference rule, as in :func:`_element_batches`.
+
+    Sum factorisation: each element's coefficients are gathered per level
+    as (p + 1) x (p + 1) tensors, 0 for inactive functions, and contracted
+    with the univariate tables, first in y and then in x (over levels and
+    x functions at once). No basis rows are built.
+
+    Yields (sl, ders, wts, pts) for each chunk ``cells[sl]`` of e elements:
+    ders maps each combo (dx, dy) to parametric derivative rows (e, 1, nq)
+    of the field, x-major; wts and pts are those of rows mode. A chunk's
+    gathered tables and products fill at most _CHUNK_BYTES.
+    """
+    rule, dofs_by_level, ((xtab, xat), (ytab, yat)) = _kernel_setup(
+        space, level, cells, combos, rule, cached)
+    # padding slots (-1) read the appended zero
+    coef = np.append(coeff, 0.0)[dofs_by_level]
+    dxs = sorted({c[0] for c in combos})
+    dys = sorted({c[1] for c in combos})
+    xtab, ytab = xtab[:, :, dxs], ytab[:, :, dys]
+    _, nl, n1, _ = coef.shape
+    nx, ny = rule[0][0].size, rule[1][0].size
+    # floats per element: coefficients, gathered tables, y products, result
+    floats = nl * n1 * (n1 + len(dxs) * nx + 2 * len(dys) * ny) + len(dxs) * nx * len(dys) * ny
+    step = max(1, _CHUNK_BYTES // (8 * floats))
+    for start in range(0, len(cells), step):
+        sl = slice(start, start + step)
+        e = len(coef[sl])
+        # y first, (e, L, dy, i, y node); then x, summing over (L, i) at once
+        part = (coef[sl, :, None] @ ytab[yat[sl]]).transpose(0, 1, 3, 2, 4)
+        part = part.reshape(e, nl * n1, -1)
+        tx = xtab[xat[sl]].transpose(0, 2, 4, 1, 3).reshape(e, -1, nl * n1)
+        full = (tx @ part).reshape(e, len(dxs), nx, len(dys), ny)
+        ders = {(dx, dy): full[:, dxs.index(dx), :, dys.index(dy)].reshape(e, 1, nx * ny)
+                for dx, dy in combos}
+        pts, w = _rule_on_cells(space.mesh, level, cells[sl], rule)
+        yield sl, ders, np.broadcast_to(w, (e, nx * ny)), pts
+
+
+def _point_rule(mesh, e, xs, ys):
+    """One-off rule at the parametric points xs x ys (x-major) on element
+    e, taken as one-sided limits on e, and e's cell as a (1, 2) array."""
+    h, a = mesh.h(e.level), mesh.interval[0]
     rule = [((np.asarray(t, dtype=float) - a) / h - c, np.ones(len(t)))
             for t, c in ((xs, e.ix), (ys, e.iy))]
-    cells = np.array([e[1:]], dtype=np.int64)
-    _, dofs, rows, _, _ = next(_element_batches(space, e.level, cells, combos, rule, cached=False))
-    return dofs, rows
-
-
-def _field_rows(coeff, dofs, rows):
-    """Derivative rows (e, 1, nq) of the discrete field with coefficients
-    coeff, from a chunk's dofs and basis rows."""
-    c = np.where(dofs >= 0, coeff[dofs], 0.0)
-    return {k: np.einsum("elq,el->eq", r, c)[:, None] for k, r in rows.items()}
+    return np.array([e[1:]], dtype=np.int64), rule
 
 
 def _add_local(vec, dofs, loc):
@@ -635,8 +658,11 @@ def assemble_load(space, geo, problem):
                                     % (kind, side, level))
                     _add_local(rhs, dofs, np.einsum("elq,eq->el", rows, wts * dv))
     for (pt, magnitude) in problem.point_loads:
-        dofs, rows = _point_rows(space, mesh.locate(pt[0], pt[1]), [pt[0]], [pt[1]], ((0, 0),))
-        _add_local(rhs, dofs, magnitude * rows[(0, 0)][..., 0])
+        e = mesh.locate(pt[0], pt[1])
+        cells, rule = _point_rule(mesh, e, [pt[0]], [pt[1]])
+        for _, dofs, rows, _, _ in _element_batches(space, e.level, cells, ((0, 0),), rule,
+                                                    cached=False):
+            _add_local(rhs, dofs, magnitude * rows[(0, 0)][..., 0])
     return rhs
 
 
@@ -811,9 +837,9 @@ def h2_seminorm_error(field, exact_hessian, space, geo=None):
     geo = geo or GeometryMap.identity()
     total = 0.0
     for level, cells in _level_cells(space.mesh):
-        for sl, dofs, rows, wts, pts in _element_batches(space, level, cells, _DERIVATIVES):
-            ders, wts, pts = _transform_rows(
-                geo, pts, _field_rows(field.coefficients, dofs, rows), wts, level, cells[sl])
+        for sl, ders, wts, pts in _field_batches(space, level, cells, field.coefficients,
+                                                 _DERIVATIVES):
+            ders, wts, pts = _transform_rows(geo, pts, ders, wts, level, cells[sl])
             exx, exy, eyy = _at_points(exact_hessian, pts, "exact Hessian on level %d" % level)
             total += float(np.sum(wts * ((ders[(2, 0)][:, 0] - exx) ** 2
                                          + 2.0 * (ders[(1, 1)][:, 0] - exy) ** 2
@@ -837,8 +863,9 @@ def evaluate(field, space, geo, points):
         # the kernel tabulates the x-by-y grid of a call's points, whose
         # diagonal holds the points, so a call takes at most _EVAL_POINTS
         for part in (at[i:i + _EVAL_POINTS] for i in range(0, len(at), _EVAL_POINTS)):
-            d = _field_rows(field.coefficients, *_point_rows(
-                space, e, pts[part, 0], pts[part, 1], _ASSEMBLY_COMBOS))
+            cells, rule = _point_rule(space.mesh, e, pts[part, 0], pts[part, 1])
+            _, d, _, _ = next(_field_batches(space, e.level, cells, field.coefficients,
+                                             _ASSEMBLY_COMBOS, rule, cached=False))
             d = {k: r[..., ::len(part) + 1] for k, r in d.items()}
             d = _transform_rows(geo, pts[part][None], d, np.ones((1, len(part))),
                                 e.level, np.array([e[1:]]))[0]

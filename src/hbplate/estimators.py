@@ -5,7 +5,9 @@ space of degree p+1 Bernstein bubbles supported on single active elements
 (value and gradient vanish on the element boundary, so the global system is
 block diagonal by construction). Natural-boundary sides get extra bubbles
 that are rotation-active (moment sides) or value-active (shear sides) on
-the boundary, to pick up the error in the natural data.
+the boundary, to pick up the error in the natural data. Under a map with a
+constant Jacobian, every element of one level with the same bubbles has the
+same block matrix, so it is formed and factored once per such group.
 
 A classical strong-residual estimator with interior and edge-jump terms is
 provided for comparison; it needs fourth derivatives of the discrete
@@ -29,9 +31,8 @@ from .assembly import (
     _boundary_cells,
     _edge_rule,
     _edge_transform,
-    _element_batches,
     _energy_terms,
-    _field_rows,
+    _field_batches,
     _gauss01,
     _level_cells,
     _on_side,
@@ -185,9 +186,14 @@ def _bubble_edge_terms(q, pairs, side, mesh, level, cells, problem, geo):
 def assemble_blocks(bubbles, u_h, space, geo, problem, elements=None):
     """Independent residual systems, one dense block per element.
 
-    Elements of one level with the same bubble indices form a group whose
-    matrices, body loads, natural-boundary terms, point loads and residuals
-    of u_h come from stacked products over the element kernel's chunks.
+    Elements of one level with the same bubble indices form a group. The
+    bubbles' rows are the h-scaled Bernstein tables of the group, and u_h's
+    derivatives come from the element kernel's field mode. When the map's
+    Jacobian is constant (identity or affine) the group's matrix is formed
+    once, from its first element, and all of its blocks share that one
+    array; on a spline map every element gets its own. Either way the
+    residuals of u_h and the body loads of a kernel chunk are one product
+    each, and natural-boundary terms and point loads are added per chunk.
     Blocks come back in the order of `elements` (by default all active
     elements).
     """
@@ -209,22 +215,25 @@ def assemble_blocks(bubbles, u_h, space, geo, problem, elements=None):
         h = mesh.h(level)
         ii, jj = np.array(pairs).T
         brows = {(dx, dy): h ** (-(dx + dy)) * (tab[dx][ii][:, :, None] * tab[dy][jj][:, None, :])
-                 .reshape(len(pairs), -1) for (dx, dy) in ((0, 0),) + _DERIVATIVES}
+                 .reshape(1, len(pairs), -1) for (dx, dy) in ((0, 0),) + _DERIVATIVES}
         cells = np.array([elements[k][1:] for k in where], dtype=np.int64)
-        for sl, dofs, rows, wts, pts in _element_batches(space, level, cells, _DERIVATIVES):
-            n, chunk = len(dofs), cells[sl]
-            u, _, _ = _transform_rows(geo, pts, _field_rows(u_h.coefficients, dofs, rows), wts,
-                                      level, chunk)
-            b, bwts, pts = _transform_rows(
-                geo, pts, {k: np.broadcast_to(r, (n,) + r.shape) for k, r in brows.items()}, wts,
-                level, chunk)
-            terms, w = _energy_terms(b, bwts, nu)
-            weighted = terms * w[:, None]
-            amat = d_const * (weighted @ terms.swapaxes(1, 2))
-            rhs = -d_const * (weighted @ _energy_terms(u, bwts, nu)[0].swapaxes(1, 2))[..., 0]
+        mats = None
+        for sl, ders, wts, pts in _field_batches(space, level, cells, u_h.coefficients,
+                                                 _DERIVATIVES):
+            chunk = cells[sl]
+            if mats is None or not geo.constant_jacobian:
+                # the bubbles' physical rows, weights and matrices: on one
+                # element for the whole group, or on each element of the chunk
+                at = slice(0, 1) if geo.constant_jacobian else slice(None)
+                b, bwts, _ = _transform_rows(geo, pts[at], brows, wts[at], level, chunk[at])
+                terms, w = _energy_terms(b, bwts, nu)
+                weighted = terms * w[:, None]
+                mats = list(d_const * (weighted @ terms.swapaxes(1, 2)))
+            u, _, pts = _transform_rows(geo, pts, ders, wts, level, chunk)
+            rhs = -d_const * (_energy_terms(u, bwts, nu)[0] @ weighted.swapaxes(1, 2))[:, 0]
             if gfun is not None:
                 gv = _at_points(gfun, pts, "load g on level %d" % level)
-                rhs += np.einsum("ebq,eq->eb", b[(0, 0)], bwts * gv)
+                rhs += (bwts * gv) @ brows[(0, 0)][0].T
             for side in natural:
                 on = _on_side(mesh, level, chunk, side)
                 if on.any():
@@ -239,49 +248,63 @@ def assemble_blocks(bubbles, u_h, space, geo, problem, elements=None):
                     rhs[hit] += magnitude * bx[ii] * by[jj]
             for r, k in enumerate(where[sl]):
                 blocks[k] = BubbleBlock(element=elements[k], indices=list(pairs),
-                                        matrix=amat[r], rhs=rhs[r])
+                                        matrix=mats[r if len(mats) > 1 else 0], rhs=rhs[r])
     return blocks
 
 
-def _by_shape(blocks):
-    """Positions of the blocks grouped by matrix shape."""
-    groups = {}
+def _stacks(blocks):
+    """The blocks by matrix: yields positions (m, c) of the blocks that
+    share each of m matrix objects, c blocks to a matrix, and the m
+    matrices stacked. Matrices of one shape that equally many blocks share
+    go in one stack."""
+    shared = {}
     for k, blk in enumerate(blocks):
-        groups.setdefault(blk.matrix.shape, []).append(k)
-    return groups.values()
+        shared.setdefault(id(blk.matrix), []).append(k)
+    stacks = {}
+    for where in shared.values():
+        stacks.setdefault((blocks[where[0]].matrix.shape, len(where)), []).append(where)
+    for groups in stacks.values():
+        yield np.array(groups), np.stack([blocks[w[0]].matrix for w in groups])
 
 
 def _cho_solve(low, rhs):
-    """Solve the stacked systems (L L^T) x = rhs from Cholesky factors L."""
-    y = np.linalg.solve(low, rhs[..., None])
-    return np.linalg.solve(low.swapaxes(1, 2), y)[..., 0]
+    """Solve the stacked systems (L L^T) X = B from Cholesky factors L
+    (m, n, n) and right-hand sides B (m, n, c)."""
+    return np.linalg.solve(low.swapaxes(1, 2), np.linalg.solve(low, rhs))
 
 
 def solve_blocks(blocks):
-    """Solve every block by dense Cholesky, one stacked factorization per
-    block shape; blocks must be SPD. One step of iterative refinement is
-    taken where the residual exceeds 1e-12 of the right-hand side."""
-    for where in _by_shape(blocks):
-        mats = np.stack([blocks[k].matrix for k in where])
-        rhs = np.stack([blocks[k].rhs for k in where])
+    """Solve every block by dense Cholesky; blocks must be SPD.
+
+    Each distinct matrix is factored once, and all blocks that share it are
+    solved together as the columns of one right-hand side; matrices of one
+    shape shared by equally many blocks are factored as one stack (on a
+    spline map, one matrix per block). One step of iterative refinement is
+    taken for the blocks whose residual exceeds 1e-12 of their right-hand
+    side.
+    """
+    for pos, mats in _stacks(blocks):
+        rhs = np.array([[blocks[k].rhs for k in w] for w in pos.tolist()]).swapaxes(1, 2)
         try:
             low = np.linalg.cholesky(mats)
         except np.linalg.LinAlgError as exc:
-            for k in where:
+            for w, mat in zip(pos, mats):
                 try:
-                    np.linalg.cholesky(blocks[k].matrix)
+                    np.linalg.cholesky(mat)
                 except np.linalg.LinAlgError:
                     raise RuntimeError("bubble block on %s is not SPD (assembly bug): %s"
-                                       % (blocks[k].element, exc)) from exc
+                                       % (blocks[w[0]].element, exc)) from exc
             raise
         coeffs = _cho_solve(low, rhs)
-        resid = rhs - np.einsum("eij,ej->ei", mats, coeffs)
+        resid = rhs - mats @ coeffs
         scale = np.linalg.norm(rhs, axis=1)
         redo = (scale > 0.0) & (np.linalg.norm(resid, axis=1) > 1e-12 * scale)
-        if redo.any():
-            coeffs[redo] += _cho_solve(low[redo], resid[redo])
-        for k, c in zip(where, coeffs):
-            blocks[k].coeffs = c
+        some = redo.any(axis=1)
+        if some.any():
+            coeffs[some] += np.where(redo[some, None], _cho_solve(low[some], resid[some]), 0.0)
+        for w, c in zip(pos.tolist(), coeffs.swapaxes(1, 2)):
+            for k, ck in zip(w, c):
+                blocks[k].coeffs = ck
     return blocks
 
 
@@ -290,17 +313,19 @@ def eta_elements(blocks, calibration=3.0):
     if any(blk.coeffs is None for blk in blocks):
         raise ValueError("blocks must be solved before computing indicators")
     energy = np.zeros(len(blocks))
-    for where in _by_shape(blocks):
-        c = np.stack([blocks[k].coeffs for k in where])
-        mats = np.stack([blocks[k].matrix for k in where])
-        energy[where] = np.einsum("ei,eij,ej->e", c, mats, c)
+    for pos, mats in _stacks(blocks):
+        c = np.array([[blocks[k].coeffs for k in w] for w in pos.tolist()])
+        energy[pos] = np.sum((c @ mats) * c, axis=-1)
     eta = calibration * np.sqrt(np.maximum(energy, 0.0))
     return [ElementEstimate(element=blk.element, eta=float(v)) for blk, v in zip(blocks, eta)]
 
 
 def estimate(u_h, space, problem, geo=None, calibration=3.0):
     """Bubble estimate of the energy error: one block per active element,
-    in the order of ``mesh.active_elements()``."""
+    in the order of ``mesh.active_elements()``, from one
+    :func:`assemble_blocks` call over all active elements. On identity and
+    affine maps the blocks of each (level, bubble pattern) group share one
+    matrix, which :func:`solve_blocks` factors once for the whole group."""
     bubbles = build_bubble_space(space.mesh, space.degree, natural_boundary_sides(problem))
     blocks = solve_blocks(assemble_blocks(bubbles, u_h, space, geo, problem))
     estimates = eta_elements(blocks, calibration)
@@ -386,9 +411,8 @@ def residual_estimator(u_h, space, problem, point_load_sigma=None, geo=None):
         loads.append(_gaussian_load(pt, magnitude, sigma))
     interior = []
     for level, cells in _level_cells(mesh):
-        for _, dofs, rows, wts, pts in _element_batches(
-                space, level, cells, ((4, 0), (2, 2), (0, 4))):
-            d = _field_rows(coeff, dofs, rows)
+        for _, d, wts, pts in _field_batches(space, level, cells, coeff,
+                                             ((4, 0), (2, 2), (0, 4))):
             bilap = (d[(4, 0)] + 2.0 * d[(2, 2)] + d[(0, 4)])[:, 0]
             gv = np.zeros(bilap.shape)
             if gfun is not None:
@@ -421,8 +445,8 @@ def residual_estimator(u_h, space, problem, point_load_sigma=None, geo=None):
         combos = ((2, 0), (0, 2)) + (((3, 0), (1, 2)) if side in ("left", "right")
                                      else ((0, 3), (2, 1)))
         rule = _edge_rule(space.degree, side, part)
-        d = [_field_rows(coeff, dofs, rows) for _, dofs, rows, _, _ in _element_batches(
-            space, level, np.array(cells), combos, rule, cached=False)]
+        d = [ders for _, ders, _, _ in _field_batches(
+            space, level, np.array(cells), coeff, combos, rule, cached=False)]
         # rows (E, nq) of the Laplacian and of its derivative across the edge
         traces[level, side, part] = [np.concatenate([c[k1][:, 0] + c[k2][:, 0] for c in d])
                                      for k1, k2 in (combos[:2], combos[2:])]

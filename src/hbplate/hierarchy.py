@@ -19,6 +19,7 @@ for its closure, which splits one cell at a time.
 from __future__ import annotations
 
 import copy
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -178,14 +179,17 @@ class HierarchicalBasis:
     def __init__(self, level_keys):
         self._starts = np.cumsum([0] + [len(keys) for keys in level_keys])
         self._keys = np.concatenate(level_keys)
-        levels = np.repeat(np.arange(len(level_keys)), np.diff(self._starts))
-        self.active = tuple(map(FunctionId._make, zip(
+
+    @cached_property
+    def active(self):
+        """The active functions as one :class:`FunctionId` per dof."""
+        levels = np.repeat(np.arange(len(self._starts) - 1), np.diff(self._starts))
+        return tuple(map(FunctionId._make, zip(
             levels.tolist(), (self._keys >> 32).tolist(), (self._keys & _LOW).tolist())))
-        self.dof_index = {f: i for i, f in enumerate(self.active)}
 
     @property
     def num_dofs(self):
-        return len(self.active)
+        return int(self._starts[-1])
 
     def level_dofs(self, level, ix, iy):
         """Dof numbers of the level-`level` functions (ix, iy), elementwise

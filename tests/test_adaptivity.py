@@ -14,7 +14,7 @@ from hbplate.adaptivity import (
 )
 from hbplate.benchmarks import benchmark_smooth, benchmark_spline_exact
 from hbplate.estimators import ElementEstimate
-from hbplate.hierarchy import ElementId, HierarchicalSpace, init
+from hbplate.hierarchy import ElementId, HierarchicalSpace, init, neighbors
 
 
 def est(level, ix, iy, eta):
@@ -77,6 +77,29 @@ class TestExpandMarks:
         mesh, _ = init(3, 3)
         inp = {ElementId(0, 0, 0), ElementId(0, 2, 2)}
         assert inp <= expand_marks(mesh, inp)
+
+    @pytest.mark.parametrize("p", [3, 4])
+    def test_matches_the_union_of_neighbors_on_adaptive_meshes(self, p):
+        # the per-level lookup against one neighbors call per marked element
+        rng = np.random.default_rng(40 + p)
+        space = HierarchicalSpace.create(4, p)
+        for _ in range(4):
+            active = space.mesh.active_elements()
+            picks = rng.choice(len(active), size=max(1, len(active) // 6), replace=False)
+            space = space.refined([active[i] for i in picks], p - 1)
+        mesh = space.mesh
+        assert mesh.num_levels >= 4
+        active = mesh.active_elements()
+        for size in (1, len(active) // 10, len(active) // 3, len(active)):
+            marked = {active[i] for i in rng.choice(len(active), size=size, replace=False)}
+            want = set(marked).union(*(neighbors(mesh, e) for e in marked))
+            assert expand_marks(mesh, marked) == want
+
+    def test_inactive_mark_is_rejected(self):
+        mesh, _ = init(4, 3)
+        for e in (ElementId(0, 4, 0), ElementId(1, 0, 0)):
+            with pytest.raises(ValueError, match="not active"):
+                expand_marks(mesh, {ElementId(0, 1, 1), e})
 
 
 class TestSlopes:

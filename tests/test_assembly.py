@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+import hbplate.assembly
 from hbplate.assembly import (
     _ASSEMBLY_COMBOS,
+    SIDES,
     BoundaryDataError,
     GeometryError,
     GeometryMap,
@@ -17,16 +19,17 @@ from hbplate.assembly import (
     assemble_system,
     evaluate,
     h2_seminorm_error,
-    pushforward2,
     solve,
     _edge_rule,
     _element_batches,
+    _field_batches,
     _gauss01,
     _graded_rule,
     _level_cells,
 )
 from hbplate.hierarchy import ElementId, HierarchicalSpace, check_admissible, connectivity
 from hbplate.splines import make_open_uniform, tabulate_in_span
+from pushforward import pushforward2
 
 IDENTITY = GeometryMap.identity()
 
@@ -282,7 +285,8 @@ class TestLevelBatchKernel:
                         e = ElementId(level, int(ix), int(iy))
                         funcs = connectivity(mesh, basis, e)
                         n = len(funcs)
-                        assert list(dofs[r, :n]) == [basis.dof_index[f] for f in funcs], name
+                        want = [int(basis.level_dofs(*f)) for f in funcs]
+                        assert list(dofs[r, :n]) == want, name
                         assert np.all(dofs[r, n:] == -1)
                         xs, ys = a + (ix + xn) * h, a + (iy + yn) * h
                         np.testing.assert_array_equal(pts[r, :, 0], np.repeat(xs, yn.size))
@@ -310,6 +314,39 @@ class TestLevelBatchKernel:
                         padded += dofs.shape[1] - n
             assert seen == mesh.n_active
         assert padded > 0
+
+    @pytest.mark.parametrize("p", [3, 4, 5])
+    def test_field_mode_contracts_the_rows(self, p, monkeypatch):
+        # sum factorisation against the rows mode's basis rows times the
+        # coefficients, for every kind of rule and derivatives up to order 4,
+        # with chunks small enough that both modes split every level
+        monkeypatch.setattr(hbplate.assembly, "_CHUNK_BYTES", 1 << 14)
+        space = self.three_level_space(p)
+        coeff = np.random.default_rng(p).standard_normal(space.num_dofs)
+        combos = _ASSEMBLY_COMBOS + ((3, 0), (2, 2), (1, 3), (0, 4))
+        rules = [None, _graded_rule(p, frozenset({"left", "bottom"}))]
+        rules += [_edge_rule(p, side, (1, 2)) for side in SIDES]
+        rules.append(((np.array([0.0, 0.3, 1.0]), np.ones(3)), (np.array([0.7, 1.0]), np.ones(2))))
+        split = 0
+        for rule in rules:
+            for level, cells in _level_cells(space.mesh):
+                got, want = [], []  # per chunk: (derivatives by combo, weights, points)
+                for _, ders, wts, pts in _field_batches(space, level, cells, coeff, combos, rule):
+                    assert all(d.shape == (len(pts), 1, pts.shape[1]) for d in ders.values())
+                    got.append(([ders[k][:, 0] for k in combos], wts, pts))
+                split = max(split, len(got))
+                for _, dofs, rows, wts, pts in _element_batches(space, level, cells, combos,
+                                                                 rule):
+                    c = np.where(dofs >= 0, coeff[dofs], 0.0)
+                    want.append(([np.einsum("elq,el->eq", rows[k], c) for k in combos], wts, pts))
+                for part in (1, 2):
+                    np.testing.assert_array_equal(np.concatenate([g[part] for g in got]),
+                                                  np.concatenate([w[part] for w in want]))
+                for k in range(len(combos)):
+                    g = np.concatenate([d[0][k] for d in got])
+                    w = np.concatenate([d[0][k] for d in want])
+                    assert np.abs(g - w).max() <= 1e-13 * np.abs(w).max(), (rule, combos[k])
+        assert split > 1
 
     def test_spline_geometry_stiffness_matches_element_loop(self):
         kv = make_open_uniform(2, 3)
@@ -339,7 +376,7 @@ class TestLevelBatchKernel:
                 ax, ay = e.ix >> (e.level - f.level), e.iy >> (e.level - f.level)
                 tabs.append((tabulate_in_span(k, xs, ax + 3, 2)[:, f.ix - ax],
                              tabulate_in_span(k, ys, ay + 3, 2)[:, f.iy - ay]))
-            idx = [basis.dof_index[f] for f in funcs]
+            idx = [int(basis.level_dofs(*f)) for f in funcs]
             for qx, x in enumerate(xs):
                 for qy, y in enumerate(ys):
                     push = pushforward2(geo, (x, y))
@@ -381,7 +418,7 @@ class TestLoad:
             ty = tabulate_in_span(kv, ys, e.iy + 3, 0)[0]
             gw = g(xs[:, None], ys[None, :]) * np.outer(w1, w1) * (x1 - x0) * (y1 - y0)
             for f in connectivity(mesh, space.basis, e):
-                ref[space.basis.dof_index[f]] += tx[f.ix - e.ix] @ gw @ ty[f.iy - e.iy]
+                ref[int(space.basis.level_dofs(*f))] += tx[f.ix - e.ix] @ gw @ ty[f.iy - e.iy]
         scale = np.abs(ref).max()
         assert np.abs(rhs - ref).max() <= 1e-10 * scale
 
@@ -398,7 +435,7 @@ class TestLoad:
         ty = tabulate_in_span(kv, [0.55], e.iy + 3, 0)[0, :, 0]
         expected = np.zeros(space.num_dofs)
         for f in connectivity(mesh, space.basis, e):
-            expected[space.basis.dof_index[f]] = -tx[f.ix - e.ix] * ty[f.iy - e.iy]
+            expected[int(space.basis.level_dofs(*f))] = -tx[f.ix - e.ix] * ty[f.iy - e.iy]
         np.testing.assert_allclose(rhs, expected, atol=1e-15)
 
     def test_point_load_outside_domain(self):
@@ -425,7 +462,7 @@ class TestDirichlet:
         # bottom side trace of x^2 y^2 vanishes: its dofs are zero
         for f in space.basis.active:
             if f.iy == 0:
-                assert abs(sys1.constraints[space.basis.dof_index[f]]) <= 1e-12
+                assert abs(sys1.constraints[int(space.basis.level_dofs(*f))]) <= 1e-12
 
     def test_clamped_side_constrains_two_layers(self):
         space = HierarchicalSpace.create(4, 3)
@@ -438,7 +475,7 @@ class TestDirichlet:
                             rhs=np.zeros(space.num_dofs))
         sys1 = apply_dirichlet(sys0, space, prob)
         n = space.mesh.knots(0).num_basis
-        expected = {space.basis.dof_index[f] for f in space.basis.active
+        expected = {int(space.basis.level_dofs(*f)) for f in space.basis.active
                     if f.ix == 0 or f.iy in (0, n - 1) or f.ix == n - 1 or f.ix == 1}
         assert set(sys1.constraints) == expected
 

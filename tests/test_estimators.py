@@ -25,8 +25,10 @@ from hbplate.estimators import (
     solve_blocks,
 )
 from hbplate.benchmarks import benchmark_spline_exact
-from hbplate.hierarchy import ElementId, HierarchicalSpace
-from hbplate.splines import eval_bernstein_ders
+from hbplate.assembly import DiscreteField
+from hbplate.hierarchy import ElementId, HierarchicalSpace, connectivity
+from hbplate.splines import eval_bernstein_ders, make_open_uniform, tabulate_in_span
+from pushforward import pushforward2
 
 IDENTITY = GeometryMap.identity()
 ALL = ("left", "bottom", "right", "top")
@@ -262,6 +264,132 @@ class TestMappedDomain:
         energy = math.sqrt(float(u.coefficients @ (system.matrix @ u.coefficients)))
         estimates, _ = estimate(u, space, spec.problem, geo)
         assert max(e.eta for e in estimates) <= 1e-8 * energy
+
+
+def mapped_geometry(kind):
+    if kind == "identity":
+        return IDENTITY
+    if kind == "affine":
+        return GeometryMap.affine([[1.1, 0.3], [-0.2, 0.8]], (0.2, -0.1))
+    kv = make_open_uniform(2, 3)
+    grev = np.array([np.mean(kv.knots[i + 1:i + 4]) for i in range(kv.num_basis)])
+    control = np.zeros((kv.num_basis, kv.num_basis, 2))
+    for i, gx in enumerate(grev):
+        for j, gy in enumerate(grev):
+            control[i, j] = (gx + 0.3 * gx * gy, gy + 0.2 * gx * (1.0 - gy))
+    return GeometryMap.spline(kv, control)
+
+
+def mapped_block_problem():
+    """Moment data on the bottom and right sides, clamped elsewhere."""
+    return PlateProblem(
+        g=lambda x, y: np.cos(2.0 * x) + x * y, stiffness=1.7, poisson=0.3,
+        dirichlet_w={s: 0.0 for s in ALL},
+        dirichlet_phi={"left": 0.0, "top": 0.0},
+        neumann_M={"bottom": lambda x, y: 1.0 + x * y, "right": lambda x, y: np.sin(y)})
+
+
+def reference_block(space, geo, problem, u, e, pairs):
+    """Block matrix and right-hand side of the bubbles `pairs` on element e
+    by per-point quadrature: the p + 2 point Gauss rule, every bubble and
+    u_h pushed forward one point at a time, and the moment data on e's
+    edges along the bottom and right sides."""
+    mesh, p = space.mesh, space.degree
+    q, d, nu = p + 1, problem.stiffness, problem.poisson
+    x0, y0, x1, y1 = mesh.element_rect(e)
+    h = x1 - x0
+    nodes, w1 = np.polynomial.legendre.leggauss(p + 2)
+    nodes, w1 = 0.5 * (nodes + 1.0), 0.5 * w1
+    funcs = connectivity(mesh, space.basis, e)
+    coeffs = [u.coefficients[int(space.basis.level_dofs(*f))] for f in funcs]
+
+    def bubbles(tx, ty):
+        bx = eval_bernstein_ders(q, tx, 2).ders
+        by = eval_bernstein_ders(q, ty, 2).ders
+        return [(bx[0, i] * by[0, j], [bx[1, i] * by[0, j] / h, bx[0, i] * by[1, j] / h],
+                 [[bx[2, i] * by[0, j] / h**2, bx[1, i] * by[1, j] / h**2],
+                  [bx[1, i] * by[1, j] / h**2, bx[0, i] * by[2, j] / h**2]]) for i, j in pairs]
+
+    def field(xi, eta):
+        grad, hess = np.zeros(2), np.zeros((2, 2))
+        for f, c in zip(funcs, coeffs):
+            kv = mesh.knots(f.level)
+            ax, ay = e.ix >> (e.level - f.level), e.iy >> (e.level - f.level)
+            tx = tabulate_in_span(kv, [xi], ax + p, 2)[:, f.ix - ax, 0]
+            ty = tabulate_in_span(kv, [eta], ay + p, 2)[:, f.iy - ay, 0]
+            grad += c * np.array([tx[1] * ty[0], tx[0] * ty[1]])
+            hess += c * np.array([[tx[2] * ty[0], tx[1] * ty[1]], [tx[1] * ty[1], tx[0] * ty[2]]])
+        return grad, hess
+
+    def energy(a, b):
+        return d * ((1.0 - nu) * np.sum(a * b) + nu * np.trace(a) * np.trace(b))
+
+    amat, rhs = np.zeros((len(pairs), len(pairs))), np.zeros(len(pairs))
+    for qx, tx in enumerate(nodes):
+        for qy, ty in enumerate(nodes):
+            xi, eta = x0 + h * tx, y0 + h * ty
+            push = pushforward2(geo, (xi, eta))
+            w = w1[qx] * w1[qy] * h * h * push.jacobian_det
+            bs = bubbles(tx, ty)
+            hb = [push.apply(g, hs)[1] for _, g, hs in bs]
+            hu = push.apply(*field(xi, eta))[1]
+            x, y = geo.map_points([(xi, eta)])[0]
+            amat += w * np.array([[energy(a, b) for b in hb] for a in hb])
+            rhs += w * np.array([problem.g(x, y) * v - energy(a, hu)
+                                 for (v, _, _), a in zip(bs, hb)])
+    for side, (normal, tangent) in {"bottom": ((0.0, -1.0), (1.0, 0.0)),
+                                    "right": ((1.0, 0.0), (0.0, 1.0))}.items():
+        if (side == "bottom" and e.iy > 0) or (side == "right"
+                                              and e.ix < mesh.n_elements_1d(e.level) - 1):
+            continue
+        for qt, t in enumerate(nodes):
+            tx, ty = (t, 0.0) if side == "bottom" else (1.0, t)
+            xi, eta = x0 + h * tx, y0 + h * ty
+            push = pushforward2(geo, (xi, eta))
+            n = np.linalg.inv(push.jacobian).T @ normal
+            ds = w1[qt] * h * np.linalg.norm(push.jacobian @ tangent)
+            x, y = geo.map_points([(xi, eta)])[0]
+            moment = problem.neumann_M[side](x, y)
+            rhs += ds * moment * np.array([push.apply(g, hs)[0] @ n / np.linalg.norm(n)
+                                           for _, g, hs in bubbles(tx, ty)])
+    return amat, rhs
+
+
+class TestMappedBlocks:
+    # interior (on both levels), bottom (moment) side, and the bottom-right
+    # corner of two moment sides
+    ELEMENTS = (ElementId(0, 2, 2), ElementId(1, 2, 3), ElementId(0, 2, 0), ElementId(0, 3, 0))
+
+    def blocks(self, kind, p):
+        space = HierarchicalSpace.create(4, p).refined([ElementId(0, 1, 1)], 2)
+        prob = mapped_block_problem()
+        u = DiscreteField(np.random.default_rng(p).standard_normal(space.num_dofs))
+        geo = mapped_geometry(kind)
+        bubbles = build_bubble_space(space.mesh, p, natural_boundary_sides(prob))
+        return space, geo, prob, u, bubbles, assemble_blocks(bubbles, u, space, geo, prob)
+
+    @pytest.mark.parametrize("kind", ["affine", "spline"])
+    @pytest.mark.parametrize("p", [3, 4])
+    def test_blocks_match_per_point_quadrature(self, kind, p):
+        space, geo, prob, u, bubbles, blocks = self.blocks(kind, p)
+        by_element = {blk.element: blk for blk in blocks}
+        for e in self.ELEMENTS:
+            amat, rhs = reference_block(space, geo, prob, u, e, bubbles.per_element[e])
+            blk = by_element[e]
+            assert blk.indices == bubbles.per_element[e]
+            assert np.abs(blk.matrix - amat).max() <= 1e-12 * np.abs(amat).max(), e
+            assert np.abs(blk.rhs - rhs).max() <= 1e-12 * np.abs(rhs).max(), e
+
+    @pytest.mark.parametrize("kind", ["identity", "affine", "spline"])
+    def test_groups_share_one_matrix_under_a_constant_jacobian(self, kind):
+        _, geo, _, _, _, blocks = self.blocks(kind, 3)
+        groups = {}
+        for blk in blocks:
+            groups.setdefault((blk.element.level, tuple(blk.indices)), []).append(blk)
+        assert any(len(g) > 1 for g in groups.values())
+        for group in groups.values():
+            distinct = {id(blk.matrix) for blk in group}
+            assert len(distinct) == (1 if geo.constant_jacobian else len(group))
 
 
 class TestEstimate:
