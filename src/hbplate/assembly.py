@@ -26,6 +26,12 @@ tables at the rule's nodes.
   the tables in y and then in x, and no basis rows are built. The error
   norm, :func:`evaluate` and the estimators' u_h terms use it.
 
+The stiffness asks the kernel for Hessian rows only, and for gradient rows
+as well under a spline map, whose Hessian pushforward needs them. Each
+chunk's element matrices come from one stacked product; only their pairs
+with dof_i <= dof_j are scattered, summed into CSR once per assembly, and
+the strict upper triangle is mirrored at the end.
+
 Basis values come from one tabulation kernel,
 :func:`hbplate.splines.tabulate_in_span`, which runs Cox-de Boor over all
 points of a span at once. Tables of the fixed rules are cached on the knot
@@ -305,8 +311,10 @@ class LinearSystem:
 
 _ASSEMBLY_COMBOS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
 _DERIVATIVES = _ASSEMBLY_COMBOS[1:]
+_HESSIANS = _ASSEMBLY_COMBOS[3:]
 _CHUNK_BYTES = 1 << 20  # basis rows held for one chunk of elements
 _EVAL_POINTS = 32  # points per kernel call of evaluate on one element
+_PENDING_ENTRIES = 1_000_000  # stiffness entries scattered before they are summed into CSR
 
 
 def _level_cells(mesh):
@@ -392,8 +400,9 @@ def _element_batches(space, level, cells, combos, rule=None, cached=True):
     slot_dofs = dofs_by_level.reshape(len(cells), -1)
     order = np.argsort(slot_dofs < 0, axis=1, kind="stable")
     count = (slot_dofs >= 0).sum(axis=1)
-    cdx = [c[0] for c in combos]
-    cdy = [c[1] for c in combos]
+    # the tables of each combo's derivative orders, picked before the gather
+    xtab = xtab[:, :, [c[0] for c in combos]]
+    ytab = ytab[:, :, [c[1] for c in combos]]
     nq = rule[0][0].size * rule[1][0].size
     step = max(1, _CHUNK_BYTES // (8 * len(combos) * int(count.max()) * nq))
     for start in range(0, len(cells), step):
@@ -402,14 +411,14 @@ def _element_batches(space, level, cells, combos, rule=None, cached=True):
         slot = order[sl, :nloc]
         dofs = np.take_along_axis(slot_dofs[sl], slot, axis=1)
         k, i, j = np.unravel_index(slot, dofs_by_level.shape[1:])
-        tx = xtab[xat[sl, None], k, :, i][:, :, cdx]
-        ty = ytab[yat[sl, None], k, :, j][:, :, cdy]
+        tx = xtab[xat[sl, None], k, :, i]
+        ty = ytab[yat[sl, None], k, :, j]
         tx[dofs < 0] = 0.0
-        rows = (np.moveaxis(tx, 2, 0)[..., :, None] * np.moveaxis(ty, 2, 0)[..., None, :])
-        e = len(dofs)
+        # element-major (e, nloc, combo, nq); each combo's rows are a view
+        rows = (tx[..., :, None] * ty[..., None, :]).reshape(len(dofs), nloc, len(combos), nq)
         pts, w = _rule_on_cells(space.mesh, level, cells[sl], rule)
-        yield (sl, dofs, dict(zip(combos, rows.reshape(len(combos), e, nloc, nq))),
-               np.broadcast_to(w, (e, nq)), pts)
+        yield (sl, dofs, {c: rows[:, :, r] for r, c in enumerate(combos)},
+               np.broadcast_to(w, (len(dofs), nq)), pts)
 
 
 def _field_batches(space, level, cells, coeff, combos, rule=None, cached=True):
@@ -491,7 +500,9 @@ def _at_points(fn, pts, what):
 def _transform_rows(geo, pts, rows, wts, level, cells):
     """Push parametric derivative rows (e, n, nq) at the points (e, nq, 2)
     of the cells (e, 2) of one level to physical ones; scales the weights
-    (e, nq) and maps the points."""
+    (e, nq) and maps the points. Hessian rows need the gradient rows too
+    only under a spline map: the gradient terms of the Hessian pushforward
+    carry the map's own Hessian, which is zero for an affine map."""
     if geo.is_identity:
         return rows, wts, pts
     flat = pts.reshape(-1, 2)
@@ -511,10 +522,12 @@ def _transform_rows(geo, pts, rows, wts, level, cells):
         py = jinv[..., 0, 1] * gx + jinv[..., 1, 1] * gy
         out[(1, 0)], out[(0, 1)] = px, py
     if (2, 0) in rows:
-        hg = geo.hessians(flat).reshape(shape + (2, 2, 2))[:, None]
-        cxx = rows[(2, 0)] - px * hg[..., 0, 0, 0] - py * hg[..., 1, 0, 0]
-        cxy = rows[(1, 1)] - px * hg[..., 0, 0, 1] - py * hg[..., 1, 0, 1]
-        cyy = rows[(0, 2)] - px * hg[..., 0, 1, 1] - py * hg[..., 1, 1, 1]
+        cxx, cxy, cyy = rows[(2, 0)], rows[(1, 1)], rows[(0, 2)]
+        if not geo.constant_jacobian:
+            hg = geo.hessians(flat).reshape(shape + (2, 2, 2))[:, None]
+            cxx = cxx - px * hg[..., 0, 0, 0] - py * hg[..., 1, 0, 0]
+            cxy = cxy - px * hg[..., 0, 0, 1] - py * hg[..., 1, 0, 1]
+            cyy = cyy - px * hg[..., 0, 1, 1] - py * hg[..., 1, 1, 1]
         # H_phys = Jinv^T C Jinv, per point
         a, b, c, d = jinv[..., 0, 0], jinv[..., 0, 1], jinv[..., 1, 0], jinv[..., 1, 1]
         out[(2, 0)] = a * (a * cxx + c * cxy) + c * (a * cxy + c * cyy)
@@ -524,46 +537,65 @@ def _transform_rows(geo, pts, rows, wts, level, cells):
 
 
 def _energy_terms(rows, wts, poisson):
-    """Hessian rows (e, n, nq) laid side by side as (e, n, k nq), with
-    weights (e, k nq), so that the plate energy of two function sets is
-    the stiffness times (terms * weights) @ terms^T."""
+    """Hessian rows (e, n, nq) laid side by side as (e, n, 3 nq), with
+    weights (e, 3 nq), so that the plate energy of two function sets is
+    the stiffness times (terms * weights) @ terms^T.
+
+    The energy density (1 - nu) H(u):H(v) + nu lap(u) lap(v) is
+    u_xx v_xx + u_yy v_yy + nu (u_xx v_yy + u_yy v_xx) + 2 (1 - nu) u_xy v_xy;
+    the terms (h_xx + nu h_yy, h_xy, h_yy) with the scales
+    (1, 2 (1 - nu), 1 - nu^2) factor its (xx, yy) part [[1, nu], [nu, 1]]
+    by Cholesky, for every nu.
+    """
     hxx, hxy, hyy = rows[(2, 0)], rows[(1, 1)], rows[(0, 2)]
-    terms = [hxx, hxy, hyy]
-    scales = [1.0 - poisson, 2.0 * (1.0 - poisson), 1.0 - poisson]
-    if poisson != 0.0:
-        terms.append(hxx + hyy)
-        scales.append(poisson)
-    return (np.concatenate(terms, axis=-1),
+    scales = (1.0, 2.0 * (1.0 - poisson), 1.0 - poisson ** 2)
+    return (np.concatenate([hxx + poisson * hyy, hxy, hyy], axis=-1),
             np.concatenate([s * wts for s in scales], axis=-1))
 
 
 def assemble_stiffness(space, geo, problem):
-    """Sparse symmetric plate stiffness matrix over the active basis: one
-    stacked product per kernel chunk, summed into CSR (int32 indices) at
-    the end of each level and whenever 1M entries are pending."""
+    """Sparse symmetric plate stiffness matrix over the active basis, in
+    CSR with int32 indices.
+
+    The kernel hands out Hessian rows only, plus gradient rows under a
+    spline map, whose pushforward needs them. Each kernel chunk gives its
+    element matrices by one stacked product, of which only the pairs with
+    dof_i <= dof_j are scattered. The upper triangle goes into CSR once
+    per assembly (or whenever _PENDING_ENTRIES are pending, to bound the
+    memory), and its strict part is mirrored at the end.
+    """
     n = space.num_dofs
+    combos = _HESSIANS if geo.constant_jacobian else _DERIVATIVES
 
-    def summed(parts):
-        i, j, v = (np.concatenate(x) for x in zip(*parts))
-        return sp.csr_matrix((v, (i, j)), shape=(n, n))
+    def folded(upper, parts):
+        # dof_i, dof_j and values are joined one at a time, each list of
+        # pieces emptied before the next is joined, to bound the memory
+        joined = []
+        for pieces in parts:
+            joined.append(np.concatenate(pieces))
+            pieces.clear()
+        i, j, v = joined
+        summed = sp.csr_matrix((v, (i, j)), shape=(n, n))
+        return summed if upper is None else upper + summed
 
-    mat = sp.csr_matrix((n, n))
+    upper, parts, pending = None, ([], [], []), 0
     for level, cells in _level_cells(space.mesh):
-        parts, pending = [], 0
-        for sl, dofs, rows, wts, pts in _element_batches(space, level, cells, _DERIVATIVES):
+        for sl, dofs, rows, wts, pts in _element_batches(space, level, cells, combos):
             rows, wts, _ = _transform_rows(geo, pts, rows, wts, level, cells[sl])
             terms, w = _energy_terms(rows, wts, problem.poisson)
             aloc = problem.stiffness * ((terms * w[:, None]) @ terms.swapaxes(1, 2))
-            pair = (dofs[:, :, None] >= 0) & (dofs[:, None, :] >= 0)
+            # padding is -1, so a live dof_i <= dof_j makes dof_j live too
+            pair = (dofs[:, :, None] >= 0) & (dofs[:, :, None] <= dofs[:, None, :])
             idx = dofs.astype(np.int32)
-            parts.append((np.broadcast_to(idx[:, :, None], aloc.shape)[pair],
-                          np.broadcast_to(idx[:, None, :], aloc.shape)[pair], aloc[pair]))
-            pending += parts[-1][2].size
-            if pending > 1_000_000:
-                mat, parts, pending = mat + summed(parts), [], 0
-        if parts:
-            mat = mat + summed(parts)
-    return mat
+            for pieces, x in zip(parts, (np.broadcast_to(idx[:, :, None], aloc.shape),
+                                         np.broadcast_to(idx[:, None, :], aloc.shape), aloc)):
+                pieces.append(x[pair])
+            pending += parts[2][-1].size
+            if pending > _PENDING_ENTRIES:
+                upper, pending = folded(upper, parts), 0
+    if pending:
+        upper = folded(upper, parts)
+    return upper + sp.triu(upper, 1).T
 
 
 # ---------------------------------------------------------------------------
@@ -778,11 +810,45 @@ def apply_dirichlet(system, space, problem, geo=None):
 # ---------------------------------------------------------------------------
 # solve and postprocessing
 
+def _refined_solution(lu, a, b):
+    """Solve a x = b from the factor lu of a and check the result.
+
+    Steps of iterative refinement against the factor are taken while the
+    residual |b - a x| exceeds 1e-12 |b| and falls, at most 8 of them. The
+    result is accepted when its residual is within 1e-10 |b|, or within the
+    floor 100 eps (|a| |x| + |b|) below which a double-precision residual
+    cannot be measured, with |a| the largest absolute row sum; the floor
+    counts only while the growth |a| |x| / |b| stays within 1e13, as in a
+    regular solve. A non-finite or unaccepted x raises SolverError.
+    """
+    x = lu.solve(b)
+    scale = np.linalg.norm(b)
+    resid = np.linalg.norm(b - a @ x)
+    for _ in range(8):
+        if resid <= 1e-12 * max(scale, 1e-300):
+            break
+        better = x + lu.solve(b - a @ x)
+        resid_better = np.linalg.norm(b - a @ better)
+        if resid_better >= resid:
+            break
+        x, resid = better, resid_better
+    if not np.all(np.isfinite(x)):
+        raise SolverError("solver produced non-finite values")
+    anorm = np.abs(a).sum(axis=1).max() if a.nnz else 0.0
+    growth = anorm * np.linalg.norm(x) / scale if scale > 0.0 else 0.0
+    floor = 100.0 * np.finfo(float).eps * (anorm * np.linalg.norm(x) + scale)
+    if scale > 0.0 and resid > max(1e-10 * scale, floor if growth <= 1e13 else 0.0):
+        raise SolverError(
+            "relative residual %.3e exceeds 1e-10 (n=%d, growth %.1e)"
+            % (resid / scale, b.size, growth))
+    return x
+
+
 def solve(system):
     """Direct sparse solve of the constrained system.
 
-    Constraints are eliminated symmetrically; one step of iterative
-    refinement keeps the relative residual within 1e-10.
+    Constraints are eliminated symmetrically, and the free block is solved
+    and checked by :func:`_refined_solution`.
     """
     a = system.matrix.tocsr()
     n = a.shape[0]
@@ -796,39 +862,14 @@ def solve(system):
         return DiscreteField(x)
     b = system.rhs - a @ x
     aff = a[free][:, free].tocsc()
-    bf = b[free]
     try:
         # the free block is SPD: a symmetric minimum-degree ordering on the
         # diagonal keeps fill low without pivoting
         lu = spla.splu(aff, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                        options=dict(SymmetricMode=True))
-        xf = lu.solve(bf)
-        scale = np.linalg.norm(bf)
-        resid = np.linalg.norm(bf - aff @ xf)
-        for _ in range(8):  # iterative refinement against the LU factor
-            if resid <= 1e-12 * max(scale, 1e-300):
-                break
-            better = xf + lu.solve(bf - aff @ xf)
-            resid_better = np.linalg.norm(bf - aff @ better)
-            if resid_better >= resid:
-                break
-            xf, resid = better, resid_better
     except RuntimeError as exc:
         raise SolverError("sparse factorization failed: %s" % exc) from exc
-    if not np.all(np.isfinite(xf)):
-        raise SolverError("solver produced non-finite values")
-    # measuring the residual in double precision is itself limited by
-    # eps * (|A| |x| + |b|); accept solutions at that backward-error floor,
-    # but only while the solution growth stays consistent with a regular solve
-    anorm = np.abs(aff).sum(axis=1).max() if aff.nnz else 0.0
-    growth = anorm * np.linalg.norm(xf) / scale if scale > 0.0 else 0.0
-    floor = 100.0 * np.finfo(float).eps * (anorm * np.linalg.norm(xf) + scale)
-    acceptable = max(1e-10 * scale, floor if growth <= 1e13 else 0.0)
-    if scale > 0.0 and resid > acceptable:
-        raise SolverError(
-            "relative residual %.3e exceeds 1e-10 (n=%d, growth %.1e)"
-            % (resid / scale, free.size, growth))
-    x[free] = xf
+    x[free] = _refined_solution(lu, aff, b[free])
     return DiscreteField(x)
 
 

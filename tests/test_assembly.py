@@ -1,7 +1,10 @@
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse as sp
 
 import hbplate.assembly
 from hbplate.assembly import (
@@ -394,6 +397,106 @@ class TestLevelBatchKernel:
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
+def oracle_geometry(kind):
+    if kind == "identity":
+        return IDENTITY
+    if kind == "affine":
+        return GeometryMap.affine([[1.1, 0.3], [-0.2, 0.8]], (0.2, -0.1))
+    kv = make_open_uniform(2, 3)
+    grev = np.array([np.mean(kv.knots[i + 1:i + 4]) for i in range(kv.num_basis)])
+    control = np.zeros((kv.num_basis, kv.num_basis, 2))
+    for i, gx in enumerate(grev):
+        for j, gy in enumerate(grev):
+            control[i, j] = (gx + 0.3 * gx * gy, gy + 0.2 * gx * (1.0 - gy))
+    return GeometryMap.spline(kv, control)
+
+
+def oracle_space():
+    """Three levels, admissible, with 16 to 28 functions on an element."""
+    space = HierarchicalSpace.create(5, 3).refined([ElementId(0, 0, 0)], 2)
+    space = space.refined([ElementId(1, 0, 0)], 2)
+    counts = {len(connectivity(space.mesh, space.basis, e)) for e in space.mesh.active_elements()}
+    assert space.mesh.num_levels == 3 and check_admissible(space.mesh, 2, space.basis)
+    assert min(counts) < max(counts)
+    return space
+
+
+@lru_cache(maxsize=None)
+def oracle_hessians(kind):
+    """Per element: its dofs, and at every Gauss point its weight times
+    det J and the physical Hessians (function, 2, 2), from the tables of
+    tabulate_in_span and the per-point pushforward."""
+    space, geo = oracle_space(), oracle_geometry(kind)
+    mesh, basis, p = space.mesh, space.basis, space.degree
+    nodes, w1 = np.polynomial.legendre.leggauss(p + 2)
+    nodes, w1 = 0.5 * (nodes + 1.0), 0.5 * w1
+    out = []
+    for e in mesh.active_elements():
+        x0, y0, x1, y1 = mesh.element_rect(e)
+        xs, ys = x0 + (x1 - x0) * nodes, y0 + (y1 - y0) * nodes
+        funcs = connectivity(mesh, basis, e)
+        tx, ty = [], []
+        for f in funcs:
+            kv, shift = mesh.knots(f.level), e.level - f.level
+            ax, ay = e.ix >> shift, e.iy >> shift
+            tx.append(tabulate_in_span(kv, xs, ax + p, 2)[:, f.ix - ax])
+            ty.append(tabulate_in_span(kv, ys, ay + p, 2)[:, f.iy - ay])
+        tx, ty = np.array(tx), np.array(ty)  # (function, derivative, node)
+        points = []
+        for qx, x in enumerate(xs):
+            for qy, y in enumerate(ys):
+                push = pushforward2(geo, (x, y))
+                a, b = tx[:, :, qx], ty[:, :, qy]
+                grad = np.stack([a[:, 1] * b[:, 0], a[:, 0] * b[:, 1]], axis=1)
+                hpar = np.stack([a[:, 2] * b[:, 0], a[:, 1] * b[:, 1],
+                                 a[:, 1] * b[:, 1], a[:, 0] * b[:, 2]], axis=1).reshape(-1, 2, 2)
+                points.append((w1[qx] * w1[qy] * (x1 - x0) * (y1 - y0) * push.jacobian_det,
+                               np.array([push.apply(g, h)[1] for g, h in zip(grad, hpar)])))
+        out.append(([int(basis.level_dofs(*f)) for f in funcs], points))
+    return out
+
+
+class TestStiffnessOracle:
+    """assemble_stiffness against a dense sum of element matrices, one
+    element and one point at a time, on a three-level mesh whose elements
+    carry different numbers of functions (padded kernel slots)."""
+
+    @staticmethod
+    def reference(kind, prob):
+        """Dense stiffness, and the number of dof pairs i <= j summed over
+        the elements."""
+        ref = np.zeros((oracle_space().num_dofs,) * 2)
+        pairs, nu = 0, prob.poisson
+        for idx, points in oracle_hessians(kind):
+            pairs += len(idx) * (len(idx) + 1) // 2
+            for w, hess in points:
+                frob = np.einsum("iab,jab->ij", hess, hess)
+                lap = hess[:, 0, 0] + hess[:, 1, 1]
+                ref[np.ix_(idx, idx)] += prob.stiffness * w * (
+                    (1.0 - nu) * frob + nu * np.outer(lap, lap))
+        return ref, pairs
+
+    def check(self, kind, nu, monkeypatch=None):
+        prob = PlateProblem(stiffness=1.7, poisson=nu,
+                            dirichlet_w={s: 0.0 for s in SIDES}, neumann_M={s: 0.0 for s in SIDES})
+        ref, pairs = self.reference(kind, prob)
+        if monkeypatch is not None:
+            # about five folds of the pending upper-triangle entries into CSR
+            monkeypatch.setattr(hbplate.assembly, "_PENDING_ENTRIES", pairs // 5)
+        got = assemble_stiffness(oracle_space(), oracle_geometry(kind), prob)
+        assert got.format == "csr" and got.indices.dtype == np.int32
+        assert (got != got.T).nnz == 0
+        assert np.abs(got.toarray() - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("kind", ["identity", "affine", "spline"])
+    @pytest.mark.parametrize("nu", [0.0, 0.3])
+    def test_matches_the_element_sum(self, kind, nu):
+        self.check(kind, nu)
+
+    def test_matches_the_element_sum_over_several_folds(self, monkeypatch):
+        self.check("spline", 0.3, monkeypatch)
+
+
 class TestLoad:
     def test_zero_data_gives_zero_vector(self):
         space = HierarchicalSpace.create(2, 3)
@@ -591,6 +694,26 @@ class TestSolve:
                                  space, geo)
         assert norm > 1.0
         assert h2_seminorm_error(u, exact_hessian_x2y2, space, geo) <= 1e-8 * norm
+
+    def test_residual_at_the_backward_error_floor_is_accepted(self):
+        # Hilbert(12): no double-precision x has a residual within 1e-10 |b|,
+        # but the one found is at the floor 100 eps (|A| |x| + |b|) and its
+        # growth |A| |x| / |b| is that of a regular solve
+        a = scipy.linalg.hilbert(12)
+        b = np.ones(12)
+        x = solve(LinearSystem(matrix=sp.csr_matrix(a), rhs=b)).coefficients
+        anorm, resid = np.abs(a).sum(axis=1).max(), np.linalg.norm(b - a @ x)
+        assert resid > 1e-10 * np.linalg.norm(b)
+        assert resid <= 100.0 * np.finfo(float).eps * (anorm * np.linalg.norm(x) + np.linalg.norm(b))
+        assert anorm * np.linalg.norm(x) <= 1e13 * np.linalg.norm(b)
+
+    def test_residual_at_the_floor_of_a_runaway_solution_is_rejected(self):
+        # the same matrix on its eigenvector of least eigenvalue (~1e-16): the
+        # residual is still below the floor, but the growth is above 1e13
+        a = scipy.linalg.hilbert(12)
+        b = np.linalg.eigh(a)[1][:, 0]
+        with pytest.raises(SolverError, match=r"exceeds 1e-10 \(n=12, growth"):
+            solve(LinearSystem(matrix=sp.csr_matrix(a), rhs=b))
 
     def test_solver_reports_breakdown(self):
         # singular reduced matrix: no constraints at all on the plate energy

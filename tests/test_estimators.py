@@ -3,13 +3,17 @@ import re
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+import hbplate.assembly
+import hbplate.estimators
 from hbplate.assembly import (
     GeometryMap,
     PlateProblem,
     apply_dirichlet,
+    assemble_stiffness,
     assemble_system,
     h2_seminorm_error,
     solve,
@@ -210,6 +214,26 @@ class TestBlocks:
         assert blk2.coeffs[0] == 0.0
 
 
+    def test_ill_conditioned_blocks_are_solved_to_the_backward_error_floor(self):
+        # Hilbert-like blocks (cond 2e8 to 2e16), three right-hand sides to a
+        # matrix, two matrices of one shape in one stack: every residual is
+        # far above 1e-12 of its right-hand side, and within n eps (|A| |c|
+        # + |b|), the floor of a backward-stable solve
+        from hbplate.estimators import BubbleBlock
+        mats = [scipy.linalg.hilbert(9), scipy.linalg.hilbert(12),
+                np.kron(scipy.linalg.hilbert(4), scipy.linalg.hilbert(4)),
+                np.kron(scipy.linalg.invhilbert(4), scipy.linalg.hilbert(4))]
+        rng = np.random.default_rng(5)
+        blocks = [BubbleBlock(element=ElementId(1, k, r), indices=list(range(len(m))), matrix=m,
+                              rhs=rng.standard_normal(len(m)))
+                  for k, m in enumerate(mats) for r in range(3)]
+        for blk in solve_blocks(blocks):
+            a, b, c = blk.matrix, blk.rhs, blk.coeffs
+            resid = np.linalg.norm(b - a @ c)
+            assert resid > 1e-12 * np.linalg.norm(b)
+            assert resid <= len(b) * np.finfo(float).eps * (
+                np.linalg.norm(a, 2) * np.linalg.norm(c) + np.linalg.norm(b)), blk.element
+
     def test_solve_blocks_names_the_block_that_is_not_spd(self):
         from hbplate.estimators import BubbleBlock
         good = BubbleBlock(element=ElementId(1, 0, 0), indices=[(2, 2), (2, 3)],
@@ -379,6 +403,28 @@ class TestMappedBlocks:
             assert blk.indices == bubbles.per_element[e]
             assert np.abs(blk.matrix - amat).max() <= 1e-12 * np.abs(amat).max(), e
             assert np.abs(blk.rhs - rhs).max() <= 1e-12 * np.abs(rhs).max(), e
+
+    @pytest.mark.parametrize("kind", ["identity", "affine", "spline"])
+    def test_one_energy_form_matches_the_four_term_form(self, kind, monkeypatch):
+        # at nu = 0.3 the three Cholesky terms of the energy give the
+        # stiffness and the bubble blocks of the four terms (1 - nu) H:H +
+        # nu lap lap
+        def four_terms(rows, wts, poisson):
+            hxx, hxy, hyy = rows[(2, 0)], rows[(1, 1)], rows[(0, 2)]
+            scales = (1.0 - poisson, 2.0 * (1.0 - poisson), 1.0 - poisson, poisson)
+            return (np.concatenate([hxx, hxy, hyy, hxx + hyy], axis=-1),
+                    np.concatenate([s * wts for s in scales], axis=-1))
+
+        space, geo, prob, u, bubbles, blocks = self.blocks(kind, 3)
+        assert prob.poisson == 0.3
+        stiffness = assemble_stiffness(space, geo, prob).toarray()
+        for module in (hbplate.assembly, hbplate.estimators):
+            monkeypatch.setattr(module, "_energy_terms", four_terms)
+        want = assemble_stiffness(space, geo, prob).toarray()
+        assert np.abs(stiffness - want).max() <= 1e-14 * np.abs(want).max()
+        want = assemble_blocks(bubbles, u, space, geo, prob, elements=[blocks[0].element])[0]
+        assert np.abs(blocks[0].matrix - want.matrix).max() <= 1e-14 * np.abs(want.matrix).max()
+        assert np.abs(blocks[0].rhs - want.rhs).max() <= 1e-14 * np.abs(want.rhs).max()
 
     @pytest.mark.parametrize("kind", ["identity", "affine", "spline"])
     def test_groups_share_one_matrix_under_a_constant_jacobian(self, kind):
