@@ -617,6 +617,19 @@ def _boundary_cells(mesh, side):
             yield level, cells[on]
 
 
+def _side_groups(mesh, level, cells, sides):
+    """The cells (E, 2) of one level grouped by which of `sides` of the
+    domain they touch: yields (frozenset of the touched sides, cells), the
+    groups in order of their first cell."""
+    # bit b of a cell's code: the cell touches SIDES[b]
+    code = np.zeros(len(cells), dtype=np.int64)
+    for b, side in enumerate(SIDES):
+        if side in sides:
+            code |= _on_side(mesh, level, cells, side) << b
+    for c in dict.fromkeys(code.tolist()):
+        yield frozenset(side for b, side in enumerate(SIDES) if c >> b & 1), cells[code == c]
+
+
 _SIDE_NORMAL = {"left": (-1.0, 0.0), "right": (1.0, 0.0),
                 "bottom": (0.0, -1.0), "top": (0.0, 1.0)}
 
@@ -664,16 +677,8 @@ def assemble_load(space, geo, problem):
     gfun = _as_fn(problem.g)
     if gfun is not None:
         for level, cells in _level_cells(mesh):
-            # bit b of a cell's code: the cell touches graded side SIDES[b];
-            # cells of one code share a rule, codes go in order of first cell
-            code = np.zeros(len(cells), dtype=np.int64)
-            for b, side in enumerate(SIDES):
-                if side in problem.load_grading:
-                    code |= _on_side(mesh, level, cells, side) << b
-            for c in dict.fromkeys(code.tolist()):
-                key = frozenset(side for b, side in enumerate(SIDES) if c >> b & 1)
+            for key, part in _side_groups(mesh, level, cells, problem.load_grading):
                 rule = _graded_rule(space.degree, key) if key else None
-                part = cells[code == c]
                 for sl, dofs, rows, wts, pts in _element_batches(
                         space, level, part, ((0, 0),), rule):
                     rows, wts, pts = _transform_rows(geo, pts, rows, wts, level, part[sl])

@@ -5,9 +5,12 @@ space of degree p+1 Bernstein bubbles supported on single active elements
 (value and gradient vanish on the element boundary, so the global system is
 block diagonal by construction). Natural-boundary sides get extra bubbles
 that are rotation-active (moment sides) or value-active (shear sides) on
-the boundary, to pick up the error in the natural data. Under a map with a
-constant Jacobian, every element of one level with the same bubbles has the
-same block matrix, so it is formed and factored once per such group.
+the boundary, to pick up the error in the natural data. The elements of one
+level that touch the same natural sides have the same bubbles and form a
+group, and the group is the unit of the estimator: one block holds its
+cells, right-hand sides and solutions as arrays. Under a map with a
+constant Jacobian the group has one block matrix, formed and factored once;
+under a spline map it has one per element.
 
 A classical strong-residual estimator with interior and edge-jump terms is
 provided for comparison; it needs fourth derivatives of the discrete
@@ -28,15 +31,14 @@ from .assembly import (
     GeometryMap,
     _as_fn,
     _at_points,
-    _boundary_cells,
     _edge_rule,
     _edge_transform,
     _energy_terms,
     _field_batches,
     _gauss01,
     _level_cells,
-    _on_side,
     _rule_on_cells,
+    _side_groups,
     _transform_rows,
 )
 from .hierarchy import ElementId
@@ -63,19 +65,26 @@ __all__ = [
 
 @dataclass
 class BubbleSpace:
-    """Per-element Bernstein index pairs of the enrichment space."""
+    """Bernstein index pairs of the enrichment space, by group: a list of
+    (level, touched natural sides, pairs, cells (E, 2))."""
 
     degree: int
-    per_element: dict
+    groups: list
 
 
 @dataclass
 class BubbleBlock:
-    element: ElementId
+    """The residual systems of one group's E elements, one row of the
+    right-hand sides and solutions to an element, and m matrices, each for
+    E / m consecutive rows: m = 1 under a constant Jacobian, m = E under a
+    spline map."""
+
+    level: int
+    cells: np.ndarray  # (E, 2)
     indices: list
-    matrix: np.ndarray
-    rhs: np.ndarray
-    coeffs: np.ndarray = None
+    matrix: np.ndarray  # (m, nb, nb)
+    rhs: np.ndarray  # (E, nb)
+    coeffs: np.ndarray = None  # (E, nb)
 
 
 @dataclass
@@ -117,27 +126,31 @@ def _side_indices(side, kinds, q):
 
 
 def build_bubble_space(mesh, p, neumann_sides=None):
-    """Bubble index pairs of degree p+1 for every active element.
+    """Bubble index pairs of degree p+1 for every group of active elements.
 
     Interior bubbles use indices {2, ..., q-2} in both directions; elements
     with an edge on a natural-boundary side additionally get boundary
     bubbles pairing a boundary-active index with interior indices in the
-    other direction.
+    other direction, side by side in the order of `neumann_sides`. The
+    elements of one level that touch the same natural sides form a group;
+    groups go by level and then by first cell.
     """
     if p < 3:
         raise ValueError("bubble space needs degree >= 3, got %d" % p)
     q = p + 1
     interior = list(range(2, q - 1))
     neumann_sides = neumann_sides or {}
-    per_element = {e: [(i, j) for i in interior for j in interior]
-                   for e in mesh.active_elements()}
-    for side, kinds in neumann_sides.items():
-        for level, cells in _boundary_cells(mesh, side):
-            for ix, iy in cells.tolist():
-                pairs = per_element[ElementId(level, ix, iy)]
-                for b in _side_indices(side, kinds, q):
-                    pairs.extend((b, t) if side in ("left", "right") else (t, b) for t in interior)
-    return BubbleSpace(degree=q, per_element=per_element)
+    groups = []
+    for level, cells in _level_cells(mesh):
+        for touched, part in _side_groups(mesh, level, cells, neumann_sides):
+            pairs = [(i, j) for i in interior for j in interior]
+            for side, kinds in neumann_sides.items():
+                if side in touched:
+                    for b in _side_indices(side, kinds, q):
+                        pairs.extend((b, t) if side in ("left", "right") else (t, b)
+                                     for t in interior)
+            groups.append((level, touched, pairs, part))
+    return BubbleSpace(degree=q, groups=groups)
 
 
 @lru_cache(maxsize=None)
@@ -183,19 +196,18 @@ def _bubble_edge_terms(q, pairs, side, mesh, level, cells, problem, geo):
     return out
 
 
-def assemble_blocks(bubbles, u_h, space, geo, problem, elements=None):
-    """Independent residual systems, one dense block per element.
+def assemble_blocks(bubbles, u_h, space, geo, problem):
+    """Independent residual systems, one block per group of the bubble
+    space, in the order of its groups.
 
-    Elements of one level with the same bubble indices form a group. The
-    bubbles' rows are the h-scaled Bernstein tables of the group, and u_h's
-    derivatives come from the element kernel's field mode. When the map's
-    Jacobian is constant (identity or affine) the group's matrix is formed
-    once, from its first element, and all of its blocks share that one
-    array; on a spline map every element gets its own. Either way the
-    residuals of u_h and the body loads of a kernel chunk are one product
-    each, and natural-boundary terms and point loads are added per chunk.
-    Blocks come back in the order of `elements` (by default all active
-    elements).
+    The bubbles' rows are the h-scaled Bernstein tables of the group, and
+    u_h's derivatives come from the element kernel's field mode. When the
+    map's Jacobian is constant (identity or affine) the group's matrix is
+    formed once, from its first element; on a spline map every element
+    gets its own. Either way the residuals of u_h and the body loads of a
+    kernel chunk are one product each, and natural-boundary terms (every
+    element of the group touches the same sides) and point loads are added
+    per chunk.
     """
     geo = geo or GeometryMap.identity()
     mesh = space.mesh
@@ -203,68 +215,44 @@ def assemble_blocks(bubbles, u_h, space, geo, problem, elements=None):
     gfun = _as_fn(problem.g)
     d_const, nu = problem.stiffness, problem.poisson
     loads = [(mesh.locate(pt[0], pt[1]), pt, magnitude) for pt, magnitude in problem.point_loads]
-    natural = [side for side in SIDES if side in problem.neumann_M or side in problem.neumann_Q]
-    if elements is None:
-        elements = mesh.active_elements()
-    groups = {}
-    for pos, e in enumerate(elements):
-        groups.setdefault((e.level, tuple(bubbles.per_element[e])), []).append(pos)
     tab = _bernstein_table(q, space.degree + 2)
-    blocks = [None] * len(elements)
-    for (level, pairs), where in groups.items():
+    blocks = []
+    for level, touched, pairs, cells in bubbles.groups:
         h = mesh.h(level)
         ii, jj = np.array(pairs).T
         brows = {(dx, dy): h ** (-(dx + dy)) * (tab[dx][ii][:, :, None] * tab[dy][jj][:, None, :])
                  .reshape(1, len(pairs), -1) for (dx, dy) in ((0, 0),) + _DERIVATIVES}
-        cells = np.array([elements[k][1:] for k in where], dtype=np.int64)
-        mats = None
+        mats, rhs = [], []
         for sl, ders, wts, pts in _field_batches(space, level, cells, u_h.coefficients,
                                                  _DERIVATIVES):
             chunk = cells[sl]
-            if mats is None or not geo.constant_jacobian:
+            if not mats or not geo.constant_jacobian:
                 # the bubbles' physical rows, weights and matrices: on one
                 # element for the whole group, or on each element of the chunk
                 at = slice(0, 1) if geo.constant_jacobian else slice(None)
                 b, bwts, _ = _transform_rows(geo, pts[at], brows, wts[at], level, chunk[at])
                 terms, w = _energy_terms(b, bwts, nu)
                 weighted = terms * w[:, None]
-                mats = list(d_const * (weighted @ terms.swapaxes(1, 2)))
+                mats.append(d_const * (weighted @ terms.swapaxes(1, 2)))
             u, _, pts = _transform_rows(geo, pts, ders, wts, level, chunk)
-            rhs = -d_const * (_energy_terms(u, bwts, nu)[0] @ weighted.swapaxes(1, 2))[:, 0]
+            r = -d_const * (_energy_terms(u, bwts, nu)[0] @ weighted.swapaxes(1, 2))[:, 0]
             if gfun is not None:
                 gv = _at_points(gfun, pts, "load g on level %d" % level)
-                rhs += (bwts * gv) @ brows[(0, 0)][0].T
-            for side in natural:
-                on = _on_side(mesh, level, chunk, side)
-                if on.any():
-                    rhs[on] += _bubble_edge_terms(q, pairs, side, mesh, level, chunk[on],
-                                                  problem, geo)
+                r += (bwts * gv) @ brows[(0, 0)][0].T
+            for side in SIDES:
+                if side in touched:
+                    r += _bubble_edge_terms(q, pairs, side, mesh, level, chunk, problem, geo)
             for owner, pt, magnitude in loads:
                 hit = (owner.level == level) & np.all(chunk == owner[1:], axis=1)
                 if hit.any():
                     x0, y0, _, _ = mesh.element_rect(owner)
                     bx = eval_bernstein_ders(q, (pt[0] - x0) / h, 0).values
                     by = eval_bernstein_ders(q, (pt[1] - y0) / h, 0).values
-                    rhs[hit] += magnitude * bx[ii] * by[jj]
-            for r, k in enumerate(where[sl]):
-                blocks[k] = BubbleBlock(element=elements[k], indices=list(pairs),
-                                        matrix=mats[r if len(mats) > 1 else 0], rhs=rhs[r])
+                    r[hit] += magnitude * bx[ii] * by[jj]
+            rhs.append(r)
+        blocks.append(BubbleBlock(level=level, cells=cells, indices=list(pairs),
+                                  matrix=np.concatenate(mats), rhs=np.concatenate(rhs)))
     return blocks
-
-
-def _stacks(blocks):
-    """The blocks by matrix: yields positions (m, c) of the blocks that
-    share each of m matrix objects, c blocks to a matrix, and the m
-    matrices stacked. Matrices of one shape that equally many blocks share
-    go in one stack."""
-    shared = {}
-    for k, blk in enumerate(blocks):
-        shared.setdefault(id(blk.matrix), []).append(k)
-    stacks = {}
-    for where in shared.values():
-        stacks.setdefault((blocks[where[0]].matrix.shape, len(where)), []).append(where)
-    for groups in stacks.values():
-        yield np.array(groups), np.stack([blocks[w[0]].matrix for w in groups])
 
 
 def _cho_solve(low, rhs):
@@ -273,70 +261,70 @@ def _cho_solve(low, rhs):
     return np.linalg.solve(low.swapaxes(1, 2), np.linalg.solve(low, rhs))
 
 
+def _rows_by_matrix(blk, rows):
+    """Rows (E, nb) of a block as (m, E / m, nb): the rows of each of its
+    m matrices."""
+    return rows.reshape(len(blk.matrix), -1, rows.shape[-1])
+
+
 def solve_blocks(blocks):
     """Solve every block by dense Cholesky; blocks must be SPD.
 
-    Each distinct matrix is factored once, and all blocks that share it are
-    solved together as the columns of one right-hand side; matrices of one
-    shape shared by equally many blocks are factored as one stack (on a
-    spline map, one matrix per block). Cholesky is backward stable, so
-    every residual is within a small multiple of the floor eps |A| |c| at
-    which double precision can measure it, and no refinement follows.
+    Each block's m matrices are factored as one stack, and the E / m
+    right-hand sides of each matrix are solved together as the columns of
+    one right-hand side. Cholesky is backward stable, so every residual is
+    within a small multiple of the floor eps |A| |c| at which double
+    precision can measure it, and no refinement follows.
     """
-    for pos, mats in _stacks(blocks):
-        rhs = np.array([[blocks[k].rhs for k in w] for w in pos.tolist()]).swapaxes(1, 2)
+    for blk in blocks:
         try:
-            low = np.linalg.cholesky(mats)
+            low = np.linalg.cholesky(blk.matrix)
         except np.linalg.LinAlgError as exc:
-            for w, mat in zip(pos, mats):
+            for k, mat in enumerate(blk.matrix):
                 try:
                     np.linalg.cholesky(mat)
                 except np.linalg.LinAlgError:
+                    ix, iy = _rows_by_matrix(blk, blk.cells)[k, 0].tolist()
                     raise RuntimeError("bubble block on %s is not SPD (assembly bug): %s"
-                                       % (blocks[w[0]].element, exc)) from exc
+                                       % (ElementId(blk.level, ix, iy), exc)) from exc
             raise
-        coeffs = _cho_solve(low, rhs)
-        for w, c in zip(pos.tolist(), coeffs.swapaxes(1, 2)):
-            for k, ck in zip(w, c):
-                blocks[k].coeffs = ck
+        coeffs = _cho_solve(low, _rows_by_matrix(blk, blk.rhs).swapaxes(1, 2))
+        blk.coeffs = coeffs.swapaxes(1, 2).reshape(blk.rhs.shape)
     return blocks
 
 
 def eta_elements(blocks, calibration=3.0):
-    """Element indicators: calibration times the local energy norm."""
+    """Element indicators: calibration times the local energy norm, block
+    by block and row by row."""
     if any(blk.coeffs is None for blk in blocks):
         raise ValueError("blocks must be solved before computing indicators")
-    energy = np.zeros(len(blocks))
-    for pos, mats in _stacks(blocks):
-        c = np.array([[blocks[k].coeffs for k in w] for w in pos.tolist()])
-        energy[pos] = np.sum((c @ mats) * c, axis=-1)
-    eta = calibration * np.sqrt(np.maximum(energy, 0.0))
-    return [ElementEstimate(element=blk.element, eta=float(v)) for blk, v in zip(blocks, eta)]
+    out = []
+    for blk in blocks:
+        c = _rows_by_matrix(blk, blk.coeffs)
+        energy = np.sum((c @ blk.matrix) * c, axis=-1).ravel()
+        eta = calibration * np.sqrt(np.maximum(energy, 0.0))
+        out.extend(ElementEstimate(element=ElementId(blk.level, ix, iy), eta=float(v))
+                   for (ix, iy), v in zip(blk.cells.tolist(), eta))
+    return out
 
 
 def estimate(u_h, space, problem, geo=None, calibration=3.0):
-    """Bubble estimate of the energy error: one block per active element,
-    in the order of ``mesh.active_elements()``, from one
-    :func:`assemble_blocks` call over all active elements. On identity and
-    affine maps the blocks of each (level, bubble pattern) group share one
-    matrix, which :func:`solve_blocks` factors once for the whole group."""
+    """Bubble estimate of the energy error: one indicator per active
+    element, in the order of ``mesh.active_elements()``, from one
+    :func:`assemble_blocks` call over all groups of the bubble space."""
     bubbles = build_bubble_space(space.mesh, space.degree, natural_boundary_sides(problem))
     blocks = solve_blocks(assemble_blocks(bubbles, u_h, space, geo, problem))
-    estimates = eta_elements(blocks, calibration)
+    estimates = sorted(eta_elements(blocks, calibration), key=lambda est: est.element)
     eta_total = math.sqrt(sum(est.eta**2 for est in estimates))
     return estimates, eta_total
 
 
-def effectivity(estimates, exact_error):
+def effectivity(eta_total, exact_error):
     """Ratio of the estimated total to the true energy error."""
     if not exact_error > 0.0:
         raise ValueError("effectivity undefined for zero exact error")
-    if isinstance(estimates, (int, float)):
-        eta_total = float(estimates)
-    else:
-        eta_total = math.sqrt(sum(est.eta**2 for est in estimates))
-    return EffectivityReport(eta_total=eta_total, error=float(exact_error),
-                             theta=eta_total / float(exact_error))
+    return EffectivityReport(eta_total=float(eta_total), error=float(exact_error),
+                             theta=float(eta_total) / float(exact_error))
 
 
 # ---------------------------------------------------------------------------

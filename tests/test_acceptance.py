@@ -259,17 +259,21 @@ def test_criterion_6_structural_invariants():
     u = solve(system)
     bubbles = build_bubble_space(space.mesh, 3, natural_boundary_sides(prob))
     blocks = solve_blocks(assemble_blocks(bubbles, u, space, IDENTITY, prob))
-    total = sum(len(b.indices) for b in blocks)
+    # row k of a block of E rows and m matrices goes with matrix k // (E / m)
+    rows = [(blk.matrix[k // (len(blk.cells) // len(blk.matrix))], blk.rhs[k], blk.coeffs[k])
+            for blk in blocks for k in range(len(blk.cells))]
+    assert len(rows) == space.mesh.n_active
+    total = sum(len(rhs) for _, rhs, _ in rows)
     gmat = sp.lil_matrix((total, total))
     grhs = np.zeros(total)
     o = 0
-    for blk in blocks:
-        n = len(blk.indices)
-        gmat[o:o + n, o:o + n] = blk.matrix
-        grhs[o:o + n] = blk.rhs
+    for mat, rhs, _ in rows:
+        n = len(rhs)
+        gmat[o:o + n, o:o + n] = mat
+        grhs[o:o + n] = rhs
         o += n
     gsol = spla.spsolve(gmat.tocsc(), grhs)
-    packed = np.concatenate([b.coeffs for b in blocks])
+    packed = np.concatenate([c for _, _, c in rows])
     dev = np.abs(gsol - packed).max() / max(np.abs(gsol).max(), 1e-300)
     ok &= report("6 block-diagonal equivalence", dev <= 1e-12, "dev=%.2e" % dev)
 
@@ -286,9 +290,10 @@ def test_criterion_6_structural_invariants():
     # indicator linearity in the calibration constant
     lin_ok = True
     for blk in blocks:
-        e1 = eta_elements([blk], calibration=3.0)[0].eta
-        e2 = eta_elements([blk], calibration=6.0)[0].eta
-        lin_ok &= (e2 == 2.0 * e1)
+        e1 = eta_elements([blk], calibration=3.0)
+        e2 = eta_elements([blk], calibration=6.0)
+        lin_ok &= len(e1) == len(blk.cells) and all(
+            b.element == a.element and b.eta == 2.0 * a.eta for a, b in zip(e1, e2))
     ok &= report("6 calibration linearity", lin_ok, "exact doubling")
 
     # physical Hessian pushforward against finite differences

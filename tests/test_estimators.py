@@ -19,6 +19,7 @@ from hbplate.assembly import (
     solve,
 )
 from hbplate.estimators import (
+    BubbleBlock,
     assemble_blocks,
     build_bubble_space,
     effectivity,
@@ -69,26 +70,53 @@ def smooth_hessian(x, y):
     return (-4 * np.pi**2 * s, 4 * np.pi**2 * c, -4 * np.pi**2 * s)
 
 
+def pairs_of(bubbles, e):
+    """The bubble index pairs of element e, looked up through the groups."""
+    found = [pairs for level, _, pairs, cells in bubbles.groups
+             if level == e.level and np.all(cells == e[1:], axis=1).any()]
+    assert len(found) == 1, e
+    return found[0]
+
+
+def element_rows(blocks):
+    """(element, matrix, rhs, coeffs) of every row of every block: row k
+    of a block of E rows and m matrices goes with matrix k // (E / m)."""
+    for blk in blocks:
+        per = len(blk.cells) // len(blk.matrix)
+        for k, (ix, iy) in enumerate(blk.cells.tolist()):
+            yield (ElementId(blk.level, ix, iy), blk.matrix[k // per], blk.rhs[k],
+                   None if blk.coeffs is None else blk.coeffs[k])
+
+
+def block(level, cells, matrices, rhs, coeffs=None):
+    """A hand-made block: cells (E, 2), matrices (m, n, n), rows (E, n)."""
+    matrices = np.asarray(matrices, dtype=float)
+    return BubbleBlock(level=level, cells=np.array(cells, dtype=np.int64),
+                       indices=list(range(matrices.shape[-1])), matrix=matrices,
+                       rhs=np.asarray(rhs, dtype=float),
+                       coeffs=None if coeffs is None else np.asarray(coeffs, dtype=float))
+
+
 class TestBubbleSpace:
     def test_interior_counts(self):
         for p, count in [(3, 1), (4, 4), (5, 9)]:
             space = HierarchicalSpace.create(3, p)
             bubbles = build_bubble_space(space.mesh, p)
             inner = ElementId(0, 1, 1)
-            assert len(bubbles.per_element[inner]) == count
+            assert len(pairs_of(bubbles, inner)) == count
             if p == 3:
-                assert bubbles.per_element[inner] == [(2, 2)]
+                assert pairs_of(bubbles, inner) == [(2, 2)]
 
     def test_moment_side_adds_rotation_bubbles(self):
         p = 4
         space = HierarchicalSpace.create(3, p)
         bubbles = build_bubble_space(space.mesh, p, {"bottom": {"moment"}})
         edge = ElementId(0, 1, 0)
-        pairs = bubbles.per_element[edge]
+        pairs = pairs_of(bubbles, edge)
         assert len(pairs) == 4 + (p - 2)
         assert set(pairs) == {(2, 2), (2, 3), (3, 2), (3, 3), (2, 1), (3, 1)}
         inner = ElementId(0, 1, 1)
-        assert len(bubbles.per_element[inner]) == 4
+        assert len(pairs_of(bubbles, inner)) == 4
 
     def test_shear_side_adds_value_bubbles(self):
         p = 4
@@ -96,7 +124,7 @@ class TestBubbleSpace:
         bubbles = build_bubble_space(space.mesh, p, {"right": {"shear"}})
         edge = ElementId(0, 2, 1)
         q = p + 1
-        assert (q, 2) in bubbles.per_element[edge]
+        assert (q, 2) in pairs_of(bubbles, edge)
 
     def test_interior_bubble_vanishes_with_gradient_on_boundary(self):
         for p in (3, 4, 5):
@@ -135,8 +163,8 @@ class TestBlocks:
         blocks = assemble_blocks(bubbles, u, space, IDENTITY, prob)
         scale = math.sqrt(float(u.coefficients @ (
             assemble_system(space, IDENTITY, prob).matrix @ u.coefficients)))
-        for blk in blocks:
-            assert np.linalg.norm(blk.rhs) <= 1e-9 * max(scale, 1.0)
+        for e, _, rhs, _ in element_rows(blocks):
+            assert np.linalg.norm(rhs) <= 1e-9 * max(scale, 1.0), e
 
     def test_doubling_load_doubles_rhs_for_zero_field(self):
         from hbplate.assembly import DiscreteField
@@ -173,9 +201,9 @@ class TestBlocks:
         ixx = integral(np.polymul(d2, d2)) / h**3 * integral(np.polymul(bpoly, bpoly)) * h
         ixy = integral(np.polymul(d1, d1)) / h * integral(np.polymul(d1, d1)) / h
         energy = 2 * ixx + 2 * ixy
-        for blk in blocks:
-            assert blk.matrix.shape == (1, 1)
-            assert blk.matrix[0, 0] == pytest.approx(energy, rel=1e-12)
+        for _, mat, _, _ in element_rows(blocks):
+            assert mat.shape == (1, 1)
+            assert mat[0, 0] == pytest.approx(energy, rel=1e-12)
 
     def test_block_diagonal_equivalence_with_global_system(self):
         # oracle: assemble one global sparse system over all bubbles at once
@@ -184,71 +212,72 @@ class TestBlocks:
         prob = smooth_problem()
         u = solve_problem(space, prob)
         bubbles = build_bubble_space(space.mesh, 3, natural_boundary_sides(prob))
-        blocks = solve_blocks(assemble_blocks(bubbles, u, space, IDENTITY, prob))
+        rows = list(element_rows(solve_blocks(
+            assemble_blocks(bubbles, u, space, IDENTITY, prob))))
+        assert sorted(e for e, _, _, _ in rows) == space.mesh.active_elements()
         offsets = {}
         total = 0
-        for blk in blocks:
-            offsets[blk.element] = total
-            total += len(blk.indices)
+        for e, _, rhs, _ in rows:
+            offsets[e] = total
+            total += len(rhs)
         gmat = sp.lil_matrix((total, total))
         grhs = np.zeros(total)
-        for blk in blocks:
-            o = offsets[blk.element]
-            n = len(blk.indices)
-            gmat[o:o + n, o:o + n] = blk.matrix
-            grhs[o:o + n] = blk.rhs
+        for e, mat, rhs, _ in rows:
+            o = offsets[e]
+            n = len(rhs)
+            gmat[o:o + n, o:o + n] = mat
+            grhs[o:o + n] = rhs
         gsol = spla.spsolve(gmat.tocsc(), grhs)
-        packed = np.concatenate([blk.coeffs for blk in blocks])
+        packed = np.concatenate([c for _, _, _, c in rows])
         scale = max(np.abs(gsol).max(), 1e-30)
         assert np.abs(gsol - packed).max() <= 1e-12 * scale
 
     def test_solve_blocks_trivial_cases(self):
-        from hbplate.estimators import BubbleBlock
-        blk = BubbleBlock(element=ElementId(0, 0, 0), indices=[(2, 2)],
-                          matrix=np.array([[4.0]]), rhs=np.array([2.0]))
+        blk = block(0, [[0, 0]], [[[4.0]]], [[2.0]])
         solve_blocks([blk])
-        assert blk.coeffs[0] == pytest.approx(0.5)
-        blk2 = BubbleBlock(element=ElementId(0, 0, 0), indices=[(2, 2)],
-                           matrix=np.array([[4.0]]), rhs=np.array([0.0]))
+        assert blk.coeffs[0, 0] == pytest.approx(0.5)
+        blk2 = block(0, [[0, 0]], [[[4.0]]], [[0.0]])
         solve_blocks([blk2])
-        assert blk2.coeffs[0] == 0.0
+        assert blk2.coeffs[0, 0] == 0.0
 
 
     def test_ill_conditioned_blocks_are_solved_to_the_backward_error_floor(self):
         # Hilbert-like blocks (cond 2e8 to 2e16), three right-hand sides to a
-        # matrix, two matrices of one shape in one stack: every residual is
+        # matrix, two matrices of one shape in one block: every residual is
         # far above 1e-12 of its right-hand side, and within n eps (|A| |c|
         # + |b|), the floor of a backward-stable solve
-        from hbplate.estimators import BubbleBlock
-        mats = [scipy.linalg.hilbert(9), scipy.linalg.hilbert(12),
-                np.kron(scipy.linalg.hilbert(4), scipy.linalg.hilbert(4)),
-                np.kron(scipy.linalg.invhilbert(4), scipy.linalg.hilbert(4))]
+        mats = [[scipy.linalg.hilbert(9)], [scipy.linalg.hilbert(12)],
+                [np.kron(scipy.linalg.hilbert(4), scipy.linalg.hilbert(4)),
+                 np.kron(scipy.linalg.invhilbert(4), scipy.linalg.hilbert(4))]]
         rng = np.random.default_rng(5)
-        blocks = [BubbleBlock(element=ElementId(1, k, r), indices=list(range(len(m))), matrix=m,
-                              rhs=rng.standard_normal(len(m)))
-                  for k, m in enumerate(mats) for r in range(3)]
-        for blk in solve_blocks(blocks):
-            a, b, c = blk.matrix, blk.rhs, blk.coeffs
+        blocks = [block(1, [[k, r] for r in range(3 * len(m))], m,
+                        rng.standard_normal((3 * len(m), len(m[0]))))
+                  for k, m in enumerate(mats)]
+        rows = list(element_rows(solve_blocks(blocks)))
+        assert len(rows) == 12
+        for e, a, b, c in rows:
             resid = np.linalg.norm(b - a @ c)
             assert resid > 1e-12 * np.linalg.norm(b)
             assert resid <= len(b) * np.finfo(float).eps * (
-                np.linalg.norm(a, 2) * np.linalg.norm(c) + np.linalg.norm(b)), blk.element
+                np.linalg.norm(a, 2) * np.linalg.norm(c) + np.linalg.norm(b)), e
 
     def test_solve_blocks_names_the_block_that_is_not_spd(self):
-        from hbplate.estimators import BubbleBlock
-        good = BubbleBlock(element=ElementId(1, 0, 0), indices=[(2, 2), (2, 3)],
-                           matrix=np.array([[4.0, 1.0], [1.0, 3.0]]), rhs=np.ones(2))
-        bad = BubbleBlock(element=ElementId(1, 2, 3), indices=[(2, 2), (2, 3)],
-                          matrix=np.array([[1.0, 2.0], [2.0, 1.0]]), rhs=np.ones(2))
-        with pytest.raises(RuntimeError, match=re.escape(str(bad.element))):
-            solve_blocks([good, bad])
+        good = [[4.0, 1.0], [1.0, 3.0]]
+        bad = [[1.0, 2.0], [2.0, 1.0]]
+        # shared: the failing matrix belongs to the whole group, named by
+        # its first cell
+        shared = [block(1, [[0, 0], [0, 1]], [good], np.ones((2, 2))),
+                  block(1, [[2, 3], [4, 5], [0, 2]], [bad], np.ones((3, 2)))]
+        with pytest.raises(RuntimeError, match=re.escape(str(ElementId(1, 2, 3)))):
+            solve_blocks(shared)
+        # per element: the bad element's own cell, not the block's first
+        per_element = [block(2, [[0, 0], [2, 3], [4, 5]], [good, bad, good], np.ones((3, 2)))]
+        with pytest.raises(RuntimeError, match=re.escape(str(ElementId(2, 2, 3)))):
+            solve_blocks(per_element)
 
 class TestEta:
     def test_zero_coeffs_zero_eta(self):
-        from hbplate.estimators import BubbleBlock
-        blk = BubbleBlock(element=ElementId(0, 0, 0), indices=[(2, 2)],
-                          matrix=np.array([[4.0]]), rhs=np.array([0.0]),
-                          coeffs=np.array([0.0]))
+        blk = block(0, [[0, 0]], [[[4.0]]], [[0.0]], coeffs=[[0.0]])
         assert eta_elements([blk])[0].eta == 0.0
 
     def test_calibration_linearity(self):
@@ -396,13 +425,16 @@ class TestMappedBlocks:
     @pytest.mark.parametrize("p", [3, 4])
     def test_blocks_match_per_point_quadrature(self, kind, p):
         space, geo, prob, u, bubbles, blocks = self.blocks(kind, p)
-        by_element = {blk.element: blk for blk in blocks}
+        by_element = {e: (mat, rhs) for e, mat, rhs, _ in element_rows(blocks)}
+        indices = {ElementId(blk.level, ix, iy): blk.indices
+                   for blk in blocks for ix, iy in blk.cells.tolist()}
         for e in self.ELEMENTS:
-            amat, rhs = reference_block(space, geo, prob, u, e, bubbles.per_element[e])
-            blk = by_element[e]
-            assert blk.indices == bubbles.per_element[e]
-            assert np.abs(blk.matrix - amat).max() <= 1e-12 * np.abs(amat).max(), e
-            assert np.abs(blk.rhs - rhs).max() <= 1e-12 * np.abs(rhs).max(), e
+            pairs = pairs_of(bubbles, e)
+            amat, rhs = reference_block(space, geo, prob, u, e, pairs)
+            assert indices[e] == pairs
+            mat, row = by_element[e]
+            assert np.abs(mat - amat).max() <= 1e-12 * np.abs(amat).max(), e
+            assert np.abs(row - rhs).max() <= 1e-12 * np.abs(rhs).max(), e
 
     @pytest.mark.parametrize("kind", ["identity", "affine", "spline"])
     def test_one_energy_form_matches_the_four_term_form(self, kind, monkeypatch):
@@ -422,35 +454,43 @@ class TestMappedBlocks:
             monkeypatch.setattr(module, "_energy_terms", four_terms)
         want = assemble_stiffness(space, geo, prob).toarray()
         assert np.abs(stiffness - want).max() <= 1e-14 * np.abs(want).max()
-        want = assemble_blocks(bubbles, u, space, geo, prob, elements=[blocks[0].element])[0]
-        assert np.abs(blocks[0].matrix - want.matrix).max() <= 1e-14 * np.abs(want.matrix).max()
-        assert np.abs(blocks[0].rhs - want.rhs).max() <= 1e-14 * np.abs(want.rhs).max()
+        wanted = assemble_blocks(bubbles, u, space, geo, prob)
+        assert len(wanted) == len(blocks)
+        for blk, want in zip(blocks, wanted):
+            assert np.array_equal(blk.cells, want.cells) and blk.indices == want.indices
+            assert np.abs(blk.matrix - want.matrix).max() <= 1e-14 * np.abs(want.matrix).max()
+            assert np.abs(blk.rhs - want.rhs).max() <= 1e-14 * np.abs(want.rhs).max()
 
     @pytest.mark.parametrize("kind", ["identity", "affine", "spline"])
-    def test_groups_share_one_matrix_under_a_constant_jacobian(self, kind):
-        _, geo, _, _, _, blocks = self.blocks(kind, 3)
-        groups = {}
+    def test_one_block_per_group(self, kind):
+        space, _, _, _, _, blocks = self.blocks(kind, 3)
         for blk in blocks:
-            groups.setdefault((blk.element.level, tuple(blk.indices)), []).append(blk)
-        assert any(len(g) > 1 for g in groups.values())
-        for group in groups.values():
-            distinct = {id(blk.matrix) for blk in group}
-            assert len(distinct) == (1 if geo.constant_jacobian else len(group))
+            # one matrix for the group under a constant Jacobian, one to an
+            # element under the spline map
+            assert len(blk.matrix) == (len(blk.cells) if kind == "spline" else 1)
+            assert blk.matrix.shape[1:] == (len(blk.indices),) * 2
+            assert blk.rhs.shape == (len(blk.cells), len(blk.indices))
+        keys = [(blk.level, tuple(blk.indices)) for blk in blocks]
+        assert len(set(keys)) == len(keys)
+        assert any(len(blk.cells) > 1 for blk in blocks)
+        assert sum(len(blk.cells) for blk in blocks) == space.mesh.n_active
 
 
 class TestEstimate:
-    def test_processing_order_invariance(self):
-        space = HierarchicalSpace.create(3, 3)
-        space = space.refined([ElementId(0, 2, 2)], m=2)
-        prob = smooth_problem()
-        u = solve_problem(space, prob)
-        estimates, _ = estimate(u, space, prob)
-        bubbles = build_bubble_space(space.mesh, 3, natural_boundary_sides(prob))
-        elems = list(reversed(space.mesh.active_elements()))
-        blocks = solve_blocks(assemble_blocks(bubbles, u, space, IDENTITY, prob, elements=elems))
-        reversed_etas = {b.element: e.eta for b, e in zip(blocks, eta_elements(blocks))}
-        for est in estimates:
-            assert est.eta == pytest.approx(reversed_etas[est.element], rel=1e-13)
+    @pytest.mark.parametrize("kind", ["identity", "affine", "spline"])
+    def test_indicators_in_active_element_order(self, kind):
+        # one indicator per active element, in mesh order, each equal to
+        # calibration * sqrt(c^T A c) of its own block by per-point
+        # quadrature and a dense solve
+        space, geo, prob, u, bubbles, _ = TestMappedBlocks().blocks(kind, 3)
+        estimates, total = estimate(u, space, prob, geo, calibration=3.0)
+        assert [est.element for est in estimates] == space.mesh.active_elements()
+        assert total == math.sqrt(sum(est.eta**2 for est in estimates))
+        eta = {est.element: est.eta for est in estimates}
+        for e in TestMappedBlocks.ELEMENTS:
+            amat, rhs = reference_block(space, geo, prob, u, e, pairs_of(bubbles, e))
+            c = np.linalg.solve(amat, rhs)
+            assert eta[e] == pytest.approx(3.0 * math.sqrt(c @ amat @ c), rel=1e-12), e
 
     def test_uniform_refinement_reduces_total(self):
         prob = smooth_problem()
