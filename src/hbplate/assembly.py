@@ -33,12 +33,14 @@ with dof_i <= dof_j are scattered, summed into CSR once per assembly, and
 the strict upper triangle is mirrored at the end.
 
 Basis values come from one tabulation kernel,
-:func:`hbplate.splines.tabulate_in_span`, which runs Cox-de Boor over all
-points of a span at once. Tables of the fixed rules are cached on the knot
-vector of their level by :meth:`~hbplate.splines.KnotVector.table`; refined
-meshes share those knot vectors, so the tables carry over from iteration to
+:func:`hbplate.splines.tabulate_in_span`, which runs Cox-de Boor over many
+points at once. Tables of the fixed rules are cached on the knot vector of
+their level by :meth:`~hbplate.splines.KnotVector.table`; refined meshes
+share those knot vectors, so the tables carry over from iteration to
 iteration, while a new space starts with none. Tables of one-off rules are
-tabulated and not kept.
+tabulated and not kept; a spline map tabulates each point in its own span.
+The moment and shear data are integrated once, in :func:`_natural_terms`,
+for the load vector and the estimator alike.
 """
 
 from __future__ import annotations
@@ -135,22 +137,15 @@ class GeometryMap:
 
     def _spline_basis(self, pts, max_der):
         """Control-net blocks (point, i, j, component) and the univariate
-        tables (derivative, i, point) in x and y at every point; points
-        that share a span are tabulated together."""
+        tables (derivative, i, point) in x and y at every point, each point
+        in its own span."""
         kv, p = self.kv, self.kv.degree
-        firsts, tabs = [], []
-        for col in pts.T:
-            spans = np.array([find_span(kv, x) for x in col], dtype=np.intp)
-            tab = np.empty((max(max_der, 2) + 1, p + 1, col.size))
-            for span in np.unique(spans):
-                sel = spans == span
-                tab[:, :, sel] = tabulate_in_span(kv, col[sel], span, max_der)
-            firsts.append(spans - p)
-            tabs.append(tab)
-        local = np.arange(p + 1)
-        ix = (firsts[0][:, None] + local)[:, :, None]
-        iy = (firsts[1][:, None] + local)[:, None, :]
-        return self.control[ix, iy], tabs[0], tabs[1]
+        spans = [find_span(kv, col) for col in pts.T]
+        bx, by = (tabulate_in_span(kv, col, span, max_der) for col, span in zip(pts.T, spans))
+        local = np.arange(p + 1) - p
+        ix = (spans[0][:, None] + local)[:, :, None]
+        iy = (spans[1][:, None] + local)[:, None, :]
+        return self.control[ix, iy], bx, by
 
     def map_points(self, pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -272,6 +267,11 @@ class PlateProblem:
     load_grading: tuple = ()
 
     def __post_init__(self):
+        # the energy is positive definite iff D > 0 and -1 < nu < 1
+        if not 0.0 < self.stiffness < np.inf:
+            raise ValueError("stiffness must be finite and positive, got %r" % (self.stiffness,))
+        if not -1.0 < self.poisson < 1.0:
+            raise ValueError("poisson must lie in (-1, 1), got %r" % (self.poisson,))
         for side in list(self.dirichlet_w) + list(self.dirichlet_phi) \
                 + list(self.neumann_M) + list(self.neumann_Q):
             if side not in SIDES:
@@ -665,6 +665,20 @@ def _edge_transform(geo, pts, side, wts, gx, gy, level, cells):
     return grad[(1, 0)] * nx + grad[(0, 1)] * ny, pts_phys, wts
 
 
+def _natural_terms(problem, side, level, vals, dn, pts, wts):
+    """The moment and shear data of one side integrated against functions
+    with values `vals` and outward normal derivatives `dn` (e, n, nq) at
+    the physical points (e, nq, 2), with arc weights (e, nq), along the
+    boundary edges of e elements of one level: (e, n)."""
+    out = np.zeros(dn.shape[:2])
+    for data, kind, rows in ((problem.neumann_M.get(side), "moment", dn),
+                             (problem.neumann_Q.get(side), "shear", vals)):
+        if data is not None:
+            what = "%s data on side %r, level %d" % (kind, side, level)
+            out += np.einsum("elq,eq->el", rows, wts * _at_points(_as_fn(data), pts, what))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # load vector
 
@@ -685,15 +699,10 @@ def assemble_load(space, geo, problem):
                     gv = _at_points(gfun, pts, "load g on level %d" % level)
                     _add_local(rhs, dofs, np.einsum("elq,eq->el", rows[(0, 0)], wts * gv))
     for side in SIDES:
-        moment, shear = problem.neumann_M.get(side), problem.neumann_Q.get(side)
-        if moment is None and shear is None:
+        if problem.neumann_M.get(side) is None and problem.neumann_Q.get(side) is None:
             continue
         for level, dofs, vals, dn, pts, wts in _side_batches(space, geo, side):
-            for data, kind, rows in ((moment, "moment", dn), (shear, "shear", vals)):
-                if data is not None:
-                    dv = _at_points(_as_fn(data), pts, "%s data on side %r, level %d"
-                                    % (kind, side, level))
-                    _add_local(rhs, dofs, np.einsum("elq,eq->el", rows, wts * dv))
+            _add_local(rhs, dofs, _natural_terms(problem, side, level, vals, dn, pts, wts))
     for (pt, magnitude) in problem.point_loads:
         e = mesh.locate(pt[0], pt[1])
         cells, rule = _point_rule(mesh, e, [pt[0]], [pt[1]])

@@ -5,12 +5,15 @@ space of degree p+1 Bernstein bubbles supported on single active elements
 (value and gradient vanish on the element boundary, so the global system is
 block diagonal by construction). Natural-boundary sides get extra bubbles
 that are rotation-active (moment sides) or value-active (shear sides) on
-the boundary, to pick up the error in the natural data. The elements of one
-level that touch the same natural sides have the same bubbles and form a
-group, and the group is the unit of the estimator: one block holds its
-cells, right-hand sides and solutions as arrays. Under a map with a
-constant Jacobian the group has one block matrix, formed and factored once;
-under a spline map it has one per element.
+the boundary, to pick up the error in the natural data. Bernstein
+polynomials are the B-splines of the one-span knot vector
+:func:`~hbplate.splines.bernstein_knots`, so the bubbles share the solver's
+tabulation kernel, table cache and natural-boundary integrals. The
+elements of one level that touch the same natural sides have the same
+bubbles and form a group, and the group is the unit of the estimator: one
+block holds its cells, right-hand sides and solutions as arrays. Under a
+map with a constant Jacobian the group has one block matrix, formed and
+factored once; under a spline map it has one per element.
 
 A classical strong-residual estimator with interior and edge-jump terms is
 provided for comparison; it needs fourth derivatives of the discrete
@@ -21,11 +24,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .assembly import (
+    _ASSEMBLY_COMBOS,
     _DERIVATIVES,
     SIDES,
     GeometryMap,
@@ -37,12 +40,13 @@ from .assembly import (
     _field_batches,
     _gauss01,
     _level_cells,
+    _natural_terms,
     _rule_on_cells,
     _side_groups,
     _transform_rows,
 )
 from .hierarchy import ElementId
-from .splines import eval_bernstein_ders
+from .splines import bernstein_knots, eval_bernstein_ders
 # bench/tracer.py counts calls by wrapping this module's names, so the name
 # stays bound here although nothing in this module calls it any more
 from .splines import eval_ders_in_span  # noqa: F401
@@ -153,47 +157,31 @@ def build_bubble_space(mesh, p, neumann_sides=None):
     return BubbleSpace(degree=q, groups=groups)
 
 
-@lru_cache(maxsize=None)
-def _bernstein_table(q, nq1, max_der=2):
-    """Bernstein values/derivatives of degree q at the Gauss nodes on [0, 1]."""
-    nodes, _ = _gauss01(nq1)
-    tab = np.empty((max_der + 1, q + 1, nq1))
-    for k, t in enumerate(nodes):
-        tab[:, :, k] = eval_bernstein_ders(q, t, max_der).ders[: max_der + 1]
-    return tab
-
-
-@lru_cache(maxsize=None)
-def _bernstein_end(q, at_one):
-    ev = eval_bernstein_ders(q, 1.0 if at_one else 0.0, 1)
-    return ev.ders[0].copy(), ev.ders[1].copy()
+def _bubble_rows(q, pairs, rule, h, combos):
+    """Rows (1, nb, nq) of the bubbles `pairs` of degree q at the nodes of a
+    tensor reference rule (x-major), for each combo (dx, dy): products of
+    the Bernstein tables of :func:`bernstein_knots` at the rule's nodes,
+    scaled by h^-(dx + dy) to an element of size h."""
+    kv = bernstein_knots(q)
+    max_der = max(max(c) for c in combos)
+    tx, ty = (kv.table(nodes, q, max_der) for nodes, _ in rule)
+    ii, jj = np.array(pairs).T
+    return {(dx, dy): h ** (-(dx + dy)) * (tx[dx][ii][:, :, None] * ty[dy][jj][:, None, :])
+            .reshape(1, len(pairs), -1) for dx, dy in combos}
 
 
 def _bubble_edge_terms(q, pairs, side, mesh, level, cells, problem, geo):
     """Natural-boundary data integrals (e, nb) of the bubbles `pairs` over
-    the edges on one side of the cells (e, 2) of one level."""
-    h = mesh.h(level)
-    tab = _bernstein_table(q, q + 1)
-    vend, dend = _bernstein_end(q, side in ("right", "top"))
-    ii, jj = np.array(pairs).T
-    perp, tang = (ii, jj) if side in ("left", "right") else (jj, ii)
-    vals = vend[perp][:, None] * tab[0][tang]
-    dperp = (dend[perp] / h)[:, None] * tab[0][tang]
-    dtang = vend[perp][:, None] * (tab[1][tang] / h)
-    grad = (dperp, dtang) if side in ("left", "right") else (dtang, dperp)
-    pts, w = _rule_on_cells(mesh, level, cells, _edge_rule(q - 1, side))
+    the edges on one side of the cells (e, 2) of one level, by the edge
+    rule the load vector uses."""
+    rule = _edge_rule(q - 1, side)
+    pts, w = _rule_on_cells(mesh, level, cells, rule)
     e = len(cells)
+    rows = {c: np.broadcast_to(r, (e,) + r.shape[1:])
+            for c, r in _bubble_rows(q, pairs, rule, mesh.h(level), _ASSEMBLY_COMBOS[:3]).items()}
     dn, pts, wts = _edge_transform(geo, pts, side, np.broadcast_to(w, (e, w.size)),
-                                   *(np.broadcast_to(g, (e,) + g.shape) for g in grad),
-                                   level, cells)
-    out = np.zeros((e, len(pairs)))
-    vals = np.broadcast_to(vals, dn.shape)
-    for data, kind, rows in ((problem.neumann_M.get(side), "moment", dn),
-                             (problem.neumann_Q.get(side), "shear", vals)):
-        if data is not None:
-            what = "%s data on side %r, level %d" % (kind, side, level)
-            out += np.einsum("ebq,eq->eb", rows, wts * _at_points(_as_fn(data), pts, what))
-    return out
+                                   rows[(1, 0)], rows[(0, 1)], level, cells)
+    return _natural_terms(problem, side, level, rows[(0, 0)], dn, pts, wts)
 
 
 def assemble_blocks(bubbles, u_h, space, geo, problem):
@@ -215,13 +203,12 @@ def assemble_blocks(bubbles, u_h, space, geo, problem):
     gfun = _as_fn(problem.g)
     d_const, nu = problem.stiffness, problem.poisson
     loads = [(mesh.locate(pt[0], pt[1]), pt, magnitude) for pt, magnitude in problem.point_loads]
-    tab = _bernstein_table(q, space.degree + 2)
+    interior = (_gauss01(space.degree + 2),) * 2
     blocks = []
     for level, touched, pairs, cells in bubbles.groups:
         h = mesh.h(level)
         ii, jj = np.array(pairs).T
-        brows = {(dx, dy): h ** (-(dx + dy)) * (tab[dx][ii][:, :, None] * tab[dy][jj][:, None, :])
-                 .reshape(1, len(pairs), -1) for (dx, dy) in ((0, 0),) + _DERIVATIVES}
+        brows = _bubble_rows(q, pairs, interior, h, _ASSEMBLY_COMBOS)
         mats, rhs = [], []
         for sl, ders, wts, pts in _field_batches(space, level, cells, u_h.coefficients,
                                                  _DERIVATIVES):

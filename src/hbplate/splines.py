@@ -1,15 +1,21 @@
-"""Univariate B-spline and Bernstein evaluation with derivatives.
+"""Univariate B-spline evaluation with derivatives.
 
 Only open knot vectors of maximum smoothness (single interior knots) are
 supported; this is all the dyadic hierarchical construction needs. Basis
-values and derivatives follow the standard Cox-de Boor recurrence;
-derivative orders beyond the polynomial degree evaluate to zero.
+values and derivatives follow the standard Cox-de Boor recurrence, in one
+tabulation kernel, :func:`tabulate_in_span`, which evaluates many points
+at once, each in its own span or all in one; derivative orders beyond the
+polynomial degree evaluate to zero.
+
+The Bernstein polynomials of degree q on [0, 1] are the B-splines of the
+one-span open knot vector :func:`bernstein_knots`, so they go through the
+same kernel and the same table cache as every other basis.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -17,6 +23,7 @@ __all__ = [
     "KnotVector",
     "BasisEval",
     "make_open_uniform",
+    "bernstein_knots",
     "dyadic_refine",
     "find_span",
     "eval_ders",
@@ -153,6 +160,14 @@ def make_open_uniform(n_elements, p, interval=(0.0, 1.0)):
     return KnotVector(knots, p)
 
 
+@lru_cache(maxsize=None)
+def bernstein_knots(q):
+    """The one-span open knot vector of degree q on [0, 1], whose B-splines
+    are the Bernstein polynomials of degree q; one per degree, so that its
+    tables are shared."""
+    return make_open_uniform(1, q)
+
+
 def dyadic_refine(kv):
     """Bisect every nonempty span of an open knot vector."""
     bp = kv.breakpoints
@@ -164,24 +179,33 @@ def dyadic_refine(kv):
 
 
 def find_span(kv, x):
-    """Index of the nonempty span containing x (the last span owns b)."""
+    """Index of the nonempty span containing x (the last span owns b): an
+    int for a number, an integer array of the same shape for an array.
+
+    Points within 1e-12 (relative) outside the domain are clamped onto it;
+    any other point, NaN included, raises ValueError naming the first one.
+    """
     a, b = kv.domain
     tol = 1e-12 * max(1.0, abs(a), abs(b))
-    if x < a - tol or x > b + tol:
-        raise ValueError("point %r outside knot vector domain [%r, %r]" % (x, a, b))
-    x = min(max(x, a), b)
-    span = int(np.searchsorted(kv.knots, x, side="right")) - 1
-    return min(max(span, kv.degree), kv.num_basis - 1)
+    xs = np.asarray(x, dtype=float)
+    outside = ~((xs >= a - tol) & (xs <= b + tol))
+    if outside.any():
+        first = xs.reshape(-1)[outside.reshape(-1).argmax()]
+        raise ValueError("point %r outside knot vector domain [%r, %r]" % (float(first), a, b))
+    span = np.searchsorted(kv.knots, np.clip(xs, a, b), side="right") - 1
+    span = np.clip(span, kv.degree, kv.num_basis - 1)
+    return int(span) if span.ndim == 0 else span
 
 
 def _ders_basis(knots, p, span, xs, nders):
     """Cox-de Boor values/derivatives of the p+1 functions on a span, at
-    every point of the 1d array xs at once.
+    every point of the 1d array xs at once; span is one index, or an array
+    of one index per point.
 
     Returns an array of shape (nders+1, p+1, len(xs)); rows beyond degree p
     are zero. Each point goes through the same floating-point operations in
-    the same order whatever the other points are, so a table does not
-    depend on how its points were batched.
+    the same order whatever the other points and their spans are, so a
+    table does not depend on how its points were batched.
     """
     ndu = [[None] * (p + 1) for _ in range(p + 1)]
     left = [None] * (p + 1)
@@ -251,54 +275,30 @@ def eval_ders_in_span(kv, x, span, max_der=2):
 
 
 def tabulate_in_span(kv, xs, span, max_der=2):
-    """Basis table of one span at many points: ``ders[k, j, q]`` is the k-th
-    derivative of basis function ``span - degree + j`` at ``xs[q]``.
+    """Basis table at many points: ``ders[k, j, q]`` is the k-th derivative
+    of basis function ``span - degree + j`` at ``xs[q]``, where span is one
+    index for all points or an array of one index per point (as
+    :func:`find_span` gives).
 
     Derivatives are computed at least up to second order, as in
     :func:`eval_ders`. The span is forced by the caller, so points on its
     ends give one-sided limits. Nothing is cached; see :meth:`KnotVector.table`.
     """
     xs = np.ascontiguousarray(xs, dtype=float).reshape(-1)
+    span = np.asarray(span, dtype=np.intp)
     return _ders_basis(kv.knots, kv.degree, span, xs, max(int(max_der), 2))
 
 
-def _bernstein_values(q, t):
-    """All q+1 Bernstein values of degree q at t, by the degree recurrence."""
-    vals = np.zeros(q + 1)
-    vals[0] = 1.0
-    s = 1.0 - t
-    for d in range(1, q + 1):
-        vals[d] = t * vals[d - 1]
-        for i in range(d - 1, 0, -1):
-            vals[i] = t * vals[i - 1] + s * vals[i]
-        vals[0] = s * vals[0]
-    return vals
-
-
 def eval_bernstein_ders(q, t, max_der=2):
-    """Bernstein basis of degree q on [0, 1]: values and derivatives at t.
+    """Bernstein basis of degree q >= 2 on [0, 1]: values and derivatives at
+    t, the one-point case of :func:`eval_ders_in_span` on
+    :func:`bernstein_knots`. Points within 1e-12 outside [0, 1] are clamped
+    onto it.
 
     Derivatives are taken in the reference coordinate; callers apply the
-    element scaling. The k-th derivative row combines degree q-k values
-    with alternating binomial weights.
+    element scaling.
     """
-    if q < 1:
-        raise ValueError("Bernstein degree must be at least 1, got %d" % q)
-    if t < -1e-12 or t > 1.0 + 1e-12:
+    if not -1e-12 <= t <= 1.0 + 1e-12:
         raise ValueError("point %r outside the reference interval [0, 1]" % t)
     t = min(max(float(t), 0.0), 1.0)
-    nders = max(int(max_der), 2)
-    ders = np.zeros((nders + 1, q + 1))
-    ders[0] = _bernstein_values(q, t)
-    for k in range(1, min(nders, q) + 1):
-        low = _bernstein_values(q - k, t)
-        fac = math.factorial(q) / math.factorial(q - k)
-        for i in range(q + 1):
-            acc = 0.0
-            for j in range(k + 1):
-                idx = i - j
-                if 0 <= idx <= q - k:
-                    acc += (-1.0) ** (k - j) * math.comb(k, j) * low[idx]
-            ders[k, i] = fac * acc
-    return BasisEval(first_index=0, ders=ders)
-
+    return eval_ders_in_span(bernstein_knots(q), t, q, max_der)

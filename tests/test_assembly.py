@@ -31,7 +31,7 @@ from hbplate.assembly import (
     _level_cells,
 )
 from hbplate.hierarchy import ElementId, HierarchicalSpace, check_admissible, connectivity
-from hbplate.splines import make_open_uniform, tabulate_in_span
+from hbplate.splines import eval_ders, make_open_uniform, tabulate_in_span
 from pushforward import pushforward2
 
 IDENTITY = GeometryMap.identity()
@@ -45,6 +45,11 @@ def simply_supported(g=None, point_loads=None):
         neumann_M={s: zero for s in ("left", "bottom", "right", "top")},
         point_loads=point_loads or [],
     )
+
+
+def simply_supported_with(**material):
+    return PlateProblem(dirichlet_w={s: 0.0 for s in SIDES},
+                        neumann_M={s: 0.0 for s in SIDES}, **material)
 
 
 def spline_exact_problem():
@@ -84,6 +89,26 @@ class TestPlateProblemValidation:
             dirichlet_phi={"left": 0.0, "right": 0.0},
             neumann_M={"bottom": 0.0, "top": 0.0})
         assert prob.poisson == 0.0 and prob.stiffness == 1.0
+
+    # the plate energy is positive definite only for D > 0 and -1 < nu < 1
+
+    def test_poisson_outside_the_open_unit_interval_rejected(self):
+        for nu in (1.5, 1.0, -1.0, math.inf):
+            with pytest.raises(ValueError, match=r"poisson must lie in \(-1, 1\), got %r" % nu):
+                simply_supported_with(poisson=nu)
+        assert simply_supported_with(poisson=-0.99).poisson == -0.99
+
+    def test_stiffness_not_positive_rejected(self):
+        for d in (-1.0, 0.0, math.inf):
+            with pytest.raises(ValueError, match="stiffness must be finite and positive, got %r"
+                               % d):
+                simply_supported_with(stiffness=d)
+
+    def test_nan_material_constants_rejected(self):
+        with pytest.raises(ValueError, match="stiffness .* got nan"):
+            simply_supported_with(stiffness=math.nan)
+        with pytest.raises(ValueError, match="poisson .* got nan"):
+            simply_supported_with(poisson=math.nan)
 
 
 class TestQuadrature:
@@ -163,6 +188,25 @@ class TestPushforward:
     def test_singular_geometry_rejected(self):
         with pytest.raises(Exception):
             GeometryMap.affine([[1.0, 0.0], [0.0, -1.0]])
+
+    def test_spline_map_tables_match_per_point_evaluation(self):
+        # Gauss points of a 16 x 16 grid and every knot of it, in every span
+        geo = oracle_geometry("spline")
+        kv, p = geo.kv, geo.kv.degree
+        xs = np.concatenate([((np.arange(16)[:, None] + _gauss01(5)[0]) / 16).ravel(),
+                             np.linspace(0.0, 1.0, 17)])
+        pts = np.stack(np.meshgrid(xs, xs[::-1], indexing="ij"), axis=-1).reshape(-1, 2)
+        for max_der in (0, 1, 2, 3):
+            blk, bx, by = geo._spline_basis(pts, max_der)
+            for r in range(0, len(pts), 7):
+                ex, ey = (eval_ders(kv, float(t), max_der) for t in pts[r])
+                assert bx[:, :, r].tobytes() == ex.ders.tobytes()
+                assert by[:, :, r].tobytes() == ey.ders.tobytes()
+                np.testing.assert_array_equal(
+                    blk[r], geo.control[ex.first_index:ex.first_index + p + 1,
+                                        ey.first_index:ey.first_index + p + 1])
+        with pytest.raises(ValueError, match="point 1.5 outside"):
+            geo.map_points([[0.5, 0.5], [0.2, 1.5]])
 
 
 def bernstein_poly(q, i):

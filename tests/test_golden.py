@@ -4,7 +4,8 @@ evaluated one point at a time. A change that batches or reorders the
 floating-point work may move the last digits, not the results. The
 mapped-geometry study (``affine_p3_adaptive``) was recorded later, with the
 level-batched element kernel, before the field evaluation and the bubble
-blocks were sum-factorised.
+blocks were sum-factorised. Its problem is also refined uniformly, to check
+the convergence rate on a mapped plate.
 """
 
 import math
@@ -13,7 +14,7 @@ from dataclasses import astuple, replace
 import numpy as np
 import pytest
 
-from hbplate.adaptivity import LoopConfig, run
+from hbplate.adaptivity import LoopConfig, run, slopes
 from hbplate.assembly import GeometryMap, PlateProblem
 from hbplate.benchmarks import benchmark_point_load, benchmark_singular, benchmark_smooth
 from hbplate.hierarchy import HierarchicalSpace
@@ -50,11 +51,12 @@ GOLDEN = {
 }
 
 
-def affine_study():
+def affine_problem():
     """u = sin(2x + 1) cos(1.5y) on the parallelogram x = A xi + b, with A a
     rotation times a shear: clamped on the left and bottom sides, simply
     supported with the exact moment on the right and top, Poisson 0.3. The
-    mapped normals are not axis-aligned, so every geometry term is used."""
+    mapped normals are not axis-aligned, so every geometry term is used.
+    Returns (problem, geometry map, exact Hessian)."""
     c, s = math.cos(0.5), math.sin(0.5)
     matrix = np.array([[c, -s], [s, c]]) @ np.array([[1.0, 0.4], [0.0, 1.0]])
     geo = GeometryMap.affine(matrix, (0.3, -0.2))
@@ -93,6 +95,11 @@ def affine_study():
         dirichlet_w={side: value for side in ("left", "bottom", "right", "top")},
         dirichlet_phi={side: rotation(side) for side in ("left", "bottom")},
         neumann_M={side: moment(side) for side in ("right", "top")})
+    return problem, geo, hessian
+
+
+def affine_study():
+    problem, geo, hessian = affine_problem()
     return run(problem, HierarchicalSpace.create(4, 3), LoopConfig(max_iterations=3),
                geo=geo, exact_hessian=hessian, qoi_point=(0.37, 0.61))
 
@@ -123,3 +130,14 @@ def test_records_match_golden(name):
         assert got[:3] == want[:3]
         for g, w in zip(got[3:], want[3:]):
             assert (math.isnan(g) and math.isnan(w)) or g == pytest.approx(w, rel=1e-9, abs=0.0)
+
+
+@pytest.mark.parametrize("p", [3, 4])
+def test_affine_uniform_rate(p):
+    """Uniform refinement of the mapped plate reaches the smooth-solution
+    rate: the H^2 error falls like h^(p - 1)."""
+    problem, geo, hessian = affine_problem()
+    records = run(problem, HierarchicalSpace.create(2, p),
+                  LoopConfig(max_iterations=4, mode="uniform"), geo=geo, exact_hessian=hessian)
+    assert [r.h_max for r in records] == [0.5, 0.25, 0.125, 0.0625]
+    assert slopes(records, "h") == pytest.approx(p - 1, abs=0.25)

@@ -5,18 +5,32 @@ import pytest
 
 from hbplate.splines import (
     KnotVector,
+    bernstein_knots,
     dyadic_refine,
     eval_bernstein_ders,
     eval_ders,
     eval_ders_in_span,
+    find_span,
     make_open_uniform,
     tabulate_in_span,
 )
 
 
 def bernstein_direct(q, i, t):
-    """Independent oracle: C(q,i) t^i (1-t)^(q-i)."""
+    """Independent oracle: C(q,i) t^i (1-t)^(q-i), and 0 for i outside 0..q."""
+    if not 0 <= i <= q:
+        return 0.0
     return math.comb(q, i) * t**i * (1.0 - t) ** (q - i)
+
+
+def bernstein_direct_ders(q, i, t):
+    """Value, first and second derivative of B_{i,q} at t from the direct
+    formula and the degree-lowering identity
+    B'_{i,q} = q (B_{i-1,q-1} - B_{i,q-1})."""
+    d1 = q * (bernstein_direct(q - 1, i - 1, t) - bernstein_direct(q - 1, i, t))
+    d2 = q * (q - 1) * (bernstein_direct(q - 2, i - 2, t) - 2.0 * bernstein_direct(q - 2, i - 1, t)
+                        + bernstein_direct(q - 2, i, t))
+    return bernstein_direct(q, i, t), d1, d2
 
 
 class TestMakeOpenUniform:
@@ -169,6 +183,34 @@ def scalar_cox_de_boor(knots, p, span, x, nders):
     return ders
 
 
+class TestFindSpan:
+    def test_array_agrees_with_scalar_calls_and_a_linear_scan(self):
+        kv = dyadic_refine(make_open_uniform(3, 3, (0.0, 2.0)))
+        p, n = kv.degree, kv.num_basis
+        rng = np.random.default_rng(2)
+        xs = np.concatenate([rng.uniform(0.0, 2.0, 20), kv.breakpoints,
+                             [0.0, 2.0, -1e-13, 2.0 + 1e-13]])
+        # the last span whose left knot is at or below the point clamped onto
+        # the domain, among the nonempty spans p..n-1
+        scan = [max(s for s in range(p, n) if kv.knots[s] <= min(max(x, 0.0), 2.0)) for x in xs]
+        spans = find_span(kv, xs)
+        assert spans.shape == xs.shape
+        assert spans.tolist() == scan == [find_span(kv, float(x)) for x in xs]
+        assert isinstance(find_span(kv, 0.5), int)
+        # the last span owns the right end, the first the points just outside
+        assert spans[-4:].tolist() == [p, n - 1, p, n - 1]
+        assert find_span(kv, xs[:20].reshape(4, 5)).tolist() == spans[:20].reshape(4, 5).tolist()
+
+    def test_points_outside_raise_naming_the_first(self):
+        kv = make_open_uniform(4, 3)
+        with pytest.raises(ValueError, match="point 1.25 outside"):
+            find_span(kv, np.array([0.5, 1.25, -0.5]))
+        with pytest.raises(ValueError, match="point -1e-09 outside"):
+            find_span(kv, -1e-9)
+        with pytest.raises(ValueError, match="point nan outside"):
+            find_span(kv, np.array([0.5, np.nan]))
+
+
 class TestTabulationKernel:
     @pytest.mark.parametrize("p", [3, 4, 5])
     def test_batch_equals_one_point_bit_for_bit(self, p):
@@ -193,6 +235,18 @@ class TestTabulationKernel:
                         checked += 1
             kv = dyadic_refine(kv)
         assert checked == 3 * xs.size * (1 + 2 + 4 + 8)
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_span_per_point_equals_per_span_calls_bit_for_bit(self, p):
+        kv = dyadic_refine(dyadic_refine(make_open_uniform(3, p)))
+        rng = np.random.default_rng(p)
+        xs = np.concatenate([rng.uniform(0.0, 1.0, 40), kv.breakpoints])
+        spans = find_span(kv, xs)
+        tab = tabulate_in_span(kv, xs, spans, 3)
+        for span in np.unique(spans):
+            sel = spans == span
+            assert np.ascontiguousarray(tab[:, :, sel]).tobytes() == \
+                tabulate_in_span(kv, xs[sel], span, 3).tobytes()
 
     def test_table_is_cached_read_only_and_per_knot_vector(self):
         kv = make_open_uniform(4, 3)
@@ -235,14 +289,23 @@ class TestBernstein:
                 expected = [bernstein_direct(q, i, t) for i in range(q + 1)]
                 np.testing.assert_allclose(ev.values, expected, rtol=1e-13)
 
-    def test_matches_single_element_knot_vector(self):
+    def test_values_and_derivatives_against_direct_formula(self):
         rng = np.random.default_rng(5)
-        for q in (3, 4, 5):
-            kv = make_open_uniform(1, q)
-            for t in rng.uniform(0, 1, size=25):
+        for q in (2, 3, 4, 5):
+            for t in np.concatenate([[0.0, 1.0], rng.uniform(0, 1, size=25)]):
                 bern = eval_bernstein_ders(q, t, max_der=2)
-                spline = eval_ders(kv, t, max_der=2)
-                np.testing.assert_allclose(bern.ders[:3], spline.ders[:3], atol=1e-12)
+                expected = np.array([bernstein_direct_ders(q, i, t) for i in range(q + 1)]).T
+                np.testing.assert_allclose(bern.ders[:3], expected, rtol=0.0, atol=1e-12)
+
+    def test_is_the_one_span_knot_vector(self):
+        assert bernstein_knots(4) is bernstein_knots(4)
+        np.testing.assert_array_equal(bernstein_knots(4).knots, [0] * 5 + [1] * 5)
+        ev = eval_bernstein_ders(4, 0.3, 3)
+        assert ev.first_index == 0
+        tab = tabulate_in_span(bernstein_knots(4), [0.3], 4, 3)
+        assert ev.ders.tobytes() == tab[:, :, 0].tobytes()
+        with pytest.raises(ValueError, match="degree must be at least 2"):
+            eval_bernstein_ders(1, 0.3)
 
     def test_derivative_against_finite_differences(self):
         h = 1e-6
