@@ -7,8 +7,8 @@ Quadrature uses one tensor Gauss rule with degree + 2 points per direction
 on every active element, for the stiffness, loads, error norms and the
 estimator blocks alike.
 
-Every element integral and every point value runs through one element
-kernel, which works on chunks of active elements of one level at the nodes
+Every element integral but the stiffness's (below) and every point value
+runs through one element kernel, which works on chunks of active elements of one level at the nodes
 of a tensor reference rule on [0, 1]^2: the interior Gauss rule, an edge
 rule with one node on a domain side (moment and shear loads, Dirichlet
 fits, the residual estimator's edge jumps), a graded rule whose strips
@@ -19,18 +19,24 @@ tables at the rule's nodes.
 
 - Rows mode, :func:`_element_batches`, hands out the basis: dofs padded
   with -1 and derivative rows (element, function, node), for the integrals
-  whose test functions are the basis (stiffness, loads, Dirichlet fits).
+  whose test functions are the basis (loads, Dirichlet fits).
 - Field mode, :func:`_field_batches`, hands out the derivatives of one
   discrete field (element, 1, node) by sum factorisation: each element's
   coefficients, as (p + 1) x (p + 1) tensors per level, are contracted with
   the tables in y and then in x, and no basis rows are built. The error
   norm, :func:`evaluate` and the estimators' u_h terms use it.
 
-The stiffness asks the kernel for Hessian rows only, and for gradient rows
-as well under a spline map, whose Hessian pushforward needs them. Each
-chunk's element matrices come from one stacked product; only their pairs
-with dof_i <= dof_j are scattered, summed into CSR once per assembly, and
-the strict upper triangle is mirrored at the end.
+The stiffness is assembled level by level from the two-scale relation,
+K = sum over levels l of C_l^T K_l C_l (:func:`assemble_stiffness`): K_l
+is the stiffness of level l's own tensor B-splines over its active cells,
+(p + 1)^2 functions per cell, and C_l (:func:`hbplate.hierarchy.two_scale`)
+writes every active function acting on those cells as a sum of them.
+Under a constant Jacobian the element matrices of K_l are sums of
+Kronecker products of univariate cell Gram matrices, and a mesh with one
+fully active level is one sum of Kronecker products of banded matrices;
+under a spline map K_l comes from the kernel's quadrature on the level's
+own functions. The upper triangle of the sum is mirrored, so the matrix
+is exactly symmetric.
 
 Basis values come from one tabulation kernel,
 :func:`hbplate.splines.tabulate_in_span`, which runs Cox-de Boor over many
@@ -52,7 +58,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .splines import KnotVector, find_span, tabulate_in_span
+from .hierarchy import two_scale
+from .splines import KnotVector, cell_classes, cell_grams, find_span, tabulate_in_span
 # bench/tracer.py counts calls by wrapping this module's names, so they stay
 # bound here although nothing in this module calls them any more
 from .hierarchy import connectivity  # noqa: F401
@@ -147,41 +154,31 @@ class GeometryMap:
         iy = (spans[1][:, None] + local)[:, None, :]
         return self.control[ix, iy], bx, by
 
-    def map_points(self, pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        if self.kind == "identity":
-            return pts.copy()
-        if self.kind == "affine":
-            return pts @ self.matrix.T + self.offset
-        blk, bx, by = self._spline_basis(pts, 0)
-        return np.einsum("iq,jq,qijk->qk", bx[0], by[0], blk)
-
-    def jacobians(self, pts):
+    def derivatives(self, pts):
+        """Mapped points (n, 2), Jacobians (n, 2, 2) and Hessians (point,
+        component, a, b) at the points (n, 2); a spline map tabulates the
+        points once for all three."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         n = pts.shape[0]
         if self.kind == "identity":
-            return np.broadcast_to(np.eye(2), (n, 2, 2)).copy()
+            return pts.copy(), np.broadcast_to(np.eye(2), (n, 2, 2)).copy(), np.zeros((n, 2, 2, 2))
         if self.kind == "affine":
-            return np.broadcast_to(self.matrix, (n, 2, 2)).copy()
-        blk, bx, by = self._spline_basis(pts, 1)
-        out = np.empty((n, 2, 2))
-        out[:, :, 0] = np.einsum("iq,jq,qijk->qk", bx[1], by[0], blk)
-        out[:, :, 1] = np.einsum("iq,jq,qijk->qk", bx[0], by[1], blk)
-        return out
-
-    def hessians(self, pts):
-        """Second derivatives of the map: [point, component, a, b]."""
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        n = pts.shape[0]
-        if self.kind in ("identity", "affine"):
-            return np.zeros((n, 2, 2, 2))
+            return (pts @ self.matrix.T + self.offset,
+                    np.broadcast_to(self.matrix, (n, 2, 2)).copy(), np.zeros((n, 2, 2, 2)))
         blk, bx, by = self._spline_basis(pts, 2)
-        out = np.empty((n, 2, 2, 2))
-        out[:, :, 0, 0] = np.einsum("iq,jq,qijk->qk", bx[2], by[0], blk)
-        out[:, :, 0, 1] = np.einsum("iq,jq,qijk->qk", bx[1], by[1], blk)
-        out[:, :, 1, 0] = out[:, :, 0, 1]
-        out[:, :, 1, 1] = np.einsum("iq,jq,qijk->qk", bx[0], by[2], blk)
-        return out
+
+        def part(dx, dy):
+            return np.einsum("iq,jq,qijk->qk", bx[dx], by[dy], blk)
+        jac = np.empty((n, 2, 2))
+        jac[:, :, 0], jac[:, :, 1] = part(1, 0), part(0, 1)
+        hess = np.empty((n, 2, 2, 2))
+        hess[:, :, 0, 0] = part(2, 0)
+        hess[:, :, 0, 1] = hess[:, :, 1, 0] = part(1, 1)
+        hess[:, :, 1, 1] = part(0, 2)
+        return part(0, 0), jac, hess
+
+    def map_points(self, pts):
+        return self.derivatives(pts)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +311,6 @@ _DERIVATIVES = _ASSEMBLY_COMBOS[1:]
 _HESSIANS = _ASSEMBLY_COMBOS[3:]
 _CHUNK_BYTES = 1 << 20  # basis rows held for one chunk of elements
 _EVAL_POINTS = 32  # points per kernel call of evaluate on one element
-_PENDING_ENTRIES = 1_000_000  # stiffness entries scattered before they are summed into CSR
 
 
 def _level_cells(mesh):
@@ -349,7 +345,6 @@ def _kernel_setup(space, level, cells, combos, rule, cached):
     cell's position among them."""
     mesh, basis, p = space.mesh, space.basis, space.degree
     rule = rule or (_gauss01(p + 2),) * 2
-    h, a = mesh.h(level), mesh.interval[0]
     loc = np.arange(p + 1)
     levels, dofs = [], []
     for k in range(level + 1):
@@ -358,7 +353,16 @@ def _kernel_setup(space, level, cells, combos, rule, cached):
         if (d >= 0).any():
             levels.append(k)
             dofs.append(d)
-    max_der = max(max(c) for c in combos)
+    tabs = _rule_tables(mesh, level, cells, levels, rule, max(max(c) for c in combos), cached)
+    return rule, np.stack(dofs, axis=1), tabs
+
+
+def _rule_tables(mesh, level, cells, levels, rule, max_der, cached):
+    """Per direction, the univariate tables (cell, L, derivative, i, node)
+    of the L levels in `levels` at the rule's nodes on the distinct cell
+    indices of the cells (E, 2) of one level, with each cell's position
+    among them; cached on the knot vectors, or tabulated and dropped."""
+    p, h, a = mesh.p, mesh.h(level), mesh.interval[0]
     tabulate = KnotVector.table if cached else tabulate_in_span
     tabs = []
     for axis, (nodes, _) in enumerate(rule):
@@ -366,7 +370,7 @@ def _kernel_setup(space, level, cells, combos, rule, cached):
         tabs.append((np.array([[tabulate(mesh.knots(k), a + (c + nodes) * h,
                                          (c >> (level - k)) + p, max_der)
                                 for k in levels] for c in ucells]), inverse))
-    return rule, np.stack(dofs, axis=1), tabs
+    return tabs
 
 
 def _element_batches(space, level, cells, combos, rule=None, cached=True):
@@ -497,16 +501,16 @@ def _at_points(fn, pts, what):
     return tuple(map(shaped, out)) if isinstance(out, tuple) else shaped(out)
 
 
-def _transform_rows(geo, pts, rows, wts, level, cells):
+def _transform_rows(geo, pts, rows, wts, level, cells, local=None):
     """Push parametric derivative rows (e, n, nq) at the points (e, nq, 2)
     of the cells (e, 2) of one level to physical ones; scales the weights
     (e, nq) and maps the points. Hessian rows need the gradient rows too
     only under a spline map: the gradient terms of the Hessian pushforward
-    carry the map's own Hessian, which is zero for an affine map."""
+    carry the map's own Hessian, which is zero for an affine map. local is
+    geo.derivatives at the points, when the caller has it already."""
     if geo.is_identity:
         return rows, wts, pts
-    flat = pts.reshape(-1, 2)
-    jac = geo.jacobians(flat)
+    mapped, jac, hess = local if local is not None else geo.derivatives(pts.reshape(-1, 2))
     det = np.linalg.det(jac)
     shape = pts.shape[:2]
     if np.any(det <= 0.0):
@@ -524,7 +528,7 @@ def _transform_rows(geo, pts, rows, wts, level, cells):
     if (2, 0) in rows:
         cxx, cxy, cyy = rows[(2, 0)], rows[(1, 1)], rows[(0, 2)]
         if not geo.constant_jacobian:
-            hg = geo.hessians(flat).reshape(shape + (2, 2, 2))[:, None]
+            hg = hess.reshape(shape + (2, 2, 2))[:, None]
             cxx = cxx - px * hg[..., 0, 0, 0] - py * hg[..., 1, 0, 0]
             cxy = cxy - px * hg[..., 0, 0, 1] - py * hg[..., 1, 0, 1]
             cyy = cyy - px * hg[..., 0, 1, 1] - py * hg[..., 1, 1, 1]
@@ -533,7 +537,7 @@ def _transform_rows(geo, pts, rows, wts, level, cells):
         out[(2, 0)] = a * (a * cxx + c * cxy) + c * (a * cxy + c * cyy)
         out[(1, 1)] = b * (a * cxx + c * cxy) + d * (a * cxy + c * cyy)
         out[(0, 2)] = b * (b * cxx + d * cxy) + d * (b * cxy + d * cyy)
-    return out, wts * det.reshape(shape), geo.map_points(flat).reshape(pts.shape)
+    return out, wts * det.reshape(shape), mapped.reshape(pts.shape)
 
 
 def _energy_terms(rows, wts, poisson):
@@ -553,49 +557,193 @@ def _energy_terms(rows, wts, poisson):
             np.concatenate([s * wts for s in scales], axis=-1))
 
 
+def _energy_form(geo, poisson):
+    """The plate energy under a map with a constant Jacobian as a 3 x 3
+    matrix M on the parametric Hessians h = (h_xx, h_xy, h_yy): the energy
+    density times det J is h(u)^T M h(v). It is what :func:`_transform_rows`
+    and :func:`_energy_terms` make of the three unit Hessians, so the plate
+    energy stays defined in one place."""
+    unit = {c: np.eye(3)[None, :, r, None] for r, c in enumerate(_HESSIANS)}
+    rows, wts, _ = _transform_rows(geo, np.zeros((1, 1, 2)), unit, np.ones((1, 1)), 0,
+                                   np.zeros((1, 2), dtype=np.int64))
+    terms, w = _energy_terms(rows, wts, poisson)
+    return ((terms * w[:, None]) @ terms.swapaxes(1, 2))[0]
+
+
+def _gram_terms(kv, form):
+    """The terms (M_ab, x Gram matrices, y Gram matrices) of the energy form
+    M with M_ab != 0: the cell Gram matrices of kv, by class, of the x and y
+    derivative orders of the Hessian components a and b."""
+    grams = cell_grams(kv)
+    return [(form[a, b], grams[:, _HESSIANS[a][0], _HESSIANS[b][0]],
+             grams[:, _HESSIANS[a][1], _HESSIANS[b][1]]) for a, b in zip(*np.nonzero(form))]
+
+
+def _class_elements(kv, form):
+    """Element matrices, up to the factor D, of the tensor B-splines of one
+    uniform level under a constant Jacobian, for each pair of cell classes
+    (:func:`~hbplate.splines.cell_classes`) in x and y: (x class, y class,
+    (p + 1)^2, (p + 1)^2), functions x-major, each a sum of Kronecker
+    products of cell Gram matrices."""
+    out = 0.0
+    for m, gx, gy in _gram_terms(kv, form):
+        out = out + m * gx[:, None, :, None, :, None] * gy[None, :, None, :, None, :]
+    nc, n1 = out.shape[0], out.shape[2]
+    return out.reshape(nc, nc, n1 * n1, n1 * n1)
+
+
+def _kron_upper(kv, form, stiffness):
+    """Upper triangle, in CSR, of the stiffness of a fully active level
+    under a constant Jacobian: the sum over the energy form's terms of
+    M_ab (A_ab x B_ab), Kronecker products of the banded univariate
+    matrices that the cell Gram matrices of every cell sum to, formed
+    directly in CSR order. Functions (i, k) are numbered i n + k."""
+    p, n, nel = kv.degree, kv.num_basis, kv.num_elements
+    classes = cell_classes(kv, np.arange(nel))
+    # offsets (d, e) of a column from its row, d in x, e in y, both shifted
+    # by p, in the order of the columns; only those on or above the diagonal
+    d, e = np.divmod(np.arange((2 * p + 1) ** 2), 2 * p + 1)
+    up = (d > p) | ((d == p) & (e >= p))
+    d, e = d[up], e[up]
+    vals = 0.0
+    for m, gx, gy in _gram_terms(kv, form):
+        # band[r, c - r + p] of the univariate matrix summed over the cells
+        bx, by = np.zeros((n, 2 * p + 1)), np.zeros((n, 2 * p + 1))
+        for i in range(p + 1):
+            for j in range(p + 1):
+                bx[i:i + nel, j - i + p] += gx[classes, i, j]
+                by[i:i + nel, j - i + p] += gy[classes, i, j]
+        vals = vals + m * bx[:, None, d] * by[None, :, e]
+    vals = stiffness * vals
+    keep = vals != 0.0
+    r = np.arange(n)
+    cols = (r[:, None, None] + d - p) * n + (r[None, :, None] + e - p)
+    indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=2).ravel())])
+    return sp.csr_matrix((vals[keep], cols[keep], indptr), shape=(n * n, n * n))
+
+
+def _level_rows(space, level, cells, combos):
+    """The level's own tensor B-splines on chunks of its active cells (E, 2)
+    at the interior Gauss rule, from the tables cached on its knot vector:
+    yields (sl, rows, wts, pts) as :func:`_element_batches` does, with rows
+    (e, (p + 1)^2, nq) per combo and the functions of each cell x-major."""
+    mesh, p = space.mesh, space.degree
+    rule = (_gauss01(p + 2),) * 2
+    (xtab, xat), (ytab, yat) = _rule_tables(mesh, level, cells, [level], rule,
+                                            max(max(c) for c in combos), True)
+    n1, nq = p + 1, (p + 2) ** 2
+    step = max(1, _CHUNK_BYTES // (8 * len(combos) * n1 * n1 * nq))
+    for start in range(0, len(cells), step):
+        sl = slice(start, start + step)
+        tx, ty = xtab[xat[sl], 0], ytab[yat[sl], 0]
+        e = len(tx)
+        rows = {c: (tx[:, c[0], :, None, :, None] * ty[:, c[1], None, :, None, :]).reshape(
+            e, n1 * n1, nq) for c in combos}
+        pts, w = _rule_on_cells(mesh, level, cells[sl], rule)
+        yield sl, rows, np.broadcast_to(w, (e, nq)), pts
+
+
+def _level_stiffness(space, geo, problem, level, cells, keys, local, form):
+    """Stiffness of the level's tensor B-splines over its active cells (E,
+    2), rows and columns in the order of keys, their sorted keys (local
+    (E, (p + 1)^2) places each cell's functions among them), as CSR arrays
+    (data, columns, entries per row), columns sorted within rows.
+
+    The element matrices are scattered into a stencil (function, offset of
+    the other function), one local row of every cell at a time, so no
+    entry is written twice by one scatter; the offsets of a row are in the
+    order of its columns, so the stencil's nonzeros are the CSR arrays.
+    Under a constant Jacobian (form is its energy form) the element
+    matrices come from :func:`_class_elements`; under a spline map from the
+    kernel's quadrature of the (p + 1)^2 functions, pushed forward.
+    """
+    p = space.degree
+    n1, width = p + 1, 2 * p + 1
+    ix, iy = np.divmod(np.arange(n1 * n1), n1)
+    # stencil column of the pair (a, b) of a cell's functions
+    offset = (ix[None, :] - ix[:, None] + p) * width + (iy[None, :] - iy[:, None] + p)
+    stencil = np.zeros(len(keys) * width * width)
+    if form is not None:
+        kv = space.mesh.knots(level)
+        elems = problem.stiffness * _class_elements(kv, form)
+        cx, cy = cell_classes(kv, cells).T
+        step = max(1, _CHUNK_BYTES // (8 * n1 ** 4))
+        chunks = ((sl, elems[cx[sl], cy[sl]]) for sl in (
+            slice(start, start + step) for start in range(0, len(cells), step)))
+    else:
+        chunks = _stiffness_chunks(space, geo, problem, level, cells)
+    for sl, aloc in chunks:
+        for a in range(n1 * n1):
+            stencil[local[sl, a, None] * width * width + offset[a]] += aloc[:, a]
+    stencil = stencil.reshape(len(keys), -1)
+    live = stencil != 0.0
+    dx, dy = np.divmod(np.arange(width * width), width)
+    cols = np.searchsorted(keys, (keys[:, None] + ((dx - p) << 32) + (dy - p))[live])
+    return stencil[live], cols.astype(np.int32), live.sum(axis=1)
+
+
+def _stiffness_chunks(space, geo, problem, level, cells):
+    """Element matrices (e, (p + 1)^2, (p + 1)^2) of the level's own tensor
+    B-splines under a spline map, chunk by chunk: (sl, matrices)."""
+    for sl, rows, wts, pts in _level_rows(space, level, cells, _DERIVATIVES):
+        rows, wts, _ = _transform_rows(geo, pts, rows, wts, level, cells[sl])
+        terms, w = _energy_terms(rows, wts, problem.poisson)
+        yield sl, problem.stiffness * ((terms * w[:, None]) @ terms.swapaxes(1, 2))
+
+
 def assemble_stiffness(space, geo, problem):
     """Sparse symmetric plate stiffness matrix over the active basis, in
-    CSR with int32 indices.
+    CSR with int32 indices, by two-scale assembly: K = sum over the levels
+    l of C_l^T K_l C_l.
 
-    The kernel hands out Hessian rows only, plus gradient rows under a
-    spline map, whose pushforward needs them. Each kernel chunk gives its
-    element matrices by one stacked product, of which only the pairs with
-    dof_i <= dof_j are scattered. The upper triangle goes into CSR once
-    per assembly (or whenever _PENDING_ENTRIES are pending, to bound the
-    memory), and its strict part is mirrored at the end.
+    K_l is the stiffness of level l's tensor B-splines over its active
+    cells, (p + 1)^2 functions per cell (:func:`_level_stiffness`), and C_l
+    writes each active function that acts on those cells as a sum of them
+    (:func:`hbplate.hierarchy.two_scale`). The products run as one,
+    C^T blockdiag(K_l) C with C the C_l stacked. A mesh whose active cells
+    all lie on one level has C = I, and under a constant Jacobian its K is
+    a sum of Kronecker products of banded univariate matrices
+    (:func:`_kron_upper`). The upper triangle of the result is mirrored,
+    so the matrix is exactly symmetric.
     """
-    n = space.num_dofs
-    combos = _HESSIANS if geo.constant_jacobian else _DERIVATIVES
+    mesh = space.mesh
+    form = _energy_form(geo, problem.poisson) if geo.constant_jacobian else None
+    levels = list(_level_cells(mesh))
+    if len(levels) == 1 and form is not None:
+        upper = _kron_upper(mesh.knots(levels[0][0]), form, problem.stiffness)
+    else:
+        full, ct = _level_operators(space, geo, problem, levels, form)
+        if len(levels) > 1:
+            full = ct @ (full @ ct.T)
+        upper = _triangle(full, 0)
+        upper.sort_indices()
+    return upper + _triangle(upper, 1).T
 
-    def folded(upper, parts):
-        # dof_i, dof_j and values are joined one at a time, each list of
-        # pieces emptied before the next is joined, to bound the memory
-        joined = []
-        for pieces in parts:
-            joined.append(np.concatenate(pieces))
-            pieces.clear()
-        i, j, v = joined
-        summed = sp.csr_matrix((v, (i, j)), shape=(n, n))
-        return summed if upper is None else upper + summed
 
-    upper, parts, pending = None, ([], [], []), 0
-    for level, cells in _level_cells(space.mesh):
-        for sl, dofs, rows, wts, pts in _element_batches(space, level, cells, combos):
-            rows, wts, _ = _transform_rows(geo, pts, rows, wts, level, cells[sl])
-            terms, w = _energy_terms(rows, wts, problem.poisson)
-            aloc = problem.stiffness * ((terms * w[:, None]) @ terms.swapaxes(1, 2))
-            # padding is -1, so a live dof_i <= dof_j makes dof_j live too
-            pair = (dofs[:, :, None] >= 0) & (dofs[:, :, None] <= dofs[:, None, :])
-            idx = dofs.astype(np.int32)
-            for pieces, x in zip(parts, (np.broadcast_to(idx[:, :, None], aloc.shape),
-                                         np.broadcast_to(idx[:, None, :], aloc.shape), aloc)):
-                pieces.append(x[pair])
-            pending += parts[2][-1].size
-            if pending > _PENDING_ENTRIES:
-                upper, pending = folded(upper, parts), 0
-    if pending:
-        upper = folded(upper, parts)
-    return upper + sp.triu(upper, 1).T
+def _level_operators(space, geo, problem, levels, form):
+    """blockdiag(K_l) and C^T = [C_l^T] over the levels (level, cells) with
+    active cells, in CSR, the rows of each K_l and the columns of each
+    C_l^T numbered after those of the levels before it."""
+    blocks, terms, base = [], [], 0
+    for level, cells in levels:
+        keys, local, dofs, rows, values = two_scale(space.mesh, space.basis, level)
+        data, cols, counts = _level_stiffness(space, geo, problem, level, cells, keys, local, form)
+        blocks.append((data, cols + base, counts))
+        terms.append((dofs, rows + base, values))
+        base += len(keys)
+    data, cols, counts = map(np.concatenate, zip(*blocks))
+    full = sp.csr_matrix((data, cols, np.concatenate([[0], np.cumsum(counts)])),
+                         shape=(base, base))
+    dofs, rows, values = map(np.concatenate, zip(*terms))
+    return full, sp.csr_matrix((values, (dofs, rows)), shape=(space.num_dofs, base))
+
+
+def _triangle(a, k):
+    """The entries of the CSR matrix a with column >= row + k, in CSR."""
+    rows = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
+    keep = a.indices >= rows + k
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows[keep], minlength=a.shape[0]))])
+    return sp.csr_matrix((a.data[keep], a.indices[keep], indptr), shape=a.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -652,12 +800,14 @@ def _edge_transform(geo, pts, side, wts, gx, gy, level, cells):
     weights along the boundary edges of the cells (e, 2) of one level, from
     parametric gradient rows (e, n, nq) at the points (e, nq, 2) and
     parametric arc weights (e, nq)."""
-    grad, _, pts_phys = _transform_rows(geo, pts, {(1, 0): gx, (0, 1): gy}, wts, level, cells)
+    local = None if geo.is_identity else geo.derivatives(pts.reshape(-1, 2))
+    grad, _, pts_phys = _transform_rows(geo, pts, {(1, 0): gx, (0, 1): gy}, wts, level, cells,
+                                        local)
     normal = np.array(_SIDE_NORMAL[side])
     nx, ny = normal
     if not geo.is_identity:
         # _transform_rows found det J > 0, so arcs and normals are nonzero
-        jac = geo.jacobians(pts.reshape(-1, 2))
+        jac = local[1]
         normals = np.einsum("qba,b->qa", np.linalg.inv(jac), normal)
         norms = np.linalg.norm(normals, axis=1)
         nx, ny = (normals / norms[:, None]).T.reshape((2, wts.shape[0], 1, -1))
@@ -769,28 +919,35 @@ def _fit_side(space, geo, side, kind, data_fn, constraints):
         return
     col = np.full(n, -1)
     col[unknowns] = np.arange(unknowns.size)
-    blocks = []
-    rhs_blocks = []
+    chunks = []
     for level, dofs, vals, dn, pts, wts in _side_batches(space, geo, side):
         rows = vals if kind == "deflection" else -dn
         target = _at_points(data_fn, pts, "%s data on side %r, level %d" % (kind, side, level))
         live = dofs >= 0
         given = np.where(live & trace[dofs] & fixed[dofs], known[dofs], 0.0)
         target = target - np.einsum("elq,el->eq", rows, given)
-        block = np.zeros(pts.shape[:2] + (unknowns.size,))
-        e, l = np.nonzero(live & (col[dofs] >= 0))
-        block[e, :, col[dofs[e, l]]] = rows[e, l]
         w = np.sqrt(wts)
-        blocks.append((block * w[..., None]).reshape(-1, unknowns.size))
-        rhs_blocks.append((target * w).ravel())
-    a = np.vstack(blocks)
-    b = np.concatenate(rhs_blocks)
+        chunks.append((dofs, rows, w, (target * w).ravel()))
+    b = np.concatenate([c[3] for c in chunks])
     scale = np.abs(b).max() if b.size else 0.0
+    # vanishing data need no least-squares matrix, which is dense in the
+    # side's unknowns and so is built only when it is solved
     if scale <= 1e-14:
         values = np.zeros(unknowns.size)
     else:
+        a = np.vstack([_fit_block(dofs, rows, w, col, unknowns.size)
+                       for dofs, rows, w, _ in chunks])
         values, *_ = np.linalg.lstsq(a, b, rcond=None)
     constraints.update(zip(unknowns.tolist(), values.tolist()))
+
+
+def _fit_block(dofs, rows, w, col, size):
+    """Rows (e nq, size) of a side's least-squares matrix on one chunk: the
+    unknowns' rows (e, nloc, nq) at their columns col[dof], weighted by w."""
+    block = np.zeros(rows.shape[:1] + rows.shape[2:] + (size,))
+    e, l = np.nonzero((dofs >= 0) & (col[dofs] >= 0))
+    block[e, :, col[dofs[e, l]]] = rows[e, l]
+    return (block * w[..., None]).reshape(-1, size)
 
 
 def apply_dirichlet(system, space, problem, geo=None):

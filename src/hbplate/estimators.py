@@ -213,15 +213,17 @@ def assemble_blocks(bubbles, u_h, space, geo, problem):
         for sl, ders, wts, pts in _field_batches(space, level, cells, u_h.coefficients,
                                                  _DERIVATIVES):
             chunk = cells[sl]
+            # a spline map is tabulated once per chunk, for bubbles and u_h
+            local = None if geo.constant_jacobian else geo.derivatives(pts.reshape(-1, 2))
             if not mats or not geo.constant_jacobian:
                 # the bubbles' physical rows, weights and matrices: on one
                 # element for the whole group, or on each element of the chunk
                 at = slice(0, 1) if geo.constant_jacobian else slice(None)
-                b, bwts, _ = _transform_rows(geo, pts[at], brows, wts[at], level, chunk[at])
+                b, bwts, _ = _transform_rows(geo, pts[at], brows, wts[at], level, chunk[at], local)
                 terms, w = _energy_terms(b, bwts, nu)
                 weighted = terms * w[:, None]
                 mats.append(d_const * (weighted @ terms.swapaxes(1, 2)))
-            u, _, pts = _transform_rows(geo, pts, ders, wts, level, chunk)
+            u, _, pts = _transform_rows(geo, pts, ders, wts, level, chunk, local)
             r = -d_const * (_energy_terms(u, bwts, nu)[0] @ weighted.swapaxes(1, 2))[:, 0]
             if gfun is not None:
                 gv = _at_points(gfun, pts, "load g on level %d" % level)

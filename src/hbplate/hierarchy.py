@@ -14,6 +14,10 @@ the (level, ix, iy) order of cells and dofs, which cells surround a point,
 which functions act on a cell, and which candidate functions meet a
 coarser cell. Only :func:`refine` keeps Python sets, local to the call,
 for its closure, which splits one cell at a time.
+
+On the active cells of one level every active function is a fixed sum of
+that level's tensor B-splines (the dyadic two-scale relation);
+:func:`two_scale` gives that sum as a sparse operator per level.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .splines import dyadic_refine, make_open_uniform
+from .splines import dyadic_refine, make_open_uniform, refinement_matrix
 
 __all__ = [
     "ElementId",
@@ -39,6 +43,7 @@ __all__ = [
     "check_admissible",
     "neighbors",
     "connectivity",
+    "two_scale",
     "dump_mesh",
 ]
 
@@ -363,6 +368,53 @@ def connectivity(mesh, basis, e):
                          (e.iy >> (e.level - k)) + loc).ravel()
         for k in range(e.level + 1)])
     return [basis.active[d] for d in dofs[dofs >= 0].tolist()]
+
+
+def two_scale(mesh, basis, level):
+    """The two-scale operator C of one level with active cells: the active
+    functions that act on the level's cells as sums of its tensor
+    B-splines.
+
+    Returns (keys, local, dofs, rows, values). keys are the sorted keys of
+    the level's tensor B-splines that are nonzero on its active cells, the
+    rows of C; local (E, (p + 1)^2) gives the position in keys of the
+    functions on each active cell, x-major. On the level's active cells,
+    the active function of each dof in dofs is the sum of values times the
+    B-splines keys[rows] (one entry per term): the function itself on its
+    own level, by :func:`~hbplate.splines.refinement_matrix` in each
+    direction on a coarser one, where terms outside keys vanish on those
+    cells and are dropped.
+    """
+    cells, loc = mesh.cells(level), np.arange(mesh.p + 1)
+    fine = _keys(cells[:, 0, None, None] + loc[:, None], cells[:, 1, None, None] + loc)
+    keys, local = np.unique(fine, return_inverse=True)
+    parts = []
+    # the cells' ancestors on level k, found level by level downwards
+    ancestors = cells
+    for k in range(level, -1, -1):
+        if k < level:
+            up = np.unique(_keys(ancestors[:, 0] >> 1, ancestors[:, 1] >> 1))
+            ancestors = np.stack([up >> 32, up & _LOW], axis=1)
+        found = basis.level_dofs(k, ancestors[:, 0, None, None] + loc[:, None],
+                                 ancestors[:, 1, None, None] + loc)
+        acting = np.zeros(basis.num_dofs, dtype=bool)
+        acting[found[found >= 0]] = True
+        dofs = np.flatnonzero(acting)
+        if not dofs.size:
+            continue
+        own = basis._keys[dofs]
+        if k == level:
+            parts.append((dofs, _find(keys, own), np.ones(dofs.size)))
+            continue
+        rows, values = refinement_matrix(mesh.knots(k), mesh.knots(level))
+        rx, vx = rows[own >> 32], values[own >> 32]
+        ry, vy = rows[own & _LOW], values[own & _LOW]
+        at = _find(keys, _keys(rx[:, :, None], ry[:, None, :]))
+        val = vx[:, :, None] * vy[:, None, :]
+        keep = (at >= 0) & (val != 0.0)
+        parts.append((np.broadcast_to(dofs[:, None, None], at.shape)[keep], at[keep], val[keep]))
+    dofs, rows, values = map(np.concatenate, zip(*parts))
+    return keys, local.reshape(len(cells), -1), dofs, rows, values
 
 
 def dump_mesh(mesh):

@@ -10,10 +10,17 @@ polynomial degree evaluate to zero.
 The Bernstein polynomials of degree q on [0, 1] are the B-splines of the
 one-span open knot vector :func:`bernstein_knots`, so they go through the
 same kernel and the same table cache as every other basis.
+
+Two univariate operators serve the two-scale stiffness assembly, both
+cached on the knot vector: the cell Gram matrices of
+:func:`cell_grams`, which a uniform knot vector has in at most 2p + 1
+classes of cells (:func:`cell_classes`), and the exact two-scale relation
+to a dyadic refinement, :func:`refinement_matrix`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -30,6 +37,9 @@ __all__ = [
     "eval_ders_in_span",
     "tabulate_in_span",
     "eval_bernstein_ders",
+    "cell_classes",
+    "cell_grams",
+    "refinement_matrix",
 ]
 
 
@@ -41,8 +51,9 @@ class KnotVector:
     smoothness C^{p-1} everywhere inside the domain.
 
     A knot vector keeps the basis tables that :meth:`table` computed on it,
-    so every mesh that shares it (the refinements of one mesh do) reuses
-    them; a new knot vector starts with none.
+    and its cell Gram and refinement matrices, so every mesh that shares it
+    (the refinements of one mesh do) reuses them; a new knot vector starts
+    with none.
     """
 
     __slots__ = ("knots", "degree", "_tables")
@@ -90,8 +101,16 @@ class KnotVector:
 
     @property
     def num_tables(self):
-        """Number of tables :meth:`table` has cached on this knot vector."""
+        """Number of arrays cached on this knot vector."""
         return len(self._tables)
+
+    def cached(self, key, build):
+        """What build() returns, computed once per key and kept on this
+        knot vector."""
+        out = self._tables.get(key)
+        if out is None:
+            out = self._tables[key] = build()
+        return out
 
     def table(self, xs, span, max_der=2):
         """:func:`tabulate_in_span` at the points xs, cached by (span,
@@ -101,13 +120,12 @@ class KnotVector:
         and iterations; one-off points go to :func:`tabulate_in_span`.
         """
         xs = np.ascontiguousarray(xs, dtype=float).reshape(-1)
-        key = (span, max(int(max_der), 2), xs.tobytes())
-        tab = self._tables.get(key)
-        if tab is None:
+
+        def build():
             tab = tabulate_in_span(self, xs, span, max_der)
             tab.setflags(write=False)
-            self._tables[key] = tab
-        return tab
+            return tab
+        return self.cached((span, max(int(max_der), 2), xs.tobytes()), build)
 
     def __eq__(self, other):
         if not isinstance(other, KnotVector):
@@ -302,3 +320,119 @@ def eval_bernstein_ders(q, t, max_der=2):
         raise ValueError("point %r outside the reference interval [0, 1]" % t)
     t = min(max(float(t), 0.0), 1.0)
     return eval_ders_in_span(bernstein_knots(q), t, q, max_der)
+
+
+def _check_uniform(kv):
+    """ValueError unless the breakpoints of kv are equally spaced, up to
+    rounding: within 1e-12 of the domain's size and position, since deep
+    dyadic refinements of a domain such as thirds have spans that differ
+    by their breakpoints' rounding, a large part of a tiny span."""
+    a, b = kv.domain
+    if np.ptp(np.diff(kv.breakpoints)) > 1e-12 * max(abs(a), abs(b), b - a):
+        raise ValueError("%r does not have equally spaced breakpoints" % (kv,))
+
+
+def cell_classes(kv, cells):
+    """Class of each cell index of a uniform knot vector in
+    :func:`cell_grams`: the p cells at each end have a class each, and the
+    cells between them, translates of one another, share class p; with at
+    most 2p cells every cell is its own class."""
+    n, p = kv.num_elements, kv.degree
+    cells = np.asarray(cells)
+    if n <= 2 * p:
+        return cells
+    return np.minimum(cells, p) + np.maximum(cells - (n - p - 1), 0)
+
+
+def cell_grams(kv):
+    """Univariate cell Gram matrices of a uniform open knot vector, one per
+    class of :func:`cell_classes`: ``grams[g, a, b, i, j]`` is the integral
+    over a cell c of class g of the product of the a-th derivative of
+    B_{c+i} and the b-th derivative of B_{c+j}, for a, b <= 2, by the Gauss
+    rule of p + 2 points, exact for these polynomials, on the cell
+    [a + c h, a + (c + 1) h] of the nominal span h. Cached on the knot
+    vector and read-only."""
+    def build():
+        _check_uniform(kv)
+        n, p = kv.num_elements, kv.degree
+        reps = np.arange(n) if n <= 2 * p else np.r_[0:p + 1, n - p:n]
+        nodes, weights = np.polynomial.legendre.leggauss(p + 2)
+        a, b = kv.domain
+        h = (b - a) / n
+        xs = a + (reps[:, None] + 0.5 * (nodes + 1.0)) * h
+        tab = tabulate_in_span(kv, xs.ravel(), np.repeat(reps + p, p + 2), 2)
+        tab = tab.reshape(3, p + 1, len(reps), p + 2).transpose(2, 0, 1, 3)
+        grams = np.einsum("gaiq,q,gbjq->gabij", tab, 0.5 * h * weights, tab)
+        grams.setflags(write=False)
+        return grams
+    return kv.cached(("grams",), build)
+
+
+def refinement_matrix(coarse, fine):
+    """Two-scale relation between a uniform open knot vector and its d-fold
+    dyadic refinement (d >= 1, as by repeated :func:`dyadic_refine`):
+    ``(rows, values)``, each (coarse.num_basis, w), such that coarse B_i is
+    the sum over c of ``values[i, c]`` times fine B_{rows[i, c]}; a column
+    with fewer than w terms is padded with value 0 at row 0.
+
+    The columns whose knots are all simple are translates of the d-fold
+    subdivision mask, the binomial rule 2^-p C(p + 1, j) refined d - 1 times
+    by itself; its entries are dyadic and exact in floating point. The p
+    columns at each end come from knot insertion by the Oslo algorithm, in
+    units of the fine knot spacing, to within rounding (for p >= 4 some of
+    them are not dyadic). Cached on the coarse knot vector per d and
+    read-only.
+    """
+    p = coarse.degree
+    ratio = fine.num_elements // coarse.num_elements
+    d = ratio.bit_length() - 1
+    if (fine.degree != p or ratio < 2 or ratio != 1 << d
+            or fine.num_elements != ratio * coarse.num_elements or fine.domain != coarse.domain):
+        raise ValueError("%r is not a dyadic refinement of %r" % (fine, coarse))
+    return coarse.cached(("refine", d), lambda: _refinement_arrays(coarse, fine, d))
+
+
+def _refinement_arrays(coarse, fine, d):
+    """The arrays of :func:`refinement_matrix`."""
+    _check_uniform(coarse)
+    _check_uniform(fine)
+    p, r = coarse.degree, 1 << d
+    nc, n, nf = coarse.num_elements, coarse.num_basis, fine.num_basis
+    one = np.array([math.comb(p + 1, j) for j in range(p + 2)]) / 2.0 ** p
+    mask = one
+    for _ in range(d - 1):
+        up = np.zeros(2 * mask.size - 1)
+        up[::2] = mask
+        mask = np.convolve(up, one)
+    # the end columns by Oslo: row j of R on the coarse functions mu - p..mu
+    # of the coarse span holding fine knot j, built up degree by degree
+    tau = np.r_[np.zeros(p), r * np.arange(nc + 1), np.full(p, r * nc)].astype(float)
+    t = np.r_[np.zeros(p), np.arange(r * nc + 1), np.full(p, r * nc)].astype(float)
+    js = np.unique(np.r_[np.arange(min(r * p, nf)), np.arange(max(nf - r * p, 0), nf)])
+    mu = np.clip(np.searchsorted(tau, t[js], side="right") - 1, p, n - 1)
+    b = np.ones((js.size, 1))
+    for k in range(1, p + 1):
+        x = t[js + k][:, None]
+        i = mu[:, None] - k + np.arange(k + 1)
+        prev = np.zeros((js.size, k + 2))
+        prev[:, 1:k + 1] = b
+        d1, d2 = tau[i + k] - tau[i], tau[i + k + 1] - tau[i + 1]
+        w1 = np.divide(x - tau[i], d1, out=np.zeros_like(d1), where=d1 > 0)
+        w2 = np.divide(tau[i + k + 1] - x, d2, out=np.zeros_like(d2), where=d2 > 0)
+        b = w1 * prev[:, :k + 1] + w2 * prev[:, 1:]
+    col = mu[:, None] - p + np.arange(p + 1)
+    row = np.broadcast_to(js[:, None], col.shape)
+    keep = ((col < p) | (col >= n - p)) & (b != 0.0)
+    order = np.lexsort((row[keep], col[keep]))
+    col, row, val = col[keep][order], row[keep][order], b[keep][order]
+    pos = np.arange(col.size) - np.searchsorted(col, col)
+    inner = np.arange(p, n - p)
+    width = max(mask.size, int(pos.max(initial=-1)) + 1)
+    rows = np.zeros((n, width), dtype=np.int64)
+    values = np.zeros((n, width))
+    rows[inner, :mask.size] = r * (inner[:, None] - p) + p + np.arange(mask.size)
+    values[inner, :mask.size] = mask
+    rows[col, pos], values[col, pos] = row, val
+    rows.setflags(write=False)
+    values.setflags(write=False)
+    return rows, values

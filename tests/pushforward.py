@@ -33,9 +33,9 @@ class PushForward:
 
 def pushforward2(geo, xi):
     """Chain-rule transform of (gradient, Hessian) through the geometry at xi."""
-    pt = np.asarray(xi, dtype=float).reshape(1, 2)
-    jac = geo.jacobians(pt)[0]
+    _, jac, hess = geo.derivatives(np.asarray(xi, dtype=float).reshape(1, 2))
+    jac = jac[0]
     det = float(np.linalg.det(jac))
     if det <= 0.0 or not np.isfinite(det):
         raise GeometryError("singular geometry Jacobian at %s (det=%g)" % (tuple(xi), det))
-    return PushForward(jacobian=jac, geometry_hessian=geo.hessians(pt)[0])
+    return PushForward(jacobian=jac, geometry_hessian=hess[0])

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
@@ -9,6 +10,7 @@ import scipy.sparse as sp
 import hbplate.assembly
 from hbplate.assembly import (
     _ASSEMBLY_COMBOS,
+    _DERIVATIVES,
     SIDES,
     BoundaryDataError,
     GeometryError,
@@ -455,8 +457,15 @@ def oracle_geometry(kind):
     return GeometryMap.spline(kv, control)
 
 
-def oracle_space():
-    """Three levels, admissible, with 16 to 28 functions on an element."""
+def oracle_space(name="three_levels"):
+    """"three_levels": three levels, admissible, with 16 to 28 functions on
+    an element; "uniform": one fully active level of 8 x 8 cells, refined
+    from 4 x 4, wide enough for cells that are translates of one another."""
+    if name == "uniform":
+        space = HierarchicalSpace.create(4, 3)
+        space = space.refined(space.mesh.active_elements(), 2)
+        assert [len(space.mesh.cells(l)) for l in range(2)] == [0, 64]
+        return space
     space = HierarchicalSpace.create(5, 3).refined([ElementId(0, 0, 0)], 2)
     space = space.refined([ElementId(1, 0, 0)], 2)
     counts = {len(connectivity(space.mesh, space.basis, e)) for e in space.mesh.active_elements()}
@@ -466,11 +475,11 @@ def oracle_space():
 
 
 @lru_cache(maxsize=None)
-def oracle_hessians(kind):
+def oracle_hessians(kind, name="three_levels"):
     """Per element: its dofs, and at every Gauss point its weight times
     det J and the physical Hessians (function, 2, 2), from the tables of
     tabulate_in_span and the per-point pushforward."""
-    space, geo = oracle_space(), oracle_geometry(kind)
+    space, geo = oracle_space(name), oracle_geometry(kind)
     mesh, basis, p = space.mesh, space.basis, space.degree
     nodes, w1 = np.polynomial.legendre.leggauss(p + 2)
     nodes, w1 = 0.5 * (nodes + 1.0), 0.5 * w1
@@ -502,32 +511,27 @@ def oracle_hessians(kind):
 
 class TestStiffnessOracle:
     """assemble_stiffness against a dense sum of element matrices, one
-    element and one point at a time, on a three-level mesh whose elements
-    carry different numbers of functions (padded kernel slots)."""
+    element and one point at a time: on a three-level mesh whose elements
+    carry different numbers of functions, and on one fully active level."""
 
     @staticmethod
-    def reference(kind, prob):
-        """Dense stiffness, and the number of dof pairs i <= j summed over
-        the elements."""
-        ref = np.zeros((oracle_space().num_dofs,) * 2)
-        pairs, nu = 0, prob.poisson
-        for idx, points in oracle_hessians(kind):
-            pairs += len(idx) * (len(idx) + 1) // 2
+    def reference(kind, prob, name):
+        """Dense stiffness summed over the elements."""
+        ref = np.zeros((oracle_space(name).num_dofs,) * 2)
+        nu = prob.poisson
+        for idx, points in oracle_hessians(kind, name):
             for w, hess in points:
                 frob = np.einsum("iab,jab->ij", hess, hess)
                 lap = hess[:, 0, 0] + hess[:, 1, 1]
                 ref[np.ix_(idx, idx)] += prob.stiffness * w * (
                     (1.0 - nu) * frob + nu * np.outer(lap, lap))
-        return ref, pairs
+        return ref
 
-    def check(self, kind, nu, monkeypatch=None):
+    def check(self, kind, nu, name="three_levels"):
         prob = PlateProblem(stiffness=1.7, poisson=nu,
                             dirichlet_w={s: 0.0 for s in SIDES}, neumann_M={s: 0.0 for s in SIDES})
-        ref, pairs = self.reference(kind, prob)
-        if monkeypatch is not None:
-            # about five folds of the pending upper-triangle entries into CSR
-            monkeypatch.setattr(hbplate.assembly, "_PENDING_ENTRIES", pairs // 5)
-        got = assemble_stiffness(oracle_space(), oracle_geometry(kind), prob)
+        ref = self.reference(kind, prob, name)
+        got = assemble_stiffness(oracle_space(name), oracle_geometry(kind), prob)
         assert got.format == "csr" and got.indices.dtype == np.int32
         assert (got != got.T).nnz == 0
         assert np.abs(got.toarray() - ref).max() <= 1e-13 * np.abs(ref).max()
@@ -537,8 +541,80 @@ class TestStiffnessOracle:
     def test_matches_the_element_sum(self, kind, nu):
         self.check(kind, nu)
 
-    def test_matches_the_element_sum_over_several_folds(self, monkeypatch):
-        self.check("spline", 0.3, monkeypatch)
+    @pytest.mark.parametrize("kind", ["identity", "affine", "spline"])
+    @pytest.mark.parametrize("nu", [0.0, 0.3])
+    def test_matches_the_element_sum_on_a_fully_active_level(self, kind, nu):
+        self.check(kind, nu, "uniform")
+
+    @pytest.mark.parametrize("kind", ["identity", "spline"])
+    def test_matches_the_element_sum_over_one_cell_chunks(self, kind, monkeypatch):
+        # the element matrices scattered at once are bounded by _CHUNK_BYTES;
+        # at 1 byte every chunk holds one cell
+        monkeypatch.setattr(hbplate.assembly, "_CHUNK_BYTES", 1)
+        self.check(kind, 0.3)
+
+
+class TestSplineMapTabulation:
+    def test_one_map_tabulation_per_kernel_chunk(self, monkeypatch):
+        space, geo = oracle_space(), oracle_geometry("spline")
+        calls = []
+        real = GeometryMap._spline_basis
+
+        def counted(self, pts, max_der):
+            calls.append(max_der)
+            return real(self, pts, max_der)
+        monkeypatch.setattr(GeometryMap, "_spline_basis", counted)
+        monkeypatch.setattr(hbplate.assembly, "_CHUNK_BYTES", 1 << 16)
+        chunks = sum(len(list(hbplate.assembly._side_batches(space, geo, side))) for side in SIDES)
+        assert len(calls) == chunks > 4
+        calls.clear()
+        prob = PlateProblem(dirichlet_w={s: 0.0 for s in SIDES}, neumann_M={s: 0.0 for s in SIDES})
+        assemble_stiffness(space, geo, prob)
+        chunks = sum(len(list(hbplate.assembly._level_rows(space, level, cells, _DERIVATIVES)))
+                     for level, cells in _level_cells(space.mesh))
+        assert len(calls) == chunks > 3
+        assert set(calls) == {2}
+
+
+def connectivity_pattern(space):
+    """Sorted CSR pattern (indptr, indices) of the dof pairs that share an
+    active element, from connectivity, one element at a time."""
+    n = space.num_dofs
+    pairs = set()
+    for e in space.mesh.active_elements():
+        idx = [int(space.basis.level_dofs(*f)) for f in connectivity(space.mesh, space.basis, e)]
+        pairs.update((i, j) for i in idx for j in idx)
+    i, j = np.array(sorted(pairs)).T
+    m = sp.csr_matrix((np.ones(i.size), (i, j)), shape=(n, n))
+    return m.indptr, m.indices
+
+
+class TestStiffnessPattern:
+    @pytest.mark.parametrize("degree, n0, config, grading", [
+        (3, 4, dict(mode="adaptive", max_iterations=40, max_dofs=1400), ()),
+        (5, 2, dict(mode="uniform", max_iterations=5), ()),
+        (4, 4, dict(mode="adaptive", max_iterations=30, max_dofs=1000), ("left", "bottom")),
+    ], ids=["point_load", "smooth", "singular"])
+    def test_every_study_mesh_couples_the_dofs_that_share_an_element(
+            self, degree, n0, config, grading):
+        # the three benchmark studies; the solver's LU ordering depends on
+        # this pattern, which is the pattern of the element-by-element sum
+        from hbplate import LoopConfig, benchmarks, run
+        spec = getattr(benchmarks, {3: "benchmark_point_load", 5: "benchmark_smooth",
+                                    4: "benchmark_singular"}[degree])()
+        problem = replace(spec.problem, load_grading=grading)
+        seen = []
+
+        def check(space, u_h, record):
+            got = assemble_stiffness(space, IDENTITY, problem)
+            indptr, indices = connectivity_pattern(space)
+            np.testing.assert_array_equal(got.indptr, indptr)
+            np.testing.assert_array_equal(got.indices, indices)
+            seen.append(space.mesh.num_levels)
+
+        run(problem, HierarchicalSpace.create(n0, degree), LoopConfig(**config),
+            exact_hessian=spec.exact_hessian, on_iteration=check)
+        assert len(seen) >= 5 and max(seen) >= 5
 
 
 class TestLoad:
@@ -636,6 +712,38 @@ class TestDirichlet:
                             rhs=np.zeros(space.num_dofs))
         with pytest.raises(BoundaryDataError):
             apply_dirichlet(sys0, space, prob)
+
+    def test_vanishing_data_build_no_least_squares_matrix(self, monkeypatch):
+        space = HierarchicalSpace.create(4, 3)
+        for level in range(5):
+            space = space.refined([ElementId(level, 0, 0)], 2)
+        prob = PlateProblem(dirichlet_w={s: 0.0 for s in SIDES},
+                            dirichlet_phi={"left": 0.0, "bottom": lambda x, y: 0.0 * x},
+                            neumann_M={"right": 0.0, "top": 0.0})
+        sys0 = LinearSystem(matrix=None, rhs=np.zeros(space.num_dofs))
+        expected = apply_dirichlet(sys0, space, prob).constraints
+
+        def fail(*args, **kwargs):
+            raise AssertionError("least-squares matrix built for vanishing data")
+        monkeypatch.setattr(hbplate.assembly, "_fit_block", fail)
+        monkeypatch.setattr(np.linalg, "lstsq", fail)
+        got = apply_dirichlet(sys0, space, prob).constraints
+        assert got == expected and set(got.values()) == {0.0}
+        traces = set()
+        for side, depth in (("left", 2), ("bottom", 2), ("right", 1), ("top", 1)):
+            traces.update(hbplate.assembly._trace_dofs(space, side, depth).tolist())
+        assert set(got) == traces
+
+    def test_nonzero_data_still_fitted(self, monkeypatch):
+        space = HierarchicalSpace.create(4, 3).refined([ElementId(0, 0, 0)], 2)
+        prob = spline_exact_problem()
+        blocks = []
+        real = hbplate.assembly._fit_block
+        monkeypatch.setattr(hbplate.assembly, "_fit_block",
+                            lambda *args: blocks.append(1) or real(*args))
+        got = apply_dirichlet(LinearSystem(matrix=None, rhs=np.zeros(space.num_dofs)),
+                              space, prob).constraints
+        assert blocks and max(abs(v) for v in got.values()) > 0.1
 
 
 class TestDataCallables:

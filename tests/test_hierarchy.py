@@ -13,8 +13,9 @@ from hbplate.hierarchy import (
     neighbors,
     rebuild_basis,
     refine,
+    two_scale,
 )
-from hbplate.splines import eval_ders
+from hbplate.splines import eval_ders, find_span, tabulate_in_span
 
 
 def overlap_area(a, b):
@@ -461,3 +462,48 @@ class TestQueriesAgainstGeometry:
                     finest = max(f.level for f in active if contains(rects[f], x, y))
                     got = mesh.locate(x, y)
                     assert got.level == finest and contains(rects[got], x, y)
+
+
+def all_ders(kv, xs, der):
+    """The der-th derivative of every basis function of kv at xs: (len(xs), n)."""
+    out = np.zeros((len(xs), kv.num_basis))
+    spans = find_span(kv, xs)
+    tab = tabulate_in_span(kv, xs, spans, 2)
+    for q, s in enumerate(spans):
+        out[q, s - kv.degree:s + 1] = tab[der, :, q]
+    return out
+
+
+class TestTwoScale:
+    @pytest.mark.parametrize("p, m", [(3, 2), (4, 3), (5, 2)])
+    def test_reproduces_every_active_function_on_each_level(self, p, m):
+        rng = np.random.default_rng(p)
+        for mesh in random_admissible_meshes(p, m, count=2):
+            basis = rebuild_basis(mesh)
+            funcs = basis.active
+            for level in range(mesh.num_levels):
+                cells = mesh.cells(level)
+                if not len(cells):
+                    continue
+                keys, local, dofs, rows, values = two_scale(mesh, basis, level)
+                fx, fy = keys >> 32, keys & ((1 << 32) - 1)
+                # each cell's (p + 1)^2 functions, x-major, sit at local
+                loc = np.arange(p + 1)
+                want = (((cells[:, 0, None, None] + loc[:, None]) << 32)
+                        + cells[:, 1, None, None] + loc).reshape(len(cells), -1)
+                np.testing.assert_array_equal(keys[local], want)
+                c = np.zeros((len(keys), basis.num_dofs))
+                np.add.at(c, (rows, dofs), values)
+                # one random point inside each active cell of the level
+                h, a = mesh.h(level), mesh.interval[0]
+                pts = a + (cells + rng.uniform(0.05, 0.95, cells.shape)) * h
+                tab = {(k, axis, der): all_ders(mesh.knots(k), pts[:, axis], der)
+                       for k in range(level + 1) for axis in (0, 1) for der in (0, 1, 2)}
+                for dx, dy in ((0, 0), (2, 0), (1, 1), (0, 2)):
+                    fine = tab[level, 0, dx][:, fx] * tab[level, 1, dy][:, fy]
+                    exact = np.zeros((len(cells), len(funcs)))
+                    for d, (k, i, j) in enumerate(funcs):
+                        if k <= level:
+                            exact[:, d] = tab[k, 0, dx][:, i] * tab[k, 1, dy][:, j]
+                    got = fine @ c
+                    assert np.abs(got - exact).max() <= 1e-12 * np.abs(exact).max()

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,12 +7,15 @@ import pytest
 from hbplate.splines import (
     KnotVector,
     bernstein_knots,
+    cell_classes,
+    cell_grams,
     dyadic_refine,
     eval_bernstein_ders,
     eval_ders,
     eval_ders_in_span,
     find_span,
     make_open_uniform,
+    refinement_matrix,
     tabulate_in_span,
 )
 
@@ -352,6 +356,152 @@ class TestDyadicRefine:
             coeff, res, *_ = np.linalg.lstsq(fine_vals, coarse_vals[:, j], rcond=None)
             resid = np.linalg.norm(fine_vals @ coeff - coarse_vals[:, j])
             assert resid <= 1e-10
+
+
+def oslo_exact(ncells, p, d):
+    """Rational two-scale matrix (fine function, coarse function) of the
+    open uniform knot vector of ncells cells and its d-fold dyadic
+    refinement, by the Oslo recurrence for discrete B-splines, in units of
+    the fine knot spacing, one row at a time."""
+    r = 2 ** d
+    tau = [0] * p + [r * i for i in range(ncells + 1)] + [r * ncells] * p
+    t = [0] * p + list(range(r * ncells + 1)) + [r * ncells] * p
+    n, nf = len(tau) - p - 1, len(t) - p - 1
+    out = [[Fraction(0)] * n for _ in range(nf)]
+    for j in range(nf):
+        mu = max(i for i in range(p, n) if tau[i] <= t[j])
+        alpha = {mu: Fraction(1)}
+        for k in range(1, p + 1):
+            x = t[j + k]
+            nxt = {}
+            for i in range(mu - k, mu + 1):
+                v = Fraction(0)
+                if i in alpha and tau[i + k] != tau[i]:
+                    v += Fraction(x - tau[i], tau[i + k] - tau[i]) * alpha[i]
+                if i + 1 in alpha and tau[i + 1 + k] != tau[i + 1]:
+                    v += Fraction(tau[i + 1 + k] - x, tau[i + 1 + k] - tau[i + 1]) * alpha[i + 1]
+                nxt[i] = v
+            alpha = nxt
+        for i, v in alpha.items():
+            out[j][i] = v
+    return out
+
+
+def dense_refinement(coarse, fine):
+    rows, values = refinement_matrix(coarse, fine)
+    out = np.zeros((fine.num_basis, coarse.num_basis))
+    np.add.at(out, (rows, np.arange(coarse.num_basis)[:, None]), values)
+    return out
+
+
+def full_values(kv, xs, der=0):
+    """Every basis function's der-th derivative at the points xs: (len(xs), n)."""
+    out = np.zeros((len(xs), kv.num_basis))
+    spans = find_span(kv, xs)
+    tab = tabulate_in_span(kv, xs, spans, der)
+    for q, s in enumerate(spans):
+        out[q, s - kv.degree:s + 1] = tab[der, :, q]
+    return out
+
+
+class TestRefinementMatrix:
+    @pytest.mark.parametrize("p", [3, 4, 5])
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("ncells", [1, 3, 11])
+    def test_coarse_functions_are_the_refined_sums(self, p, d, ncells):
+        coarse = make_open_uniform(ncells, p, (0.5, 2.0))
+        fine = coarse
+        for _ in range(d):
+            fine = dyadic_refine(fine)
+        r = dense_refinement(coarse, fine)
+        xs = np.random.default_rng(p + 10 * d).uniform(0.5, 2.0, 60)
+        for der in (0, 2):
+            want = full_values(coarse, xs, der)
+            got = full_values(fine, xs, der) @ r
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+    @pytest.mark.parametrize("p", [3, 4, 5])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_matches_rational_knot_insertion(self, p, d):
+        ncells = 2 * p + 3
+        fine = coarse = make_open_uniform(ncells, p)
+        for _ in range(d):
+            fine = dyadic_refine(fine)
+        got = dense_refinement(coarse, fine)
+        exact = oslo_exact(ncells, p, d)
+        # columns with simple knots are exact; the end columns to rounding
+        inner = slice(p, coarse.num_basis - p)
+        np.testing.assert_array_equal(got[:, inner], np.array(exact, dtype=float)[:, inner])
+        err = max(abs(Fraction(float(g)) - e) for gr, er in zip(got, exact) for g, e in zip(gr, er))
+        assert err <= 2.0 ** -52
+
+    @pytest.mark.parametrize("p", [3, 4, 5])
+    def test_interior_columns_are_the_binomial_rule(self, p):
+        coarse = make_open_uniform(3 * p, p)
+        rows, values = refinement_matrix(coarse, dyadic_refine(coarse))
+        rule = [math.comb(p + 1, j) / 2.0 ** p for j in range(p + 2)]
+        for i in range(p, coarse.num_basis - p):
+            np.testing.assert_array_equal(values[i], rule)
+            np.testing.assert_array_equal(rows[i], 2 * i - p + np.arange(p + 2))
+
+    def test_cached_on_the_coarse_knot_vector(self):
+        coarse = make_open_uniform(4, 3)
+        fine = dyadic_refine(dyadic_refine(coarse))
+        assert refinement_matrix(coarse, fine) is refinement_matrix(coarse, fine)
+        assert coarse.num_tables == 1 and fine.num_tables == 0
+
+    def test_rejects_a_knot_vector_that_is_not_a_refinement(self):
+        coarse = make_open_uniform(4, 3)
+        for other in (coarse, make_open_uniform(6, 3), make_open_uniform(8, 4),
+                      make_open_uniform(8, 3, (0.0, 2.0))):
+            with pytest.raises(ValueError):
+                refinement_matrix(coarse, other)
+
+
+class TestCellGrams:
+    @pytest.mark.parametrize("ncells", [2, 5, 12])
+    def test_every_cell_against_its_own_quadrature(self, ncells):
+        p = 3
+        kv = make_open_uniform(ncells, p, (-1.0, 2.0))
+        grams = cell_grams(kv)[cell_classes(kv, np.arange(ncells))]
+        nodes, weights = np.polynomial.legendre.leggauss(p + 2)
+        bp = kv.breakpoints
+        for c in range(ncells):
+            h = bp[c + 1] - bp[c]
+            tab = tabulate_in_span(kv, bp[c] + h * 0.5 * (nodes + 1.0), c + p, 2)
+            want = np.einsum("aiq,q,bjq->abij", tab, 0.5 * h * weights, tab)
+            assert np.abs(grams[c] - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_classes_of_a_long_knot_vector(self):
+        kv = make_open_uniform(20, 4)
+        np.testing.assert_array_equal(cell_classes(kv, np.arange(20)),
+                                      [0, 1, 2, 3] + [4] * 12 + [5, 6, 7, 8])
+        assert cell_grams(kv).shape == (9, 3, 3, 5, 5)
+
+    def test_rejects_unequal_spans(self):
+        kv = KnotVector([0, 0, 0, 0, 0.3, 1, 1, 1, 1], 3)
+        with pytest.raises(ValueError):
+            cell_grams(kv)
+        with pytest.raises(ValueError):
+            refinement_matrix(kv, dyadic_refine(kv))
+
+    def test_deep_refinement_of_thirds(self):
+        # the spans of 3 * 2^14 cells differ by the breakpoints' rounding,
+        # 1e-11 of a span, and still count as equal
+        kv = make_open_uniform(3, 3)
+        for _ in range(14):
+            kv = dyadic_refine(kv)
+        steps = np.diff(kv.breakpoints)
+        assert np.ptp(steps) > 1e-12 * steps.max()
+        c = kv.num_elements // 2 + 1
+        grams = cell_grams(kv)[cell_classes(kv, c)]
+        nodes, weights = np.polynomial.legendre.leggauss(5)
+        h = 1.0 / kv.num_elements
+        tab = tabulate_in_span(kv, (c + 0.5 * (nodes + 1.0)) * h, c + 3, 2)
+        want = np.einsum("aiq,q,bjq->abij", tab, 0.5 * h * weights, tab)
+        assert np.abs(grams - want).max() <= 1e-9 * np.abs(want).max()
+        rows, values = refinement_matrix(kv, dyadic_refine(kv))
+        assert rows.shape == (kv.num_basis, 5)
 
 
 class TestKnotVectorValidation:
