@@ -7,44 +7,41 @@ Quadrature uses one tensor Gauss rule with degree + 2 points per direction
 on every active element, for the stiffness, loads, error norms and the
 estimator blocks alike.
 
-Every element integral but the stiffness's (below) and every point value
-runs through one element kernel, which works on chunks of active elements of one level at the nodes
-of a tensor reference rule on [0, 1]^2: the interior Gauss rule, an edge
-rule with one node on a domain side (moment and shear loads, Dirichlet
-fits, the residual estimator's edge jumps), a graded rule whose strips
-crowd toward graded sides (the graded body load), or a one-off rule at
-given points (:func:`evaluate`, point loads). Both of its modes share one
-set-up, :func:`_kernel_setup`: each level's dof lookup and the univariate
-tables at the rule's nodes.
+Everything is assembled level by level from the two-scale relation: on the
+active cells of level l every active function is a fixed sum of level l's
+own tensor B-splines, (p + 1)^2 per cell, given by the sparse operator C_l
+(:attr:`hbplate.hierarchy.HierarchicalSpace.levels`, built once per
+space). So each operator works on those single-level functions only:
 
-- Rows mode, :func:`_element_batches`, hands out the basis: dofs padded
-  with -1 and derivative rows (element, function, node), for the integrals
-  whose test functions are the basis (loads, Dirichlet fits).
-- Field mode, :func:`_field_batches`, hands out the derivatives of one
-  discrete field (element, 1, node) by sum factorisation: each element's
-  coefficients, as (p + 1) x (p + 1) tensors per level, are contracted with
-  the tables in y and then in x, and no basis rows are built. The error
-  norm, :func:`evaluate` and the estimators' u_h terms use it.
+- the stiffness is K = sum over l of C_l^T K_l C_l (:func:`assemble_stiffness`);
+- the load is b = sum over l of C_l^T b_l (:func:`assemble_load`);
+- a field u enters as u_l = C_l u (:func:`h2_seminorm_error`,
+  :func:`evaluate` and the estimators);
+- the Dirichlet fit's least-squares matrix is W T_l C_l, sparse
+  (:func:`apply_dirichlet`).
 
-The stiffness is assembled level by level from the two-scale relation,
-K = sum over levels l of C_l^T K_l C_l (:func:`assemble_stiffness`): K_l
-is the stiffness of level l's own tensor B-splines over its active cells,
-(p + 1)^2 functions per cell, and C_l (:func:`hbplate.hierarchy.two_scale`)
-writes every active function acting on those cells as a sum of them.
+The level kernel, :func:`_level_chunks`, hands out the univariate tables of
+a level's B-splines on chunks of its cells at the nodes of a tensor
+reference rule on [0, 1]^2: the interior Gauss rule, an edge rule with one
+node on a domain side (moment and shear loads, Dirichlet fits), or a
+graded rule whose strips crowd toward graded sides (the graded body load).
+A uniform knot vector has at most 2p + 1 classes of cells, so the tables
+of a rule are one array per knot vector,
+:func:`hbplate.splines.class_tables`, cached on it; refined meshes share
+those knot vectors, so the tables carry over from iteration to iteration,
+while a new space starts with none. On top of it, body loads and fields
+are sum-factorised (``tx @ G @ ty^T`` per cell, and the coefficients
+contracted in y, then in x, :func:`_field_chunks`); edge integrals and the
+spline-map stiffness use rows (:func:`_level_rows`). One-off points
+(:func:`evaluate`, point loads, the residual estimator's edge pieces) are
+tabulated in one :func:`hbplate.splines.tabulate_in_span` call per level
+and direction, each point in its own cell's span, and not kept.
+
 Under a constant Jacobian the element matrices of K_l are sums of
 Kronecker products of univariate cell Gram matrices, and a mesh with one
 fully active level is one sum of Kronecker products of banded matrices;
-under a spline map K_l comes from the kernel's quadrature on the level's
-own functions. The upper triangle of the sum is mirrored, so the matrix
-is exactly symmetric.
-
-Basis values come from one tabulation kernel,
-:func:`hbplate.splines.tabulate_in_span`, which runs Cox-de Boor over many
-points at once. Tables of the fixed rules are cached on the knot vector of
-their level by :meth:`~hbplate.splines.KnotVector.table`; refined meshes
-share those knot vectors, so the tables carry over from iteration to
-iteration, while a new space starts with none. Tables of one-off rules are
-tabulated and not kept; a spline map tabulates each point in its own span.
+under a spline map K_l comes from quadrature on the level's own functions.
+The upper triangle of K is mirrored, so the matrix is exactly symmetric.
 The moment and shear data are integrated once, in :func:`_natural_terms`,
 for the load vector and the estimator alike.
 """
@@ -58,8 +55,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .hierarchy import two_scale
-from .splines import KnotVector, cell_classes, cell_grams, find_span, tabulate_in_span
+from .splines import cell_classes, cell_grams, class_tables, find_span, tabulate_in_span
 # bench/tracer.py counts calls by wrapping this module's names, so they stay
 # bound here although nothing in this module calls them any more
 from .hierarchy import connectivity  # noqa: F401
@@ -304,22 +300,12 @@ class LinearSystem:
 
 
 # ---------------------------------------------------------------------------
-# the element kernel
+# the level kernel
 
 _ASSEMBLY_COMBOS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
 _DERIVATIVES = _ASSEMBLY_COMBOS[1:]
 _HESSIANS = _ASSEMBLY_COMBOS[3:]
-_CHUNK_BYTES = 1 << 20  # basis rows held for one chunk of elements
-_EVAL_POINTS = 32  # points per kernel call of evaluate on one element
-
-
-def _level_cells(mesh):
-    """(level, cells) for every level with active elements: their cell
-    indices as an (E, 2) array in (ix, iy) order."""
-    for l in range(mesh.num_levels):
-        cells = mesh.cells(l)
-        if len(cells):
-            yield l, cells
+_CHUNK_BYTES = 1 << 20  # tables, rows and products held for one chunk of cells
 
 
 def _rule_on_cells(mesh, level, cells, rule):
@@ -335,150 +321,98 @@ def _rule_on_cells(mesh, level, cells, rule):
     return pts, np.outer(xw, yw).ravel() * scale
 
 
-def _kernel_setup(space, level, cells, combos, rule, cached):
-    """What both modes of the element kernel share on the cells (E, 2) of
-    one level: the rule (by default the interior Gauss rule), the dofs
-    (E, L, p + 1, p + 1) of the functions of the L levels k <= level that
-    act on the cells, from the basis's dof lookup per level and -1 where
-    inactive, and per direction the univariate tables (cell, L, derivative,
-    i, node) at the rule's nodes of the distinct cell indices, with each
-    cell's position among them."""
-    mesh, basis, p = space.mesh, space.basis, space.degree
-    rule = rule or (_gauss01(p + 2),) * 2
-    loc = np.arange(p + 1)
-    levels, dofs = [], []
-    for k in range(level + 1):
-        ax, ay = (cells >> (level - k)).T
-        d = basis.level_dofs(k, ax[:, None, None] + loc[:, None], ay[:, None, None] + loc)
-        if (d >= 0).any():
-            levels.append(k)
-            dofs.append(d)
-    tabs = _rule_tables(mesh, level, cells, levels, rule, max(max(c) for c in combos), cached)
-    return rule, np.stack(dofs, axis=1), tabs
+def _level_chunks(mesh, level, cells, rule, max_der, floats):
+    """The level kernel: the level's own tensor B-splines on chunks of its
+    cells (E, 2) at the nodes of a tensor reference rule ((x nodes, x
+    weights), (y nodes, y weights)) on [0, 1], from the class tables of its
+    knot vector (:func:`~hbplate.splines.class_tables`); nodes at 0 or 1
+    give one-sided limits on each cell.
 
-
-def _rule_tables(mesh, level, cells, levels, rule, max_der, cached):
-    """Per direction, the univariate tables (cell, L, derivative, i, node)
-    of the L levels in `levels` at the rule's nodes on the distinct cell
-    indices of the cells (E, 2) of one level, with each cell's position
-    among them; cached on the knot vectors, or tabulated and dropped."""
-    p, h, a = mesh.p, mesh.h(level), mesh.interval[0]
-    tabulate = KnotVector.table if cached else tabulate_in_span
-    tabs = []
-    for axis, (nodes, _) in enumerate(rule):
-        ucells, inverse = np.unique(cells[:, axis], return_inverse=True)
-        tabs.append((np.array([[tabulate(mesh.knots(k), a + (c + nodes) * h,
-                                         (c >> (level - k)) + p, max_der)
-                                for k in levels] for c in ucells]), inverse))
-    return tabs
-
-
-def _element_batches(space, level, cells, combos, rule=None, cached=True):
-    """The element kernel in rows mode: active basis functions and their
-    rows on chunks of active elements of one level, given by their (E, 2)
-    cells, at the nodes of a tensor reference rule.
-
-    A rule is ((x nodes, x weights), (y nodes, y weights)) on [0, 1]; the
-    default is the interior Gauss rule of p + 2 points per direction. Every
-    node is evaluated in the span of its element, so nodes at 0 or 1 give
-    one-sided limits on the element. Weights are the products of the 1-D
-    weights times h for each direction with more than one node: h^2 (the
-    element area) for the interior and graded rules, h (the edge length)
-    for an edge rule, whose single node across the edge has weight 1.
-
-    Yields (sl, dofs, rows, wts, pts) for each chunk ``cells[sl]`` of e
-    elements. dofs (e, nloc) lists each element's active functions in
-    connectivity order, padded with -1; rows maps each combo (dx, dy) to
-    parametric derivative rows (e, nloc, nq), exactly zero on padded slots;
-    wts (e, nq) and pts (e, nq, 2) are the rule's weights and points
-    (x-major). Functions come from the basis's dof lookup per level, and
-    rows from univariate tables gathered per active slot; a chunk's rows
-    fill at most _CHUNK_BYTES. The tables of fixed rules are cached on each
-    level's knot vector; ``cached=False`` tabulates one-off rules and drops
-    them.
+    Yields (sl, tx, ty, wts, pts) for each chunk ``cells[sl]`` of e cells:
+    tx (e, derivative, i, x node) tabulates the functions c + i of each
+    cell c in x, ty likewise in y, and wts (e, nq) and pts (e, nq, 2) are
+    the rule's weights and points (:func:`_rule_on_cells`). A chunk holds at
+    most _CHUNK_BYTES of the caller's `floats` per cell.
     """
-    rule, dofs_by_level, ((xtab, xat), (ytab, yat)) = _kernel_setup(
-        space, level, cells, combos, rule, cached)
-    # slots run over (level, i, j) as connectivity does; a stable sort puts
-    # the active ones first, in that order, and the inactive (-1) after them
-    slot_dofs = dofs_by_level.reshape(len(cells), -1)
-    order = np.argsort(slot_dofs < 0, axis=1, kind="stable")
-    count = (slot_dofs >= 0).sum(axis=1)
-    # the tables of each combo's derivative orders, picked before the gather
-    xtab = xtab[:, :, [c[0] for c in combos]]
-    ytab = ytab[:, :, [c[1] for c in combos]]
-    nq = rule[0][0].size * rule[1][0].size
-    step = max(1, _CHUNK_BYTES // (8 * len(combos) * int(count.max()) * nq))
-    for start in range(0, len(cells), step):
-        sl = slice(start, start + step)
-        nloc = int(count[sl].max())
-        slot = order[sl, :nloc]
-        dofs = np.take_along_axis(slot_dofs[sl], slot, axis=1)
-        k, i, j = np.unravel_index(slot, dofs_by_level.shape[1:])
-        tx = xtab[xat[sl, None], k, :, i]
-        ty = ytab[yat[sl, None], k, :, j]
-        tx[dofs < 0] = 0.0
-        # element-major (e, nloc, combo, nq); each combo's rows are a view
-        rows = (tx[..., :, None] * ty[..., None, :]).reshape(len(dofs), nloc, len(combos), nq)
-        pts, w = _rule_on_cells(space.mesh, level, cells[sl], rule)
-        yield (sl, dofs, {c: rows[:, :, r] for r, c in enumerate(combos)},
-               np.broadcast_to(w, (len(dofs), nq)), pts)
-
-
-def _field_batches(space, level, cells, coeff, combos, rule=None, cached=True):
-    """The element kernel in field mode: derivatives of the discrete field
-    with coefficients coeff on chunks of the cells (E, 2) of one level, at
-    the nodes of a tensor reference rule, as in :func:`_element_batches`.
-
-    Sum factorisation: each element's coefficients are gathered per level
-    as (p + 1) x (p + 1) tensors, 0 for inactive functions, and contracted
-    with the univariate tables, first in y and then in x (over levels and
-    x functions at once). No basis rows are built.
-
-    Yields (sl, ders, wts, pts) for each chunk ``cells[sl]`` of e elements:
-    ders maps each combo (dx, dy) to parametric derivative rows (e, 1, nq)
-    of the field, x-major; wts and pts are those of rows mode. A chunk's
-    gathered tables and products fill at most _CHUNK_BYTES.
-    """
-    rule, dofs_by_level, ((xtab, xat), (ytab, yat)) = _kernel_setup(
-        space, level, cells, combos, rule, cached)
-    # padding slots (-1) read the appended zero
-    coef = np.append(coeff, 0.0)[dofs_by_level]
-    dxs = sorted({c[0] for c in combos})
-    dys = sorted({c[1] for c in combos})
-    xtab, ytab = xtab[:, :, dxs], ytab[:, :, dys]
-    _, nl, n1, _ = coef.shape
-    nx, ny = rule[0][0].size, rule[1][0].size
-    # floats per element: coefficients, gathered tables, y products, result
-    floats = nl * n1 * (n1 + len(dxs) * nx + 2 * len(dys) * ny) + len(dxs) * nx * len(dys) * ny
+    kv = mesh.knots(level)
+    xtab, ytab = (class_tables(kv, nodes, max_der) for nodes, _ in rule)
+    cx, cy = cell_classes(kv, cells).T
     step = max(1, _CHUNK_BYTES // (8 * floats))
     for start in range(0, len(cells), step):
         sl = slice(start, start + step)
-        e = len(coef[sl])
-        # y first, (e, L, dy, i, y node); then x, summing over (L, i) at once
-        part = (coef[sl, :, None] @ ytab[yat[sl]]).transpose(0, 1, 3, 2, 4)
-        part = part.reshape(e, nl * n1, -1)
-        tx = xtab[xat[sl]].transpose(0, 2, 4, 1, 3).reshape(e, -1, nl * n1)
-        full = (tx @ part).reshape(e, len(dxs), nx, len(dys), ny)
-        ders = {(dx, dy): full[:, dxs.index(dx), :, dys.index(dy)].reshape(e, 1, nx * ny)
-                for dx, dy in combos}
-        pts, w = _rule_on_cells(space.mesh, level, cells[sl], rule)
-        yield sl, ders, np.broadcast_to(w, (e, nx * ny)), pts
+        pts, w = _rule_on_cells(mesh, level, cells[sl], rule)
+        yield sl, xtab[cx[sl]], ytab[cy[sl]], np.broadcast_to(w, pts.shape[:2]), pts
 
 
-def _point_rule(mesh, e, xs, ys):
-    """One-off rule at the parametric points xs x ys (x-major) on element
-    e, taken as one-sided limits on e, and e's cell as a (1, 2) array."""
-    h, a = mesh.h(e.level), mesh.interval[0]
-    rule = [((np.asarray(t, dtype=float) - a) / h - c, np.ones(len(t)))
-            for t, c in ((xs, e.ix), (ys, e.iy))]
-    return np.array([e[1:]], dtype=np.int64), rule
+def _level_rows(space, level, cells, combos, rule=None):
+    """Rows of the level's own tensor B-splines on chunks of its cells (E,
+    2), by :func:`_level_chunks` (by default at the interior Gauss rule):
+    yields (sl, rows, wts, pts) with rows mapping each combo (dx, dy) to
+    (e, (p + 1)^2, nq), each cell's functions x-major as in
+    :attr:`~hbplate.hierarchy.LevelOperator.local`."""
+    n1 = space.degree + 1
+    rule = rule or (_gauss01(n1 + 1),) * 2
+    nq = rule[0][0].size * rule[1][0].size
+    for sl, tx, ty, wts, pts in _level_chunks(space.mesh, level, cells, rule,
+                                              max(max(c) for c in combos),
+                                              len(combos) * n1 * n1 * nq):
+        rows = {(dx, dy): (tx[:, dx, :, None, :, None] * ty[:, dy, None, :, None, :]).reshape(
+            len(tx), n1 * n1, nq) for dx, dy in combos}
+        yield sl, rows, wts, pts
 
 
-def _add_local(vec, dofs, loc):
-    """Add local values (e, nloc) into vec at the dofs, skipping padding."""
-    live = dofs >= 0
-    vec += np.bincount(dofs[live], loc[live], minlength=vec.size)
+def _field_chunks(space, op, at, coeff, combos, rule=None):
+    """Derivatives of a discrete field on chunks of the cells ``op.cells[at]``
+    of one level (a :class:`~hbplate.hierarchy.LevelOperator`), from its
+    level coefficients coeff = C_l u, by :func:`_level_chunks`.
+
+    Sum factorisation: each cell's (p + 1) x (p + 1) coefficients, gathered
+    through ``op.local``, are contracted with the tables in y and then in
+    x; no basis rows are built. Yields (sl, ders, wts, pts) for each chunk
+    ``at[sl]``, with ders mapping each combo (dx, dy) to (e, 1, nq).
+    """
+    n1 = space.degree + 1
+    rule = rule or (_gauss01(n1 + 1),) * 2
+    nd = max(max(c) for c in combos) + 1
+    nx, ny = rule[0][0].size, rule[1][0].size
+    # floats per cell: coefficients, tables, y products, result
+    floats = n1 * (n1 + nd * nx + 2 * nd * ny) + nd * nx * nd * ny
+    for sl, tx, ty, wts, pts in _level_chunks(space.mesh, op.level, op.cells[at], rule, nd - 1,
+                                              floats):
+        e = len(tx)
+        coef = coeff[op.local[at[sl]]].reshape(e, n1, n1)
+        # y first, (e, i, (dy, y node)); then x, (e, (dx, x node), (dy, y node))
+        part = coef @ ty[:, :nd].transpose(0, 2, 1, 3).reshape(e, n1, -1)
+        full = (tx[:, :nd].transpose(0, 1, 3, 2).reshape(e, -1, n1) @ part).reshape(
+            e, nd, nx, nd, ny)
+        yield sl, {(dx, dy): full[:, dx, :, dy].reshape(e, 1, nx * ny)
+                   for dx, dy in combos}, wts, pts
+
+
+def _point_tables(space, op, cells, pts, max_der):
+    """Tables (derivative, i, point) in x and in y of the level's own
+    B-splines at the parametric points pts (n, 2), each in the span of its
+    cell of cells (n, 2), so that points on a cell's edge give one-sided
+    limits on it, and each point's position in ``op.cells``: one
+    tabulate_in_span call per direction, for one-off points, not kept."""
+    kv, p = space.mesh.knots(op.level), space.degree
+    tx, ty = (tabulate_in_span(kv, pts[:, axis], cells[:, axis] + p, max_der) for axis in (0, 1))
+    return tx, ty, space.mesh.cell_index(op.level, cells[:, 0], cells[:, 1])
+
+
+def _point_ders(space, op, cells, pts, coeff, combos):
+    """Derivatives (n,) by combo of the field with level coefficients coeff
+    = C_l u at the parametric points pts (n, 2) of the cells (n, 2) of one
+    level, by :func:`_point_tables`."""
+    tx, ty, at = _point_tables(space, op, cells, pts, max(max(c) for c in combos))
+    coef = coeff[op.local[at]].reshape(len(pts), tx.shape[1], -1)
+    return {(dx, dy): np.einsum("ik,jk,kij->k", tx[dx], ty[dy], coef) for dx, dy in combos}
+
+
+def _add_local(vec, local, loc):
+    """Add the values loc (e, n) of the cells' own functions into the level
+    vector vec at their positions local (e, n)."""
+    vec += np.bincount(local.ravel(), loc.ravel(), minlength=vec.size)
 
 
 def _at_points(fn, pts, what):
@@ -622,32 +556,11 @@ def _kron_upper(kv, form, stiffness):
     return sp.csr_matrix((vals[keep], cols[keep], indptr), shape=(n * n, n * n))
 
 
-def _level_rows(space, level, cells, combos):
-    """The level's own tensor B-splines on chunks of its active cells (E, 2)
-    at the interior Gauss rule, from the tables cached on its knot vector:
-    yields (sl, rows, wts, pts) as :func:`_element_batches` does, with rows
-    (e, (p + 1)^2, nq) per combo and the functions of each cell x-major."""
-    mesh, p = space.mesh, space.degree
-    rule = (_gauss01(p + 2),) * 2
-    (xtab, xat), (ytab, yat) = _rule_tables(mesh, level, cells, [level], rule,
-                                            max(max(c) for c in combos), True)
-    n1, nq = p + 1, (p + 2) ** 2
-    step = max(1, _CHUNK_BYTES // (8 * len(combos) * n1 * n1 * nq))
-    for start in range(0, len(cells), step):
-        sl = slice(start, start + step)
-        tx, ty = xtab[xat[sl], 0], ytab[yat[sl], 0]
-        e = len(tx)
-        rows = {c: (tx[:, c[0], :, None, :, None] * ty[:, c[1], None, :, None, :]).reshape(
-            e, n1 * n1, nq) for c in combos}
-        pts, w = _rule_on_cells(mesh, level, cells[sl], rule)
-        yield sl, rows, np.broadcast_to(w, (e, nq)), pts
-
-
-def _level_stiffness(space, geo, problem, level, cells, keys, local, form):
-    """Stiffness of the level's tensor B-splines over its active cells (E,
-    2), rows and columns in the order of keys, their sorted keys (local
-    (E, (p + 1)^2) places each cell's functions among them), as CSR arrays
-    (data, columns, entries per row), columns sorted within rows.
+def _level_stiffness(space, geo, problem, op, form):
+    """Stiffness of the tensor B-splines of the level of op (a
+    :class:`~hbplate.hierarchy.LevelOperator`) over its active cells, rows
+    and columns in the order of ``op.keys``, as CSR arrays (data, columns,
+    entries per row), columns sorted within rows.
 
     The element matrices are scattered into a stencil (function, offset of
     the other function), one local row of every cell at a time, so no
@@ -657,21 +570,21 @@ def _level_stiffness(space, geo, problem, level, cells, keys, local, form):
     matrices come from :func:`_class_elements`; under a spline map from the
     kernel's quadrature of the (p + 1)^2 functions, pushed forward.
     """
-    p = space.degree
+    p, keys, local = space.degree, op.keys, op.local
     n1, width = p + 1, 2 * p + 1
     ix, iy = np.divmod(np.arange(n1 * n1), n1)
     # stencil column of the pair (a, b) of a cell's functions
     offset = (ix[None, :] - ix[:, None] + p) * width + (iy[None, :] - iy[:, None] + p)
     stencil = np.zeros(len(keys) * width * width)
     if form is not None:
-        kv = space.mesh.knots(level)
+        kv = space.mesh.knots(op.level)
         elems = problem.stiffness * _class_elements(kv, form)
-        cx, cy = cell_classes(kv, cells).T
+        cx, cy = cell_classes(kv, op.cells).T
         step = max(1, _CHUNK_BYTES // (8 * n1 ** 4))
         chunks = ((sl, elems[cx[sl], cy[sl]]) for sl in (
-            slice(start, start + step) for start in range(0, len(cells), step)))
+            slice(start, start + step) for start in range(0, len(op.cells), step)))
     else:
-        chunks = _stiffness_chunks(space, geo, problem, level, cells)
+        chunks = _stiffness_chunks(space, geo, problem, op.level, op.cells)
     for sl, aloc in chunks:
         for a in range(n1 * n1):
             stencil[local[sl, a, None] * width * width + offset[a]] += aloc[:, a]
@@ -706,13 +619,12 @@ def assemble_stiffness(space, geo, problem):
     (:func:`_kron_upper`). The upper triangle of the result is mirrored,
     so the matrix is exactly symmetric.
     """
-    mesh = space.mesh
     form = _energy_form(geo, problem.poisson) if geo.constant_jacobian else None
-    levels = list(_level_cells(mesh))
+    levels = space.levels
     if len(levels) == 1 and form is not None:
-        upper = _kron_upper(mesh.knots(levels[0][0]), form, problem.stiffness)
+        upper = _kron_upper(space.mesh.knots(levels[0].level), form, problem.stiffness)
     else:
-        full, ct = _level_operators(space, geo, problem, levels, form)
+        full, ct = _level_operators(space, geo, problem, form)
         if len(levels) > 1:
             full = ct @ (full @ ct.T)
         upper = _triangle(full, 0)
@@ -720,22 +632,20 @@ def assemble_stiffness(space, geo, problem):
     return upper + _triangle(upper, 1).T
 
 
-def _level_operators(space, geo, problem, levels, form):
-    """blockdiag(K_l) and C^T = [C_l^T] over the levels (level, cells) with
-    active cells, in CSR, the rows of each K_l and the columns of each
-    C_l^T numbered after those of the levels before it."""
-    blocks, terms, base = [], [], 0
-    for level, cells in levels:
-        keys, local, dofs, rows, values = two_scale(space.mesh, space.basis, level)
-        data, cols, counts = _level_stiffness(space, geo, problem, level, cells, keys, local, form)
+def _level_operators(space, geo, problem, form):
+    """blockdiag(K_l) and C^T = [C_l^T] over the levels with active cells
+    (:attr:`~hbplate.hierarchy.HierarchicalSpace.levels`), in CSR, the rows
+    of each K_l and the columns of each C_l^T numbered after those of the
+    levels before it."""
+    blocks, base = [], 0
+    for op in space.levels:
+        data, cols, counts = _level_stiffness(space, geo, problem, op, form)
         blocks.append((data, cols + base, counts))
-        terms.append((dofs, rows + base, values))
-        base += len(keys)
+        base += len(op.keys)
     data, cols, counts = map(np.concatenate, zip(*blocks))
     full = sp.csr_matrix((data, cols, np.concatenate([[0], np.cumsum(counts)])),
                          shape=(base, base))
-    dofs, rows, values = map(np.concatenate, zip(*terms))
-    return full, sp.csr_matrix((values, (dofs, rows)), shape=(space.num_dofs, base))
+    return full, sp.vstack([op.matrix for op in space.levels], format="csr").T.tocsr()
 
 
 def _triangle(a, k):
@@ -756,26 +666,18 @@ def _on_side(mesh, level, cells, side):
     return cells[:, 0 if side in ("left", "right") else 1] == edge
 
 
-def _boundary_cells(mesh, side):
-    """(level, cells) of the active elements with an edge on one side of the
-    domain, as (E, 2) arrays by level and then along the side."""
-    for level, cells in _level_cells(mesh):
-        on = _on_side(mesh, level, cells, side)
-        if on.any():
-            yield level, cells[on]
-
-
 def _side_groups(mesh, level, cells, sides):
     """The cells (E, 2) of one level grouped by which of `sides` of the
-    domain they touch: yields (frozenset of the touched sides, cells), the
-    groups in order of their first cell."""
+    domain they touch: yields (frozenset of the touched sides, positions of
+    the group's cells), the groups in order of their first cell."""
     # bit b of a cell's code: the cell touches SIDES[b]
     code = np.zeros(len(cells), dtype=np.int64)
     for b, side in enumerate(SIDES):
         if side in sides:
             code |= _on_side(mesh, level, cells, side) << b
     for c in dict.fromkeys(code.tolist()):
-        yield frozenset(side for b, side in enumerate(SIDES) if c >> b & 1), cells[code == c]
+        yield (frozenset(side for b, side in enumerate(SIDES) if c >> b & 1),
+               np.flatnonzero(code == c))
 
 
 _SIDE_NORMAL = {"left": (-1.0, 0.0), "right": (1.0, 0.0),
@@ -783,16 +685,18 @@ _SIDE_NORMAL = {"left": (-1.0, 0.0), "right": (1.0, 0.0),
 
 
 def _side_batches(space, geo, side):
-    """The boundary cells of one side through the kernel's edge rule, chunk
-    by chunk: (level, dofs, values (e, nloc, nq), outward normal
-    derivatives (e, nloc, nq), physical points (e, nq, 2), arc weights)."""
+    """The boundary cells of one side through the level kernel's edge rule,
+    chunk by chunk: (level operator, positions of the cells in it, values
+    and outward normal derivatives (e, (p + 1)^2, nq) of the cells' own
+    functions, physical points (e, nq, 2), arc weights (e, nq))."""
     rule = _edge_rule(space.degree, side)
-    for level, cells in _boundary_cells(space.mesh, side):
-        for sl, dofs, rows, wts, pts in _element_batches(
-                space, level, cells, _ASSEMBLY_COMBOS[:3], rule):
+    for op in space.levels:
+        at = np.flatnonzero(_on_side(space.mesh, op.level, op.cells, side))
+        for sl, rows, wts, pts in _level_rows(space, op.level, op.cells[at],
+                                              _ASSEMBLY_COMBOS[:3], rule):
             dn, pts, wts = _edge_transform(geo, pts, side, wts, rows[(1, 0)], rows[(0, 1)],
-                                           level, cells[sl])
-            yield level, dofs, rows[(0, 0)], dn, pts, wts
+                                           op.level, op.cells[at[sl]])
+            yield op, at[sl], rows[(0, 0)], dn, pts, wts
 
 
 def _edge_transform(geo, pts, side, wts, gx, gy, level, cells):
@@ -833,32 +737,48 @@ def _natural_terms(problem, side, level, vals, dn, pts, wts):
 # load vector
 
 def assemble_load(space, geo, problem):
-    """Right-hand side: body load (by the kernel's Gauss rule, or its graded
-    rule on elements touching graded sides), natural boundary terms by the
-    edge rule, point loads by exact evaluation."""
-    mesh = space.mesh
-    rhs = np.zeros(space.num_dofs)
+    """Right-hand side by two-scale assembly, b = sum over the levels l of
+    C_l^T b_l, where b_l tests the load against level l's own tensor
+    B-splines on its active cells.
+
+    The body load is sum-factorised: tx G ty^T per cell, with G the
+    weighted load at the nodes of the Gauss rule, or of the graded rule on
+    cells touching graded sides. Moment and shear data go through the edge
+    rule (:func:`_natural_terms`), point loads through exact evaluation.
+    """
+    mesh, n1 = space.mesh, space.degree + 1
     gfun = _as_fn(problem.g)
-    if gfun is not None:
-        for level, cells in _level_cells(mesh):
-            for key, part in _side_groups(mesh, level, cells, problem.load_grading):
-                rule = _graded_rule(space.degree, key) if key else None
-                for sl, dofs, rows, wts, pts in _element_batches(
-                        space, level, part, ((0, 0),), rule):
-                    rows, wts, pts = _transform_rows(geo, pts, rows, wts, level, part[sl])
-                    gv = _at_points(gfun, pts, "load g on level %d" % level)
-                    _add_local(rhs, dofs, np.einsum("elq,eq->el", rows[(0, 0)], wts * gv))
+    loads = problem.point_loads
+    owners = np.array([mesh.locate(pt[0], pt[1]) for pt, _ in loads],
+                      dtype=np.int64).reshape(-1, 3)
+    b = {op.level: np.zeros(len(op.keys)) for op in space.levels}
     for side in SIDES:
         if problem.neumann_M.get(side) is None and problem.neumann_Q.get(side) is None:
             continue
-        for level, dofs, vals, dn, pts, wts in _side_batches(space, geo, side):
-            _add_local(rhs, dofs, _natural_terms(problem, side, level, vals, dn, pts, wts))
-    for (pt, magnitude) in problem.point_loads:
-        e = mesh.locate(pt[0], pt[1])
-        cells, rule = _point_rule(mesh, e, [pt[0]], [pt[1]])
-        for _, dofs, rows, _, _ in _element_batches(space, e.level, cells, ((0, 0),), rule,
-                                                    cached=False):
-            _add_local(rhs, dofs, magnitude * rows[(0, 0)][..., 0])
+        for op, at, vals, dn, pts, wts in _side_batches(space, geo, side):
+            _add_local(b[op.level], op.local[at],
+                       _natural_terms(problem, side, op.level, vals, dn, pts, wts))
+    rhs = np.zeros(space.num_dofs)
+    for op in space.levels:
+        groups = _side_groups(mesh, op.level, op.cells, problem.load_grading) if gfun else ()
+        for key, at in groups:
+            rule = _graded_rule(n1 - 1, key) if key else (_gauss01(n1 + 1),) * 2
+            nx, ny = rule[0][0].size, rule[1][0].size
+            # floats per cell: tables, points, weighted load, products
+            for sl, tx, ty, wts, pts in _level_chunks(mesh, op.level, op.cells[at], rule, 0,
+                                                      3 * n1 * (nx + ny) + 8 * nx * ny):
+                _, wts, pts = _transform_rows(geo, pts, {}, wts, op.level, op.cells[at[sl]])
+                gv = _at_points(gfun, pts, "load g on level %d" % op.level)
+                loc = tx[:, 0] @ (wts * gv).reshape(-1, nx, ny) @ ty[:, 0].swapaxes(1, 2)
+                _add_local(b[op.level], op.local[at[sl]], loc.reshape(len(loc), -1))
+        on = np.flatnonzero(owners[:, 0] == op.level)
+        if on.size:
+            tx, ty, at = _point_tables(space, op, owners[on, 1:],
+                                       np.array([loads[i][0] for i in on], dtype=float), 0)
+            loc = tx[0].T[:, :, None] * ty[0].T[:, None, :]
+            _add_local(b[op.level], op.local[at],
+                       np.array([loads[i][1] for i in on])[:, None] * loc.reshape(len(on), -1))
+        rhs += op.matrix.T @ b[op.level]
     return rhs
 
 
@@ -905,49 +825,81 @@ def _fit_side(space, geo, side, kind, data_fn, constraints):
 
     Already-constrained trace dofs contribute to the right-hand side; the
     remaining trace dofs become new constraints, one least-squares column
-    each, in dof order.
+    each, in dof order. The least-squares matrix is W T_l C_l per level,
+    sparse (:func:`_fit_block`), and is built and solved
+    (:func:`_least_squares`) only for data that do not vanish.
     """
     n = space.num_dofs
     trace = np.zeros(n, dtype=bool)
     trace[_trace_dofs(space, side, 1 if kind == "deflection" else 2)] = True
     fixed = np.zeros(n, dtype=bool)
     fixed[list(constraints)] = True
-    known = np.zeros(n)
-    known[list(constraints)] = list(constraints.values())
+    given = np.zeros(n)
+    given[list(constraints)] = list(constraints.values())
+    given[~trace] = 0.0
     unknowns = np.flatnonzero(trace & ~fixed)
     if not unknowns.size:
         return
-    col = np.full(n, -1)
-    col[unknowns] = np.arange(unknowns.size)
     chunks = []
-    for level, dofs, vals, dn, pts, wts in _side_batches(space, geo, side):
+    for op, at, vals, dn, pts, wts in _side_batches(space, geo, side):
         rows = vals if kind == "deflection" else -dn
-        target = _at_points(data_fn, pts, "%s data on side %r, level %d" % (kind, side, level))
-        live = dofs >= 0
-        given = np.where(live & trace[dofs] & fixed[dofs], known[dofs], 0.0)
-        target = target - np.einsum("elq,el->eq", rows, given)
+        target = _at_points(data_fn, pts, "%s data on side %r, level %d" % (kind, side, op.level))
+        target = target - np.einsum("elq,el->eq", rows, (op.matrix @ given)[op.local[at]])
         w = np.sqrt(wts)
-        chunks.append((dofs, rows, w, (target * w).ravel()))
-    b = np.concatenate([c[3] for c in chunks])
+        chunks.append((op, at, rows, w, (target * w).ravel()))
+    b = np.concatenate([c[4] for c in chunks])
     scale = np.abs(b).max() if b.size else 0.0
-    # vanishing data need no least-squares matrix, which is dense in the
-    # side's unknowns and so is built only when it is solved
+    # vanishing data need no least-squares matrix
     if scale <= 1e-14:
         values = np.zeros(unknowns.size)
     else:
-        a = np.vstack([_fit_block(dofs, rows, w, col, unknowns.size)
-                       for dofs, rows, w, _ in chunks])
-        values, *_ = np.linalg.lstsq(a, b, rcond=None)
+        pick = sp.csr_matrix((np.ones(unknowns.size), (unknowns, np.arange(unknowns.size))),
+                             shape=(n, unknowns.size))
+        a = sp.vstack([_fit_block(op, at, rows, w) @ (op.matrix @ pick)
+                       for op, at, rows, w, _ in chunks], format="csr")
+        values = _least_squares(a, b, "%s fit on side %r" % (kind, side))
     constraints.update(zip(unknowns.tolist(), values.tolist()))
 
 
-def _fit_block(dofs, rows, w, col, size):
-    """Rows (e nq, size) of a side's least-squares matrix on one chunk: the
-    unknowns' rows (e, nloc, nq) at their columns col[dof], weighted by w."""
-    block = np.zeros(rows.shape[:1] + rows.shape[2:] + (size,))
-    e, l = np.nonzero((dofs >= 0) & (col[dofs] >= 0))
-    block[e, :, col[dofs[e, l]]] = rows[e, l]
-    return (block * w[..., None]).reshape(-1, size)
+def _fit_block(op, at, rows, w):
+    """W T_l: the rows (e nq, keys) of a side's least-squares matrix on the
+    cells ``op.cells[at]`` of one level, in the level's own B-splines:
+    their rows (e, (p + 1)^2, nq) at the columns ``op.local``, weighted by
+    w (e, nq), without the zeros."""
+    vals = (rows * w[:, None, :]).transpose(0, 2, 1)
+    cols = np.broadcast_to(op.local[at][:, None, :], vals.shape)
+    pos = np.broadcast_to(np.arange(vals[..., 0].size).reshape(vals.shape[:2])[..., None],
+                          vals.shape)
+    keep = vals != 0.0
+    return sp.csr_matrix((vals[keep], (pos[keep], cols[keep])),
+                         shape=(vals[..., 0].size, len(op.keys)))
+
+
+def _least_squares(a, b, what):
+    """x minimising |b - a x| for a sparse a of full column rank, by the
+    normal equations a^T a x = a^T b, factored by splu on the diagonal
+    (the matrix is SPD).
+
+    x is accepted when the least-squares residual a^T (b - a x) is at the
+    rounding floor: within 100 eps |a|^T (|b| + |a| |x|), the error of
+    computing it in double precision, in the 2-norm. A singular matrix or
+    a residual above the floor raises BoundaryDataError naming `what`.
+    """
+    normal = (a.T @ a).tocsc()
+    try:
+        lu = spla.splu(normal, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                       options=dict(SymmetricMode=True))
+    except RuntimeError as exc:
+        raise BoundaryDataError("%s: normal equations (n=%d) are singular: %s"
+                                % (what, normal.shape[0], exc)) from exc
+    x = lu.solve(a.T @ b)
+    resid = np.linalg.norm(a.T @ (b - a @ x))
+    mag = abs(a)
+    floor = 100.0 * np.finfo(float).eps * np.linalg.norm(mag.T @ (np.abs(b) + mag @ np.abs(x)))
+    if not (np.all(np.isfinite(x)) and resid <= floor):
+        raise BoundaryDataError("%s: least-squares residual %.3e above the rounding floor %.3e"
+                                % (what, resid, floor))
+    return x
 
 
 def apply_dirichlet(system, space, problem, geo=None):
@@ -981,8 +933,9 @@ def apply_dirichlet(system, space, problem, geo=None):
 # ---------------------------------------------------------------------------
 # solve and postprocessing
 
-def _refined_solution(lu, a, b):
-    """Solve a x = b from the factor lu of a and check the result.
+def _refined_solution(lu, a, b, dofs):
+    """Solve a x = b from the factor lu of a and check the result; dofs
+    are the global dof numbers of the unknowns, for the error message.
 
     Steps of iterative refinement against the factor are taken while the
     residual |b - a x| exceeds 1e-12 |b| and falls, at most 8 of them. The
@@ -990,7 +943,8 @@ def _refined_solution(lu, a, b):
     floor 100 eps (|a| |x| + |b|) below which a double-precision residual
     cannot be measured, with |a| the largest absolute row sum; the floor
     counts only while the growth |a| |x| / |b| stays within 1e13, as in a
-    regular solve. A non-finite or unaccepted x raises SolverError.
+    regular solve. A non-finite or unaccepted x raises SolverError, which
+    names the dof of the largest residual entry.
     """
     x = lu.solve(b)
     scale = np.linalg.norm(b)
@@ -1004,14 +958,14 @@ def _refined_solution(lu, a, b):
             break
         x, resid = better, resid_better
     if not np.all(np.isfinite(x)):
-        raise SolverError("solver produced non-finite values")
+        raise SolverError("solver produced non-finite values (n=%d)" % b.size)
     anorm = np.abs(a).sum(axis=1).max() if a.nnz else 0.0
     growth = anorm * np.linalg.norm(x) / scale if scale > 0.0 else 0.0
     floor = 100.0 * np.finfo(float).eps * (anorm * np.linalg.norm(x) + scale)
     if scale > 0.0 and resid > max(1e-10 * scale, floor if growth <= 1e13 else 0.0):
         raise SolverError(
-            "relative residual %.3e exceeds 1e-10 (n=%d, growth %.1e)"
-            % (resid / scale, b.size, growth))
+            "relative residual %.3e exceeds 1e-10 (n=%d, growth %.1e); largest entry at dof %d"
+            % (resid / scale, b.size, growth, dofs[np.abs(b - a @ x).argmax()]))
     return x
 
 
@@ -1039,20 +993,24 @@ def solve(system):
         lu = spla.splu(aff, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                        options=dict(SymmetricMode=True))
     except RuntimeError as exc:
-        raise SolverError("sparse factorization failed: %s" % exc) from exc
-    x[free] = _refined_solution(lu, aff, b[free])
+        raise SolverError("sparse factorization of the free block (n=%d, nnz=%d) failed: %s"
+                          % (free.size, aff.nnz, exc)) from exc
+    x[free] = _refined_solution(lu, aff, b[free], free)
     return DiscreteField(x)
 
 
 def h2_seminorm_error(field, exact_hessian, space, geo=None):
-    """Energy-norm distance sqrt(int |H(u_h) - H_exact|_F^2) by element quadrature."""
+    """Energy-norm distance sqrt(int |H(u_h) - H_exact|_F^2) by element
+    quadrature, from the level coefficients C_l u on each level's own
+    B-splines."""
     geo = geo or GeometryMap.identity()
     total = 0.0
-    for level, cells in _level_cells(space.mesh):
-        for sl, ders, wts, pts in _field_batches(space, level, cells, field.coefficients,
-                                                 _DERIVATIVES):
-            ders, wts, pts = _transform_rows(geo, pts, ders, wts, level, cells[sl])
-            exx, exy, eyy = _at_points(exact_hessian, pts, "exact Hessian on level %d" % level)
+    for op in space.levels:
+        coeff = op.matrix @ field.coefficients
+        for sl, ders, wts, pts in _field_chunks(space, op, np.arange(len(op.cells)), coeff,
+                                                _DERIVATIVES):
+            ders, wts, pts = _transform_rows(geo, pts, ders, wts, op.level, op.cells[sl])
+            exx, exy, eyy = _at_points(exact_hessian, pts, "exact Hessian on level %d" % op.level)
             total += float(np.sum(wts * ((ders[(2, 0)][:, 0] - exx) ** 2
                                          + 2.0 * (ders[(1, 1)][:, 0] - exy) ** 2
                                          + (ders[(0, 2)][:, 0] - eyy) ** 2)))
@@ -1063,23 +1021,21 @@ def evaluate(field, space, geo, points):
     """Field values, gradients and Hessians at parametric points.
 
     Returns (values (N,), gradients (N, 2), hessians (N, 3)) with the
-    Hessian packed as (xx, xy, yy), in physical coordinates.
+    Hessian packed as (xx, xy, yy), in physical coordinates. Each point is
+    evaluated on the finest active element holding it, from the level
+    coefficients C_l u, all points of one level at once.
     """
     geo = geo or GeometryMap.identity()
     pts = np.atleast_2d(np.asarray(points, dtype=float))
+    owners = np.array([space.mesh.locate(x, y) for x, y in pts.tolist()], dtype=np.int64)
     ders = np.empty((len(_ASSEMBLY_COMBOS), len(pts)))
-    owned = {}
-    for r, (x, y) in enumerate(pts.tolist()):
-        owned.setdefault(space.mesh.locate(x, y), []).append(r)
-    for e, at in owned.items():
-        # the kernel tabulates the x-by-y grid of a call's points, whose
-        # diagonal holds the points, so a call takes at most _EVAL_POINTS
-        for part in (at[i:i + _EVAL_POINTS] for i in range(0, len(at), _EVAL_POINTS)):
-            cells, rule = _point_rule(space.mesh, e, pts[part, 0], pts[part, 1])
-            _, d, _, _ = next(_field_batches(space, e.level, cells, field.coefficients,
-                                             _ASSEMBLY_COMBOS, rule, cached=False))
-            d = {k: r[..., ::len(part) + 1] for k, r in d.items()}
-            d = _transform_rows(geo, pts[part][None], d, np.ones((1, len(part))),
-                                e.level, np.array([e[1:]]))[0]
-            ders[:, part] = [d[k][0, 0] for k in _ASSEMBLY_COMBOS]
+    for op in space.levels:
+        at = np.flatnonzero(owners[:, 0] == op.level)
+        if at.size:
+            cells = owners[at, 1:]
+            d = _point_ders(space, op, cells, pts[at], op.matrix @ field.coefficients,
+                            _ASSEMBLY_COMBOS)
+            d = _transform_rows(geo, pts[at, None], {k: v[:, None, None] for k, v in d.items()},
+                                np.ones((at.size, 1)), op.level, cells)[0]
+            ders[:, at] = [d[k][:, 0, 0] for k in _ASSEMBLY_COMBOS]
     return ders[0], ders[1:3].T, ders[3:].T

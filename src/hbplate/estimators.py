@@ -37,16 +37,16 @@ from .assembly import (
     _edge_rule,
     _edge_transform,
     _energy_terms,
-    _field_batches,
+    _field_chunks,
     _gauss01,
-    _level_cells,
     _natural_terms,
+    _point_ders,
     _rule_on_cells,
     _side_groups,
     _transform_rows,
 )
 from .hierarchy import ElementId
-from .splines import bernstein_knots, eval_bernstein_ders
+from .splines import bernstein_knots, class_tables, eval_bernstein_ders
 # bench/tracer.py counts calls by wrapping this module's names, so the name
 # stays bound here although nothing in this module calls it any more
 from .splines import eval_ders_in_span  # noqa: F401
@@ -145,26 +145,28 @@ def build_bubble_space(mesh, p, neumann_sides=None):
     interior = list(range(2, q - 1))
     neumann_sides = neumann_sides or {}
     groups = []
-    for level, cells in _level_cells(mesh):
-        for touched, part in _side_groups(mesh, level, cells, neumann_sides):
+    for level in range(mesh.num_levels):
+        cells = mesh.cells(level)
+        for touched, at in _side_groups(mesh, level, cells, neumann_sides):
             pairs = [(i, j) for i in interior for j in interior]
             for side, kinds in neumann_sides.items():
                 if side in touched:
                     for b in _side_indices(side, kinds, q):
                         pairs.extend((b, t) if side in ("left", "right") else (t, b)
                                      for t in interior)
-            groups.append((level, touched, pairs, part))
+            groups.append((level, touched, pairs, cells[at]))
     return BubbleSpace(degree=q, groups=groups)
 
 
 def _bubble_rows(q, pairs, rule, h, combos):
     """Rows (1, nb, nq) of the bubbles `pairs` of degree q at the nodes of a
     tensor reference rule (x-major), for each combo (dx, dy): products of
-    the Bernstein tables of :func:`bernstein_knots` at the rule's nodes,
-    scaled by h^-(dx + dy) to an element of size h."""
+    the Bernstein tables of :func:`bernstein_knots` at the rule's nodes (its
+    one cell's class tables), scaled by h^-(dx + dy) to an element of size
+    h."""
     kv = bernstein_knots(q)
     max_der = max(max(c) for c in combos)
-    tx, ty = (kv.table(nodes, q, max_der) for nodes, _ in rule)
+    tx, ty = (class_tables(kv, nodes, max_der)[0] for nodes, _ in rule)
     ii, jj = np.array(pairs).T
     return {(dx, dy): h ** (-(dx + dy)) * (tx[dx][ii][:, :, None] * ty[dy][jj][:, None, :])
             .reshape(1, len(pairs), -1) for dx, dy in combos}
@@ -189,10 +191,10 @@ def assemble_blocks(bubbles, u_h, space, geo, problem):
     space, in the order of its groups.
 
     The bubbles' rows are the h-scaled Bernstein tables of the group, and
-    u_h's derivatives come from the element kernel's field mode. When the
-    map's Jacobian is constant (identity or affine) the group's matrix is
-    formed once, from its first element; on a spline map every element
-    gets its own. Either way the residuals of u_h and the body loads of a
+    u_h's derivatives come from its level coefficients C_l u by the level
+    kernel's sum factorisation. When the map's Jacobian is constant
+    (identity or affine) the group's matrix is formed once, from its first
+    element; on a spline map every element gets its own. Either way the residuals of u_h and the body loads of a
     kernel chunk are one product each, and natural-boundary terms (every
     element of the group touches the same sides) and point loads are added
     per chunk.
@@ -204,14 +206,15 @@ def assemble_blocks(bubbles, u_h, space, geo, problem):
     d_const, nu = problem.stiffness, problem.poisson
     loads = [(mesh.locate(pt[0], pt[1]), pt, magnitude) for pt, magnitude in problem.point_loads]
     interior = (_gauss01(space.degree + 2),) * 2
+    ops = {op.level: (op, op.matrix @ u_h.coefficients) for op in space.levels}
     blocks = []
     for level, touched, pairs, cells in bubbles.groups:
-        h = mesh.h(level)
+        h, (op, coeff) = mesh.h(level), ops[level]
         ii, jj = np.array(pairs).T
         brows = _bubble_rows(q, pairs, interior, h, _ASSEMBLY_COMBOS)
         mats, rhs = [], []
-        for sl, ders, wts, pts in _field_batches(space, level, cells, u_h.coefficients,
-                                                 _DERIVATIVES):
+        at = mesh.cell_index(level, cells[:, 0], cells[:, 1])
+        for sl, ders, wts, pts in _field_chunks(space, op, at, coeff, _DERIVATIVES):
             chunk = cells[sl]
             # a spline map is tabulated once per chunk, for bubbles and u_h
             local = None if geo.constant_jacobian else geo.derivatives(pts.reshape(-1, 2))
@@ -369,7 +372,7 @@ def residual_estimator(u_h, space, problem, point_load_sigma=None, geo=None):
     if not geo.is_identity:
         raise ValueError("the strong-residual estimator supports the identity geometry only")
     mesh = space.mesh
-    coeff = u_h.coefficients
+    coeffs = {op.level: op.matrix @ u_h.coefficients for op in space.levels}
     gfun = _as_fn(problem.g)
     d_const = problem.stiffness
     loads = []
@@ -381,20 +384,19 @@ def residual_estimator(u_h, space, problem, point_load_sigma=None, geo=None):
             raise ValueError("Gaussian regularization too wide for the load at %s" % (pt,))
         loads.append(_gaussian_load(pt, magnitude, sigma))
     interior = []
-    for level, cells in _level_cells(mesh):
-        for _, d, wts, pts in _field_batches(space, level, cells, coeff,
-                                             ((4, 0), (2, 2), (0, 4))):
+    for op in space.levels:
+        for _, d, wts, pts in _field_chunks(space, op, np.arange(len(op.cells)),
+                                            coeffs[op.level], ((4, 0), (2, 2), (0, 4))):
             bilap = (d[(4, 0)] + 2.0 * d[(2, 2)] + d[(0, 4)])[:, 0]
             gv = np.zeros(bilap.shape)
             if gfun is not None:
-                gv += _at_points(gfun, pts, "load g on level %d" % level)
+                gv += _at_points(gfun, pts, "load g on level %d" % op.level)
             for fn in loads:
-                gv += _at_points(fn, pts, "regularized point load on level %d" % level)
-            interior.extend(mesh.h(level)**4 * np.sum(wts * (gv - d_const * bilap) ** 2, axis=1))
+                gv += _at_points(fn, pts, "regularized point load on level %d" % op.level)
+            interior.extend(mesh.h(op.level)**4 * np.sum(wts * (gv - d_const * bilap) ** 2, axis=1))
     # each interior edge piece is evaluated from both of its elements, with
     # the edge rule of that element's side restricted to the piece; the
-    # evaluations that share a level, a side and a piece go through the
-    # kernel together, with tables that are not kept
+    # points of one level go through one batched tabulation, not kept
     opposite = dict(zip(SIDES, SIDES[2:] + SIDES[:2]))
     batches, pieces = {}, []
 
@@ -412,15 +414,25 @@ def residual_estimator(u_h, space, problem, point_load_sigma=None, geo=None):
                                at(e, side, part if finer else (0, 1)),
                                at(nb, opposite[side], (0, 1) if finer else part)))
     traces = {}
-    for (level, side, part), cells in batches.items():
-        combos = ((2, 0), (0, 2)) + (((3, 0), (1, 2)) if side in ("left", "right")
-                                     else ((0, 3), (2, 1)))
-        rule = _edge_rule(space.degree, side, part)
-        d = [ders for _, ders, _, _ in _field_batches(
-            space, level, np.array(cells), coeff, combos, rule, cached=False)]
-        # rows (E, nq) of the Laplacian and of its derivative across the edge
-        traces[level, side, part] = [np.concatenate([c[k1][:, 0] + c[k2][:, 0] for c in d])
-                                     for k1, k2 in (combos[:2], combos[2:])]
+    for op in space.levels:
+        keys = [key for key in batches if key[0] == op.level]
+        if not keys:
+            continue
+        cells = [np.array(batches[key]) for key in keys]
+        pts = [_rule_on_cells(mesh, op.level, c, _edge_rule(space.degree, side, part))[0]
+               for c, (_, side, part) in zip(cells, keys)]
+        d = _point_ders(space, op, np.concatenate([c.repeat(pt.shape[1], axis=0)
+                                                   for c, pt in zip(cells, pts)]),
+                        np.concatenate([pt.reshape(-1, 2) for pt in pts]),
+                        coeffs[op.level], ((2, 0), (0, 2), (3, 0), (1, 2), (0, 3), (2, 1)))
+        start = 0
+        for key, pt in zip(keys, pts):
+            sl = slice(start, start + pt[..., 0].size)
+            start = sl.stop
+            across = ((3, 0), (1, 2)) if key[1] in ("left", "right") else ((0, 3), (2, 1))
+            # rows (E, nq) of the Laplacian and of its derivative across the edge
+            traces[key] = [(d[k1][sl] + d[k2][sl]).reshape(pt.shape[:2])
+                           for k1, k2 in (((2, 0), (0, 2)), across)]
     w1 = _gauss01(space.degree + 2)[1]
     eta2 = list(interior)
     for pos, he, (own, i), (oth, j) in pieces:

@@ -17,7 +17,9 @@ for its closure, which splits one cell at a time.
 
 On the active cells of one level every active function is a fixed sum of
 that level's tensor B-splines (the dyadic two-scale relation);
-:func:`two_scale` gives that sum as a sparse operator per level.
+:func:`two_scale` gives that sum as a sparse operator per level, and
+:attr:`HierarchicalSpace.levels` keeps it, once per space, for every
+consumer.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
+import scipy.sparse as sp
 
 from .splines import dyadic_refine, make_open_uniform, refinement_matrix
 
@@ -36,6 +39,7 @@ __all__ = [
     "HierarchicalMesh",
     "HierarchicalBasis",
     "HierarchicalSpace",
+    "LevelOperator",
     "RefinementLimitError",
     "init",
     "rebuild_basis",
@@ -370,20 +374,27 @@ def connectivity(mesh, basis, e):
     return [basis.active[d] for d in dofs[dofs >= 0].tolist()]
 
 
-def two_scale(mesh, basis, level):
-    """The two-scale operator C of one level with active cells: the active
-    functions that act on the level's cells as sums of its tensor
-    B-splines.
+class LevelOperator(NamedTuple):
+    """The two-scale operator of one level with active cells: the level's
+    active cells (E, 2), the sorted keys of its tensor B-splines on them,
+    each cell's (p + 1)^2 functions among the keys (E, (p + 1)^2, x-major),
+    and C (keys x dofs, CSR): the active functions are C^T times the
+    level's B-splines on those cells."""
 
-    Returns (keys, local, dofs, rows, values). keys are the sorted keys of
-    the level's tensor B-splines that are nonzero on its active cells, the
-    rows of C; local (E, (p + 1)^2) gives the position in keys of the
-    functions on each active cell, x-major. On the level's active cells,
-    the active function of each dof in dofs is the sum of values times the
-    B-splines keys[rows] (one entry per term): the function itself on its
-    own level, by :func:`~hbplate.splines.refinement_matrix` in each
-    direction on a coarser one, where terms outside keys vanish on those
-    cells and are dropped.
+    level: int
+    cells: np.ndarray
+    keys: np.ndarray
+    local: np.ndarray
+    matrix: sp.csr_matrix
+
+
+def two_scale(mesh, basis, level):
+    """The :class:`LevelOperator` of one level with active cells. On its
+    cells, C writes each active function as the sum of the level's
+    B-splines: the function itself on its own level, by
+    :func:`~hbplate.splines.refinement_matrix` in each direction on a
+    coarser one, where terms outside keys vanish on those cells and are
+    dropped.
     """
     cells, loc = mesh.cells(level), np.arange(mesh.p + 1)
     fine = _keys(cells[:, 0, None, None] + loc[:, None], cells[:, 1, None, None] + loc)
@@ -414,7 +425,8 @@ def two_scale(mesh, basis, level):
         keep = (at >= 0) & (val != 0.0)
         parts.append((np.broadcast_to(dofs[:, None, None], at.shape)[keep], at[keep], val[keep]))
     dofs, rows, values = map(np.concatenate, zip(*parts))
-    return keys, local.reshape(len(cells), -1), dofs, rows, values
+    return LevelOperator(level, cells, keys, local.reshape(len(cells), -1), sp.csr_matrix(
+        (values, (rows, dofs)), shape=(len(keys), basis.num_dofs)))
 
 
 def dump_mesh(mesh):
@@ -444,6 +456,13 @@ class HierarchicalSpace:
     @property
     def num_dofs(self):
         return self.basis.num_dofs
+
+    @cached_property
+    def levels(self):
+        """The :class:`LevelOperator` of every level with active cells, built
+        on first use and shared by every assembly on this space."""
+        return [two_scale(self.mesh, self.basis, level) for level in range(self.mesh.num_levels)
+                if len(self.mesh.cells(level))]
 
     def refined(self, marked, m):
         return HierarchicalSpace(refine(self.mesh, marked, m))

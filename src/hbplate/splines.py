@@ -11,11 +11,13 @@ The Bernstein polynomials of degree q on [0, 1] are the B-splines of the
 one-span open knot vector :func:`bernstein_knots`, so they go through the
 same kernel and the same table cache as every other basis.
 
-Two univariate operators serve the two-scale stiffness assembly, both
-cached on the knot vector: the cell Gram matrices of
-:func:`cell_grams`, which a uniform knot vector has in at most 2p + 1
-classes of cells (:func:`cell_classes`), and the exact two-scale relation
-to a dyadic refinement, :func:`refinement_matrix`.
+The two-scale assembly works on each level's own B-splines, whose cells
+a uniform knot vector has in at most 2p + 1 classes (:func:`cell_classes`):
+the cells at each end and the translates between them. Three univariate
+operators serve it, all cached on the knot vector: the basis tables at
+reference nodes per class of :func:`class_tables`, the cell Gram matrices
+of :func:`cell_grams`, and the exact two-scale relation to a dyadic
+refinement, :func:`refinement_matrix`.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ __all__ = [
     "tabulate_in_span",
     "eval_bernstein_ders",
     "cell_classes",
+    "class_tables",
     "cell_grams",
     "refinement_matrix",
 ]
@@ -50,10 +53,10 @@ class KnotVector:
     knots are strictly increasing, so the spline space has maximum
     smoothness C^{p-1} everywhere inside the domain.
 
-    A knot vector keeps the basis tables that :meth:`table` computed on it,
-    and its cell Gram and refinement matrices, so every mesh that shares it
-    (the refinements of one mesh do) reuses them; a new knot vector starts
-    with none.
+    A knot vector keeps the basis tables of :func:`class_tables` computed
+    on it, and its cell Gram and refinement matrices, so every mesh that
+    shares it (the refinements of one mesh do) reuses them; a new knot
+    vector starts with none.
     """
 
     __slots__ = ("knots", "degree", "_tables")
@@ -111,21 +114,6 @@ class KnotVector:
         if out is None:
             out = self._tables[key] = build()
         return out
-
-    def table(self, xs, span, max_der=2):
-        """:func:`tabulate_in_span` at the points xs, cached by (span,
-        derivative order, points); the returned array is read-only.
-
-        Meant for quadrature points, which repeat across elements, phases
-        and iterations; one-off points go to :func:`tabulate_in_span`.
-        """
-        xs = np.ascontiguousarray(xs, dtype=float).reshape(-1)
-
-        def build():
-            tab = tabulate_in_span(self, xs, span, max_der)
-            tab.setflags(write=False)
-            return tab
-        return self.cached((span, max(int(max_der), 2), xs.tobytes()), build)
 
     def __eq__(self, other):
         if not isinstance(other, KnotVector):
@@ -300,7 +288,7 @@ def tabulate_in_span(kv, xs, span, max_der=2):
 
     Derivatives are computed at least up to second order, as in
     :func:`eval_ders`. The span is forced by the caller, so points on its
-    ends give one-sided limits. Nothing is cached; see :meth:`KnotVector.table`.
+    ends give one-sided limits. Nothing is cached; see :func:`class_tables`.
     """
     xs = np.ascontiguousarray(xs, dtype=float).reshape(-1)
     span = np.asarray(span, dtype=np.intp)
@@ -344,25 +332,46 @@ def cell_classes(kv, cells):
     return np.minimum(cells, p) + np.maximum(cells - (n - p - 1), 0)
 
 
+def class_tables(kv, nodes, max_der=2):
+    """Basis tables of a uniform open knot vector at reference nodes on
+    [0, 1], one per class of :func:`cell_classes`: ``tab[g, k, j, q]`` is
+    the k-th derivative of B_{c+j} at a + (c + nodes[q]) h on a cell c of
+    class g, for the nominal span h, as one-sided limits on the cell at
+    nodes 0 and 1. All classes come from one :func:`tabulate_in_span`
+    call on a representative cell each. Derivatives go at least to second
+    order; cached on the knot vector per (nodes, order) and read-only."""
+    nodes = np.ascontiguousarray(nodes, dtype=float).reshape(-1)
+    max_der = max(int(max_der), 2)
+
+    def build():
+        _check_uniform(kv)
+        n, p = kv.num_elements, kv.degree
+        reps = np.arange(n) if n <= 2 * p else np.r_[0:p + 1, n - p:n]
+        a, b = kv.domain
+        xs = a + (reps[:, None] + nodes) * ((b - a) / n)
+        tab = tabulate_in_span(kv, xs.ravel(), np.repeat(reps + p, nodes.size), max_der)
+        tab = np.ascontiguousarray(
+            tab.reshape(max_der + 1, p + 1, len(reps), nodes.size).transpose(2, 0, 1, 3))
+        tab.setflags(write=False)
+        return tab
+    return kv.cached(("classes", max_der, nodes.tobytes()), build)
+
+
 def cell_grams(kv):
     """Univariate cell Gram matrices of a uniform open knot vector, one per
     class of :func:`cell_classes`: ``grams[g, a, b, i, j]`` is the integral
     over a cell c of class g of the product of the a-th derivative of
     B_{c+i} and the b-th derivative of B_{c+j}, for a, b <= 2, by the Gauss
-    rule of p + 2 points, exact for these polynomials, on the cell
-    [a + c h, a + (c + 1) h] of the nominal span h. Cached on the knot
-    vector and read-only."""
+    rule of p + 2 points, exact for these polynomials, from the
+    :func:`class_tables` at its nodes. Cached on the knot vector and
+    read-only."""
     def build():
-        _check_uniform(kv)
-        n, p = kv.num_elements, kv.degree
-        reps = np.arange(n) if n <= 2 * p else np.r_[0:p + 1, n - p:n]
+        p = kv.degree
         nodes, weights = np.polynomial.legendre.leggauss(p + 2)
         a, b = kv.domain
-        h = (b - a) / n
-        xs = a + (reps[:, None] + 0.5 * (nodes + 1.0)) * h
-        tab = tabulate_in_span(kv, xs.ravel(), np.repeat(reps + p, p + 2), 2)
-        tab = tab.reshape(3, p + 1, len(reps), p + 2).transpose(2, 0, 1, 3)
-        grams = np.einsum("gaiq,q,gbjq->gabij", tab, 0.5 * h * weights, tab)
+        tab = class_tables(kv, 0.5 * (nodes + 1.0), 2)
+        w = 0.5 * (b - a) / kv.num_elements * weights
+        grams = np.einsum("gaiq,q,gbjq->gabij", tab, w, tab)
         grams.setflags(write=False)
         return grams
     return kv.cached(("grams",), build)

@@ -26,11 +26,10 @@ from hbplate.assembly import (
     h2_seminorm_error,
     solve,
     _edge_rule,
-    _element_batches,
-    _field_batches,
+    _field_chunks,
     _gauss01,
     _graded_rule,
-    _level_cells,
+    _level_rows,
 )
 from hbplate.hierarchy import ElementId, HierarchicalSpace, check_admissible, connectivity
 from hbplate.splines import eval_ders, make_open_uniform, tabulate_in_span
@@ -291,6 +290,28 @@ class TestStiffness:
         np.testing.assert_allclose(a2.toarray(), 2.0 * a1.toarray(), rtol=1e-14)
 
 
+def oracle_tables(space, e, xs, ys, max_der=2):
+    """Dofs of the active functions on element e, in connectivity order, and
+    their univariate tables (function, derivative, node) at xs and ys, each
+    from tabulate_in_span on its own level, in the span of e's ancestor."""
+    mesh, basis, p = space.mesh, space.basis, space.degree
+    funcs = connectivity(mesh, basis, e)
+    tables = {}  # (level, its cell there, direction) -> table
+
+    def table(k, cell, t):
+        key = (k, cell, t is ys)
+        if key not in tables:
+            tables[key] = tabulate_in_span(mesh.knots(k), t, cell + p, max_der)
+        return tables[key]
+    tx, ty = [], []
+    for f in funcs:
+        shift = e.level - f.level
+        ax, ay = e.ix >> shift, e.iy >> shift
+        tx.append(table(f.level, ax, xs)[:, f.ix - ax])
+        ty.append(table(f.level, ay, ys)[:, f.iy - ay])
+    return [int(basis.level_dofs(*f)) for f in funcs], np.array(tx), np.array(ty)
+
+
 class TestLevelBatchKernel:
     @staticmethod
     def three_level_space(p):
@@ -301,8 +322,10 @@ class TestLevelBatchKernel:
 
     @pytest.mark.parametrize("p", [3, 4, 5])
     def test_rows_follow_connectivity_and_tables(self, p):
+        # each level's own rows times C_l are the rows of the hierarchical
+        # functions on the cell, for every kind of rule
         space = self.three_level_space(p)
-        mesh, basis = space.mesh, space.basis
+        mesh = space.mesh
         nodes, w1 = np.polynomial.legendre.leggauss(p + 2)
         gauss = (0.5 * (nodes + 1.0), 0.5 * w1)
         # (rule passed to the kernel, its 1-D nodes and weights, power of h in the weights)
@@ -323,54 +346,44 @@ class TestLevelBatchKernel:
                 assert np.sum(xw * xn ** k) == pytest.approx(1.0 / (k + 1), rel=1e-13)
         rules["graded corner"] = (corner, corner, 2)
         a = mesh.interval[0]
-        padded = 0
+        mixed = 0
         for name, (rule, ((xn, xw), (yn, yw)), dims) in rules.items():
             seen = 0
-            for level, cells in _level_cells(mesh):
-                h = mesh.h(level)
-                for sl, dofs, rows, wts, pts in _element_batches(
-                        space, level, cells, _ASSEMBLY_COMBOS, rule):
-                    for r, (ix, iy) in enumerate(cells[sl]):
-                        e = ElementId(level, int(ix), int(iy))
-                        funcs = connectivity(mesh, basis, e)
-                        n = len(funcs)
-                        want = [int(basis.level_dofs(*f)) for f in funcs]
-                        assert list(dofs[r, :n]) == want, name
-                        assert np.all(dofs[r, n:] == -1)
+            for op in space.levels:
+                h, c = mesh.h(op.level), op.matrix.toarray()
+                for sl, rows, wts, pts in _level_rows(space, op.level, op.cells, _ASSEMBLY_COMBOS,
+                                                      rule):
+                    for r, (ix, iy) in enumerate(op.cells[sl]):
                         xs, ys = a + (ix + xn) * h, a + (iy + yn) * h
                         np.testing.assert_array_equal(pts[r, :, 0], np.repeat(xs, yn.size))
                         np.testing.assert_array_equal(pts[r, :, 1], np.tile(ys, xn.size))
                         np.testing.assert_allclose(wts[r], np.outer(xw, yw).ravel() * h ** dims,
                                                    rtol=1e-15)
-                        tables = {}  # (level of f, its cell there, direction) -> table
-                        tx, ty = [], []
-                        for f in funcs:
-                            shift = level - f.level
-                            for out, t, cell, fi, axis in ((tx, xs, ix >> shift, f.ix, 0),
-                                                           (ty, ys, iy >> shift, f.iy, 1)):
-                                key = (f.level, cell, axis)
-                                if key not in tables:
-                                    kv = mesh.knots(f.level)
-                                    tables[key] = tabulate_in_span(kv, t, cell + p, 2)
-                                out.append(tables[key][:, fi - cell])
-                        tx, ty = np.array(tx), np.array(ty)
+                        e = ElementId(op.level, int(ix), int(iy))
+                        dofs, tx, ty = oracle_tables(space, e, xs, ys)
+                        assert sorted(dofs) == dofs
+                        cl = c[op.local[sl][r]]
+                        assert set(dofs) <= set(np.flatnonzero(np.abs(cl).sum(axis=0)).tolist())
                         for (dx, dy) in _ASSEMBLY_COMBOS:
-                            ref = (tx[:, dx, :, None] * ty[:, dy, None, :]).reshape(n, -1)
-                            np.testing.assert_array_equal(rows[(dx, dy)][r, :n], ref,
-                                                          err_msg=name)
-                            assert np.all(rows[(dx, dy)][r, n:] == 0.0)
+                            got = cl.T @ rows[(dx, dy)][r]
+                            ref = np.zeros_like(got)
+                            ref[dofs] = (tx[:, dx, :, None] * ty[:, dy, None, :]).reshape(
+                                len(dofs), -1)
+                            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max(), \
+                                (name, e, (dx, dy))
                         seen += 1
-                        padded += dofs.shape[1] - n
+                        mixed += len({d for d in dofs if d < space.basis._starts[op.level]}) > 0
             assert seen == mesh.n_active
-        assert padded > 0
+        assert mixed > 0
 
     @pytest.mark.parametrize("p", [3, 4, 5])
     def test_field_mode_contracts_the_rows(self, p, monkeypatch):
-        # sum factorisation against the rows mode's basis rows times the
-        # coefficients, for every kind of rule and derivatives up to order 4,
-        # with chunks small enough that both modes split every level
+        # sum factorisation of u_l = C_l u against the oracle's rows times
+        # the coefficients, for every kind of rule and derivatives up to
+        # order 4, with chunks small enough to split every level
         monkeypatch.setattr(hbplate.assembly, "_CHUNK_BYTES", 1 << 14)
         space = self.three_level_space(p)
+        mesh, a = space.mesh, space.mesh.interval[0]
         coeff = np.random.default_rng(p).standard_normal(space.num_dofs)
         combos = _ASSEMBLY_COMBOS + ((3, 0), (2, 2), (1, 3), (0, 4))
         rules = [None, _graded_rule(p, frozenset({"left", "bottom"}))]
@@ -378,23 +391,27 @@ class TestLevelBatchKernel:
         rules.append(((np.array([0.0, 0.3, 1.0]), np.ones(3)), (np.array([0.7, 1.0]), np.ones(2))))
         split = 0
         for rule in rules:
-            for level, cells in _level_cells(space.mesh):
-                got, want = [], []  # per chunk: (derivatives by combo, weights, points)
-                for _, ders, wts, pts in _field_batches(space, level, cells, coeff, combos, rule):
+            (xn, _), (yn, _) = rule or (_gauss01(p + 2),) * 2
+            for op in space.levels:
+                h = mesh.h(op.level)
+                got = {k: [] for k in combos}
+                chunks = list(_field_chunks(space, op, np.arange(len(op.cells)),
+                                            op.matrix @ coeff, combos, rule))
+                split = max(split, len(chunks))
+                for _, ders, wts, pts in chunks:
                     assert all(d.shape == (len(pts), 1, pts.shape[1]) for d in ders.values())
-                    got.append(([ders[k][:, 0] for k in combos], wts, pts))
-                split = max(split, len(got))
-                for _, dofs, rows, wts, pts in _element_batches(space, level, cells, combos,
-                                                                 rule):
-                    c = np.where(dofs >= 0, coeff[dofs], 0.0)
-                    want.append(([np.einsum("elq,el->eq", rows[k], c) for k in combos], wts, pts))
-                for part in (1, 2):
-                    np.testing.assert_array_equal(np.concatenate([g[part] for g in got]),
-                                                  np.concatenate([w[part] for w in want]))
-                for k in range(len(combos)):
-                    g = np.concatenate([d[0][k] for d in got])
-                    w = np.concatenate([d[0][k] for d in want])
-                    assert np.abs(g - w).max() <= 1e-13 * np.abs(w).max(), (rule, combos[k])
+                    for k in combos:
+                        got[k].append(ders[k][:, 0])
+                want = {k: [] for k in combos}
+                for ix, iy in op.cells.tolist():
+                    e = ElementId(op.level, ix, iy)
+                    dofs, tx, ty = oracle_tables(space, e, a + (ix + xn) * h, a + (iy + yn) * h, 4)
+                    for dx, dy in combos:
+                        rows = (tx[:, dx, :, None] * ty[:, dy, None, :]).reshape(len(dofs), -1)
+                        want[(dx, dy)].append(coeff[dofs] @ rows)
+                for k in combos:
+                    g, w = np.concatenate(got[k]), np.array(want[k])
+                    assert np.abs(g - w).max() <= 1e-13 * np.abs(w).max(), (rule, k)
         assert split > 1
 
     def test_spline_geometry_stiffness_matches_element_loop(self):
@@ -570,8 +587,15 @@ class TestSplineMapTabulation:
         calls.clear()
         prob = PlateProblem(dirichlet_w={s: 0.0 for s in SIDES}, neumann_M={s: 0.0 for s in SIDES})
         assemble_stiffness(space, geo, prob)
-        chunks = sum(len(list(hbplate.assembly._level_rows(space, level, cells, _DERIVATIVES)))
-                     for level, cells in _level_cells(space.mesh))
+        chunks = sum(len(list(_level_rows(space, op.level, op.cells, _DERIVATIVES)))
+                     for op in space.levels)
+        assert len(calls) == chunks > 3
+        calls.clear()
+        from hbplate.assembly import DiscreteField
+        h2_seminorm_error(DiscreteField(np.ones(space.num_dofs)), exact_hessian_x2y2, space, geo)
+        chunks = sum(len(list(_field_chunks(space, op, np.arange(len(op.cells)),
+                                            np.zeros(len(op.keys)), _DERIVATIVES)))
+                     for op in space.levels)
         assert len(calls) == chunks > 3
         assert set(calls) == {2}
 
@@ -661,6 +685,46 @@ class TestLoad:
             expected[int(space.basis.level_dofs(*f))] = -tx[f.ix - e.ix] * ty[f.iy - e.iy]
         np.testing.assert_allclose(rhs, expected, atol=1e-15)
 
+    @pytest.mark.parametrize("p", [3, 4])
+    def test_three_levels_against_the_element_sum(self, p):
+        # graded body load along the left side, moment and shear data on it
+        # and point loads on two levels, through C_l, against a sum over the
+        # elements of connectivity and tabulate_in_span tables
+        space = HierarchicalSpace.create(8, p)
+        for level in range(3):
+            space = space.refined([ElementId(level, 0, 4 << level)], 2)
+        mesh = space.mesh
+        assert all(len(mesh.cells(l)) for l in range(4)) and check_admissible(mesh, 2, space.basis)
+        g = lambda x, y: np.exp(x) * np.cos(3.0 * y) + 1.0 / np.sqrt(x + 0.01)
+        moment = lambda x, y: np.sin(2.0 * y) + 0.5
+        shear = lambda x, y: y ** 2 - 0.3
+        loads = [((0.02, 0.51), -1.5), ((0.9, 0.1), 0.8)]
+        prob = PlateProblem(g=g, dirichlet_w={s: 0.0 for s in SIDES[1:]},
+                            neumann_M={**{s: 0.0 for s in SIDES[1:]}, "left": moment},
+                            neumann_Q={"left": shear}, point_loads=loads,
+                            load_grading=("left",))
+        got = assemble_load(space, IDENTITY, prob)
+        assert mesh.locate(*loads[0][0]).level == 3 and mesh.locate(*loads[1][0]).level < 2
+        ref = np.zeros(space.num_dofs)
+        gauss = _gauss01(p + 2)
+        for e in mesh.active_elements():
+            x0, y0, x1, y1 = mesh.element_rect(e)
+            (xn, xw), (yn, yw) = _graded_rule(p, frozenset({"left"})) if x0 == 0.0 else (gauss,) * 2
+            xs, ys = x0 + (x1 - x0) * xn, y0 + (y1 - y0) * yn
+            dofs, tx, ty = oracle_tables(space, e, xs, ys)
+            gw = g(xs[:, None], ys[None, :]) * np.outer(xw, yw) * (x1 - x0) * (y1 - y0)
+            ref[dofs] += np.einsum("fi,ij,fj->f", tx[:, 0], gw, ty[:, 0])
+            if x0 == 0.0:
+                ys = y0 + (y1 - y0) * gauss[0]
+                dofs, tx, ty = oracle_tables(space, e, np.zeros(1), ys)
+                w = gauss[1] * (y1 - y0)
+                ref[dofs] += (-tx[:, 1, 0, None] * ty[:, 0]) @ (w * moment(0.0, ys))
+                ref[dofs] += (tx[:, 0, 0, None] * ty[:, 0]) @ (w * shear(0.0, ys))
+        for (x, y), magnitude in loads:
+            dofs, tx, ty = oracle_tables(space, mesh.locate(x, y), np.array([x]), np.array([y]))
+            ref[dofs] += magnitude * tx[:, 0, 0] * ty[:, 0, 0]
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
     def test_point_load_outside_domain(self):
         space = HierarchicalSpace.create(2, 3)
         with pytest.raises(ValueError):
@@ -744,6 +808,81 @@ class TestDirichlet:
         got = apply_dirichlet(LinearSystem(matrix=None, rhs=np.zeros(space.num_dofs)),
                               space, prob).constraints
         assert blocks and max(abs(v) for v in got.values()) > 0.1
+
+
+def dense_side_rows(space, side, kind):
+    """The rows (point, dofs) of one side's values ("deflection") or minus
+    outward normal derivatives ("rotation") at the edge rule's points, the
+    square-rooted weights and the points, element by element from
+    connectivity and tabulate_in_span."""
+    mesh = space.mesh
+    nodes, w1 = _gauss01(space.degree + 2)
+    vertical, end = side in ("left", "right"), 0.0 if side in ("left", "bottom") else 1.0
+    rows, wts, pts = [], [], []
+    for e in mesh.active_elements():
+        x0, y0, x1, y1 = mesh.element_rect(e)
+        if (x0, x1, y0, y1)[2 * (not vertical) + (end == 1.0)] != end:
+            continue
+        h = x1 - x0
+        along = (y0 if vertical else x0) + h * nodes
+        xs, ys = (np.array([end]), along) if vertical else (along, np.array([end]))
+        dofs, tx, ty = oracle_tables(space, e, xs, ys)
+        if vertical:
+            val, dn = tx[:, 0, 0, None] * ty[:, 0], tx[:, 1, 0, None] * ty[:, 0]
+        else:
+            val, dn = tx[:, 0] * ty[:, 0, 0, None], tx[:, 0] * ty[:, 1, 0, None]
+        dn = dn if end == 1.0 else -dn
+        block = np.zeros((nodes.size, space.num_dofs))
+        block[:, dofs] = (val if kind == "deflection" else -dn).T
+        rows.append(block)
+        wts.append(np.sqrt(w1 * h))
+        pts.append(np.stack(np.broadcast_arrays(xs, ys), axis=-1).reshape(-1, 2))
+    return np.vstack(rows), np.concatenate(wts), np.vstack(pts)
+
+
+class TestDirichletLeastSquares:
+    @pytest.mark.parametrize("p", [3, 4])
+    def test_sparse_fit_matches_a_dense_lstsq_reference(self, p):
+        # a clamped left side with nonzero deflection and rotation data,
+        # refined to level 3 along it; the other sides are simply supported
+        space = HierarchicalSpace.create(16, p)
+        for level in range(3):
+            space = space.refined([ElementId(level, 0, 8 << level)], 2)
+        mesh, basis = space.mesh, space.basis
+        assert mesh.num_levels == 4 and len({f.level for f in basis.active if f.ix == 0}) >= 3
+        w_left = lambda x, y: np.sin(np.pi * y) * (1.0 + y) + 0.0 * x
+        phi_left = lambda x, y: np.cos(2.0 * y) - x
+        prob = PlateProblem(dirichlet_w={**{s: 0.0 for s in SIDES}, "left": w_left},
+                            dirichlet_phi={"left": phi_left},
+                            neumann_M={s: 0.0 for s in SIDES[1:]})
+        got = apply_dirichlet(LinearSystem(matrix=None, rhs=np.zeros(space.num_dofs)),
+                              space, prob).constraints
+        # the reference: dense least squares side by side, in the same order
+        n_end = {k: mesh.knots(k).num_basis - 1 for k in range(mesh.num_levels)}
+        layer = {"left": lambda f: f.ix, "right": lambda f: n_end[f.level] - f.ix,
+                 "bottom": lambda f: f.iy, "top": lambda f: n_end[f.level] - f.iy}
+        want = {}
+        fits = [(s, "deflection", prob.dirichlet_w[s]) for s in SIDES]
+        fits.append(("left", "rotation", phi_left))
+        for side, kind, data in fits:
+            depth = 1 if kind == "deflection" else 2
+            trace = [d for d, f in enumerate(basis.active) if layer[side](f) < depth]
+            fixed = [d for d in trace if d in want]
+            unknowns = [d for d in trace if d not in want]
+            a, w, pts = dense_side_rows(space, side, kind)
+            target = hbplate.assembly._as_fn(data)(pts[:, 0], pts[:, 1])
+            target = target - a[:, fixed] @ np.array([want[d] for d in fixed])
+            values, *_ = np.linalg.lstsq(a[:, unknowns] * w[:, None], target * w, rcond=None)
+            want.update(zip(unknowns, values))
+        assert set(got) == set(want)
+        scale = max(abs(v) for v in want.values())
+        assert scale > 0.5
+        assert max(abs(got[d] - want[d]) for d in want) <= 1e-10 * scale
+
+    def test_rank_deficient_fit_names_the_side(self):
+        a = sp.csr_matrix(np.array([[1.0, 1.0], [2.0, 2.0], [0.0, 0.0]]))
+        with pytest.raises(BoundaryDataError, match="deflection fit on side 'top'"):
+            hbplate.assembly._least_squares(a, np.ones(3), "deflection fit on side 'top'")
 
 
 class TestDataCallables:
@@ -867,6 +1006,28 @@ class TestSolve:
         with pytest.raises(SolverError, match=r"exceeds 1e-10 \(n=12, growth"):
             solve(LinearSystem(matrix=sp.csr_matrix(a), rhs=b))
 
+    def test_factorization_failure_names_the_free_block(self):
+        # dof 0 is constrained; the free block of dofs 1..3 is singular
+        a = np.diag([1.0, 1.0, 1.0, 2.0])
+        a[1:3, 1:3] = 1.0
+        system = LinearSystem(matrix=sp.csr_matrix(a), rhs=np.ones(4), constraints={0: 0.0})
+        with pytest.raises(SolverError, match=r"free block \(n=3, nnz=5\) failed"):
+            solve(system)
+
+    def test_residual_failure_names_the_global_dof(self):
+        # dofs 0..19 constrained, 20..29 the identity and 30..41 Hilbert(12)
+        # on its eigenvector of least eigenvalue: the identity rows solve
+        # exactly, so the largest residual lies on a Hilbert dof, numbered
+        # 30..41 globally and 10..21 in the free block
+        a = scipy.linalg.block_diag(np.eye(30), scipy.linalg.hilbert(12))
+        b = np.zeros(42)
+        b[30:] = np.linalg.eigh(scipy.linalg.hilbert(12))[1][:, 0]
+        system = LinearSystem(matrix=sp.csr_matrix(a), rhs=b,
+                              constraints={d: 0.0 for d in range(20)})
+        with pytest.raises(SolverError, match=r"exceeds 1e-10 \(n=22, growth") as info:
+            solve(system)
+        assert 30 <= int(str(info.value).rsplit("dof ", 1)[1]) <= 41
+
     def test_solver_reports_breakdown(self):
         # singular reduced matrix: no constraints at all on the plate energy
         space = HierarchicalSpace.create(2, 3)
@@ -979,6 +1140,33 @@ class TestTableCache:
         assert self.tables(first) == counts
         assert all(second.mesh.knots(k) is not first.mesh.knots(k)
                    for k in range(first.mesh.num_levels))
+
+    def test_class_tables_are_bounded_by_rules_and_orders(self):
+        # a deep adaptive study with a graded load: each knot vector keeps
+        # one class table per node set and derivative order it was asked
+        # for, whatever the number of its cells; the node sets of a bubble
+        # study are the Gauss nodes, the graded nodes toward either end and
+        # the two edge ends, all at derivative order 2
+        from hbplate.adaptivity import LoopConfig, run
+        from hbplate.benchmarks import benchmark_singular
+        spec = benchmark_singular()
+        problem = replace(spec.problem, load_grading=("left", "bottom"))
+        seen = []
+
+        def count(space, u_h, record):
+            mesh = space.mesh
+            seen.append((mesh.n_active, [
+                [key for key in mesh.knots(k)._tables if key[0] == "classes"]
+                for k in range(mesh.num_levels)]))
+
+        run(problem, HierarchicalSpace.create(4, 4), LoopConfig(max_iterations=9, max_dofs=4000),
+            on_iteration=count)
+        assert len(seen[-1][1]) >= 7 and seen[-1][0] >= 5 * seen[2][0]
+        for _, per_level in seen:
+            for keys in per_level:
+                assert len(keys) <= 5 and {key[1] for key in keys} <= {2}
+        # the coarse levels were complete early and stay so as cells grow
+        assert seen[-1][1][:2] == seen[2][1][:2]
 
     def test_only_quadrature_rules_are_cached(self):
         space, u_h = self.study(HierarchicalSpace.create(2, 3))

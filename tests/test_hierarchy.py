@@ -365,7 +365,7 @@ def edge_segment(rect, side):
 @pytest.mark.parametrize("p", [3, 4, 5])
 class TestQueriesAgainstGeometry:
     def test_cells_partition_the_square_and_side_masks_follow_the_rects(self, p, m):
-        from hbplate.assembly import _boundary_cells, _on_side
+        from hbplate.assembly import GeometryMap, _on_side, _side_batches
         rng = np.random.default_rng(p + m)
         for mesh in random_admissible_meshes(p, m):
             rects = []
@@ -385,9 +385,11 @@ class TestQueriesAgainstGeometry:
             assert sum((r[2] - r[0]) * (r[3] - r[1]) for r in rects) == pytest.approx(1.0)
             for x, y in rng.uniform(0.0, 1.0, size=(200, 2)):
                 assert sum(r[0] < x < r[2] and r[1] < y < r[3] for r in rects) == 1
+            space = HierarchicalSpace(mesh)
             for side in SIDE_NAMES:
-                got = [ElementId(l, *c) for l, cells in _boundary_cells(mesh, side)
-                       for c in cells.tolist()]
+                got = [ElementId(op.level, *c)
+                       for op, at, *_ in _side_batches(space, GeometryMap.identity(), side)
+                       for c in op.cells[at].tolist()]
                 assert got == [e for e in mesh.active_elements()
                                if on_domain_side(mesh, mesh.element_rect(e), side)]
 
@@ -485,15 +487,16 @@ class TestTwoScale:
                 cells = mesh.cells(level)
                 if not len(cells):
                     continue
-                keys, local, dofs, rows, values = two_scale(mesh, basis, level)
+                op = two_scale(mesh, basis, level)
+                assert op.level == level and np.array_equal(op.cells, cells)
+                keys, local = op.keys, op.local
                 fx, fy = keys >> 32, keys & ((1 << 32) - 1)
                 # each cell's (p + 1)^2 functions, x-major, sit at local
                 loc = np.arange(p + 1)
                 want = (((cells[:, 0, None, None] + loc[:, None]) << 32)
                         + cells[:, 1, None, None] + loc).reshape(len(cells), -1)
                 np.testing.assert_array_equal(keys[local], want)
-                c = np.zeros((len(keys), basis.num_dofs))
-                np.add.at(c, (rows, dofs), values)
+                c = op.matrix.toarray()
                 # one random point inside each active cell of the level
                 h, a = mesh.h(level), mesh.interval[0]
                 pts = a + (cells + rng.uniform(0.05, 0.95, cells.shape)) * h

@@ -9,6 +9,7 @@ from hbplate.splines import (
     bernstein_knots,
     cell_classes,
     cell_grams,
+    class_tables,
     dyadic_refine,
     eval_bernstein_ders,
     eval_ders,
@@ -256,17 +257,54 @@ class TestTabulationKernel:
         kv = make_open_uniform(4, 3)
         xs = np.array([0.3, 0.4, 0.45])
         assert kv.num_tables == 0
-        tab = kv.table(xs, 4, 1)
+        tab = class_tables(kv, xs, 1)
         assert kv.num_tables == 1
-        assert kv.table(xs.copy(), 4, 2) is tab  # derivative orders below 2 share
+        assert class_tables(kv, xs.copy(), 2) is tab  # derivative orders below 2 share
         assert not tab.flags.writeable
-        np.testing.assert_array_equal(tab, tabulate_in_span(kv, xs, 4, 2))
-        kv.table(xs, 5, 2)
-        kv.table(xs, 4, 4)
+        cells = np.arange(4)
+        want = tabulate_in_span(kv, ((cells[:, None] + xs) / 4).ravel(), np.repeat(cells + 3, 3), 2)
+        np.testing.assert_array_equal(tab, want.reshape(3, 4, 4, 3).transpose(2, 0, 1, 3))
+        class_tables(kv, xs[:2], 2)
+        class_tables(kv, xs, 4)
         assert kv.num_tables == 3
         tabulate_in_span(kv, xs, 4, 2)
         assert kv.num_tables == 3
         assert make_open_uniform(4, 3).num_tables == 0
+
+
+class TestClassTables:
+    @staticmethod
+    def node_sets(p):
+        from hbplate.assembly import _edge_rule, _gauss01, _graded_rule
+        graded = [_graded_rule(p, frozenset({side}))[0][0] for side in ("left", "right")]
+        ends = [_edge_rule(p, side)[0][0] for side in ("left", "right")]
+        return [_gauss01(p + 2)[0]] + graded + ends
+
+    @pytest.mark.parametrize("p", [3, 4, 5])
+    def test_against_per_cell_tables_up_to_level_11(self, p):
+        # every cell's table against tabulate_in_span at its own nodes, for
+        # the Gauss, graded and edge nodes, on 2 to 4,096 cells
+        kv = make_open_uniform(2, p)
+        for level in range(12):
+            n = kv.num_elements
+            cells = np.arange(n)
+            for nodes in self.node_sets(p):
+                for max_der in (2, 4) if nodes.size > 1 else (2,):
+                    got = class_tables(kv, nodes, max_der)[cell_classes(kv, cells)]
+                    want = tabulate_in_span(kv, ((cells[:, None] + nodes) * (1.0 / n)).ravel(),
+                                            np.repeat(cells + p, nodes.size), max_der)
+                    want = want.reshape(max_der + 1, p + 1, n, nodes.size).transpose(2, 0, 1, 3)
+                    if level == 0:
+                        np.testing.assert_array_equal(got, want)
+                    for k in range(max_der + 1):
+                        scale = np.abs(want[:, k]).max()
+                        assert np.abs(got[:, k] - want[:, k]).max() <= 1e-12 * scale, (level, k)
+            kv = dyadic_refine(kv)
+
+    def test_at_most_2p_plus_1_classes(self):
+        for n, p in ((3, 3), (6, 3), (7, 3), (40, 4)):
+            tab = class_tables(make_open_uniform(n, p), np.array([0.0, 0.5, 1.0]))
+            assert tab.shape == (min(n, 2 * p + 1), 3, p + 1, 3)
 
 
 class TestBernstein:
