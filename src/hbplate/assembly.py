@@ -239,6 +239,12 @@ def _as_fn(data):
     return lambda x, y: np.full_like(np.asarray(x, dtype=float), value)
 
 
+def _vanishes(*data):
+    """Whether all the data are absent or the constant 0, so that they need
+    no quadrature; constant NaN does not vanish and raises where evaluated."""
+    return all(d is None or (not callable(d) and float(d) == 0.0) for d in data)
+
+
 @dataclass
 class PlateProblem:
     """Load, material constants and boundary-condition layout.
@@ -624,28 +630,27 @@ def assemble_stiffness(space, geo, problem):
     if len(levels) == 1 and form is not None:
         upper = _kron_upper(space.mesh.knots(levels[0].level), form, problem.stiffness)
     else:
-        full, ct = _level_operators(space, geo, problem, form)
+        full = _blockdiag_stiffness(space, geo, problem, form)
         if len(levels) > 1:
-            full = ct @ (full @ ct.T)
+            full = space.stacked_ct @ (full @ space.stacked_ct.T)
         upper = _triangle(full, 0)
         upper.sort_indices()
     return upper + _triangle(upper, 1).T
 
 
-def _level_operators(space, geo, problem, form):
-    """blockdiag(K_l) and C^T = [C_l^T] over the levels with active cells
+def _blockdiag_stiffness(space, geo, problem, form):
+    """blockdiag(K_l) over the levels with active cells
     (:attr:`~hbplate.hierarchy.HierarchicalSpace.levels`), in CSR, the rows
-    of each K_l and the columns of each C_l^T numbered after those of the
-    levels before it."""
+    of each K_l numbered after those of the levels before it, as in
+    :attr:`~hbplate.hierarchy.HierarchicalSpace.stacked_ct`."""
     blocks, base = [], 0
     for op in space.levels:
         data, cols, counts = _level_stiffness(space, geo, problem, op, form)
         blocks.append((data, cols + base, counts))
         base += len(op.keys)
     data, cols, counts = map(np.concatenate, zip(*blocks))
-    full = sp.csr_matrix((data, cols, np.concatenate([[0], np.cumsum(counts)])),
+    return sp.csr_matrix((data, cols, np.concatenate([[0], np.cumsum(counts)])),
                          shape=(base, base))
-    return full, sp.vstack([op.matrix for op in space.levels], format="csr").T.tocsr()
 
 
 def _triangle(a, k):
@@ -727,7 +732,7 @@ def _natural_terms(problem, side, level, vals, dn, pts, wts):
     out = np.zeros(dn.shape[:2])
     for data, kind, rows in ((problem.neumann_M.get(side), "moment", dn),
                              (problem.neumann_Q.get(side), "shear", vals)):
-        if data is not None:
+        if not _vanishes(data):
             what = "%s data on side %r, level %d" % (kind, side, level)
             out += np.einsum("elq,eq->el", rows, wts * _at_points(_as_fn(data), pts, what))
     return out
@@ -753,7 +758,7 @@ def assemble_load(space, geo, problem):
                       dtype=np.int64).reshape(-1, 3)
     b = {op.level: np.zeros(len(op.keys)) for op in space.levels}
     for side in SIDES:
-        if problem.neumann_M.get(side) is None and problem.neumann_Q.get(side) is None:
+        if _vanishes(problem.neumann_M.get(side), problem.neumann_Q.get(side)):
             continue
         for op, at, vals, dn, pts, wts in _side_batches(space, geo, side):
             _add_local(b[op.level], op.local[at],
@@ -794,16 +799,6 @@ def assemble_system(space, geo, problem):
 # ---------------------------------------------------------------------------
 # Dirichlet constraints
 
-def _side_corner_points(interval):
-    a, b = interval
-    return {
-        ("left", "bottom"): (a, a),
-        ("bottom", "right"): (b, a),
-        ("right", "top"): (b, b),
-        ("top", "left"): (a, b),
-    }
-
-
 def _trace_dofs(space, side, depth):
     """Dofs of the active functions in the first `depth` layers along a
     side: depth 1 has the nonzero deflection traces, depth 2 the nonzero
@@ -819,7 +814,7 @@ def _trace_dofs(space, side, depth):
     return np.concatenate(out)
 
 
-def _fit_side(space, geo, side, kind, data_fn, constraints):
+def _fit_side(space, geo, side, kind, data, constraints):
     """Weighted least-squares fit of one side's "deflection" or (outward)
     "rotation" data.
 
@@ -827,7 +822,8 @@ def _fit_side(space, geo, side, kind, data_fn, constraints):
     remaining trace dofs become new constraints, one least-squares column
     each, in dof order. The least-squares matrix is W T_l C_l per level,
     sparse (:func:`_fit_block`), and is built and solved
-    (:func:`_least_squares`) only for data that do not vanish.
+    (:func:`_least_squares`) only for data that do not vanish; constant 0
+    data on a trace without nonzero constraints take no quadrature either.
     """
     n = space.num_dofs
     trace = np.zeros(n, dtype=bool)
@@ -840,10 +836,14 @@ def _fit_side(space, geo, side, kind, data_fn, constraints):
     unknowns = np.flatnonzero(trace & ~fixed)
     if not unknowns.size:
         return
+    if _vanishes(data) and not given.any():
+        constraints.update(dict.fromkeys(unknowns.tolist(), 0.0))
+        return
     chunks = []
     for op, at, vals, dn, pts, wts in _side_batches(space, geo, side):
         rows = vals if kind == "deflection" else -dn
-        target = _at_points(data_fn, pts, "%s data on side %r, level %d" % (kind, side, op.level))
+        target = _at_points(_as_fn(data), pts,
+                            "%s data on side %r, level %d" % (kind, side, op.level))
         target = target - np.einsum("elq,el->eq", rows, (op.matrix @ given)[op.local[at]])
         w = np.sqrt(wts)
         chunks.append((op, at, rows, w, (target * w).ravel()))
@@ -912,8 +912,10 @@ def apply_dirichlet(system, space, problem, geo=None):
     geo = geo or GeometryMap.identity()
     constraints = {}
     w_data = {s: _as_fn(d) for s, d in problem.dirichlet_w.items()}
-    phi_data = {s: _as_fn(d) for s, d in problem.dirichlet_phi.items()}
-    for (s1, s2), pt in _side_corner_points(space.mesh.interval).items():
+    a, b = space.mesh.interval
+    corners = {("left", "bottom"): (a, a), ("bottom", "right"): (b, a),
+               ("right", "top"): (b, b), ("top", "left"): (a, b)}
+    for (s1, s2), pt in corners.items():
         if s1 in w_data and s2 in w_data:
             xy = geo.map_points([pt])
             v1, v2 = (float(_at_points(w_data[s], xy, "deflection data on side %r at corner %s"
@@ -921,12 +923,10 @@ def apply_dirichlet(system, space, problem, geo=None):
             if abs(v1 - v2) > 1e-8 * (1.0 + max(abs(v1), abs(v2))):
                 raise BoundaryDataError(
                     "deflection data disagrees at corner %s: %g vs %g" % (pt, v1, v2))
-    for side in SIDES:
-        if side in w_data:
-            _fit_side(space, geo, side, "deflection", w_data[side], constraints)
-    for side in SIDES:
-        if side in phi_data:
-            _fit_side(space, geo, side, "rotation", phi_data[side], constraints)
+    for kind, data in (("deflection", problem.dirichlet_w), ("rotation", problem.dirichlet_phi)):
+        for side in SIDES:
+            if side in data:
+                _fit_side(space, geo, side, kind, data[side], constraints)
     return replace(system, constraints=constraints)
 
 

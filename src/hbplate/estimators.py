@@ -10,10 +10,11 @@ polynomials are the B-splines of the one-span knot vector
 :func:`~hbplate.splines.bernstein_knots`, so the bubbles share the solver's
 tabulation kernel, table cache and natural-boundary integrals. The
 elements of one level that touch the same natural sides have the same
-bubbles and form a group, and the group is the unit of the estimator: one
-block holds its cells, right-hand sides and solutions as arrays. Under a
-map with a constant Jacobian the group has one block matrix, formed and
-factored once; under a spline map it has one per element.
+bubbles and form a group, with one block of arrays: its cells,
+right-hand sides and solutions, and one matrix under a map with a
+constant Jacobian, formed and factored once, or one per element under a
+spline map. The blocks come from one sweep per level over the union of
+its groups' bubbles; each group's block is a selection from it.
 
 A classical strong-residual estimator with interior and edge-jump terms is
 provided for comparison; it needs fourth derivatives of the discrete
@@ -44,12 +45,13 @@ from .assembly import (
     _rule_on_cells,
     _side_groups,
     _transform_rows,
+    _vanishes,
 )
 from .hierarchy import ElementId
-from .splines import bernstein_knots, class_tables, eval_bernstein_ders
-# bench/tracer.py counts calls by wrapping this module's names, so the name
-# stays bound here although nothing in this module calls it any more
-from .splines import eval_ders_in_span  # noqa: F401
+from .splines import bernstein_knots, class_tables, tabulate_in_span
+# bench/tracer.py counts calls by wrapping this module's names, so they stay
+# bound here although nothing in this module calls them any more
+from .splines import eval_bernstein_ders, eval_ders_in_span  # noqa: F401
 
 __all__ = [
     "BubbleSpace",
@@ -188,39 +190,39 @@ def _bubble_edge_terms(q, pairs, side, mesh, level, cells, problem, geo):
 
 def assemble_blocks(bubbles, u_h, space, geo, problem):
     """Independent residual systems, one block per group of the bubble
-    space, in the order of its groups.
+    space, in the order of its groups, from one sweep per level over the
+    union of its groups' bubble pairs.
 
-    The bubbles' rows are the h-scaled Bernstein tables of the group, and
-    u_h's derivatives come from its level coefficients C_l u by the level
-    kernel's sum factorisation. When the map's Jacobian is constant
-    (identity or affine) the group's matrix is formed once, from its first
-    element; on a spline map every element gets its own. Either way the residuals of u_h and the body loads of a
-    kernel chunk are one product each, and natural-boundary terms (every
-    element of the group touches the same sides) and point loads are added
-    per chunk.
+    u_h's derivatives on the level's cells come from one pass of the level
+    kernel over C_l u. The union matrix is formed once per level under a
+    constant Jacobian (identity or affine) and once per element under a
+    spline map; residuals and body loads are one product per chunk. Moment
+    and shear terms are one edge integral per side, none where the side's
+    data vanish, and point loads one tabulation per level. A group's block
+    selects its cells' rows and its pairs' rows and columns.
     """
     geo = geo or GeometryMap.identity()
-    mesh = space.mesh
-    q = bubbles.degree
+    mesh, q, loads = space.mesh, bubbles.degree, problem.point_loads
     gfun = _as_fn(problem.g)
     d_const, nu = problem.stiffness, problem.poisson
-    loads = [(mesh.locate(pt[0], pt[1]), pt, magnitude) for pt, magnitude in problem.point_loads]
+    owners = np.array([mesh.locate(*pt) for pt, _ in loads], dtype=np.int64).reshape(-1, 3)
     interior = (_gauss01(space.degree + 2),) * 2
-    ops = {op.level: (op, op.matrix @ u_h.coefficients) for op in space.levels}
-    blocks = []
-    for level, touched, pairs, cells in bubbles.groups:
-        h, (op, coeff) = mesh.h(level), ops[level]
-        ii, jj = np.array(pairs).T
-        brows = _bubble_rows(q, pairs, interior, h, _ASSEMBLY_COMBOS)
+    blocks = [None] * len(bubbles.groups)
+    for op in space.levels:
+        level, h = op.level, mesh.h(op.level)
+        ks = [k for k, group in enumerate(bubbles.groups) if group[0] == level]
+        groups = [bubbles.groups[k] for k in ks]
+        union = list(dict.fromkeys(pair for _, _, pairs, _ in groups for pair in pairs))
+        brows = _bubble_rows(q, union, interior, h, _ASSEMBLY_COMBOS)
         mats, rhs = [], []
-        at = mesh.cell_index(level, cells[:, 0], cells[:, 1])
-        for sl, ders, wts, pts in _field_chunks(space, op, at, coeff, _DERIVATIVES):
-            chunk = cells[sl]
+        for sl, ders, wts, pts in _field_chunks(space, op, np.arange(len(op.cells)),
+                                                op.matrix @ u_h.coefficients, _DERIVATIVES):
+            chunk = op.cells[sl]
             # a spline map is tabulated once per chunk, for bubbles and u_h
             local = None if geo.constant_jacobian else geo.derivatives(pts.reshape(-1, 2))
             if not mats or not geo.constant_jacobian:
                 # the bubbles' physical rows, weights and matrices: on one
-                # element for the whole group, or on each element of the chunk
+                # element for the whole level, or on each element of the chunk
                 at = slice(0, 1) if geo.constant_jacobian else slice(None)
                 b, bwts, _ = _transform_rows(geo, pts[at], brows, wts[at], level, chunk[at], local)
                 terms, w = _energy_terms(b, bwts, nu)
@@ -231,26 +233,30 @@ def assemble_blocks(bubbles, u_h, space, geo, problem):
             if gfun is not None:
                 gv = _at_points(gfun, pts, "load g on level %d" % level)
                 r += (bwts * gv) @ brows[(0, 0)][0].T
-            for side in SIDES:
-                if side in touched:
-                    r += _bubble_edge_terms(q, pairs, side, mesh, level, chunk, problem, geo)
-            for owner, pt, magnitude in loads:
-                hit = (owner.level == level) & np.all(chunk == owner[1:], axis=1)
-                if hit.any():
-                    x0, y0, _, _ = mesh.element_rect(owner)
-                    bx = eval_bernstein_ders(q, (pt[0] - x0) / h, 0).values
-                    by = eval_bernstein_ders(q, (pt[1] - y0) / h, 0).values
-                    r[hit] += magnitude * bx[ii] * by[jj]
             rhs.append(r)
-        blocks.append(BubbleBlock(level=level, cells=cells, indices=list(pairs),
-                                  matrix=np.concatenate(mats), rhs=np.concatenate(rhs)))
+        mat, r = np.concatenate(mats), np.concatenate(rhs)
+        at = [mesh.cell_index(level, cells[:, 0], cells[:, 1]) for *_, cells in groups]
+        for side in SIDES:
+            pos = [p for (_, touched, _, _), p in zip(groups, at) if side in touched]
+            if pos and not _vanishes(problem.neumann_M.get(side), problem.neumann_Q.get(side)):
+                pos = np.concatenate(pos)
+                r[pos] += _bubble_edge_terms(q, union, side, mesh, level, op.cells[pos],
+                                             problem, geo)
+        on = np.flatnonzero(owners[:, 0] == level)
+        if on.size:
+            # each load's point on its cell's reference square, by direction
+            corner = mesh.interval[0] + owners[on, 1:] * h
+            bx, by = (tabulate_in_span(bernstein_knots(q), np.clip(t, 0.0, 1.0), q, 0)[0]
+                      for t in ((np.array([loads[i][0] for i in on]) - corner) / h).T)
+            ii, jj = np.array(union).T
+            np.add.at(r, mesh.cell_index(level, owners[on, 1], owners[on, 2]),
+                      (np.array([loads[i][1] for i in on]) * bx[ii] * by[jj]).T)
+        for k, (_, _, pairs, cells), pos in zip(ks, groups, at):
+            sel = np.array([union.index(pair) for pair in pairs])
+            m = mat if geo.constant_jacobian else mat[pos]
+            blocks[k] = BubbleBlock(level=level, cells=cells, indices=list(pairs),
+                                    matrix=m[:, sel[:, None], sel], rhs=r[pos][:, sel])
     return blocks
-
-
-def _cho_solve(low, rhs):
-    """Solve the stacked systems (L L^T) X = B from Cholesky factors L
-    (m, n, n) and right-hand sides B (m, n, c)."""
-    return np.linalg.solve(low.swapaxes(1, 2), np.linalg.solve(low, rhs))
 
 
 def _rows_by_matrix(blk, rows):
@@ -280,7 +286,9 @@ def solve_blocks(blocks):
                     raise RuntimeError("bubble block on %s is not SPD (assembly bug): %s"
                                        % (ElementId(blk.level, ix, iy), exc)) from exc
             raise
-        coeffs = _cho_solve(low, _rows_by_matrix(blk, blk.rhs).swapaxes(1, 2))
+        # (L L^T) X = B for the stack, by a forward and a backward solve
+        coeffs = np.linalg.solve(low.swapaxes(1, 2), np.linalg.solve(
+            low, _rows_by_matrix(blk, blk.rhs).swapaxes(1, 2)))
         blk.coeffs = coeffs.swapaxes(1, 2).reshape(blk.rhs.shape)
     return blocks
 
@@ -295,8 +303,8 @@ def eta_elements(blocks, calibration=3.0):
         c = _rows_by_matrix(blk, blk.coeffs)
         energy = np.sum((c @ blk.matrix) * c, axis=-1).ravel()
         eta = calibration * np.sqrt(np.maximum(energy, 0.0))
-        out.extend(ElementEstimate(element=ElementId(blk.level, ix, iy), eta=float(v))
-                   for (ix, iy), v in zip(blk.cells.tolist(), eta))
+        out.extend(ElementEstimate(element=ElementId(blk.level, ix, iy), eta=v)
+                   for (ix, iy), v in zip(blk.cells.tolist(), eta.tolist()))
     return out
 
 
@@ -306,7 +314,9 @@ def estimate(u_h, space, problem, geo=None, calibration=3.0):
     :func:`assemble_blocks` call over all groups of the bubble space."""
     bubbles = build_bubble_space(space.mesh, space.degree, natural_boundary_sides(problem))
     blocks = solve_blocks(assemble_blocks(bubbles, u_h, space, geo, problem))
-    estimates = sorted(eta_elements(blocks, calibration), key=lambda est: est.element)
+    estimates = eta_elements(blocks, calibration)
+    keys = np.concatenate([np.c_[np.full(len(blk.cells), blk.level), blk.cells] for blk in blocks])
+    estimates = [estimates[k] for k in np.lexsort(keys.T[::-1]).tolist()]
     eta_total = math.sqrt(sum(est.eta**2 for est in estimates))
     return estimates, eta_total
 

@@ -464,5 +464,12 @@ class HierarchicalSpace:
         return [two_scale(self.mesh, self.basis, level) for level in range(self.mesh.num_levels)
                 if len(self.mesh.cells(level))]
 
+    @cached_property
+    def stacked_ct(self):
+        """C^T = [C_l^T] over :attr:`levels`, in CSR, the columns of each
+        C_l^T numbered after those of the levels before it; built on first
+        use, for the stiffness K = C^T blockdiag(K_l) C."""
+        return sp.vstack([op.matrix for op in self.levels], format="csr").T.tocsr()
+
     def refined(self, marked, m):
         return HierarchicalSpace(refine(self.mesh, marked, m))

@@ -334,19 +334,29 @@ def mapped_geometry(kind):
 
 
 def mapped_block_problem():
-    """Moment data on the bottom and right sides, clamped elsewhere."""
+    """Moment data on the bottom and right sides, shear data on the top,
+    clamped on the left, and a point load in a bottom boundary cell."""
     return PlateProblem(
         g=lambda x, y: np.cos(2.0 * x) + x * y, stiffness=1.7, poisson=0.3,
-        dirichlet_w={s: 0.0 for s in ALL},
+        dirichlet_w={s: 0.0 for s in ("left", "bottom", "right")},
         dirichlet_phi={"left": 0.0, "top": 0.0},
-        neumann_M={"bottom": lambda x, y: 1.0 + x * y, "right": lambda x, y: np.sin(y)})
+        neumann_M={"bottom": lambda x, y: 1.0 + x * y, "right": lambda x, y: np.sin(y)},
+        neumann_Q={"top": lambda x, y: 0.5 + x * x},
+        point_loads=[((0.6, 0.1), 2.5)])
+
+
+# outward normal, tangent and the reference point at t along the side
+REFERENCE_SIDES = {"left": ((-1.0, 0.0), (0.0, 1.0), lambda t: (0.0, t)),
+                   "bottom": ((0.0, -1.0), (1.0, 0.0), lambda t: (t, 0.0)),
+                   "right": ((1.0, 0.0), (0.0, 1.0), lambda t: (1.0, t)),
+                   "top": ((0.0, 1.0), (1.0, 0.0), lambda t: (t, 1.0))}
 
 
 def reference_block(space, geo, problem, u, e, pairs):
     """Block matrix and right-hand side of the bubbles `pairs` on element e
     by per-point quadrature: the p + 2 point Gauss rule, every bubble and
-    u_h pushed forward one point at a time, and the moment data on e's
-    edges along the bottom and right sides."""
+    u_h pushed forward one point at a time, the moment and shear data on
+    e's edges along natural sides, and the point loads inside e."""
     mesh, p = space.mesh, space.degree
     q, d, nu = p + 1, problem.stiffness, problem.poisson
     x0, y0, x1, y1 = mesh.element_rect(e)
@@ -390,28 +400,35 @@ def reference_block(space, geo, problem, u, e, pairs):
             amat += w * np.array([[energy(a, b) for b in hb] for a in hb])
             rhs += w * np.array([problem.g(x, y) * v - energy(a, hu)
                                  for (v, _, _), a in zip(bs, hb)])
-    for side, (normal, tangent) in {"bottom": ((0.0, -1.0), (1.0, 0.0)),
-                                    "right": ((1.0, 0.0), (0.0, 1.0))}.items():
-        if (side == "bottom" and e.iy > 0) or (side == "right"
-                                              and e.ix < mesh.n_elements_1d(e.level) - 1):
+    last = mesh.n_elements_1d(e.level) - 1
+    for side, (normal, tangent, at) in REFERENCE_SIDES.items():
+        if (e.ix, e.iy, last - e.ix, last - e.iy)[ALL.index(side)] > 0:
             continue
         for qt, t in enumerate(nodes):
-            tx, ty = (t, 0.0) if side == "bottom" else (1.0, t)
+            tx, ty = at(t)
             xi, eta = x0 + h * tx, y0 + h * ty
             push = pushforward2(geo, (xi, eta))
             n = np.linalg.inv(push.jacobian).T @ normal
             ds = w1[qt] * h * np.linalg.norm(push.jacobian @ tangent)
             x, y = geo.map_points([(xi, eta)])[0]
-            moment = problem.neumann_M[side](x, y)
-            rhs += ds * moment * np.array([push.apply(g, hs)[0] @ n / np.linalg.norm(n)
-                                           for _, g, hs in bubbles(tx, ty)])
+            for data, slope in ((problem.neumann_M.get(side), True),
+                                (problem.neumann_Q.get(side), False)):
+                if data is not None:
+                    rhs += ds * data(x, y) * np.array([
+                        push.apply(g, hs)[0] @ n / np.linalg.norm(n) if slope else v
+                        for v, g, hs in bubbles(tx, ty)])
+    for (px, py), magnitude in problem.point_loads:
+        if mesh.locate(px, py) == e:
+            rhs += magnitude * np.array([v for v, _, _ in bubbles((px - x0) / h, (py - y0) / h)])
     return amat, rhs
 
 
 class TestMappedBlocks:
-    # interior (on both levels), bottom (moment) side, and the bottom-right
-    # corner of two moment sides
-    ELEMENTS = (ElementId(0, 2, 2), ElementId(1, 2, 3), ElementId(0, 2, 0), ElementId(0, 3, 0))
+    # interior (on both levels), bottom (moment) side with the point load,
+    # the bottom-right corner of two moment sides, top (shear) side, and the
+    # top-right corner of a moment and a shear side
+    ELEMENTS = (ElementId(0, 2, 2), ElementId(1, 2, 3), ElementId(0, 2, 0), ElementId(0, 3, 0),
+                ElementId(0, 2, 3), ElementId(0, 3, 3))
 
     def blocks(self, kind, p):
         space = HierarchicalSpace.create(4, p).refined([ElementId(0, 1, 1)], 2)
@@ -421,7 +438,7 @@ class TestMappedBlocks:
         bubbles = build_bubble_space(space.mesh, p, natural_boundary_sides(prob))
         return space, geo, prob, u, bubbles, assemble_blocks(bubbles, u, space, geo, prob)
 
-    @pytest.mark.parametrize("kind", ["affine", "spline"])
+    @pytest.mark.parametrize("kind", ["identity", "affine", "spline"])
     @pytest.mark.parametrize("p", [3, 4])
     def test_blocks_match_per_point_quadrature(self, kind, p):
         space, geo, prob, u, bubbles, blocks = self.blocks(kind, p)
@@ -474,6 +491,76 @@ class TestMappedBlocks:
         assert len(set(keys)) == len(keys)
         assert any(len(blk.cells) > 1 for blk in blocks)
         assert sum(len(blk.cells) for blk in blocks) == space.mesh.n_active
+
+
+class TestLevelSweep:
+    @pytest.mark.parametrize("kind", ["identity", "spline"])
+    def test_one_field_pass_per_level(self, kind, monkeypatch):
+        space, geo, prob, u, bubbles, blocks = TestMappedBlocks().blocks(kind, 3)
+        passes = []
+        field_chunks = hbplate.estimators._field_chunks
+
+        def counted(space, op, *args):
+            passes.append(op.level)
+            return field_chunks(space, op, *args)
+
+        monkeypatch.setattr(hbplate.estimators, "_field_chunks", counted)
+        again = assemble_blocks(bubbles, u, space, geo, prob)
+        assert len(bubbles.groups) > len(space.levels)
+        assert passes == [op.level for op in space.levels]
+        for blk, want in zip(again, blocks):
+            assert np.array_equal(blk.rhs, want.rhs) and np.array_equal(blk.matrix, want.matrix)
+
+
+def zero(x, y):
+    return np.zeros_like(np.asarray(x, dtype=float))
+
+
+def side_data_problem(data):
+    """Deflection, rotation, moment and shear sides all carrying `data`."""
+    return PlateProblem(g=lambda x, y: 1.0 + x * y,
+                        dirichlet_w={s: data for s in ("left", "bottom", "right")},
+                        neumann_Q={"top": data}, dirichlet_phi={"left": data},
+                        neumann_M={s: data for s in ("bottom", "right", "top")})
+
+
+class TestVanishingData:
+    @pytest.mark.parametrize("kind", ["identity", "spline"])
+    def test_constant_zero_matches_a_zero_callable_without_quadrature(self, kind, monkeypatch):
+        space = HierarchicalSpace.create(3, 3).refined([ElementId(0, 0, 0)], 2)
+        geo = mapped_geometry(kind)
+        u = DiscreteField(np.random.default_rng(3).standard_normal(space.num_dofs))
+        out = []
+        for data in (zero, 0.0):
+            prob = side_data_problem(data)
+            system = apply_dirichlet(assemble_system(space, geo, prob), space, prob, geo)
+            bubbles = build_bubble_space(space.mesh, 3, natural_boundary_sides(prob))
+            out.append((system, assemble_blocks(bubbles, u, space, geo, prob)))
+            # the callable is integrated; constant zero data get no quadrature
+            for module, name in ((hbplate.assembly, "_side_batches"),
+                                 (hbplate.estimators, "_bubble_edge_terms")):
+                monkeypatch.setattr(module, name, None)
+        (want, want_blocks), (system, blocks) = out
+        assert np.array_equal(system.rhs, want.rhs)
+        assert system.constraints == want.constraints and len(want.constraints) > 0
+        for blk, ref in zip(blocks, want_blocks, strict=True):
+            assert blk.indices == ref.indices
+            assert np.array_equal(blk.rhs, ref.rhs) and np.array_equal(blk.matrix, ref.matrix)
+
+    @pytest.mark.parametrize("field, side", [("dirichlet_w", "left"), ("dirichlet_phi", "left"),
+                                             ("neumann_M", "top"), ("neumann_Q", "top")])
+    def test_constant_nan_still_raises(self, field, side):
+        space = HierarchicalSpace.create(2, 3)
+        prob = side_data_problem(0.0)
+        getattr(prob, field)[side] = float("nan")
+        u = DiscreteField(np.zeros(space.num_dofs))
+        bubbles = build_bubble_space(space.mesh, 3, natural_boundary_sides(prob))
+        steps = [lambda: apply_dirichlet(assemble_system(space, IDENTITY, prob), space, prob)]
+        if field.startswith("neumann"):
+            steps += [lambda: assemble_blocks(bubbles, u, space, IDENTITY, prob)]
+        for step in steps:
+            with pytest.raises(ValueError, match="side %r" % side):
+                step()
 
 
 class TestEstimate:
