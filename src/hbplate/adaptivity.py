@@ -83,12 +83,18 @@ class IterationRecord:
     qoi: float = math.nan
 
 
-def mark_maximum(estimates, params):
-    """Elements whose indicator exceeds gamma times the largest one."""
-    if not estimates:
-        raise ValueError("cannot mark from an empty estimate list")
-    top = max(est.eta for est in estimates)
-    return {est.element for est in estimates if est.eta > params.gamma * top}
+def mark_maximum(eta, params):
+    """Sorted positions in the indicator array `eta` of the indicators that
+    exceed gamma times the largest one; with the arrays of
+    :func:`~hbplate.estimators.estimate`, positions in
+    ``mesh.active_elements()``."""
+    eta = np.asarray(eta, dtype=float)
+    if not eta.size:
+        raise ValueError("cannot mark from an empty indicator array")
+    bad = np.flatnonzero(~np.isfinite(eta))
+    if bad.size:
+        raise ValueError("indicator %d is not finite: %r" % (bad[0], float(eta[bad[0]])))
+    return np.flatnonzero(eta > params.gamma * eta.max())
 
 
 _AROUND = np.array([(dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)])  # (0, 0) at 4
@@ -124,11 +130,11 @@ def run(problem, space, config, geo=None, exact_hessian=None, qoi_point=None,
         system = apply_dirichlet(assemble_system(space, geo, problem), space, problem, geo)
         u_h = solve(system)
         if config.estimator == "bubble":
-            estimates, eta_total = estimate(
+            eta, eta_total = estimate(
                 u_h, space, problem, geo=geo, calibration=config.calibration)
         else:
-            estimates = residual_estimator(u_h, space, problem, geo=geo)
-            eta_total = math.sqrt(sum(est.eta**2 for est in estimates))
+            eta = residual_estimator(u_h, space, problem, geo=geo)
+            eta_total = math.sqrt(sum(v**2 for v in eta.tolist()))
         err = math.nan
         theta = math.nan
         if exact_hessian is not None:
@@ -155,16 +161,16 @@ def run(problem, space, config, geo=None, exact_hessian=None, qoi_point=None,
         if it + 1 >= config.max_iterations:
             break
         if config.mode == "uniform":
-            marked = set(space.mesh.active_elements())
+            marked = space.mesh.active_elements()
         else:
             energy = math.sqrt(max(float(
                 u_h.coefficients @ (system.matrix @ u_h.coefficients)), 0.0))
             if eta_total <= 1e-12 * max(energy, 1e-30):
                 break  # indicators vanish at solver precision: converged
-            marked = mark_maximum(estimates, MarkParams(config.gamma))
-            if not marked:
+            marked = mark_maximum(eta, MarkParams(config.gamma))
+            if not marked.size:
                 break
-            marked = expand_marks(space.mesh, marked)
+            marked = expand_marks(space.mesh, space.mesh.active_elements(marked))
         refined = space.refined(marked, m)
         if config.validate and not check_admissible(refined.mesh, m, refined.basis):
             raise AssertionError("refinement broke admissibility class %d" % m)

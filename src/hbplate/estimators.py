@@ -56,7 +56,6 @@ from .splines import eval_bernstein_ders, eval_ders_in_span  # noqa: F401
 __all__ = [
     "BubbleSpace",
     "BubbleBlock",
-    "ElementEstimate",
     "EffectivityReport",
     "natural_boundary_sides",
     "build_bubble_space",
@@ -91,12 +90,6 @@ class BubbleBlock:
     matrix: np.ndarray  # (m, nb, nb)
     rhs: np.ndarray  # (E, nb)
     coeffs: np.ndarray = None  # (E, nb)
-
-
-@dataclass
-class ElementEstimate:
-    element: ElementId
-    eta: float
 
 
 @dataclass
@@ -294,31 +287,28 @@ def solve_blocks(blocks):
 
 
 def eta_elements(blocks, calibration=3.0):
-    """Element indicators: calibration times the local energy norm, block
-    by block and row by row."""
+    """Element indicators, calibration times the local energy norm, as one
+    float array: the rows of the blocks, in block order."""
     if any(blk.coeffs is None for blk in blocks):
         raise ValueError("blocks must be solved before computing indicators")
-    out = []
+    energy = []
     for blk in blocks:
         c = _rows_by_matrix(blk, blk.coeffs)
-        energy = np.sum((c @ blk.matrix) * c, axis=-1).ravel()
-        eta = calibration * np.sqrt(np.maximum(energy, 0.0))
-        out.extend(ElementEstimate(element=ElementId(blk.level, ix, iy), eta=v)
-                   for (ix, iy), v in zip(blk.cells.tolist(), eta.tolist()))
-    return out
+        energy.append(np.sum((c @ blk.matrix) * c, axis=-1).ravel())
+    return calibration * np.sqrt(np.maximum(np.concatenate(energy), 0.0))
 
 
 def estimate(u_h, space, problem, geo=None, calibration=3.0):
-    """Bubble estimate of the energy error: one indicator per active
-    element, in the order of ``mesh.active_elements()``, from one
-    :func:`assemble_blocks` call over all groups of the bubble space."""
+    """Bubble estimate of the energy error, from one :func:`assemble_blocks`
+    call over all groups of the bubble space: the indicators as one float
+    array, aligned with ``mesh.active_elements()`` (position k is the k-th
+    active element in (level, ix, iy) order), and their root sum of
+    squares."""
     bubbles = build_bubble_space(space.mesh, space.degree, natural_boundary_sides(problem))
     blocks = solve_blocks(assemble_blocks(bubbles, u_h, space, geo, problem))
-    estimates = eta_elements(blocks, calibration)
     keys = np.concatenate([np.c_[np.full(len(blk.cells), blk.level), blk.cells] for blk in blocks])
-    estimates = [estimates[k] for k in np.lexsort(keys.T[::-1]).tolist()]
-    eta_total = math.sqrt(sum(est.eta**2 for est in estimates))
-    return estimates, eta_total
+    eta = eta_elements(blocks, calibration)[np.lexsort(keys.T[::-1])]
+    return eta, math.sqrt(sum(v**2 for v in eta.tolist()))
 
 
 def effectivity(eta_total, exact_error):
@@ -371,7 +361,8 @@ def _edge_neighbor_pieces(mesh, e, side):
 
 
 def residual_estimator(u_h, space, problem, point_load_sigma=None, geo=None):
-    """Classical strong-residual indicators for the biharmonic problem.
+    """Classical strong-residual indicators for the biharmonic problem, as
+    one float array aligned with ``mesh.active_elements()``.
 
     Interior term h^4 ||g - D lap^2 u_h||^2 plus half of the edge jumps of
     lap(u_h) (weight h) and of its normal derivative (weight h^3) on each
@@ -403,7 +394,7 @@ def residual_estimator(u_h, space, problem, point_load_sigma=None, geo=None):
                 gv += _at_points(gfun, pts, "load g on level %d" % op.level)
             for fn in loads:
                 gv += _at_points(fn, pts, "regularized point load on level %d" % op.level)
-            interior.extend(mesh.h(op.level)**4 * np.sum(wts * (gv - d_const * bilap) ** 2, axis=1))
+            interior.append(mesh.h(op.level)**4 * np.sum(wts * (gv - d_const * bilap) ** 2, axis=1))
     # each interior edge piece is evaluated from both of its elements, with
     # the edge rule of that element's side restricted to the piece; the
     # points of one level go through one batched tabulation, not kept
@@ -444,10 +435,10 @@ def residual_estimator(u_h, space, problem, point_load_sigma=None, geo=None):
             traces[key] = [(d[k1][sl] + d[k2][sl]).reshape(pt.shape[:2])
                            for k1, k2 in (((2, 0), (0, 2)), across)]
     w1 = _gauss01(space.degree + 2)[1]
-    eta2 = list(interior)
+    eta2 = np.concatenate(interior)
     for pos, he, (own, i), (oth, j) in pieces:
         jl = traces[own][0][i] - traces[oth][0][j]
         jn = traces[own][1][i] - traces[oth][1][j]
         eta2[pos] += 0.5 * he * float(np.sum(w1 * he * jl**2))
         eta2[pos] += 0.5 * he**3 * float(np.sum(w1 * he * jn**2))
-    return [ElementEstimate(element=e, eta=math.sqrt(v)) for e, v in zip(active, eta2)]
+    return np.sqrt(eta2)

@@ -12,8 +12,8 @@ one vectorized lookup, :func:`_find`, a ``searchsorted`` over the keys of
 one level: whether cells or functions are active and where they sit in
 the (level, ix, iy) order of cells and dofs, which cells surround a point,
 which functions act on a cell, and which candidate functions meet a
-coarser cell. Only :func:`refine` keeps Python sets, local to the call,
-for its closure, which splits one cell at a time.
+coarser cell. :func:`refine` closes the marked set to admissibility on
+the same arrays, in one sweep from the finest level down.
 
 On the active cells of one level every active function is a fixed sum of
 that level's tensor B-splines (the dyadic two-scale relation);
@@ -138,10 +138,14 @@ class HierarchicalMesh:
     def is_active(self, e):
         return e.level < self.num_levels and bool(self.cell_index(e.level, e.ix, e.iy) >= 0)
 
-    def active_elements(self):
-        """All active elements, sorted by (level, ix, iy)."""
-        return [ElementId(l, i, j) for l in range(self.num_levels)
-                for i, j in self.cells(l).tolist()]
+    def active_elements(self, at=None):
+        """Active elements, sorted by (level, ix, iy): all of them, or those
+        at the positions `at` of that order."""
+        keys = np.concatenate(self._keys)
+        at = np.arange(keys.size) if at is None else np.asarray(at, dtype=np.int64)
+        levels = np.searchsorted(np.cumsum([k.size for k in self._keys]), at, side="right")
+        return list(map(ElementId._make, zip(
+            levels.tolist(), (keys[at] >> 32).tolist(), (keys[at] & _LOW).tolist())))
 
     @property
     def n_active(self):
@@ -243,98 +247,72 @@ def rebuild_basis(mesh):
     return HierarchicalBasis(level_keys)
 
 
-class _Draft:
-    """Working copy of a mesh for :func:`refine`: its knot vectors and, per
-    level, the set of active cell keys, which the closure updates one cell
-    at a time."""
-
-    def __init__(self, mesh):
-        self.mesh = mesh
-        self.kvs = list(mesh._kvs)
-        self.active = [set(keys.tolist()) for keys in mesh._keys]
-
-    def is_active(self, e):
-        return e.level < len(self.active) and (e.ix << 32) + e.iy in self.active[e.level]
-
-    def finish(self):
-        """The drafted mesh, with each level's keys sorted once."""
-        out = copy.copy(self.mesh)
-        out._kvs = self.kvs
-        out._keys = [np.sort(np.fromiter(act, dtype=np.int64, count=len(act)))
-                     for act in self.active]
-        return out
-
-
-def _closure_targets(work, e, coarse_level):
-    """Active elements of level <= coarse_level overlapping the support
-    extension of e (the union of supports of coarse-level functions that
-    are nonzero on e)."""
-    p = work.mesh.p
-    shift = e.level - coarse_level
-    ax, ay = e.ix >> shift, e.iy >> shift
-    nel = work.mesh.n_elements_1d(coarse_level)
-    bx0, bx1 = max(0, ax - p), min(nel - 1, ax + p)
-    by0, by1 = max(0, ay - p), min(nel - 1, ay + p)
-    targets = []
-    for lc in range(coarse_level + 1):
-        sh = coarse_level - lc
-        act = work.active[lc]
-        if not act:
-            continue
-        for cx in range(bx0 >> sh, (bx1 >> sh) + 1):
-            for cy in range(by0 >> sh, (by1 >> sh) + 1):
-                if (cx << 32) + cy in act:
-                    targets.append(ElementId(lc, cx, cy))
-    return targets
-
-
-def _subdivide(work, e):
-    if e.level + 1 > work.mesh.max_level:
-        raise RefinementLimitError(
-            "refining element %s would exceed maximum level %d"
-            % (e, work.mesh.max_level))
-    if e.level + 1 == len(work.active):
-        work.kvs.append(dyadic_refine(work.kvs[-1]))
-        work.active.append(set())
-    work.active[e.level].remove((e.ix << 32) + e.iy)
-    child = work.active[e.level + 1]
-    for dx in (0, 1):
-        for dy in (0, 1):
-            child.add(((2 * e.ix + dx) << 32) + 2 * e.iy + dy)
-
-
-def _refine_recursive(work, e, m):
-    coarse = e.level - m + 1
-    if coarse >= 0:
-        while True:
-            targets = _closure_targets(work, e, coarse)
-            if not targets:
-                break
-            for t in sorted(targets):
-                if work.is_active(t):
-                    _refine_recursive(work, t, m)
-    if work.is_active(e):
-        _subdivide(work, e)
+def _coarsen(keys, shift=1):
+    """Sorted keys of the cells `shift` levels coarser that contain the
+    cells `keys`."""
+    return np.unique(_keys((keys >> 32) >> shift, (keys & _LOW) >> shift))
 
 
 def refine(mesh, marked, m):
     """Subdivide the marked elements, closing the mesh to admissibility class m.
 
-    Before an element of level l is split, every active element of level
-    <= l - m + 1 inside its support extension is split first (recursively),
-    so functions more than m levels coarser can never act on the children.
+    Splitting a level-l element requires every cell of level l - m + 1 in
+    its support extension (the box of p cells on each side of its ancestor
+    there) to be split, so functions more than m levels coarser can never
+    act on the children. The smallest set of splits that holds the marks
+    and this closure comes from one sweep over per-level key arrays, from
+    the finest level down: the level-l cells to split are those already
+    covered by finer cells, the marks, the parents of the splits one level
+    finer and the boxes that finer new splits asked for. Only new splits
+    ask, each for its box on level l - m + 1 < l, which the sweep has not
+    reached yet.
     """
     if m < 2:
         raise ValueError("admissibility class must be at least 2, got %d" % m)
-    work = _Draft(mesh)
-    marked = sorted(ElementId(*e) for e in marked)
-    for e in marked:
-        if not work.is_active(e):
-            raise ValueError("marked element %s is not active" % (e,))
-    for e in marked:
-        if work.is_active(e):
-            _refine_recursive(work, e, m)
-    return work.finish()
+    marks = np.array([tuple(e) for e in marked], dtype=np.int64).reshape(-1, 3)
+    marks = marks[np.lexsort(marks.T[::-1])]
+    active = np.zeros(len(marks), dtype=bool)
+    for l in range(mesh.num_levels):
+        on = marks[:, 0] == l
+        active[on] = mesh.cell_index(l, marks[on, 1], marks[on, 2]) >= 0
+    if not active.all():
+        raise ValueError("marked element %s is not active"
+                         % (ElementId(*marks[active.argmin()].tolist()),))
+    levels, empty = mesh.num_levels, np.empty(0, dtype=np.int64)
+    # covered[l]: the level-l cells that finer active cells already cover
+    covered = [empty] * levels
+    for l in range(levels - 2, -1, -1):
+        covered[l] = _coarsen(np.concatenate([mesh._keys[l + 1], covered[l + 1]]))
+    asked = [[] for _ in range(levels)]
+    split = [empty] * (levels + 1)
+    box = np.arange(-mesh.p, mesh.p + 1)
+    for l in range(levels - 1, -1, -1):
+        own = marks[marks[:, 0] == l]
+        split[l] = np.unique(np.concatenate(
+            [covered[l], _keys(own[:, 1], own[:, 2]), _coarsen(split[l + 1]), *asked[l]]))
+        new = split[l][_find(covered[l], split[l]) < 0]
+        if new.size and l >= mesh.max_level:
+            raise RefinementLimitError(
+                "refining element %s would exceed maximum level %d"
+                % (ElementId(l, int(new[0] >> 32), int(new[0] & _LOW)), mesh.max_level))
+        c = l - m + 1
+        if new.size and c >= 0:
+            a, last = _coarsen(new, l - c), mesh.n_elements_1d(c) - 1
+            asked[c].append(_keys(np.clip((a >> 32)[:, None, None] + box[:, None], 0, last),
+                                  np.clip((a & _LOW)[:, None, None] + box, 0, last)).ravel())
+    out = copy.copy(mesh)
+    out._kvs = list(mesh._kvs)
+    if split[levels - 1].size:
+        out._kvs.append(dyadic_refine(out._kvs[-1]))
+    cells, two = _keys(*np.divmod(np.arange(mesh.n0 * mesh.n0), mesh.n0)), np.arange(2)
+    out._keys = []
+    for l in range(len(out._kvs)):
+        cells = np.sort(cells)
+        out._keys.append(cells[_find(split[l], cells) < 0])
+        # the next level's cells: the children of this level's splits
+        ix, iy = split[l] >> 32, split[l] & _LOW
+        cells = _keys(2 * ix[:, None, None] + two[:, None], 2 * iy[:, None, None] + two).ravel()
+    return out
 
 
 def check_admissible(mesh, m, basis=None):

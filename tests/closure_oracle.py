@@ -1,0 +1,106 @@
+"""Recursive reference for the admissible closure, which the tests compare
+the program's one-sweep :func:`hbplate.hierarchy.refine` against: a working
+copy of the mesh on Python sets, split one cell at a time, where every
+split first splits the active cells of its support extension on the level
+m - 1 coarser, recursively."""
+
+import copy
+
+import numpy as np
+
+from hbplate.hierarchy import ElementId, RefinementLimitError
+from hbplate.splines import dyadic_refine
+
+
+class _Draft:
+    """Working copy of a mesh for :func:`refine_recursive`: its knot
+    vectors and, per level, the set of active cell keys, which the closure
+    updates one cell at a time."""
+
+    def __init__(self, mesh):
+        self.mesh = mesh
+        self.kvs = list(mesh._kvs)
+        self.active = [set(keys.tolist()) for keys in mesh._keys]
+
+    def is_active(self, e):
+        return e.level < len(self.active) and (e.ix << 32) + e.iy in self.active[e.level]
+
+    def finish(self):
+        """The drafted mesh, with each level's keys sorted once."""
+        out = copy.copy(self.mesh)
+        out._kvs = self.kvs
+        out._keys = [np.sort(np.fromiter(act, dtype=np.int64, count=len(act)))
+                     for act in self.active]
+        return out
+
+
+def _closure_targets(work, e, coarse_level):
+    """Active elements of level <= coarse_level overlapping the support
+    extension of e (the union of supports of coarse-level functions that
+    are nonzero on e)."""
+    p = work.mesh.p
+    shift = e.level - coarse_level
+    ax, ay = e.ix >> shift, e.iy >> shift
+    nel = work.mesh.n_elements_1d(coarse_level)
+    bx0, bx1 = max(0, ax - p), min(nel - 1, ax + p)
+    by0, by1 = max(0, ay - p), min(nel - 1, ay + p)
+    targets = []
+    for lc in range(coarse_level + 1):
+        sh = coarse_level - lc
+        act = work.active[lc]
+        if not act:
+            continue
+        for cx in range(bx0 >> sh, (bx1 >> sh) + 1):
+            for cy in range(by0 >> sh, (by1 >> sh) + 1):
+                if (cx << 32) + cy in act:
+                    targets.append(ElementId(lc, cx, cy))
+    return targets
+
+
+def _subdivide(work, e):
+    if e.level + 1 > work.mesh.max_level:
+        raise RefinementLimitError(
+            "refining element %s would exceed maximum level %d"
+            % (e, work.mesh.max_level))
+    if e.level + 1 == len(work.active):
+        work.kvs.append(dyadic_refine(work.kvs[-1]))
+        work.active.append(set())
+    work.active[e.level].remove((e.ix << 32) + e.iy)
+    child = work.active[e.level + 1]
+    for dx in (0, 1):
+        for dy in (0, 1):
+            child.add(((2 * e.ix + dx) << 32) + 2 * e.iy + dy)
+
+
+def _refine_recursive(work, e, m):
+    coarse = e.level - m + 1
+    if coarse >= 0:
+        while True:
+            targets = _closure_targets(work, e, coarse)
+            if not targets:
+                break
+            for t in sorted(targets):
+                if work.is_active(t):
+                    _refine_recursive(work, t, m)
+    if work.is_active(e):
+        _subdivide(work, e)
+
+
+def refine_recursive(mesh, marked, m):
+    """Subdivide the marked elements, closing the mesh to admissibility class m.
+
+    Before an element of level l is split, every active element of level
+    <= l - m + 1 inside its support extension is split first (recursively),
+    so functions more than m levels coarser can never act on the children.
+    """
+    if m < 2:
+        raise ValueError("admissibility class must be at least 2, got %d" % m)
+    work = _Draft(mesh)
+    marked = sorted(ElementId(*e) for e in marked)
+    for e in marked:
+        if not work.is_active(e):
+            raise ValueError("marked element %s is not active" % (e,))
+    for e in marked:
+        if work.is_active(e):
+            _refine_recursive(work, e, m)
+    return work.finish()

@@ -13,41 +13,43 @@ from hbplate.adaptivity import (
     slopes,
 )
 from hbplate.benchmarks import benchmark_smooth, benchmark_spline_exact
-from hbplate.estimators import ElementEstimate
 from hbplate.hierarchy import ElementId, HierarchicalSpace, init, neighbors
-
-
-def est(level, ix, iy, eta):
-    return ElementEstimate(element=ElementId(level, ix, iy), eta=eta)
 
 
 class TestMarkMaximum:
     def test_threshold(self):
-        ests = [est(0, 0, 0, 1.0), est(0, 1, 0, 0.6), est(0, 2, 0, 0.4)]
-        marked = mark_maximum(ests, MarkParams(gamma=0.5))
-        assert marked == {ElementId(0, 0, 0), ElementId(0, 1, 0)}
+        marked = mark_maximum(np.array([1.0, 0.6, 0.4]), MarkParams(gamma=0.5))
+        assert marked.tolist() == [0, 1]
 
     def test_gamma_close_to_one_keeps_only_argmax(self):
-        ests = [est(0, 0, 0, 1.0), est(0, 1, 0, 0.99), est(0, 2, 0, 0.5)]
-        marked = mark_maximum(ests, MarkParams(gamma=0.995))
-        assert marked == {ElementId(0, 0, 0)}
+        marked = mark_maximum(np.array([0.5, 1.0, 0.99]), MarkParams(gamma=0.995))
+        assert marked.tolist() == [1]
 
     def test_uniform_estimates_mark_everything(self):
-        ests = [est(0, i, 0, 2.5) for i in range(5)]
-        marked = mark_maximum(ests, MarkParams(gamma=0.9))
-        assert len(marked) == 5
+        marked = mark_maximum(np.full(5, 2.5), MarkParams(gamma=0.9))
+        assert marked.tolist() == [0, 1, 2, 3, 4]
 
     def test_all_zero_gives_empty_set(self):
-        ests = [est(0, i, 0, 0.0) for i in range(4)]
-        assert mark_maximum(ests, MarkParams()) == set()
+        assert mark_maximum(np.zeros(4), MarkParams()).size == 0
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(31)
-        ests = [est(0, i, j, rng.uniform(0, 3)) for i in range(4) for j in range(4)]
-        base = mark_maximum(ests, MarkParams(gamma=0.3))
+        eta = rng.uniform(0, 3, 16)
+        base = mark_maximum(eta, MarkParams(gamma=0.3))
         for c in (1e-6, 0.1, 7.0, 1e8):
-            scaled = [ElementEstimate(e.element, c * e.eta) for e in ests]
-            assert mark_maximum(scaled, MarkParams(gamma=0.3)) == base
+            assert np.array_equal(mark_maximum(c * eta, MarkParams(gamma=0.3)), base)
+
+    def test_empty_input_is_rejected(self):
+        with pytest.raises(ValueError, match="empty"):
+            mark_maximum(np.zeros(0), MarkParams())
+
+    @pytest.mark.parametrize("eta,pos", [([math.nan, 1.0, 2.0], 0), ([1.0, 2.0, math.nan], 2),
+                                         ([1.0, math.inf, 0.5], 1), ([0.0, -math.inf], 1)])
+    def test_non_finite_indicator_is_rejected(self, eta, pos):
+        # wherever it sits: a NaN first used to mark nothing, a NaN later
+        # was ignored
+        with pytest.raises(ValueError, match="indicator %d is not finite" % pos):
+            mark_maximum(np.array(eta), MarkParams())
 
     def test_gamma_validation(self):
         with pytest.raises(ValueError):

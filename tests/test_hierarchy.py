@@ -17,6 +17,8 @@ from hbplate.hierarchy import (
 )
 from hbplate.splines import eval_ders, find_span, tabulate_in_span
 
+from closure_oracle import refine_recursive
+
 
 def overlap_area(a, b):
     """Area of the intersection of two rectangles (x0, y0, x1, y1)."""
@@ -213,6 +215,90 @@ class TestRefine:
         assert np.linalg.norm(A_fine @ sol - target) <= 1e-9
 
 
+def same_mesh(a, b):
+    return (len(a._kvs) == len(b._kvs) == len(a._keys) == len(b._keys)
+            and all(np.array_equal(x, y) for x, y in zip(a._keys, b._keys)))
+
+
+def random_marks(rng, mesh, most=6):
+    active = mesh.active_elements()
+    picks = rng.choice(len(active), size=int(rng.integers(1, min(most, len(active)) + 1)),
+                       replace=False)
+    return mesh.active_elements(np.sort(picks))
+
+
+class TestClosureOracle:
+    """The one-sweep closure of refine against the recursive one of
+    tests/closure_oracle.py."""
+
+    @pytest.mark.parametrize("p", [3, 4, 5])
+    @pytest.mark.parametrize("m", [2, 3, 4, "mixed"])
+    def test_same_meshes_in_chained_refinements(self, p, m):
+        rng = np.random.default_rng(10 * p + (0 if m == "mixed" else m))
+        for _ in range(20):
+            mesh, _ = init(int(rng.integers(1, 5)), p)
+            for _ in range(int(rng.integers(2, 7))):
+                step_m = int(rng.integers(2, 6)) if m == "mixed" else m
+                marked = random_marks(rng, mesh)
+                want = refine_recursive(mesh, marked, step_m)
+                mesh = refine(mesh, marked, step_m)
+                assert same_mesh(mesh, want)
+
+    def test_class_5_corner_then_class_3(self):
+        # class 5 leaves the corner unclosed down to level 4; the class-3
+        # closure of a level-4 mark then needs level-2 cells inside active
+        # level-1 cells, which only the parents of the finer splits split
+        mesh, _ = init(4, 3)
+        for l in range(4):
+            mesh = refine(mesh, [ElementId(l, 0, 0)], m=5)
+        fine = refine(mesh, [ElementId(4, 0, 0)], m=3)
+        assert same_mesh(fine, refine_recursive(mesh, [ElementId(4, 0, 0)], 3))
+        assert abs(fine.area_covered() - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("p", [3, 4, 5])
+    def test_level_cap_as_the_recursion(self, p):
+        rng = np.random.default_rng(70 + p)
+        for m in (2, 3, 4):
+            mesh, _ = init(2, p, max_level=3)
+            for _ in range(6):
+                deepest = [e for e in mesh.active_elements() if e.level == mesh.num_levels - 1]
+                marked = random_marks(rng, mesh) + [deepest[int(rng.integers(len(deepest)))]]
+                try:
+                    want = refine_recursive(mesh, marked, m)
+                except RefinementLimitError:
+                    with pytest.raises(RefinementLimitError, match="maximum level 3"):
+                        refine(mesh, marked, m)
+                    break
+                mesh = refine(mesh, marked, m)
+                assert same_mesh(mesh, want)
+            else:
+                pytest.fail("the level cap was never reached")
+
+    def test_inactive_marks_as_the_recursion(self):
+        mesh, _ = init(8, 3)
+        mesh = refine(mesh, [ElementId(0, 4, 4)], m=2)
+        mesh = refine(mesh, [ElementId(1, 8, 8)], m=2)
+        for bad in (ElementId(0, 4, 4), ElementId(1, 8, 8), ElementId(3, 0, 0),
+                    ElementId(0, 8, 0), ElementId(1, -1, 0)):
+            # the error names the first inactive mark in (level, ix, iy) order
+            marked = [ElementId(2, 16, 16), ElementId(5, 0, 0), bad, ElementId(0, 0, 0)]
+            with pytest.raises(ValueError) as want:
+                refine_recursive(mesh, marked, 2)
+            with pytest.raises(ValueError) as got:
+                refine(mesh, marked, 2)
+            assert str(got.value) == str(want.value) == "marked element %s is not active" % (bad,)
+
+    def test_active_elements_at_positions(self):
+        mesh, _ = init(2, 3)
+        mesh = refine(mesh, [ElementId(0, 1, 1), ElementId(0, 0, 0)], m=2)
+        mesh = refine(mesh, [ElementId(1, 2, 2)], m=2)
+        every = mesh.active_elements()
+        at = np.array([0, 1, len(every) - 5, len(every) - 1])
+        assert mesh.active_elements(at) == [every[k] for k in at.tolist()]
+        assert mesh.active_elements(np.arange(0)) == []
+        assert every == sorted(every) and len(every) == mesh.n_active
+
+
 class TestAdmissibility:
     def test_single_level_always_admissible(self):
         mesh, _ = init(4, 3)
@@ -225,15 +311,13 @@ class TestAdmissibility:
         assert check_admissible(fine, 2)
 
     def test_adversarial_mesh_detected(self):
-        # bypass the closure: manually refine one cell down three levels
+        # class 4 closes nothing below level 3: one cell split down three
+        # levels, with no closure, is not of class 2
         mesh, _ = init(4, 3)
-        from hbplate.hierarchy import _Draft, _subdivide
-        work = _Draft(mesh)
-        e = ElementId(0, 0, 0)
         for l in range(3):
-            _subdivide(work, e)
-            e = ElementId(l + 1, 0, 0)
-        assert not check_admissible(work.finish(), 2)
+            mesh = refine(mesh, [ElementId(l, 0, 0)], m=4)
+        assert mesh.num_levels == 4 and mesh.n_active == 16 + 3 * 3
+        assert not check_admissible(mesh, 2)
 
     def test_random_marking_sequences_stay_admissible(self):
         rng = np.random.default_rng(123)
