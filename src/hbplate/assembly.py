@@ -42,6 +42,8 @@ Kronecker products of univariate cell Gram matrices, and a mesh with one
 fully active level is one sum of Kronecker products of banded matrices;
 under a spline map K_l comes from quadrature on the level's own functions.
 The upper triangle of K is mirrored, so the matrix is exactly symmetric.
+:func:`solve` runs CG with a fast-diagonalisation preconditioner on the
+Kronecker case and factors every other system by splu.
 The moment and shear data are integrated once, in :func:`_natural_terms`,
 for the load vector and the estimator alike.
 """
@@ -303,6 +305,7 @@ class LinearSystem:
     matrix: sp.spmatrix
     rhs: np.ndarray
     constraints: dict = field(default_factory=dict)
+    tensor: object = None  # the knot vector when :func:`_tensor_knots` has one
 
 
 # ---------------------------------------------------------------------------
@@ -532,14 +535,35 @@ def _class_elements(kv, form):
     return out.reshape(nc, nc, n1 * n1, n1 * n1)
 
 
+def _band(kv, gram):
+    """band[r, c - r + p] (n, 2p + 1) of the banded univariate matrix that
+    the cell Gram matrices gram (class, p + 1, p + 1) of every cell of kv
+    sum to."""
+    p, n, nel = kv.degree, kv.num_basis, kv.num_elements
+    i, j, c = np.ogrid[:p + 1, :p + 1, :nel]
+    # bincount adds the terms of an entry in the order of i, from 0.0
+    vals = gram[cell_classes(kv, np.arange(nel))].transpose(1, 2, 0)
+    at = np.broadcast_to((i + c) * (2 * p + 1) + j - i + p, vals.shape)
+    return np.bincount(at.ravel(), vals.ravel(), minlength=n * (2 * p + 1)).reshape(n, -1)
+
+
+def _tensor_knots(space, geo):
+    """The knot vector of the one level of a mesh whose active cells all lie
+    on it, under a constant Jacobian: the case where the stiffness is a sum
+    of Kronecker products of banded univariate matrices; else None."""
+    levels = space.levels
+    if len(levels) == 1 and geo.constant_jacobian:
+        return space.mesh.knots(levels[0].level)
+    return None
+
+
 def _kron_upper(kv, form, stiffness):
     """Upper triangle, in CSR, of the stiffness of a fully active level
     under a constant Jacobian: the sum over the energy form's terms of
     M_ab (A_ab x B_ab), Kronecker products of the banded univariate
     matrices that the cell Gram matrices of every cell sum to, formed
     directly in CSR order. Functions (i, k) are numbered i n + k."""
-    p, n, nel = kv.degree, kv.num_basis, kv.num_elements
-    classes = cell_classes(kv, np.arange(nel))
+    p, n = kv.degree, kv.num_basis
     # offsets (d, e) of a column from its row, d in x, e in y, both shifted
     # by p, in the order of the columns; only those on or above the diagonal
     d, e = np.divmod(np.arange((2 * p + 1) ** 2), 2 * p + 1)
@@ -547,13 +571,7 @@ def _kron_upper(kv, form, stiffness):
     d, e = d[up], e[up]
     vals = 0.0
     for m, gx, gy in _gram_terms(kv, form):
-        # band[r, c - r + p] of the univariate matrix summed over the cells
-        bx, by = np.zeros((n, 2 * p + 1)), np.zeros((n, 2 * p + 1))
-        for i in range(p + 1):
-            for j in range(p + 1):
-                bx[i:i + nel, j - i + p] += gx[classes, i, j]
-                by[i:i + nel, j - i + p] += gy[classes, i, j]
-        vals = vals + m * bx[:, None, d] * by[None, :, e]
+        vals = vals + m * _band(kv, gx)[:, None, d] * _band(kv, gy)[None, :, e]
     vals = stiffness * vals
     keep = vals != 0.0
     r = np.arange(n)
@@ -626,12 +644,12 @@ def assemble_stiffness(space, geo, problem):
     so the matrix is exactly symmetric.
     """
     form = _energy_form(geo, problem.poisson) if geo.constant_jacobian else None
-    levels = space.levels
-    if len(levels) == 1 and form is not None:
-        upper = _kron_upper(space.mesh.knots(levels[0].level), form, problem.stiffness)
+    kv = _tensor_knots(space, geo)
+    if kv is not None:
+        upper = _kron_upper(kv, form, problem.stiffness)
     else:
         full = _blockdiag_stiffness(space, geo, problem, form)
-        if len(levels) > 1:
+        if len(space.levels) > 1:
             full = space.stacked_ct @ (full @ space.stacked_ct.T)
         upper = _triangle(full, 0)
         upper.sort_indices()
@@ -788,11 +806,14 @@ def assemble_load(space, geo, problem):
 
 
 def assemble_system(space, geo, problem):
-    """Stiffness and load in one :class:`LinearSystem` (no constraints yet)."""
+    """Stiffness and load in one :class:`LinearSystem` (no constraints yet),
+    with the knot vector of a single-level mesh under a constant Jacobian
+    (:func:`_tensor_knots`) for :func:`solve`."""
     return LinearSystem(
         matrix=assemble_stiffness(space, geo, problem),
         rhs=assemble_load(space, geo, problem),
         constraints={},
+        tensor=_tensor_knots(space, geo),
     )
 
 
@@ -933,11 +954,73 @@ def apply_dirichlet(system, space, problem, geo=None):
 # ---------------------------------------------------------------------------
 # solve and postprocessing
 
-def _refined_solution(lu, a, b, dofs):
-    """Solve a x = b from the factor lu of a and check the result; dofs
-    are the global dof numbers of the unknowns, for the error message.
+_CG_RTOL = 1e-13
+_CG_MAX_ITERATIONS = 1000
 
-    Steps of iterative refinement against the factor are taken while the
+
+class _TensorPCG:
+    """CG on a free block that is a sum of Kronecker products on the box
+    [lo_x, hi_x) x [lo_y, hi_y) of a level's index grid, preconditioned by
+    fast diagonalisation (Lynch, Rice & Thomas 1964; Sangalli & Tani 2016):
+    P = (A x M + M x A) (M x M)^-1 (A x M + M x A), with A and M the
+    univariate first-derivative stiffness and mass matrices on the box's
+    index range in each direction. From A U = M U L per direction,
+    P^-1 r = (U_x x U_y) (L_x + L_y)^-2 (U_x x U_y)^T r, two dense products
+    on each side of the box-shaped r."""
+
+    def __init__(self, a, ux, uy, pencil):
+        self.a, self.ux, self.uy, self.scale = a, ux, uy, pencil ** -2.0
+        self.precondition = spla.LinearOperator(a.shape, matvec=self._apply, dtype=float)
+
+    @classmethod
+    def on_box(cls, a, kv, free):
+        """The solver of the free block a of the dofs free (sorted), or None
+        when they are not a box, or when L_x + L_y is at the rounding level
+        of its largest value: then the block is singular (no direction is
+        constrained), and splu reports it."""
+        ix, iy = np.divmod(free, kv.num_basis)
+        box = [(i.min(), i.max() + 1) for i in (ix, iy)]
+        if free.size != (box[0][1] - box[0][0]) * (box[1][1] - box[1][0]):
+            return None
+        p, n, grams = kv.degree, kv.num_basis, cell_grams(kv)
+        rows, cols = np.indices((n, 2 * p + 1))
+        cols += rows - p
+        ok = (cols >= 0) & (cols < n)
+        stiff, mass = np.zeros((2, n, n))
+        for dense, k in ((stiff, 1), (mass, 0)):
+            dense[rows[ok], cols[ok]] = _band(kv, grams[:, k, k])[ok]
+        pairs = []
+        for lo, hi in box:
+            # M = C C^T, and U = C^-T V with V L V^T = C^-1 A C^-T; numpy's
+            # LAPACK, as for the estimator's blocks, adds less to the RSS
+            # than a second library's generalised eigensolver
+            ci = np.linalg.inv(np.linalg.cholesky(mass[lo:hi, lo:hi]))
+            lam, v = np.linalg.eigh(ci @ stiff[lo:hi, lo:hi] @ ci.T)
+            pairs.append((lam, ci.T @ v))
+        pencil = pairs[0][0][:, None] + pairs[1][0][None, :]
+        if pencil.min() <= 1e-10 * pencil.max():
+            return None
+        return cls(a, pairs[0][1], pairs[1][1], pencil)
+
+    def _apply(self, r):
+        core = self.ux.T @ r.reshape(self.scale.shape) @ self.uy
+        return (self.ux @ (core * self.scale) @ self.uy.T).ravel()
+
+    def solve(self, b):
+        x, info = spla.cg(self.a, b, rtol=_CG_RTOL, atol=0.0, maxiter=_CG_MAX_ITERATIONS,
+                          M=self.precondition)
+        if info:
+            raise SolverError("preconditioned CG on the free block (n=%d) did not reach "
+                              "rtol %.0e in %d iterations" % (b.size, _CG_RTOL, info))
+        return x
+
+
+def _refined_solution(solver, a, b, dofs):
+    """Solve a x = b by ``solver.solve`` (a sparse factor of a, or
+    :class:`_TensorPCG`) and check the result; dofs are the global dof
+    numbers of the unknowns, for the error message.
+
+    Steps of iterative refinement against the solver are taken while the
     residual |b - a x| exceeds 1e-12 |b| and falls, at most 8 of them. The
     result is accepted when its residual is within 1e-10 |b|, or within the
     floor 100 eps (|a| |x| + |b|) below which a double-precision residual
@@ -946,13 +1029,13 @@ def _refined_solution(lu, a, b, dofs):
     regular solve. A non-finite or unaccepted x raises SolverError, which
     names the dof of the largest residual entry.
     """
-    x = lu.solve(b)
+    x = solver.solve(b)
     scale = np.linalg.norm(b)
     resid = np.linalg.norm(b - a @ x)
     for _ in range(8):
         if resid <= 1e-12 * max(scale, 1e-300):
             break
-        better = x + lu.solve(b - a @ x)
+        better = x + solver.solve(b - a @ x)
         resid_better = np.linalg.norm(b - a @ better)
         if resid_better >= resid:
             break
@@ -970,10 +1053,10 @@ def _refined_solution(lu, a, b, dofs):
 
 
 def solve(system):
-    """Direct sparse solve of the constrained system.
-
-    Constraints are eliminated symmetrically, and the free block is solved
-    and checked by :func:`_refined_solution`.
+    """Solve of the constrained system. Constraints are eliminated
+    symmetrically; the free block is solved by :class:`_TensorPCG` if the
+    system has a knot vector (``system.tensor``) and its free dofs form a
+    box, else factored by splu, and checked by :func:`_refined_solution`.
     """
     a = system.matrix.tocsr()
     n = a.shape[0]
@@ -986,16 +1069,19 @@ def solve(system):
     if free.size == 0:
         return DiscreteField(x)
     b = system.rhs - a @ x
-    aff = a[free][:, free].tocsc()
-    try:
-        # the free block is SPD: a symmetric minimum-degree ordering on the
-        # diagonal keeps fill low without pivoting
-        lu = spla.splu(aff, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                       options=dict(SymmetricMode=True))
-    except RuntimeError as exc:
-        raise SolverError("sparse factorization of the free block (n=%d, nnz=%d) failed: %s"
-                          % (free.size, aff.nnz, exc)) from exc
-    x[free] = _refined_solution(lu, aff, b[free], free)
+    aff = a[free][:, free]
+    solver = None if system.tensor is None else _TensorPCG.on_box(aff, system.tensor, free)
+    if solver is None:
+        aff = aff.tocsc()
+        try:
+            # the free block is SPD: a symmetric minimum-degree ordering on the
+            # diagonal keeps fill low without pivoting
+            solver = spla.splu(aff, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                               options=dict(SymmetricMode=True))
+        except RuntimeError as exc:
+            raise SolverError("sparse factorization of the free block (n=%d, nnz=%d) failed: %s"
+                              % (free.size, aff.nnz, exc)) from exc
+    x[free] = _refined_solution(solver, aff, b[free], free)
     return DiscreteField(x)
 
 

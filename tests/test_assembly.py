@@ -1037,6 +1037,99 @@ class TestSolve:
             solve(system)
 
 
+def clamped_left():
+    """Clamped on the left side only, free elsewhere: the free dofs run to
+    both ends in y."""
+    free = ("bottom", "right", "top")
+    return PlateProblem(g=lambda x, y: np.sin(3 * x + y), poisson=0.2,
+                        dirichlet_w={"left": 0.0}, dirichlet_phi={"left": 0.0},
+                        neumann_Q={s: 0.0 for s in free}, neumann_M={s: 0.0 for s in free})
+
+
+def tensor_problem(name):
+    """(space, geometry, problem) of single-level systems with every kind of
+    free box: both ends constrained in both directions, inhomogeneous and
+    mixed data, and a direction with free ends."""
+    from hbplate.benchmarks import benchmark_singular, benchmark_smooth
+    from test_golden import affine_problem
+    if name.startswith("smooth_p"):
+        return HierarchicalSpace.create(6, int(name[-1])), IDENTITY, benchmark_smooth().problem
+    if name == "material":
+        return (HierarchicalSpace.create(6, 4), IDENTITY,
+                replace(benchmark_smooth().problem, poisson=0.3, stiffness=2.5))
+    if name == "singular":
+        return HierarchicalSpace.create(6, 4), IDENTITY, benchmark_singular().problem
+    if name == "affine":
+        problem, geo, _ = affine_problem()
+        return HierarchicalSpace.create(6, 3), geo, problem
+    return HierarchicalSpace.create(6, 4), IDENTITY, clamped_left()
+
+
+def free_block(system):
+    free = np.setdiff1d(np.arange(system.rhs.size), list(system.constraints))
+    return system.matrix.tocsr()[free][:, free], free
+
+
+class TestTensorSolve:
+    @pytest.mark.parametrize("name", ["smooth_p3", "smooth_p4", "smooth_p5", "material",
+                                      "singular", "affine", "clamped_left"])
+    def test_fast_diagonalisation_pcg_matches_splu(self, name):
+        space, geo, prob = tensor_problem(name)
+        system = apply_dirichlet(assemble_system(space, geo, prob), space, prob, geo)
+        aff, free = free_block(system)
+        assert hbplate.assembly._TensorPCG.on_box(aff, system.tensor, free) is not None
+        got = solve(system).coefficients
+        want = solve(replace(system, tensor=None)).coefficients
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+    def test_only_single_level_constant_jacobian_systems_carry_the_knots(self):
+        prob = simply_supported(g=1.0)
+        space = HierarchicalSpace.create(4, 3)
+        fine = space.refined(space.mesh.active_elements(), 2)
+        for sp_, geo, level in ((space, IDENTITY, 0), (fine, oracle_geometry("affine"), 1)):
+            system = apply_dirichlet(assemble_system(sp_, geo, prob), sp_, prob, geo)
+            assert system.tensor is sp_.mesh.knots(level)
+        multi = space.refined([ElementId(0, 1, 1)], 2)
+        assert assemble_system(multi, IDENTITY, prob).tensor is None
+        assert assemble_system(space, oracle_geometry("spline"), prob).tensor is None
+        assert LinearSystem(matrix=None, rhs=np.zeros(3)).tensor is None
+
+    def test_free_dofs_off_a_box_go_to_splu(self):
+        space = HierarchicalSpace.create(4, 3)
+        prob = simply_supported(g=lambda x, y: np.sin(3 * x + y))
+        system = apply_dirichlet(assemble_system(space, IDENTITY, prob), space, prob)
+        # one more constraint inside the box of free dofs
+        inner = dict(system.constraints)
+        inner[3 * space.mesh.knots(0).num_basis + 3] = 0.0
+        system = replace(system, constraints=inner)
+        aff, free = free_block(system)
+        assert hbplate.assembly._TensorPCG.on_box(aff, system.tensor, free) is None
+        got = solve(system).coefficients
+        want = solve(replace(system, tensor=None)).coefficients
+        np.testing.assert_array_equal(got, want)
+
+    def test_a_plate_without_constraints_goes_to_splu(self):
+        # no direction is constrained: L_x + L_y has a zero, the free block
+        # is singular, and splu reports it (test_solver_reports_breakdown)
+        space = HierarchicalSpace.create(2, 3)
+        system = assemble_system(space, IDENTITY, simply_supported(g=1.0))
+        aff, free = free_block(system)
+        assert hbplate.assembly._TensorPCG.on_box(aff, system.tensor, free) is None
+
+    def test_iteration_cap_names_the_size_and_the_iterations(self):
+        # the stiffness shifted by the second least eigenvalue of its free
+        # block: indefinite and singular
+        space = HierarchicalSpace.create(4, 3)
+        prob = simply_supported(g=lambda x, y: np.sin(3 * x + y))
+        system = apply_dirichlet(assemble_system(space, IDENTITY, prob), space, prob)
+        aff, free = free_block(system)
+        shift = np.linalg.eigvalsh(aff.toarray())[1]
+        matrix = (system.matrix - shift * sp.identity(space.num_dofs)).tocsr()
+        with pytest.raises(SolverError, match=r"\(n=%d\) did not reach rtol 1e-13 in %d "
+                           "iterations" % (free.size, hbplate.assembly._CG_MAX_ITERATIONS)):
+            solve(replace(system, matrix=matrix))
+
+
 class TestH2Seminorm:
     def test_exact_interpolant_of_quadratic_gives_zero(self):
         space = HierarchicalSpace.create(3, 3)
