@@ -7,32 +7,33 @@ Quadrature uses one tensor Gauss rule with degree + 2 points per direction
 on every active element, for the stiffness, loads, error norms and the
 estimator blocks alike.
 
-Everything is assembled level by level from the two-scale relation: on the
-active cells of level l every active function is a fixed sum of level l's
-own tensor B-splines, (p + 1)^2 per cell, given by the sparse operator C_l
+Everything is assembled from the two-scale relation: on the active cells
+of level l every active function is a fixed sum of level l's own tensor
+B-splines, (p + 1)^2 per cell, given by the sparse operator C_l
 (:attr:`hbplate.hierarchy.HierarchicalSpace.levels`, built once per
-space). So each operator works on those single-level functions only:
+space). With the keys of all levels numbered one after another, C = [C_l]
+maps them all at once (``stacked_c``, ``stacked_ct``), and each operator
+works on those single-level functions only: K = C^T blockdiag(K_l) C
+(:func:`assemble_stiffness`), b = C^T b_s (:func:`assemble_load`), a
+field u enters as C u (:func:`h2_seminorm_error`, :func:`evaluate` and
+the estimators), and the Dirichlet fit's least-squares matrix is W T C,
+sparse (:func:`apply_dirichlet`).
 
-- the stiffness is K = sum over l of C_l^T K_l C_l (:func:`assemble_stiffness`);
-- the load is b = sum over l of C_l^T b_l (:func:`assemble_load`);
-- a field u enters as u_l = C_l u (:func:`h2_seminorm_error`,
-  :func:`evaluate` and the estimators);
-- the Dirichlet fit's least-squares matrix is W T_l C_l, sparse
-  (:func:`apply_dirichlet`).
-
-The level kernel, :func:`_level_chunks`, hands out the univariate tables of
-a level's B-splines on chunks of its cells at the nodes of a tensor
-reference rule on [0, 1]^2: the interior Gauss rule, an edge rule with one
-node on a domain side (moment and shear loads, Dirichlet fits), or a
-graded rule whose strips crowd toward graded sides (the graded body load).
-A uniform knot vector has at most 2p + 1 classes of cells, so the tables
-of a rule are one array per knot vector,
+The level kernel, :func:`_cell_chunks`, hands out the univariate tables of
+the levels' B-splines on chunks of the active cells of all levels
+(:attr:`~hbplate.hierarchy.HierarchicalSpace.active_cells`) at the nodes
+of a tensor reference rule on [0, 1]^2: the interior Gauss rule, an edge
+rule with one node on a domain side (moment and shear loads, Dirichlet
+fits), or a graded rule whose strips crowd toward graded sides (the
+graded body load). A uniform knot vector has at most 2p + 1 classes of
+cells, so the tables of a rule are one array per knot vector,
 :func:`hbplate.splines.class_tables`, cached on it; refined meshes share
 those knot vectors, so the tables carry over from iteration to iteration,
 while a new space starts with none. On top of it, body loads and fields
 are sum-factorised (``tx @ G @ ty^T`` per cell, and the coefficients
 contracted in y, then in x, :func:`_field_chunks`); edge integrals and the
-spline-map stiffness use rows (:func:`_level_rows`). One-off points
+spline-map stiffness use rows (:func:`_cell_rows`). All but the stiffness
+make one pass over the cells of all levels. One-off points
 (:func:`evaluate`, point loads, the residual estimator's edge pieces) are
 tabulated in one :func:`hbplate.splines.tabulate_in_span` call per level
 and direction, each point in its own cell's span, and not kept.
@@ -317,149 +318,174 @@ _HESSIANS = _ASSEMBLY_COMBOS[3:]
 _CHUNK_BYTES = 1 << 20  # tables, rows and products held for one chunk of cells
 
 
-def _rule_on_cells(mesh, level, cells, rule):
-    """Points (E, nq, 2), x-major, and weights (nq,) of a reference rule on
-    cells of one level. A direction with several nodes scales its weights
-    by h; a direction with one node is a trace and keeps its weight."""
-    h, a = mesh.h(level), mesh.interval[0]
+def _rule_on_cells(space, at, rule):
+    """Points (e, nq, 2), x-major, and weights (e, nq) of a reference rule
+    on the active cells at (positions in ``space.active_cells``), each at
+    its own size h. A direction with several nodes scales its weights by h;
+    a direction with one node is a trace and keeps its weight."""
+    view, a = space.active_cells, space.mesh.interval[0]
     (xn, xw), (yn, yw) = rule
-    xs = a + (cells[:, 0, None] + xn) * h
-    ys = a + (cells[:, 1, None] + yn) * h
-    pts = np.stack([np.repeat(xs, yn.size, axis=1), np.tile(ys, xn.size)], axis=-1)
+    cells, h = view.cells[at], view.h[at, None]
+    pts = np.empty((len(at), xn.size, yn.size, 2))
+    pts[..., 0] = (a + (cells[:, 0, None] + xn) * h)[:, :, None]
+    pts[..., 1] = (a + (cells[:, 1, None] + yn) * h)[:, None, :]
     scale = (h if xn.size > 1 else 1.0) * (h if yn.size > 1 else 1.0)
-    return pts, np.outer(xw, yw).ravel() * scale
+    return pts.reshape(len(at), -1, 2), np.outer(xw, yw).ravel() * scale
 
 
-def _level_chunks(mesh, level, cells, rule, max_der, floats):
-    """The level kernel: the level's own tensor B-splines on chunks of its
-    cells (E, 2) at the nodes of a tensor reference rule ((x nodes, x
-    weights), (y nodes, y weights)) on [0, 1], from the class tables of its
-    knot vector (:func:`~hbplate.splines.class_tables`); nodes at 0 or 1
-    give one-sided limits on each cell.
+def _cell_chunks(space, at, rule, max_der, floats):
+    """The level kernel: each level's own tensor B-splines on chunks of the
+    active cells at (positions in ``space.active_cells``, of any levels) at
+    the nodes of a tensor reference rule ((x nodes, x weights), (y nodes,
+    y weights)) on [0, 1], from the class tables of the levels' knot
+    vectors (:func:`~hbplate.splines.class_tables`), stacked in level order
+    and kept on the space; nodes at 0 or 1 give one-sided limits on each
+    cell.
 
-    Yields (sl, tx, ty, wts, pts) for each chunk ``cells[sl]`` of e cells:
+    Yields (c, tx, ty, wts, pts) for each chunk c of e positions of at:
     tx (e, derivative, i, x node) tabulates the functions c + i of each
     cell c in x, ty likewise in y, and wts (e, nq) and pts (e, nq, 2) are
     the rule's weights and points (:func:`_rule_on_cells`). A chunk holds at
     most _CHUNK_BYTES of the caller's `floats` per cell.
     """
-    kv = mesh.knots(level)
-    xtab, ytab = (class_tables(kv, nodes, max_der) for nodes, _ in rule)
-    cx, cy = cell_classes(kv, cells).T
+    view = space.active_cells
+    for nodes, _ in rule:
+        if (nodes.tobytes(), max_der) not in view.tables:
+            view.tables[nodes.tobytes(), max_der] = np.concatenate([
+                class_tables(space.mesh.knots(op.level), nodes, max_der) for op in space.levels])
+    xtab, ytab = (view.tables[nodes.tobytes(), max_der] for nodes, _ in rule)
     step = max(1, _CHUNK_BYTES // (8 * floats))
-    for start in range(0, len(cells), step):
-        sl = slice(start, start + step)
-        pts, w = _rule_on_cells(mesh, level, cells[sl], rule)
-        yield sl, xtab[cx[sl]], ytab[cy[sl]], np.broadcast_to(w, pts.shape[:2]), pts
+    for start in range(0, len(at), step):
+        c = at[start:start + step]
+        pts, wts = _rule_on_cells(space, c, rule)
+        yield c, xtab[view.classes[c, 0]], ytab[view.classes[c, 1]], wts, pts
 
 
-def _level_rows(space, level, cells, combos, rule=None):
-    """Rows of the level's own tensor B-splines on chunks of its cells (E,
-    2), by :func:`_level_chunks` (by default at the interior Gauss rule):
-    yields (sl, rows, wts, pts) with rows mapping each combo (dx, dy) to
-    (e, (p + 1)^2, nq), each cell's functions x-major as in
-    :attr:`~hbplate.hierarchy.LevelOperator.local`."""
+def _cell_rows(space, at, combos, rule=None):
+    """Rows of the levels' own tensor B-splines on chunks of the active
+    cells at, by :func:`_cell_chunks` (by default at the interior Gauss
+    rule): yields (c, rows, wts, pts) with rows mapping each combo (dx, dy)
+    to (e, (p + 1)^2, nq), each cell's functions x-major as in
+    ``space.active_cells.local``."""
     n1 = space.degree + 1
     rule = rule or (_gauss01(n1 + 1),) * 2
     nq = rule[0][0].size * rule[1][0].size
-    for sl, tx, ty, wts, pts in _level_chunks(space.mesh, level, cells, rule,
-                                              max(max(c) for c in combos),
-                                              len(combos) * n1 * n1 * nq):
+    for c, tx, ty, wts, pts in _cell_chunks(space, at, rule, max(max(c) for c in combos),
+                                            len(combos) * n1 * n1 * nq):
         rows = {(dx, dy): (tx[:, dx, :, None, :, None] * ty[:, dy, None, :, None, :]).reshape(
             len(tx), n1 * n1, nq) for dx, dy in combos}
-        yield sl, rows, wts, pts
+        yield c, rows, wts, pts
 
 
-def _field_chunks(space, op, at, coeff, combos, rule=None):
-    """Derivatives of a discrete field on chunks of the cells ``op.cells[at]``
-    of one level (a :class:`~hbplate.hierarchy.LevelOperator`), from its
-    level coefficients coeff = C_l u, by :func:`_level_chunks`.
+def _field_chunks(space, at, coeff, combos, rule=None):
+    """Derivatives of a discrete field on chunks of the active cells at,
+    from its coefficients coeff = C u on the stacked keys of all levels, by
+    :func:`_cell_chunks`.
 
     Sum factorisation: each cell's (p + 1) x (p + 1) coefficients, gathered
-    through ``op.local``, are contracted with the tables in y and then in
-    x; no basis rows are built. Yields (sl, ders, wts, pts) for each chunk
-    ``at[sl]``, with ders mapping each combo (dx, dy) to (e, 1, nq).
+    through ``space.active_cells.local``, are contracted with the tables in
+    y and then in x; no basis rows are built. Yields (c, ders, wts, pts)
+    for each chunk c of at, with ders mapping each combo (dx, dy) to
+    (e, 1, nq).
     """
-    n1 = space.degree + 1
+    n1, local = space.degree + 1, space.active_cells.local
     rule = rule or (_gauss01(n1 + 1),) * 2
     nd = max(max(c) for c in combos) + 1
     nx, ny = rule[0][0].size, rule[1][0].size
     # floats per cell: coefficients, tables, y products, result
     floats = n1 * (n1 + nd * nx + 2 * nd * ny) + nd * nx * nd * ny
-    for sl, tx, ty, wts, pts in _level_chunks(space.mesh, op.level, op.cells[at], rule, nd - 1,
-                                              floats):
+    for c, tx, ty, wts, pts in _cell_chunks(space, at, rule, nd - 1, floats):
         e = len(tx)
-        coef = coeff[op.local[at[sl]]].reshape(e, n1, n1)
+        coef = coeff[local[c]].reshape(e, n1, n1)
         # y first, (e, i, (dy, y node)); then x, (e, (dx, x node), (dy, y node))
         part = coef @ ty[:, :nd].transpose(0, 2, 1, 3).reshape(e, n1, -1)
         full = (tx[:, :nd].transpose(0, 1, 3, 2).reshape(e, -1, n1) @ part).reshape(
             e, nd, nx, nd, ny)
-        yield sl, {(dx, dy): full[:, dx, :, dy].reshape(e, 1, nx * ny)
-                   for dx, dy in combos}, wts, pts
+        yield c, {(dx, dy): full[:, dx, :, dy].reshape(e, 1, nx * ny)
+                  for dx, dy in combos}, wts, pts
 
 
-def _point_tables(space, op, cells, pts, max_der):
-    """Tables (derivative, i, point) in x and in y of the level's own
+def _locate(space, points):
+    """Positions in ``space.active_cells`` of the finest active cells that
+    hold the parametric points (:meth:`~hbplate.hierarchy.HierarchicalMesh.locate`)."""
+    mesh, start = space.mesh, space.active_cells.start
+    return np.array([start[e.level] + mesh.cell_index(e.level, e.ix, e.iy)
+                     for e in (mesh.locate(x, y) for x, y in points)], dtype=np.int64)
+
+
+def _point_tables(space, at, pts, max_der):
+    """Tables (derivative, i, point) in x and in y of the levels' own
     B-splines at the parametric points pts (n, 2), each in the span of its
-    cell of cells (n, 2), so that points on a cell's edge give one-sided
-    limits on it, and each point's position in ``op.cells``: one
-    tabulate_in_span call per direction, for one-off points, not kept."""
-    kv, p = space.mesh.knots(op.level), space.degree
-    tx, ty = (tabulate_in_span(kv, pts[:, axis], cells[:, axis] + p, max_der) for axis in (0, 1))
-    return tx, ty, space.mesh.cell_index(op.level, cells[:, 0], cells[:, 1])
+    active cell at (n,), so that points on a cell's edge give one-sided
+    limits on it: one tabulate_in_span call per level and direction, for
+    one-off points, not kept."""
+    view, p = space.active_cells, space.degree
+    tabs = np.empty((2, max(max_der, 2) + 1, p + 1, len(at)))
+    for level in set(view.level[at].tolist()):
+        on = view.level[at] == level
+        for axis in (0, 1):
+            tabs[axis][..., on] = tabulate_in_span(space.mesh.knots(level), pts[on, axis],
+                                                   view.cells[at[on], axis] + p, max_der)
+    return tabs
 
 
-def _point_ders(space, op, cells, pts, coeff, combos):
-    """Derivatives (n,) by combo of the field with level coefficients coeff
-    = C_l u at the parametric points pts (n, 2) of the cells (n, 2) of one
-    level, by :func:`_point_tables`."""
-    tx, ty, at = _point_tables(space, op, cells, pts, max(max(c) for c in combos))
-    coef = coeff[op.local[at]].reshape(len(pts), tx.shape[1], -1)
+def _point_ders(space, at, pts, coeff, combos):
+    """Derivatives (n,) by combo of the field with coefficients coeff = C u
+    at the parametric points pts (n, 2) of the active cells at (n,), by
+    :func:`_point_tables`."""
+    tx, ty = _point_tables(space, at, pts, max(max(c) for c in combos))
+    coef = coeff[space.active_cells.local[at]].reshape(len(pts), tx.shape[1], -1)
     return {(dx, dy): np.einsum("ik,jk,kij->k", tx[dx], ty[dy], coef) for dx, dy in combos}
 
 
 def _add_local(vec, local, loc):
-    """Add the values loc (e, n) of the cells' own functions into the level
+    """Add the values loc (e, n) of the cells' own functions into the
     vector vec at their positions local (e, n)."""
     vec += np.bincount(local.ravel(), loc.ravel(), minlength=vec.size)
 
 
-def _at_points(fn, pts, what):
-    """fn(x, y) called once on the flattened points (..., 2); each returned
-    value comes back in the points' shape, so scalar returns broadcast.
-    Values that are not finite or do not fit the points raise ValueError
-    naming `what`."""
+def _at_points(fn, pts, what, levels=None):
+    """fn(x, y) called once on the flattened points (e, ..., 2); each
+    returned value comes back in the points' shape, so scalar returns
+    broadcast. Values that are not finite or do not fit the points raise
+    ValueError naming `what`: with levels, the level (e,) of each row of
+    points, a format for the level of the first offending point."""
     x, y = pts[..., 0].ravel(), pts[..., 1].ravel()
     out = fn(x, y)
+
+    def named(at):  # with levels, `what` names the level of the point at
+        row = at // (x.size // len(pts))
+        return what if levels is None else what % np.broadcast_to(levels, len(pts))[row]
 
     def shaped(v):
         try:
             v = np.broadcast_to(np.asarray(v, dtype=float), x.shape)
         except (TypeError, ValueError) as exc:
             raise ValueError("%s: values of shape %s do not fit %d points"
-                             % (what, np.shape(v), x.size)) from exc
+                             % (named(0), np.shape(v), x.size)) from exc
         if not np.all(np.isfinite(v)):
-            raise ValueError("%s: non-finite values" % what)
+            raise ValueError("%s: non-finite values" % named(np.argmin(np.isfinite(v))))
         return v.reshape(pts.shape[:-1])
     return tuple(map(shaped, out)) if isinstance(out, tuple) else shaped(out)
 
 
 def _transform_rows(geo, pts, rows, wts, level, cells, local=None):
     """Push parametric derivative rows (e, n, nq) at the points (e, nq, 2)
-    of the cells (e, 2) of one level to physical ones; scales the weights
-    (e, nq) and maps the points. Hessian rows need the gradient rows too
-    only under a spline map: the gradient terms of the Hessian pushforward
-    carry the map's own Hessian, which is zero for an affine map. local is
-    geo.derivatives at the points, when the caller has it already."""
+    of the cells (e, 2) on the level (one, or one per cell) to physical
+    ones; scales the weights (e, nq) and maps the points. Hessian rows need
+    the gradient rows too only under a spline map: the gradient terms of the
+    Hessian pushforward carry the map's own Hessian, which is zero for an
+    affine map. local is geo.derivatives at the points, when the caller has
+    it already."""
     if geo.is_identity:
         return rows, wts, pts
     mapped, jac, hess = local if local is not None else geo.derivatives(pts.reshape(-1, 2))
     det = np.linalg.det(jac)
     shape = pts.shape[:2]
     if np.any(det <= 0.0):
-        ix, iy = cells[(det.reshape(shape) <= 0.0).any(axis=1).argmax()]
+        k = (det.reshape(shape) <= 0.0).any(axis=1).argmax()
         raise GeometryError("geometry Jacobian is singular on level %d, cell (%d, %d)"
-                            % (level, ix, iy))
+                            % (np.broadcast_to(level, len(cells))[k], *cells[k]))
     jinv = np.linalg.inv(jac).reshape(shape + (2, 2))[:, None]
     out = dict(rows)
     if (1, 0) in rows:
@@ -580,10 +606,11 @@ def _kron_upper(kv, form, stiffness):
     return sp.csr_matrix((vals[keep], cols[keep], indptr), shape=(n * n, n * n))
 
 
-def _level_stiffness(space, geo, problem, op, form):
+def _level_stiffness(space, geo, problem, op, form, base):
     """Stiffness of the tensor B-splines of the level of op (a
-    :class:`~hbplate.hierarchy.LevelOperator`) over its active cells, rows
-    and columns in the order of ``op.keys``, as CSR arrays (data, columns,
+    :class:`~hbplate.hierarchy.LevelOperator` whose keys come after the
+    `base` keys of the levels before it) over its active cells, rows and
+    columns in the order of ``op.keys``, as CSR arrays (data, columns,
     entries per row), columns sorted within rows.
 
     The element matrices are scattered into a stencil (function, offset of
@@ -594,7 +621,7 @@ def _level_stiffness(space, geo, problem, op, form):
     matrices come from :func:`_class_elements`; under a spline map from the
     kernel's quadrature of the (p + 1)^2 functions, pushed forward.
     """
-    p, keys, local = space.degree, op.keys, op.local
+    p, keys, local = space.degree, op.keys, op.local - base
     n1, width = p + 1, 2 * p + 1
     ix, iy = np.divmod(np.arange(n1 * n1), n1)
     # stencil column of the pair (a, b) of a cell's functions
@@ -608,7 +635,8 @@ def _level_stiffness(space, geo, problem, op, form):
         chunks = ((sl, elems[cx[sl], cy[sl]]) for sl in (
             slice(start, start + step) for start in range(0, len(op.cells), step)))
     else:
-        chunks = _stiffness_chunks(space, geo, problem, op.level, op.cells)
+        first = space.active_cells.start[op.level]
+        chunks = _stiffness_chunks(space, geo, problem, np.arange(first, first + len(op.cells)))
     for sl, aloc in chunks:
         for a in range(n1 * n1):
             stencil[local[sl, a, None] * width * width + offset[a]] += aloc[:, a]
@@ -619,13 +647,15 @@ def _level_stiffness(space, geo, problem, op, form):
     return stencil[live], cols.astype(np.int32), live.sum(axis=1)
 
 
-def _stiffness_chunks(space, geo, problem, level, cells):
-    """Element matrices (e, (p + 1)^2, (p + 1)^2) of the level's own tensor
-    B-splines under a spline map, chunk by chunk: (sl, matrices)."""
-    for sl, rows, wts, pts in _level_rows(space, level, cells, _DERIVATIVES):
-        rows, wts, _ = _transform_rows(geo, pts, rows, wts, level, cells[sl])
+def _stiffness_chunks(space, geo, problem, at):
+    """Element matrices (e, (p + 1)^2, (p + 1)^2) of the levels' own tensor
+    B-splines under a spline map on the active cells at, consecutive
+    positions, chunk by chunk: (positions in at, matrices)."""
+    view = space.active_cells
+    for c, rows, wts, pts in _cell_rows(space, at, _DERIVATIVES):
+        rows, wts, _ = _transform_rows(geo, pts, rows, wts, view.level[c], view.cells[c])
         terms, w = _energy_terms(rows, wts, problem.poisson)
-        yield sl, problem.stiffness * ((terms * w[:, None]) @ terms.swapaxes(1, 2))
+        yield c - at[0], problem.stiffness * ((terms * w[:, None]) @ terms.swapaxes(1, 2))
 
 
 def assemble_stiffness(space, geo, problem):
@@ -650,7 +680,7 @@ def assemble_stiffness(space, geo, problem):
     else:
         full = _blockdiag_stiffness(space, geo, problem, form)
         if len(space.levels) > 1:
-            full = space.stacked_ct @ (full @ space.stacked_ct.T)
+            full = space.stacked_ct @ (full @ space.stacked_c)
         upper = _triangle(full, 0)
         upper.sort_indices()
     return upper + _triangle(upper, 1).T
@@ -663,7 +693,7 @@ def _blockdiag_stiffness(space, geo, problem, form):
     :attr:`~hbplate.hierarchy.HierarchicalSpace.stacked_ct`."""
     blocks, base = [], 0
     for op in space.levels:
-        data, cols, counts = _level_stiffness(space, geo, problem, op, form)
+        data, cols, counts = _level_stiffness(space, geo, problem, op, form, base)
         blocks.append((data, cols + base, counts))
         base += len(op.keys)
     data, cols, counts = map(np.concatenate, zip(*blocks))
@@ -683,16 +713,17 @@ def _triangle(a, k):
 # boundary edges
 
 def _on_side(mesh, level, cells, side):
-    """Which of the cells (E, 2) of one level have an edge on one side of
-    the domain."""
+    """Which of the cells (E, 2) on the level (one, or one per cell) have
+    an edge on one side of the domain."""
     edge = 0 if side in ("left", "bottom") else mesh.n_elements_1d(level) - 1
     return cells[:, 0 if side in ("left", "right") else 1] == edge
 
 
 def _side_groups(mesh, level, cells, sides):
-    """The cells (E, 2) of one level grouped by which of `sides` of the
-    domain they touch: yields (frozenset of the touched sides, positions of
-    the group's cells), the groups in order of their first cell."""
+    """The cells (E, 2) on the level (one, or one per cell) grouped by
+    which of `sides` of the domain they touch: yields (frozenset of the
+    touched sides, positions of the group's cells), the groups in order of
+    their first cell."""
     # bit b of a cell's code: the cell touches SIDES[b]
     code = np.zeros(len(cells), dtype=np.int64)
     for b, side in enumerate(SIDES):
@@ -708,23 +739,24 @@ _SIDE_NORMAL = {"left": (-1.0, 0.0), "right": (1.0, 0.0),
 
 
 def _side_batches(space, geo, side):
-    """The boundary cells of one side through the level kernel's edge rule,
-    chunk by chunk: (level operator, positions of the cells in it, values
-    and outward normal derivatives (e, (p + 1)^2, nq) of the cells' own
-    functions, physical points (e, nq, 2), arc weights (e, nq))."""
-    rule = _edge_rule(space.degree, side)
-    for op in space.levels:
-        at = np.flatnonzero(_on_side(space.mesh, op.level, op.cells, side))
-        for sl, rows, wts, pts in _level_rows(space, op.level, op.cells[at],
-                                              _ASSEMBLY_COMBOS[:3], rule):
-            dn, pts, wts = _edge_transform(geo, pts, side, wts, rows[(1, 0)], rows[(0, 1)],
-                                           op.level, op.cells[at[sl]])
-            yield op, at[sl], rows[(0, 0)], dn, pts, wts
+    """The boundary cells of one side, of all levels, through the level
+    kernel's edge rule, chunk by chunk: (positions of the cells in
+    ``space.active_cells``, values and outward normal derivatives
+    (e, (p + 1)^2, nq) of the cells' own functions, physical points
+    (e, nq, 2), arc weights (e, nq))."""
+    view = space.active_cells
+    at = np.flatnonzero(_on_side(space.mesh, view.level, view.cells, side))
+    for c, rows, wts, pts in _cell_rows(space, at, _ASSEMBLY_COMBOS[:3],
+                                        _edge_rule(space.degree, side)):
+        dn, pts, wts = _edge_transform(geo, pts, side, wts, rows[(1, 0)], rows[(0, 1)],
+                                       view.level[c], view.cells[c])
+        yield c, rows[(0, 0)], dn, pts, wts
 
 
 def _edge_transform(geo, pts, side, wts, gx, gy, level, cells):
     """Outward-normal derivative rows (e, n, nq), physical points and arc
-    weights along the boundary edges of the cells (e, 2) of one level, from
+    weights along the boundary edges of the cells (e, 2) on the level (one,
+    or one per cell), from
     parametric gradient rows (e, n, nq) at the points (e, nq, 2) and
     parametric arc weights (e, nq)."""
     local = None if geo.is_identity else geo.derivatives(pts.reshape(-1, 2))
@@ -746,13 +778,14 @@ def _natural_terms(problem, side, level, vals, dn, pts, wts):
     """The moment and shear data of one side integrated against functions
     with values `vals` and outward normal derivatives `dn` (e, n, nq) at
     the physical points (e, nq, 2), with arc weights (e, nq), along the
-    boundary edges of e elements of one level: (e, n)."""
+    boundary edges of e elements on the level (one, or one per element):
+    (e, n)."""
     out = np.zeros(dn.shape[:2])
     for data, kind, rows in ((problem.neumann_M.get(side), "moment", dn),
                              (problem.neumann_Q.get(side), "shear", vals)):
         if not _vanishes(data):
-            what = "%s data on side %r, level %d" % (kind, side, level)
-            out += np.einsum("elq,eq->el", rows, wts * _at_points(_as_fn(data), pts, what))
+            what = "%s data on side %r, level %%d" % (kind, side)
+            out += np.einsum("elq,eq->el", rows, wts * _at_points(_as_fn(data), pts, what, level))
     return out
 
 
@@ -760,49 +793,43 @@ def _natural_terms(problem, side, level, vals, dn, pts, wts):
 # load vector
 
 def assemble_load(space, geo, problem):
-    """Right-hand side by two-scale assembly, b = sum over the levels l of
-    C_l^T b_l, where b_l tests the load against level l's own tensor
-    B-splines on its active cells.
+    """Right-hand side by two-scale assembly, b = C^T b_s, where b_s tests
+    the load against the levels' own tensor B-splines on the active cells,
+    in one pass over the cells of all levels.
 
     The body load is sum-factorised: tx G ty^T per cell, with G the
     weighted load at the nodes of the Gauss rule, or of the graded rule on
     cells touching graded sides. Moment and shear data go through the edge
     rule (:func:`_natural_terms`), point loads through exact evaluation.
     """
-    mesh, n1 = space.mesh, space.degree + 1
+    n1, view, loads = space.degree + 1, space.active_cells, problem.point_loads
     gfun = _as_fn(problem.g)
-    loads = problem.point_loads
-    owners = np.array([mesh.locate(pt[0], pt[1]) for pt, _ in loads],
-                      dtype=np.int64).reshape(-1, 3)
-    b = {op.level: np.zeros(len(op.keys)) for op in space.levels}
+    b = np.zeros(space.stacked_ct.shape[1])
     for side in SIDES:
         if _vanishes(problem.neumann_M.get(side), problem.neumann_Q.get(side)):
             continue
-        for op, at, vals, dn, pts, wts in _side_batches(space, geo, side):
-            _add_local(b[op.level], op.local[at],
-                       _natural_terms(problem, side, op.level, vals, dn, pts, wts))
-    rhs = np.zeros(space.num_dofs)
-    for op in space.levels:
-        groups = _side_groups(mesh, op.level, op.cells, problem.load_grading) if gfun else ()
-        for key, at in groups:
-            rule = _graded_rule(n1 - 1, key) if key else (_gauss01(n1 + 1),) * 2
-            nx, ny = rule[0][0].size, rule[1][0].size
-            # floats per cell: tables, points, weighted load, products
-            for sl, tx, ty, wts, pts in _level_chunks(mesh, op.level, op.cells[at], rule, 0,
-                                                      3 * n1 * (nx + ny) + 8 * nx * ny):
-                _, wts, pts = _transform_rows(geo, pts, {}, wts, op.level, op.cells[at[sl]])
-                gv = _at_points(gfun, pts, "load g on level %d" % op.level)
-                loc = tx[:, 0] @ (wts * gv).reshape(-1, nx, ny) @ ty[:, 0].swapaxes(1, 2)
-                _add_local(b[op.level], op.local[at[sl]], loc.reshape(len(loc), -1))
-        on = np.flatnonzero(owners[:, 0] == op.level)
-        if on.size:
-            tx, ty, at = _point_tables(space, op, owners[on, 1:],
-                                       np.array([loads[i][0] for i in on], dtype=float), 0)
-            loc = tx[0].T[:, :, None] * ty[0].T[:, None, :]
-            _add_local(b[op.level], op.local[at],
-                       np.array([loads[i][1] for i in on])[:, None] * loc.reshape(len(on), -1))
-        rhs += op.matrix.T @ b[op.level]
-    return rhs
+        for at, vals, dn, pts, wts in _side_batches(space, geo, side):
+            _add_local(b, view.local[at],
+                       _natural_terms(problem, side, view.level[at], vals, dn, pts, wts))
+    groups = _side_groups(space.mesh, view.level, view.cells, problem.load_grading) if gfun else ()
+    for key, at in groups:
+        rule = _graded_rule(n1 - 1, key) if key else (_gauss01(n1 + 1),) * 2
+        nx, ny = rule[0][0].size, rule[1][0].size
+        # floats per cell: tables, points, weighted load, products
+        for c, tx, ty, wts, pts in _cell_chunks(space, at, rule, 0,
+                                                3 * n1 * (nx + ny) + 8 * nx * ny):
+            _, wts, pts = _transform_rows(geo, pts, {}, wts, view.level[c], view.cells[c])
+            gv = _at_points(gfun, pts, "load g on level %d", view.level[c])
+            loc = tx[:, 0] @ (wts * gv).reshape(-1, nx, ny) @ ty[:, 0].swapaxes(1, 2)
+            _add_local(b, view.local[c], loc.reshape(len(loc), -1))
+    if loads:
+        pts = np.array([pt for pt, _ in loads], dtype=float)
+        at = _locate(space, pts.tolist())
+        tx, ty = _point_tables(space, at, pts, 0)
+        loc = tx[0].T[:, :, None] * ty[0].T[:, None, :]
+        _add_local(b, view.local[at],
+                   np.array([m for _, m in loads])[:, None] * loc.reshape(len(at), -1))
+    return space.stacked_ct @ b
 
 
 def assemble_system(space, geo, problem):
@@ -839,14 +866,15 @@ def _fit_side(space, geo, side, kind, data, constraints):
     """Weighted least-squares fit of one side's "deflection" or (outward)
     "rotation" data.
 
-    Already-constrained trace dofs contribute to the right-hand side; the
-    remaining trace dofs become new constraints, one least-squares column
-    each, in dof order. The least-squares matrix is W T_l C_l per level,
-    sparse (:func:`_fit_block`), and is built and solved
-    (:func:`_least_squares`) only for data that do not vanish; constant 0
-    data on a trace without nonzero constraints take no quadrature either.
+    Already-constrained trace dofs contribute to the right-hand side,
+    through C given; the remaining trace dofs become new constraints, one
+    least-squares column each, in dof order. The least-squares matrix is
+    W T C, sparse: T the side's boundary points by the stacked keys of all
+    levels (:func:`_fit_matrix`), built and solved (:func:`_least_squares`)
+    only for data that do not vanish; constant 0 data on a trace without
+    nonzero constraints take no quadrature either.
     """
-    n = space.num_dofs
+    n, view = space.num_dofs, space.active_cells
     trace = np.zeros(n, dtype=bool)
     trace[_trace_dofs(space, side, 1 if kind == "deflection" else 2)] = True
     fixed = np.zeros(n, dtype=bool)
@@ -860,40 +888,39 @@ def _fit_side(space, geo, side, kind, data, constraints):
     if _vanishes(data) and not given.any():
         constraints.update(dict.fromkeys(unknowns.tolist(), 0.0))
         return
+    ct = space.stacked_ct
+    known = space.stacked_c @ given
     chunks = []
-    for op, at, vals, dn, pts, wts in _side_batches(space, geo, side):
+    for at, vals, dn, pts, wts in _side_batches(space, geo, side):
         rows = vals if kind == "deflection" else -dn
-        target = _at_points(_as_fn(data), pts,
-                            "%s data on side %r, level %d" % (kind, side, op.level))
-        target = target - np.einsum("elq,el->eq", rows, (op.matrix @ given)[op.local[at]])
+        target = _at_points(_as_fn(data), pts, "%s data on side %r, level %%d" % (kind, side),
+                            view.level[at])
+        target = target - np.einsum("elq,el->eq", rows, known[view.local[at]])
         w = np.sqrt(wts)
-        chunks.append((op, at, rows, w, (target * w).ravel()))
-    b = np.concatenate([c[4] for c in chunks])
+        chunks.append((view.local[at], rows * w[:, None, :], (target * w).ravel()))
+    b = np.concatenate([c[2] for c in chunks])
     scale = np.abs(b).max() if b.size else 0.0
     # vanishing data need no least-squares matrix
     if scale <= 1e-14:
         values = np.zeros(unknowns.size)
     else:
-        pick = sp.csr_matrix((np.ones(unknowns.size), (unknowns, np.arange(unknowns.size))),
-                             shape=(n, unknowns.size))
-        a = sp.vstack([_fit_block(op, at, rows, w) @ (op.matrix @ pick)
-                       for op, at, rows, w, _ in chunks], format="csr")
+        a = _fit_matrix(chunks, ct.shape[1]) @ ct[unknowns].T
         values = _least_squares(a, b, "%s fit on side %r" % (kind, side))
     constraints.update(zip(unknowns.tolist(), values.tolist()))
 
 
-def _fit_block(op, at, rows, w):
-    """W T_l: the rows (e nq, keys) of a side's least-squares matrix on the
-    cells ``op.cells[at]`` of one level, in the level's own B-splines:
-    their rows (e, (p + 1)^2, nq) at the columns ``op.local``, weighted by
-    w (e, nq), without the zeros."""
-    vals = (rows * w[:, None, :]).transpose(0, 2, 1)
-    cols = np.broadcast_to(op.local[at][:, None, :], vals.shape)
+def _fit_matrix(chunks, keys):
+    """W T: the rows (points, keys) of a side's least-squares matrix in the
+    levels' own B-splines, from chunks (cells' positions among the stacked
+    keys (e, (p + 1)^2), weighted rows (e, (p + 1)^2, nq), ...): each
+    cell's rows at its columns, without the zeros."""
+    vals = np.concatenate([rows for _, rows, _ in chunks]).transpose(0, 2, 1)
+    cols = np.broadcast_to(np.concatenate([local for local, _, _ in chunks])[:, None, :],
+                           vals.shape)
     pos = np.broadcast_to(np.arange(vals[..., 0].size).reshape(vals.shape[:2])[..., None],
                           vals.shape)
     keep = vals != 0.0
-    return sp.csr_matrix((vals[keep], (pos[keep], cols[keep])),
-                         shape=(vals[..., 0].size, len(op.keys)))
+    return sp.csr_matrix((vals[keep], (pos[keep], cols[keep])), shape=(vals[..., 0].size, keys))
 
 
 def _least_squares(a, b, what):
@@ -1069,7 +1096,8 @@ def solve(system):
     if free.size == 0:
         return DiscreteField(x)
     b = system.rhs - a @ x
-    aff = a[free][:, free]
+    # one outer-index selection of the free rows and columns
+    aff = a[free[:, None], free]
     solver = None if system.tensor is None else _TensorPCG.on_box(aff, system.tensor, free)
     if solver is None:
         aff = aff.tocsc()
@@ -1087,19 +1115,17 @@ def solve(system):
 
 def h2_seminorm_error(field, exact_hessian, space, geo=None):
     """Energy-norm distance sqrt(int |H(u_h) - H_exact|_F^2) by element
-    quadrature, from the level coefficients C_l u on each level's own
-    B-splines."""
+    quadrature, from the coefficients C u on the levels' own B-splines, in
+    one pass over the active cells of all levels."""
     geo = geo or GeometryMap.identity()
-    total = 0.0
-    for op in space.levels:
-        coeff = op.matrix @ field.coefficients
-        for sl, ders, wts, pts in _field_chunks(space, op, np.arange(len(op.cells)), coeff,
-                                                _DERIVATIVES):
-            ders, wts, pts = _transform_rows(geo, pts, ders, wts, op.level, op.cells[sl])
-            exx, exy, eyy = _at_points(exact_hessian, pts, "exact Hessian on level %d" % op.level)
-            total += float(np.sum(wts * ((ders[(2, 0)][:, 0] - exx) ** 2
-                                         + 2.0 * (ders[(1, 1)][:, 0] - exy) ** 2
-                                         + (ders[(0, 2)][:, 0] - eyy) ** 2)))
+    view, total = space.active_cells, 0.0
+    for c, ders, wts, pts in _field_chunks(space, np.arange(len(view.cells)),
+                                           space.stacked_c @ field.coefficients, _DERIVATIVES):
+        ders, wts, pts = _transform_rows(geo, pts, ders, wts, view.level[c], view.cells[c])
+        exx, exy, eyy = _at_points(exact_hessian, pts, "exact Hessian on level %d", view.level[c])
+        total += float(np.sum(wts * ((ders[(2, 0)][:, 0] - exx) ** 2
+                                     + 2.0 * (ders[(1, 1)][:, 0] - exy) ** 2
+                                     + (ders[(0, 2)][:, 0] - eyy) ** 2)))
     return float(np.sqrt(total))
 
 
@@ -1108,20 +1134,15 @@ def evaluate(field, space, geo, points):
 
     Returns (values (N,), gradients (N, 2), hessians (N, 3)) with the
     Hessian packed as (xx, xy, yy), in physical coordinates. Each point is
-    evaluated on the finest active element holding it, from the level
-    coefficients C_l u, all points of one level at once.
+    evaluated on the finest active element holding it, from the
+    coefficients C u, all points at once.
     """
     geo = geo or GeometryMap.identity()
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    owners = np.array([space.mesh.locate(x, y) for x, y in pts.tolist()], dtype=np.int64)
-    ders = np.empty((len(_ASSEMBLY_COMBOS), len(pts)))
-    for op in space.levels:
-        at = np.flatnonzero(owners[:, 0] == op.level)
-        if at.size:
-            cells = owners[at, 1:]
-            d = _point_ders(space, op, cells, pts[at], op.matrix @ field.coefficients,
-                            _ASSEMBLY_COMBOS)
-            d = _transform_rows(geo, pts[at, None], {k: v[:, None, None] for k, v in d.items()},
-                                np.ones((at.size, 1)), op.level, cells)[0]
-            ders[:, at] = [d[k][:, 0, 0] for k in _ASSEMBLY_COMBOS]
+    view = space.active_cells
+    at = _locate(space, pts.tolist())
+    d = _point_ders(space, at, pts, space.stacked_c @ field.coefficients, _ASSEMBLY_COMBOS)
+    d = _transform_rows(geo, pts[:, None], {k: v[:, None, None] for k, v in d.items()},
+                        np.ones((len(at), 1)), view.level[at], view.cells[at])[0]
+    ders = np.array([d[k][:, 0, 0] for k in _ASSEMBLY_COMBOS])
     return ders[0], ders[1:3].T, ders[3:].T

@@ -13,8 +13,9 @@ elements of one level that touch the same natural sides have the same
 bubbles and form a group, with one block of arrays: its cells,
 right-hand sides and solutions, and one matrix under a map with a
 constant Jacobian, formed and factored once, or one per element under a
-spline map. The blocks come from one sweep per level over the union of
-its groups' bubbles; each group's block is a selection from it.
+spline map. The blocks come from one sweep over the active cells of all
+levels and the union of the groups' bubbles; each group's block is a
+selection from it.
 
 A classical strong-residual estimator with interior and edge-jump terms is
 provided for comparison; it needs fourth derivatives of the discrete
@@ -40,6 +41,7 @@ from .assembly import (
     _energy_terms,
     _field_chunks,
     _gauss01,
+    _locate,
     _natural_terms,
     _point_ders,
     _rule_on_cells,
@@ -154,101 +156,108 @@ def build_bubble_space(mesh, p, neumann_sides=None):
 
 
 def _bubble_rows(q, pairs, rule, h, combos):
-    """Rows (1, nb, nq) of the bubbles `pairs` of degree q at the nodes of a
+    """Rows (e, nb, nq) of the bubbles `pairs` of degree q at the nodes of a
     tensor reference rule (x-major), for each combo (dx, dy): products of
     the Bernstein tables of :func:`bernstein_knots` at the rule's nodes (its
-    one cell's class tables), scaled by h^-(dx + dy) to an element of size
-    h."""
+    one cell's class tables), scaled by h^-(dx + dy) to elements of the
+    sizes h (e,), or of one size."""
     kv = bernstein_knots(q)
     max_der = max(max(c) for c in combos)
     tx, ty = (class_tables(kv, nodes, max_der)[0] for nodes, _ in rule)
     ii, jj = np.array(pairs).T
-    return {(dx, dy): h ** (-(dx + dy)) * (tx[dx][ii][:, :, None] * ty[dy][jj][:, None, :])
-            .reshape(1, len(pairs), -1) for dx, dy in combos}
+    return {(dx, dy): np.reshape(h, (-1, 1, 1)) ** (-(dx + dy)) * (
+        tx[dx][ii][:, :, None] * ty[dy][jj][:, None, :]).reshape(1, len(pairs), -1)
+        for dx, dy in combos}
 
 
-def _bubble_edge_terms(q, pairs, side, mesh, level, cells, problem, geo):
+def _bubble_edge_terms(q, pairs, side, space, at, problem, geo):
     """Natural-boundary data integrals (e, nb) of the bubbles `pairs` over
-    the edges on one side of the cells (e, 2) of one level, by the edge
-    rule the load vector uses."""
-    rule = _edge_rule(q - 1, side)
-    pts, w = _rule_on_cells(mesh, level, cells, rule)
-    e = len(cells)
-    rows = {c: np.broadcast_to(r, (e,) + r.shape[1:])
-            for c, r in _bubble_rows(q, pairs, rule, mesh.h(level), _ASSEMBLY_COMBOS[:3]).items()}
-    dn, pts, wts = _edge_transform(geo, pts, side, np.broadcast_to(w, (e, w.size)),
-                                   rows[(1, 0)], rows[(0, 1)], level, cells)
-    return _natural_terms(problem, side, level, rows[(0, 0)], dn, pts, wts)
+    the edges on one side of the active cells at (positions in
+    ``space.active_cells``), by the edge rule the load vector uses."""
+    view, rule = space.active_cells, _edge_rule(q - 1, side)
+    pts, w = _rule_on_cells(space, at, rule)
+    rows = _bubble_rows(q, pairs, rule, view.h[at], _ASSEMBLY_COMBOS[:3])
+    dn, pts, wts = _edge_transform(geo, pts, side, w, rows[(1, 0)], rows[(0, 1)],
+                                   view.level[at], view.cells[at])
+    return _natural_terms(problem, side, view.level[at], rows[(0, 0)], dn, pts, wts)
 
 
 def assemble_blocks(bubbles, u_h, space, geo, problem):
     """Independent residual systems, one block per group of the bubble
-    space, in the order of its groups, from one sweep per level over the
-    union of its groups' bubble pairs.
+    space, in the order of its groups, from one sweep over the active
+    cells of all levels and the union of the groups' bubble pairs.
 
-    u_h's derivatives on the level's cells come from one pass of the level
-    kernel over C_l u. The union matrix is formed once per level under a
-    constant Jacobian (identity or affine) and once per element under a
-    spline map; residuals and body loads are one product per chunk. Moment
-    and shear terms are one edge integral per side, none where the side's
-    data vanish, and point loads one tabulation per level. A group's block
-    selects its cells' rows and its pairs' rows and columns.
+    u_h's derivatives come from one pass of the level kernel over C u.
+    Under a constant Jacobian (identity or affine) the bubbles' weighted
+    energy terms do not depend on the element, so the residuals are one
+    product with them per chunk, and each level's matrix is the one of a
+    unit element times h^-2; under a spline map the matrix is formed per
+    element. Body loads are one product per chunk, moment and shear terms
+    one edge integral per side, none where the side's data vanish, and
+    point loads one tabulation. A group's block selects its cells' rows
+    and its pairs' rows and columns.
     """
     geo = geo or GeometryMap.identity()
-    mesh, q, loads = space.mesh, bubbles.degree, problem.point_loads
+    mesh, view, q, loads = space.mesh, space.active_cells, bubbles.degree, problem.point_loads
     gfun = _as_fn(problem.g)
     d_const, nu = problem.stiffness, problem.poisson
-    owners = np.array([mesh.locate(*pt) for pt, _ in loads], dtype=np.int64).reshape(-1, 3)
     interior = (_gauss01(space.degree + 2),) * 2
-    blocks = [None] * len(bubbles.groups)
-    for op in space.levels:
-        level, h = op.level, mesh.h(op.level)
-        ks = [k for k, group in enumerate(bubbles.groups) if group[0] == level]
-        groups = [bubbles.groups[k] for k in ks]
-        union = list(dict.fromkeys(pair for _, _, pairs, _ in groups for pair in pairs))
-        brows = _bubble_rows(q, union, interior, h, _ASSEMBLY_COMBOS)
-        mats, rhs = [], []
-        for sl, ders, wts, pts in _field_chunks(space, op, np.arange(len(op.cells)),
-                                                op.matrix @ u_h.coefficients, _DERIVATIVES):
-            chunk = op.cells[sl]
-            # a spline map is tabulated once per chunk, for bubbles and u_h
-            local = None if geo.constant_jacobian else geo.derivatives(pts.reshape(-1, 2))
-            if not mats or not geo.constant_jacobian:
-                # the bubbles' physical rows, weights and matrices: on one
-                # element for the whole level, or on each element of the chunk
-                at = slice(0, 1) if geo.constant_jacobian else slice(None)
-                b, bwts, _ = _transform_rows(geo, pts[at], brows, wts[at], level, chunk[at], local)
-                terms, w = _energy_terms(b, bwts, nu)
-                weighted = terms * w[:, None]
-                mats.append(d_const * (weighted @ terms.swapaxes(1, 2)))
-            u, _, pts = _transform_rows(geo, pts, ders, wts, level, chunk, local)
-            r = -d_const * (_energy_terms(u, bwts, nu)[0] @ weighted.swapaxes(1, 2))[:, 0]
-            if gfun is not None:
-                gv = _at_points(gfun, pts, "load g on level %d" % level)
-                r += (bwts * gv) @ brows[(0, 0)][0].T
-            rhs.append(r)
-        mat, r = np.concatenate(mats), np.concatenate(rhs)
-        at = [mesh.cell_index(level, cells[:, 0], cells[:, 1]) for *_, cells in groups]
-        for side in SIDES:
-            pos = [p for (_, touched, _, _), p in zip(groups, at) if side in touched]
-            if pos and not _vanishes(problem.neumann_M.get(side), problem.neumann_Q.get(side)):
-                pos = np.concatenate(pos)
-                r[pos] += _bubble_edge_terms(q, union, side, mesh, level, op.cells[pos],
-                                             problem, geo)
-        on = np.flatnonzero(owners[:, 0] == level)
-        if on.size:
-            # each load's point on its cell's reference square, by direction
-            corner = mesh.interval[0] + owners[on, 1:] * h
-            bx, by = (tabulate_in_span(bernstein_knots(q), np.clip(t, 0.0, 1.0), q, 0)[0]
-                      for t in ((np.array([loads[i][0] for i in on]) - corner) / h).T)
-            ii, jj = np.array(union).T
-            np.add.at(r, mesh.cell_index(level, owners[on, 1], owners[on, 2]),
-                      (np.array([loads[i][1] for i in on]) * bx[ii] * by[jj]).T)
-        for k, (_, _, pairs, cells), pos in zip(ks, groups, at):
-            sel = np.array([union.index(pair) for pair in pairs])
-            m = mat if geo.constant_jacobian else mat[pos]
-            blocks[k] = BubbleBlock(level=level, cells=cells, indices=list(pairs),
-                                    matrix=m[:, sel[:, None], sel], rhs=r[pos][:, sel])
+    union = list(dict.fromkeys(pair for *_, pairs, _ in bubbles.groups for pair in pairs))
+    values = _bubble_rows(q, union, interior, 1.0, ((0, 0),))[(0, 0)][0]
+    if geo.constant_jacobian:
+        # the bubbles' weighted energy terms do not depend on the element,
+        # and their matrix goes with h^-2: both from an element of size 1
+        (_, xw), (_, yw) = interior
+        b, bwts, _ = _transform_rows(geo, np.zeros((1, xw.size * yw.size, 2)),
+                                     _bubble_rows(q, union, interior, 1.0, _ASSEMBLY_COMBOS),
+                                     np.outer(xw, yw).reshape(1, -1), 0, np.zeros((1, 2)))
+        terms, w = _energy_terms(b, bwts, nu)
+        weighted = terms * w[:, None]
+        unit = d_const * (weighted @ terms.swapaxes(1, 2))
+    mats, r = [], np.empty((len(view.cells), len(union)))
+    for at, ders, wts, pts in _field_chunks(space, np.arange(len(view.cells)),
+                                            space.stacked_c @ u_h.coefficients, _DERIVATIVES):
+        level, cells = view.level[at], view.cells[at]
+        # a spline map is tabulated once per chunk, for bubbles and u_h
+        local = None if geo.constant_jacobian else geo.derivatives(pts.reshape(-1, 2))
+        if not geo.constant_jacobian:
+            b, bwts, _ = _transform_rows(geo, pts, _bubble_rows(
+                q, union, interior, view.h[at], _ASSEMBLY_COMBOS), wts, level, cells, local)
+            terms, w = _energy_terms(b, bwts, nu)
+            weighted = terms * w[:, None]
+            mats.append(d_const * (weighted @ terms.swapaxes(1, 2)))
+        u, uwts, pts = _transform_rows(geo, pts, ders, wts, level, cells, local)
+        uterms = _energy_terms(u, uwts, nu)[0][:, 0]
+        # one product for the chunk under a constant Jacobian, one per element else
+        res = -d_const * (uterms @ weighted[0].T if geo.constant_jacobian else
+                          np.einsum("ek,enk->en", uterms, weighted))
+        if gfun is not None:
+            res += (uwts * _at_points(gfun, pts, "load g on level %d", level)) @ values.T
+        r[at] = res
+    at = [view.start[level] + mesh.cell_index(level, cells[:, 0], cells[:, 1])
+          for level, _, _, cells in bubbles.groups]
+    for side in SIDES:
+        pos = [p for (_, touched, _, _), p in zip(bubbles.groups, at) if side in touched]
+        if pos and not _vanishes(problem.neumann_M.get(side), problem.neumann_Q.get(side)):
+            pos = np.concatenate(pos)
+            r[pos] += _bubble_edge_terms(q, union, side, space, pos, problem, geo)
+    if loads:
+        pts = np.array([pt for pt, _ in loads], dtype=float)
+        on = _locate(space, pts.tolist())
+        # each load's point on its cell's reference square, by direction
+        h = view.h[on, None]
+        bx, by = (tabulate_in_span(bernstein_knots(q), np.clip(t, 0.0, 1.0), q, 0)[0]
+                  for t in ((pts - (mesh.interval[0] + view.cells[on] * h)) / h).T)
+        ii, jj = np.array(union).T
+        np.add.at(r, on, (np.array([m for _, m in loads]) * bx[ii] * by[jj]).T)
+    index = {pair: k for k, pair in enumerate(union)}
+    mat = None if geo.constant_jacobian else np.concatenate(mats)
+    blocks = []
+    for (level, _, pairs, cells), pos in zip(bubbles.groups, at):
+        sel = np.array([index[pair] for pair in pairs])
+        m = unit * mesh.h(level) ** -2.0 if mat is None else mat[pos]
+        blocks.append(BubbleBlock(level=level, cells=cells, indices=list(pairs),
+                                  matrix=m[:, sel[:, None], sel], rhs=r[pos][:, sel]))
     return blocks
 
 
@@ -372,8 +381,8 @@ def residual_estimator(u_h, space, problem, point_load_sigma=None, geo=None):
     geo = geo or GeometryMap.identity()
     if not geo.is_identity:
         raise ValueError("the strong-residual estimator supports the identity geometry only")
-    mesh = space.mesh
-    coeffs = {op.level: op.matrix @ u_h.coefficients for op in space.levels}
+    mesh, view = space.mesh, space.active_cells
+    coeffs = space.stacked_c @ u_h.coefficients
     gfun = _as_fn(problem.g)
     d_const = problem.stiffness
     loads = []
@@ -385,55 +394,50 @@ def residual_estimator(u_h, space, problem, point_load_sigma=None, geo=None):
             raise ValueError("Gaussian regularization too wide for the load at %s" % (pt,))
         loads.append(_gaussian_load(pt, magnitude, sigma))
     interior = []
-    for op in space.levels:
-        for _, d, wts, pts in _field_chunks(space, op, np.arange(len(op.cells)),
-                                            coeffs[op.level], ((4, 0), (2, 2), (0, 4))):
-            bilap = (d[(4, 0)] + 2.0 * d[(2, 2)] + d[(0, 4)])[:, 0]
-            gv = np.zeros(bilap.shape)
-            if gfun is not None:
-                gv += _at_points(gfun, pts, "load g on level %d" % op.level)
-            for fn in loads:
-                gv += _at_points(fn, pts, "regularized point load on level %d" % op.level)
-            interior.append(mesh.h(op.level)**4 * np.sum(wts * (gv - d_const * bilap) ** 2, axis=1))
+    for at, d, wts, pts in _field_chunks(space, np.arange(len(view.cells)), coeffs,
+                                         ((4, 0), (2, 2), (0, 4))):
+        bilap = (d[(4, 0)] + 2.0 * d[(2, 2)] + d[(0, 4)])[:, 0]
+        gv = np.zeros(bilap.shape)
+        if gfun is not None:
+            gv += _at_points(gfun, pts, "load g on level %d", view.level[at])
+        for fn in loads:
+            gv += _at_points(fn, pts, "regularized point load on level %d", view.level[at])
+        interior.append(view.h[at]**4 * np.sum(wts * (gv - d_const * bilap) ** 2, axis=1))
     # each interior edge piece is evaluated from both of its elements, with
-    # the edge rule of that element's side restricted to the piece; the
-    # points of one level go through one batched tabulation, not kept
+    # the edge rule of that element's side restricted to the piece; all
+    # points go through one batched tabulation, not kept
     opposite = dict(zip(SIDES, SIDES[2:] + SIDES[:2]))
     batches, pieces = {}, []
 
-    def at(el, side, part):
-        cells = batches.setdefault((el.level, side, part), [])
-        cells.append(el[1:])
-        return (el.level, side, part), len(cells) - 1
+    def at(pos, side, part):
+        cells = batches.setdefault((side, part), [])
+        cells.append(pos)
+        return (side, part), len(cells) - 1
 
-    active = mesh.active_elements()
-    for pos, e in enumerate(active):
+    for pos, e in enumerate(mesh.active_elements()):
         for side in SIDES:
             for nb, part in _edge_neighbor_pieces(mesh, e, side):
                 finer = nb.level >= e.level
+                other = view.start[nb.level] + mesh.cell_index(nb.level, nb.ix, nb.iy)
                 pieces.append((pos, mesh.h(max(e.level, nb.level)),
-                               at(e, side, part if finer else (0, 1)),
-                               at(nb, opposite[side], (0, 1) if finer else part)))
-    traces = {}
-    for op in space.levels:
-        keys = [key for key in batches if key[0] == op.level]
-        if not keys:
-            continue
-        cells = [np.array(batches[key]) for key in keys]
-        pts = [_rule_on_cells(mesh, op.level, c, _edge_rule(space.degree, side, part))[0]
-               for c, (_, side, part) in zip(cells, keys)]
-        d = _point_ders(space, op, np.concatenate([c.repeat(pt.shape[1], axis=0)
-                                                   for c, pt in zip(cells, pts)]),
-                        np.concatenate([pt.reshape(-1, 2) for pt in pts]),
-                        coeffs[op.level], ((2, 0), (0, 2), (3, 0), (1, 2), (0, 3), (2, 1)))
-        start = 0
-        for key, pt in zip(keys, pts):
-            sl = slice(start, start + pt[..., 0].size)
-            start = sl.stop
-            across = ((3, 0), (1, 2)) if key[1] in ("left", "right") else ((0, 3), (2, 1))
-            # rows (E, nq) of the Laplacian and of its derivative across the edge
-            traces[key] = [(d[k1][sl] + d[k2][sl]).reshape(pt.shape[:2])
-                           for k1, k2 in (((2, 0), (0, 2)), across)]
+                               at(pos, side, part if finer else (0, 1)),
+                               at(other, opposite[side], (0, 1) if finer else part)))
+    traces, keys = {}, list(batches)
+    cells = [np.array(batches[key]) for key in keys]
+    pts = [_rule_on_cells(space, c, _edge_rule(space.degree, side, part))[0]
+           for c, (side, part) in zip(cells, keys)]
+    if keys:
+        d = _point_ders(space, np.concatenate([c.repeat(pt.shape[1]) for c, pt in zip(cells, pts)]),
+                        np.concatenate([pt.reshape(-1, 2) for pt in pts]), coeffs,
+                        ((2, 0), (0, 2), (3, 0), (1, 2), (0, 3), (2, 1)))
+    start = 0
+    for key, pt in zip(keys, pts):
+        sl = slice(start, start + pt[..., 0].size)
+        start = sl.stop
+        across = ((3, 0), (1, 2)) if key[0] in ("left", "right") else ((0, 3), (2, 1))
+        # rows (E, nq) of the Laplacian and of its derivative across the edge
+        traces[key] = [(d[k1][sl] + d[k2][sl]).reshape(pt.shape[:2])
+                       for k1, k2 in (((2, 0), (0, 2)), across)]
     w1 = _gauss01(space.degree + 2)[1]
     eta2 = np.concatenate(interior)
     for pos, he, (own, i), (oth, j) in pieces:

@@ -19,7 +19,7 @@ On the active cells of one level every active function is a fixed sum of
 that level's tensor B-splines (the dyadic two-scale relation);
 :func:`two_scale` gives that sum as a sparse operator per level, and
 :attr:`HierarchicalSpace.levels` keeps it, once per space, for every
-consumer.
+consumer, with the cells and keys of all levels stacked.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
-from .splines import dyadic_refine, make_open_uniform, refinement_matrix
+from .splines import cell_classes, dyadic_refine, make_open_uniform, refinement_matrix
 
 __all__ = [
     "ElementId",
@@ -40,6 +40,7 @@ __all__ = [
     "HierarchicalBasis",
     "HierarchicalSpace",
     "LevelOperator",
+    "ActiveCells",
     "RefinementLimitError",
     "init",
     "rebuild_basis",
@@ -355,15 +356,33 @@ def connectivity(mesh, basis, e):
 class LevelOperator(NamedTuple):
     """The two-scale operator of one level with active cells: the level's
     active cells (E, 2), the sorted keys of its tensor B-splines on them,
-    each cell's (p + 1)^2 functions among the keys (E, (p + 1)^2, x-major),
-    and C (keys x dofs, CSR): the active functions are C^T times the
-    level's B-splines on those cells."""
+    each cell's (p + 1)^2 functions among the keys (E, (p + 1)^2, x-major;
+    in a space, among those of all levels), and C (keys x dofs, CSR): the
+    active functions are C^T times the level's B-splines on those cells."""
 
     level: int
     cells: np.ndarray
     keys: np.ndarray
     local: np.ndarray
     matrix: sp.csr_matrix
+
+
+class ActiveCells(NamedTuple):
+    """The active cells of all levels in ``mesh.active_elements()`` order
+    (E, 2), with their levels and sizes h (E,), the rows (E, 2) of their x
+    and y classes (:func:`~hbplate.splines.cell_classes`) in those of all
+    levels with cells, stacked, and their (p + 1)^2 functions among the
+    keys of :attr:`HierarchicalSpace.stacked_ct`; start[l] is the position
+    of the first cell of level l. tables keeps the stacked class tables
+    the level kernel has used."""
+
+    cells: np.ndarray
+    level: np.ndarray
+    h: np.ndarray
+    classes: np.ndarray
+    local: np.ndarray
+    start: np.ndarray
+    tables: dict
 
 
 def two_scale(mesh, basis, level):
@@ -435,19 +454,49 @@ class HierarchicalSpace:
     def num_dofs(self):
         return self.basis.num_dofs
 
-    @cached_property
+    @property
     def levels(self):
-        """The :class:`LevelOperator` of every level with active cells, built
-        on first use and shared by every assembly on this space."""
-        return [two_scale(self.mesh, self.basis, level) for level in range(self.mesh.num_levels)
-                if len(self.mesh.cells(level))]
+        """The :class:`LevelOperator` of every level with active cells, whose
+        cells and locals are slices of :attr:`active_cells`."""
+        return self._stacked[0]
 
-    @cached_property
+    @property
+    def active_cells(self):
+        """The :class:`ActiveCells` of this space."""
+        return self._stacked[1]
+
+    @property
     def stacked_ct(self):
         """C^T = [C_l^T] over :attr:`levels`, in CSR, the columns of each
-        C_l^T numbered after those of the levels before it; built on first
-        use, for the stiffness K = C^T blockdiag(K_l) C."""
-        return sp.vstack([op.matrix for op in self.levels], format="csr").T.tocsr()
+        C_l^T numbered after those of the levels before it."""
+        return self._stacked[2]
+
+    @property
+    def stacked_c(self):
+        """C = [C_l], the transpose of :attr:`stacked_ct`: a CSC view of it."""
+        return self._stacked[3]
+
+    @cached_property
+    def _stacked(self):
+        """:attr:`levels`, :attr:`active_cells` and :attr:`stacked_ct`,
+        built on first use and shared by every assembly on this space."""
+        mesh = self.mesh
+        ops = [two_scale(mesh, self.basis, l) for l in range(mesh.num_levels) if len(mesh.cells(l))]
+        kvs = [mesh.knots(op.level) for op in ops]
+        keys = np.cumsum([0] + [len(op.keys) for op in ops])
+        classes = np.cumsum([0] + [min(kv.num_elements, 2 * mesh.p + 1) for kv in kvs])
+        level = np.concatenate([np.full(len(op.cells), op.level) for op in ops])
+        start = np.searchsorted(level, np.arange(mesh.num_levels + 1))
+        view = ActiveCells(
+            np.concatenate([op.cells for op in ops]), level,
+            np.array([mesh.h(l) for l in range(mesh.num_levels)])[level],
+            np.concatenate([cell_classes(kv, op.cells) + c
+                            for op, kv, c in zip(ops, kvs, classes)]),
+            np.concatenate([op.local + k for op, k in zip(ops, keys)]), start, {})
+        at = [slice(start[op.level], start[op.level + 1]) for op in ops]
+        ct = sp.vstack([op.matrix for op in ops], format="csr").T.tocsr()
+        return ([op._replace(cells=view.cells[s], local=view.local[s]) for op, s in zip(ops, at)],
+                view, ct, ct.T)
 
     def refined(self, marked, m):
         return HierarchicalSpace(refine(self.mesh, marked, m))

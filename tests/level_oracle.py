@@ -1,0 +1,311 @@
+"""The per-level passes that the stacked level kernel replaced, kept as the
+oracle of its tests: the load, the Dirichlet fit, the energy error norm,
+field evaluation and the bubble estimator's blocks, each one pass of a
+level kernel per level with active cells, on the level operators of
+:func:`hbplate.hierarchy.two_scale`, whose locals number each level's own
+keys from 0.
+"""
+
+import numpy as np
+import scipy.sparse as sp
+
+from hbplate.assembly import (
+    _ASSEMBLY_COMBOS,
+    _DERIVATIVES,
+    _CHUNK_BYTES,
+    SIDES,
+    GeometryMap,
+    _add_local,
+    _as_fn,
+    _at_points,
+    _edge_rule,
+    _edge_transform,
+    _energy_terms,
+    _gauss01,
+    _graded_rule,
+    _least_squares,
+    _natural_terms,
+    _on_side,
+    _side_groups,
+    _trace_dofs,
+    _transform_rows,
+    _vanishes,
+)
+from hbplate.estimators import BubbleBlock
+from hbplate.hierarchy import two_scale
+from hbplate.splines import bernstein_knots, cell_classes, class_tables, tabulate_in_span
+
+
+def level_ops(space):
+    """The level operator of every level with active cells, locals from 0."""
+    mesh = space.mesh
+    return [two_scale(mesh, space.basis, level) for level in range(mesh.num_levels)
+            if len(mesh.cells(level))]
+
+
+def rule_on_cells(mesh, level, cells, rule):
+    (xn, xw), (yn, yw) = rule
+    h, a = mesh.h(level), mesh.interval[0]
+    xs = a + (cells[:, 0, None] + xn) * h
+    ys = a + (cells[:, 1, None] + yn) * h
+    pts = np.stack([np.repeat(xs, yn.size, axis=1), np.tile(ys, xn.size)], axis=-1)
+    scale = (h if xn.size > 1 else 1.0) * (h if yn.size > 1 else 1.0)
+    return pts, np.outer(xw, yw).ravel() * scale
+
+
+def level_chunks(mesh, level, cells, rule, max_der, floats):
+    kv = mesh.knots(level)
+    xtab, ytab = (class_tables(kv, nodes, max_der) for nodes, _ in rule)
+    cx, cy = cell_classes(kv, cells).T
+    step = max(1, _CHUNK_BYTES // (8 * floats))
+    for start in range(0, len(cells), step):
+        sl = slice(start, start + step)
+        pts, w = rule_on_cells(mesh, level, cells[sl], rule)
+        yield sl, xtab[cx[sl]], ytab[cy[sl]], np.broadcast_to(w, pts.shape[:2]), pts
+
+
+def level_rows(space, level, cells, combos, rule):
+    n1 = space.degree + 1
+    nq = rule[0][0].size * rule[1][0].size
+    for sl, tx, ty, wts, pts in level_chunks(space.mesh, level, cells, rule,
+                                             max(max(c) for c in combos),
+                                             len(combos) * n1 * n1 * nq):
+        rows = {(dx, dy): (tx[:, dx, :, None, :, None] * ty[:, dy, None, :, None, :]).reshape(
+            len(tx), n1 * n1, nq) for dx, dy in combos}
+        yield sl, rows, wts, pts
+
+
+def field_chunks(space, op, coeff, combos):
+    n1 = space.degree + 1
+    rule = (_gauss01(n1 + 1),) * 2
+    nd = max(max(c) for c in combos) + 1
+    nx, ny = rule[0][0].size, rule[1][0].size
+    floats = n1 * (n1 + nd * nx + 2 * nd * ny) + nd * nx * nd * ny
+    for sl, tx, ty, wts, pts in level_chunks(space.mesh, op.level, op.cells, rule, nd - 1,
+                                             floats):
+        e = len(tx)
+        coef = coeff[op.local[sl]].reshape(e, n1, n1)
+        part = coef @ ty[:, :nd].transpose(0, 2, 1, 3).reshape(e, n1, -1)
+        full = (tx[:, :nd].transpose(0, 1, 3, 2).reshape(e, -1, n1) @ part).reshape(
+            e, nd, nx, nd, ny)
+        yield sl, {(dx, dy): full[:, dx, :, dy].reshape(e, 1, nx * ny)
+                   for dx, dy in combos}, wts, pts
+
+
+def point_tables(space, op, cells, pts, max_der):
+    kv, p = space.mesh.knots(op.level), space.degree
+    tx, ty = (tabulate_in_span(kv, pts[:, axis], cells[:, axis] + p, max_der) for axis in (0, 1))
+    return tx, ty, space.mesh.cell_index(op.level, cells[:, 0], cells[:, 1])
+
+
+def side_batches(space, ops, geo, side):
+    rule = _edge_rule(space.degree, side)
+    for op in ops:
+        at = np.flatnonzero(_on_side(space.mesh, op.level, op.cells, side))
+        for sl, rows, wts, pts in level_rows(space, op.level, op.cells[at],
+                                             _ASSEMBLY_COMBOS[:3], rule):
+            dn, pts, wts = _edge_transform(geo, pts, side, wts, rows[(1, 0)], rows[(0, 1)],
+                                           op.level, op.cells[at[sl]])
+            yield op, at[sl], rows[(0, 0)], dn, pts, wts
+
+
+def assemble_load(space, geo, problem):
+    """b = sum over the levels of C_l^T b_l."""
+    mesh, n1, ops = space.mesh, space.degree + 1, level_ops(space)
+    gfun = _as_fn(problem.g)
+    loads = problem.point_loads
+    owners = np.array([mesh.locate(pt[0], pt[1]) for pt, _ in loads],
+                      dtype=np.int64).reshape(-1, 3)
+    b = {op.level: np.zeros(len(op.keys)) for op in ops}
+    for side in SIDES:
+        if _vanishes(problem.neumann_M.get(side), problem.neumann_Q.get(side)):
+            continue
+        for op, at, vals, dn, pts, wts in side_batches(space, ops, geo, side):
+            _add_local(b[op.level], op.local[at],
+                       _natural_terms(problem, side, op.level, vals, dn, pts, wts))
+    rhs = np.zeros(space.num_dofs)
+    for op in ops:
+        groups = _side_groups(mesh, op.level, op.cells, problem.load_grading) if gfun else ()
+        for key, at in groups:
+            rule = _graded_rule(n1 - 1, key) if key else (_gauss01(n1 + 1),) * 2
+            nx, ny = rule[0][0].size, rule[1][0].size
+            for sl, tx, ty, wts, pts in level_chunks(mesh, op.level, op.cells[at], rule, 0,
+                                                     3 * n1 * (nx + ny) + 8 * nx * ny):
+                _, wts, pts = _transform_rows(geo, pts, {}, wts, op.level, op.cells[at[sl]])
+                gv = _at_points(gfun, pts, "load g on level %d" % op.level)
+                loc = tx[:, 0] @ (wts * gv).reshape(-1, nx, ny) @ ty[:, 0].swapaxes(1, 2)
+                _add_local(b[op.level], op.local[at[sl]], loc.reshape(len(loc), -1))
+        on = np.flatnonzero(owners[:, 0] == op.level)
+        if on.size:
+            tx, ty, at = point_tables(space, op, owners[on, 1:],
+                                      np.array([loads[i][0] for i in on], dtype=float), 0)
+            loc = tx[0].T[:, :, None] * ty[0].T[:, None, :]
+            _add_local(b[op.level], op.local[at],
+                       np.array([loads[i][1] for i in on])[:, None] * loc.reshape(len(on), -1))
+        rhs += op.matrix.T @ b[op.level]
+    return rhs
+
+
+def _fit_block(op, at, rows, w):
+    vals = (rows * w[:, None, :]).transpose(0, 2, 1)
+    cols = np.broadcast_to(op.local[at][:, None, :], vals.shape)
+    pos = np.broadcast_to(np.arange(vals[..., 0].size).reshape(vals.shape[:2])[..., None],
+                          vals.shape)
+    keep = vals != 0.0
+    return sp.csr_matrix((vals[keep], (pos[keep], cols[keep])),
+                         shape=(vals[..., 0].size, len(op.keys)))
+
+
+def fit_side(space, geo, side, kind, data, constraints):
+    """One side's least-squares fit, W T_l C_l per level, stacked."""
+    n, ops = space.num_dofs, level_ops(space)
+    trace = np.zeros(n, dtype=bool)
+    trace[_trace_dofs(space, side, 1 if kind == "deflection" else 2)] = True
+    fixed = np.zeros(n, dtype=bool)
+    fixed[list(constraints)] = True
+    given = np.zeros(n)
+    given[list(constraints)] = list(constraints.values())
+    given[~trace] = 0.0
+    unknowns = np.flatnonzero(trace & ~fixed)
+    if not unknowns.size:
+        return
+    if _vanishes(data) and not given.any():
+        constraints.update(dict.fromkeys(unknowns.tolist(), 0.0))
+        return
+    chunks = []
+    for op, at, vals, dn, pts, wts in side_batches(space, ops, geo, side):
+        rows = vals if kind == "deflection" else -dn
+        target = _at_points(_as_fn(data), pts,
+                            "%s data on side %r, level %d" % (kind, side, op.level))
+        target = target - np.einsum("elq,el->eq", rows, (op.matrix @ given)[op.local[at]])
+        w = np.sqrt(wts)
+        chunks.append((op, at, rows, w, (target * w).ravel()))
+    b = np.concatenate([c[4] for c in chunks])
+    scale = np.abs(b).max() if b.size else 0.0
+    if scale <= 1e-14:
+        values = np.zeros(unknowns.size)
+    else:
+        pick = sp.csr_matrix((np.ones(unknowns.size), (unknowns, np.arange(unknowns.size))),
+                             shape=(n, unknowns.size))
+        a = sp.vstack([_fit_block(op, at, rows, w) @ (op.matrix @ pick)
+                       for op, at, rows, w, _ in chunks], format="csr")
+        values = _least_squares(a, b, "%s fit on side %r" % (kind, side))
+    constraints.update(zip(unknowns.tolist(), values.tolist()))
+
+
+def dirichlet_constraints(space, geo, problem):
+    """The constraints of every Dirichlet side, in the order of apply_dirichlet."""
+    constraints = {}
+    for kind, data in (("deflection", problem.dirichlet_w), ("rotation", problem.dirichlet_phi)):
+        for side in SIDES:
+            if side in data:
+                fit_side(space, geo, side, kind, data[side], constraints)
+    return constraints
+
+
+def h2_seminorm_error(field, exact_hessian, space, geo):
+    total = 0.0
+    for op in level_ops(space):
+        coeff = op.matrix @ field.coefficients
+        for sl, ders, wts, pts in field_chunks(space, op, coeff, _DERIVATIVES):
+            ders, wts, pts = _transform_rows(geo, pts, ders, wts, op.level, op.cells[sl])
+            exx, exy, eyy = _at_points(exact_hessian, pts, "exact Hessian on level %d" % op.level)
+            total += float(np.sum(wts * ((ders[(2, 0)][:, 0] - exx) ** 2
+                                         + 2.0 * (ders[(1, 1)][:, 0] - exy) ** 2
+                                         + (ders[(0, 2)][:, 0] - eyy) ** 2)))
+    return float(np.sqrt(total))
+
+
+def evaluate(field, space, geo, points):
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    owners = np.array([space.mesh.locate(x, y) for x, y in pts.tolist()], dtype=np.int64)
+    ders = np.empty((len(_ASSEMBLY_COMBOS), len(pts)))
+    for op in level_ops(space):
+        at = np.flatnonzero(owners[:, 0] == op.level)
+        if at.size:
+            cells = owners[at, 1:]
+            tx, ty, pos = point_tables(space, op, cells, pts[at], 2)
+            coef = (op.matrix @ field.coefficients)[op.local[pos]].reshape(at.size, tx.shape[1], -1)
+            d = {(dx, dy): np.einsum("ik,jk,kij->k", tx[dx], ty[dy], coef)
+                 for dx, dy in _ASSEMBLY_COMBOS}
+            d = _transform_rows(geo, pts[at, None], {k: v[:, None, None] for k, v in d.items()},
+                                np.ones((at.size, 1)), op.level, cells)[0]
+            ders[:, at] = [d[k][:, 0, 0] for k in _ASSEMBLY_COMBOS]
+    return ders[0], ders[1:3].T, ders[3:].T
+
+
+def bubble_rows(q, pairs, rule, h, combos):
+    kv = bernstein_knots(q)
+    max_der = max(max(c) for c in combos)
+    tx, ty = (class_tables(kv, nodes, max_der)[0] for nodes, _ in rule)
+    ii, jj = np.array(pairs).T
+    return {(dx, dy): h ** (-(dx + dy)) * (tx[dx][ii][:, :, None] * ty[dy][jj][:, None, :])
+            .reshape(1, len(pairs), -1) for dx, dy in combos}
+
+
+def bubble_edge_terms(q, pairs, side, mesh, level, cells, problem, geo):
+    rule = _edge_rule(q - 1, side)
+    pts, w = rule_on_cells(mesh, level, cells, rule)
+    e = len(cells)
+    rows = {c: np.broadcast_to(r, (e,) + r.shape[1:])
+            for c, r in bubble_rows(q, pairs, rule, mesh.h(level), _ASSEMBLY_COMBOS[:3]).items()}
+    dn, pts, wts = _edge_transform(geo, pts, side, np.broadcast_to(w, (e, w.size)),
+                                   rows[(1, 0)], rows[(0, 1)], level, cells)
+    return _natural_terms(problem, side, level, rows[(0, 0)], dn, pts, wts)
+
+
+def assemble_blocks(bubbles, u_h, space, geo, problem):
+    """The bubble blocks from one sweep per level over the union of its
+    groups' bubbles."""
+    geo = geo or GeometryMap.identity()
+    mesh, q, loads = space.mesh, bubbles.degree, problem.point_loads
+    gfun = _as_fn(problem.g)
+    d_const, nu = problem.stiffness, problem.poisson
+    owners = np.array([mesh.locate(*pt) for pt, _ in loads], dtype=np.int64).reshape(-1, 3)
+    interior = (_gauss01(space.degree + 2),) * 2
+    blocks = [None] * len(bubbles.groups)
+    for op in level_ops(space):
+        level, h = op.level, mesh.h(op.level)
+        ks = [k for k, group in enumerate(bubbles.groups) if group[0] == level]
+        groups = [bubbles.groups[k] for k in ks]
+        union = list(dict.fromkeys(pair for _, _, pairs, _ in groups for pair in pairs))
+        brows = bubble_rows(q, union, interior, h, _ASSEMBLY_COMBOS)
+        mats, rhs = [], []
+        for sl, ders, wts, pts in field_chunks(space, op, op.matrix @ u_h.coefficients,
+                                               _DERIVATIVES):
+            chunk = op.cells[sl]
+            local = None if geo.constant_jacobian else geo.derivatives(pts.reshape(-1, 2))
+            if not mats or not geo.constant_jacobian:
+                at = slice(0, 1) if geo.constant_jacobian else slice(None)
+                b, bwts, _ = _transform_rows(geo, pts[at], brows, wts[at], level, chunk[at], local)
+                terms, w = _energy_terms(b, bwts, nu)
+                weighted = terms * w[:, None]
+                mats.append(d_const * (weighted @ terms.swapaxes(1, 2)))
+            u, _, pts = _transform_rows(geo, pts, ders, wts, level, chunk, local)
+            r = -d_const * (_energy_terms(u, bwts, nu)[0] @ weighted.swapaxes(1, 2))[:, 0]
+            if gfun is not None:
+                gv = _at_points(gfun, pts, "load g on level %d" % level)
+                r += (bwts * gv) @ brows[(0, 0)][0].T
+            rhs.append(r)
+        mat, r = np.concatenate(mats), np.concatenate(rhs)
+        at = [mesh.cell_index(level, cells[:, 0], cells[:, 1]) for *_, cells in groups]
+        for side in SIDES:
+            pos = [p for (_, touched, _, _), p in zip(groups, at) if side in touched]
+            if pos and not _vanishes(problem.neumann_M.get(side), problem.neumann_Q.get(side)):
+                pos = np.concatenate(pos)
+                r[pos] += bubble_edge_terms(q, union, side, mesh, level, op.cells[pos],
+                                            problem, geo)
+        on = np.flatnonzero(owners[:, 0] == level)
+        if on.size:
+            corner = mesh.interval[0] + owners[on, 1:] * h
+            bx, by = (tabulate_in_span(bernstein_knots(q), np.clip(t, 0.0, 1.0), q, 0)[0]
+                      for t in ((np.array([loads[i][0] for i in on]) - corner) / h).T)
+            ii, jj = np.array(union).T
+            np.add.at(r, mesh.cell_index(level, owners[on, 1], owners[on, 2]),
+                      (np.array([loads[i][1] for i in on]) * bx[ii] * by[jj]).T)
+        for k, (_, _, pairs, cells), pos in zip(ks, groups, at):
+            sel = np.array([union.index(pair) for pair in pairs])
+            m = mat if geo.constant_jacobian else mat[pos]
+            blocks[k] = BubbleBlock(level=level, cells=cells, indices=list(pairs),
+                                    matrix=m[:, sel[:, None], sel], rhs=r[pos][:, sel])
+    return blocks

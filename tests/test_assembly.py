@@ -25,11 +25,11 @@ from hbplate.assembly import (
     evaluate,
     h2_seminorm_error,
     solve,
+    _cell_rows,
     _edge_rule,
     _field_chunks,
     _gauss01,
     _graded_rule,
-    _level_rows,
 )
 from hbplate.hierarchy import ElementId, HierarchicalSpace, check_admissible, connectivity
 from hbplate.splines import eval_ders, make_open_uniform, tabulate_in_span
@@ -322,10 +322,11 @@ class TestLevelBatchKernel:
 
     @pytest.mark.parametrize("p", [3, 4, 5])
     def test_rows_follow_connectivity_and_tables(self, p):
-        # each level's own rows times C_l are the rows of the hierarchical
-        # functions on the cell, for every kind of rule
+        # each level's own rows times C are the rows of the hierarchical
+        # functions on the cell, for every kind of rule, in chunks that mix
+        # the levels
         space = self.three_level_space(p)
-        mesh = space.mesh
+        mesh, view = space.mesh, space.active_cells
         nodes, w1 = np.polynomial.legendre.leggauss(p + 2)
         gauss = (0.5 * (nodes + 1.0), 0.5 * w1)
         # (rule passed to the kernel, its 1-D nodes and weights, power of h in the weights)
@@ -346,45 +347,50 @@ class TestLevelBatchKernel:
                 assert np.sum(xw * xn ** k) == pytest.approx(1.0 / (k + 1), rel=1e-13)
         rules["graded corner"] = (corner, corner, 2)
         a = mesh.interval[0]
-        mixed = 0
+        c = space.stacked_ct.T.toarray()
+        mixed, levels = 0, []
         for name, (rule, ((xn, xw), (yn, yw)), dims) in rules.items():
-            seen = 0
-            for op in space.levels:
-                h, c = mesh.h(op.level), op.matrix.toarray()
-                for sl, rows, wts, pts in _level_rows(space, op.level, op.cells, _ASSEMBLY_COMBOS,
-                                                      rule):
-                    for r, (ix, iy) in enumerate(op.cells[sl]):
-                        xs, ys = a + (ix + xn) * h, a + (iy + yn) * h
-                        np.testing.assert_array_equal(pts[r, :, 0], np.repeat(xs, yn.size))
-                        np.testing.assert_array_equal(pts[r, :, 1], np.tile(ys, xn.size))
-                        np.testing.assert_allclose(wts[r], np.outer(xw, yw).ravel() * h ** dims,
-                                                   rtol=1e-15)
-                        e = ElementId(op.level, int(ix), int(iy))
-                        dofs, tx, ty = oracle_tables(space, e, xs, ys)
-                        assert sorted(dofs) == dofs
-                        cl = c[op.local[sl][r]]
-                        assert set(dofs) <= set(np.flatnonzero(np.abs(cl).sum(axis=0)).tolist())
-                        for (dx, dy) in _ASSEMBLY_COMBOS:
-                            got = cl.T @ rows[(dx, dy)][r]
-                            ref = np.zeros_like(got)
-                            ref[dofs] = (tx[:, dx, :, None] * ty[:, dy, None, :]).reshape(
-                                len(dofs), -1)
-                            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max(), \
-                                (name, e, (dx, dy))
-                        seen += 1
-                        mixed += len({d for d in dofs if d < space.basis._starts[op.level]}) > 0
-            assert seen == mesh.n_active
-        assert mixed > 0
+            seen = []
+            for at, rows, wts, pts in _cell_rows(space, np.arange(mesh.n_active),
+                                                 _ASSEMBLY_COMBOS, rule):
+                levels.append(len(set(view.level[at].tolist())))
+                for r, k in enumerate(at.tolist()):
+                    (ix, iy), level = view.cells[k].tolist(), int(view.level[k])
+                    h = mesh.h(level)
+                    xs, ys = a + (ix + xn) * h, a + (iy + yn) * h
+                    np.testing.assert_array_equal(pts[r, :, 0], np.repeat(xs, yn.size))
+                    np.testing.assert_array_equal(pts[r, :, 1], np.tile(ys, xn.size))
+                    np.testing.assert_allclose(wts[r], np.outer(xw, yw).ravel() * h ** dims,
+                                               rtol=1e-15)
+                    e = ElementId(level, ix, iy)
+                    dofs, tx, ty = oracle_tables(space, e, xs, ys)
+                    assert sorted(dofs) == dofs
+                    cl = c[view.local[k]]
+                    assert set(dofs) <= set(np.flatnonzero(np.abs(cl).sum(axis=0)).tolist())
+                    for (dx, dy) in _ASSEMBLY_COMBOS:
+                        got = cl.T @ rows[(dx, dy)][r]
+                        ref = np.zeros_like(got)
+                        ref[dofs] = (tx[:, dx, :, None] * ty[:, dy, None, :]).reshape(
+                            len(dofs), -1)
+                        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max(), \
+                            (name, e, (dx, dy))
+                    seen.append(e)
+                    mixed += len({d for d in dofs if d < space.basis._starts[level]}) > 0
+            assert seen == mesh.active_elements()
+        assert mixed > 0 and max(levels) > 1
 
     @pytest.mark.parametrize("p", [3, 4, 5])
     def test_field_mode_contracts_the_rows(self, p, monkeypatch):
-        # sum factorisation of u_l = C_l u against the oracle's rows times
-        # the coefficients, for every kind of rule and derivatives up to
-        # order 4, with chunks small enough to split every level
+        # sum factorisation of C u against the oracle's rows times the
+        # coefficients, for every kind of rule and derivatives up to order
+        # 4, on the cells in a shuffled order, with chunks small enough to
+        # split the cells
         monkeypatch.setattr(hbplate.assembly, "_CHUNK_BYTES", 1 << 14)
         space = self.three_level_space(p)
-        mesh, a = space.mesh, space.mesh.interval[0]
-        coeff = np.random.default_rng(p).standard_normal(space.num_dofs)
+        mesh, a, view = space.mesh, space.mesh.interval[0], space.active_cells
+        rng = np.random.default_rng(p)
+        coeff = rng.standard_normal(space.num_dofs)
+        order = rng.permutation(mesh.n_active)
         combos = _ASSEMBLY_COMBOS + ((3, 0), (2, 2), (1, 3), (0, 4))
         rules = [None, _graded_rule(p, frozenset({"left", "bottom"}))]
         rules += [_edge_rule(p, side, (1, 2)) for side in SIDES]
@@ -392,26 +398,26 @@ class TestLevelBatchKernel:
         split = 0
         for rule in rules:
             (xn, _), (yn, _) = rule or (_gauss01(p + 2),) * 2
-            for op in space.levels:
-                h = mesh.h(op.level)
-                got = {k: [] for k in combos}
-                chunks = list(_field_chunks(space, op, np.arange(len(op.cells)),
-                                            op.matrix @ coeff, combos, rule))
-                split = max(split, len(chunks))
-                for _, ders, wts, pts in chunks:
-                    assert all(d.shape == (len(pts), 1, pts.shape[1]) for d in ders.values())
-                    for k in combos:
-                        got[k].append(ders[k][:, 0])
-                want = {k: [] for k in combos}
-                for ix, iy in op.cells.tolist():
-                    e = ElementId(op.level, ix, iy)
-                    dofs, tx, ty = oracle_tables(space, e, a + (ix + xn) * h, a + (iy + yn) * h, 4)
-                    for dx, dy in combos:
-                        rows = (tx[:, dx, :, None] * ty[:, dy, None, :]).reshape(len(dofs), -1)
-                        want[(dx, dy)].append(coeff[dofs] @ rows)
+            got = {k: [] for k in combos}
+            chunks = list(_field_chunks(space, order, space.stacked_ct.T @ coeff, combos, rule))
+            split = max(split, len(chunks))
+            np.testing.assert_array_equal(np.concatenate([at for at, *_ in chunks]), order)
+            for _, ders, wts, pts in chunks:
+                assert all(d.shape == (len(pts), 1, pts.shape[1]) for d in ders.values())
                 for k in combos:
-                    g, w = np.concatenate(got[k]), np.array(want[k])
-                    assert np.abs(g - w).max() <= 1e-13 * np.abs(w).max(), (rule, k)
+                    got[k].append(ders[k][:, 0])
+            want = {k: [] for k in combos}
+            for k in order.tolist():
+                (ix, iy), level = view.cells[k].tolist(), int(view.level[k])
+                h = mesh.h(level)
+                e = ElementId(level, ix, iy)
+                dofs, tx, ty = oracle_tables(space, e, a + (ix + xn) * h, a + (iy + yn) * h, 4)
+                for dx, dy in combos:
+                    rows = (tx[:, dx, :, None] * ty[:, dy, None, :]).reshape(len(dofs), -1)
+                    want[(dx, dy)].append(coeff[dofs] @ rows)
+            for k in combos:
+                g, w = np.concatenate(got[k]), np.array(want[k])
+                assert np.abs(g - w).max() <= 1e-13 * np.abs(w).max(), (rule, k)
         assert split > 1
 
     def test_spline_geometry_stiffness_matches_element_loop(self):
@@ -581,22 +587,27 @@ class TestSplineMapTabulation:
             calls.append(max_der)
             return real(self, pts, max_der)
         monkeypatch.setattr(GeometryMap, "_spline_basis", counted)
-        monkeypatch.setattr(hbplate.assembly, "_CHUNK_BYTES", 1 << 16)
+        monkeypatch.setattr(hbplate.assembly, "_CHUNK_BYTES", 1 << 13)
+        view = space.active_cells
         chunks = sum(len(list(hbplate.assembly._side_batches(space, geo, side))) for side in SIDES)
         assert len(calls) == chunks > 4
         calls.clear()
+        # the stiffness: chunks of each level's cells
         prob = PlateProblem(dirichlet_w={s: 0.0 for s in SIDES}, neumann_M={s: 0.0 for s in SIDES})
         assemble_stiffness(space, geo, prob)
-        chunks = sum(len(list(_level_rows(space, op.level, op.cells, _DERIVATIVES)))
+        chunks = sum(len(list(_cell_rows(space, np.arange(view.start[op.level],
+                                                          view.start[op.level + 1]),
+                                         _DERIVATIVES)))
                      for op in space.levels)
         assert len(calls) == chunks > 3
         calls.clear()
+        # the error norm: chunks of the cells of all levels
         from hbplate.assembly import DiscreteField
         h2_seminorm_error(DiscreteField(np.ones(space.num_dofs)), exact_hessian_x2y2, space, geo)
-        chunks = sum(len(list(_field_chunks(space, op, np.arange(len(op.cells)),
-                                            np.zeros(len(op.keys)), _DERIVATIVES)))
-                     for op in space.levels)
-        assert len(calls) == chunks > 3
+        chunks = list(_field_chunks(space, np.arange(len(view.cells)),
+                                    np.zeros(space.stacked_ct.shape[1]), _DERIVATIVES))
+        assert len(calls) == len(chunks) > 3
+        assert any(len(set(view.level[at].tolist())) > 1 for at, *_ in chunks)
         assert set(calls) == {2}
 
 
@@ -789,7 +800,7 @@ class TestDirichlet:
 
         def fail(*args, **kwargs):
             raise AssertionError("least-squares matrix built for vanishing data")
-        monkeypatch.setattr(hbplate.assembly, "_fit_block", fail)
+        monkeypatch.setattr(hbplate.assembly, "_fit_matrix", fail)
         monkeypatch.setattr(np.linalg, "lstsq", fail)
         got = apply_dirichlet(sys0, space, prob).constraints
         assert got == expected and set(got.values()) == {0.0}
@@ -802,8 +813,8 @@ class TestDirichlet:
         space = HierarchicalSpace.create(4, 3).refined([ElementId(0, 0, 0)], 2)
         prob = spline_exact_problem()
         blocks = []
-        real = hbplate.assembly._fit_block
-        monkeypatch.setattr(hbplate.assembly, "_fit_block",
+        real = hbplate.assembly._fit_matrix
+        monkeypatch.setattr(hbplate.assembly, "_fit_matrix",
                             lambda *args: blocks.append(1) or real(*args))
         got = apply_dirichlet(LinearSystem(matrix=None, rhs=np.zeros(space.num_dofs)),
                               space, prob).constraints

@@ -496,19 +496,19 @@ class TestMappedBlocks:
 
 class TestLevelSweep:
     @pytest.mark.parametrize("kind", ["identity", "spline"])
-    def test_one_field_pass_per_level(self, kind, monkeypatch):
+    def test_one_field_pass_per_call(self, kind, monkeypatch):
         space, geo, prob, u, bubbles, blocks = TestMappedBlocks().blocks(kind, 3)
         passes = []
         field_chunks = hbplate.estimators._field_chunks
 
-        def counted(space, op, *args):
-            passes.append(op.level)
-            return field_chunks(space, op, *args)
+        def counted(space, at, *args):
+            passes.append(at.tolist())
+            return field_chunks(space, at, *args)
 
         monkeypatch.setattr(hbplate.estimators, "_field_chunks", counted)
         again = assemble_blocks(bubbles, u, space, geo, prob)
-        assert len(bubbles.groups) > len(space.levels)
-        assert passes == [op.level for op in space.levels]
+        assert len(bubbles.groups) > len(space.levels) > 1
+        assert passes == [list(range(space.mesh.n_active))]
         for blk, want in zip(again, blocks):
             assert np.array_equal(blk.rhs, want.rhs) and np.array_equal(blk.matrix, want.matrix)
 

@@ -470,10 +470,11 @@ class TestQueriesAgainstGeometry:
             for x, y in rng.uniform(0.0, 1.0, size=(200, 2)):
                 assert sum(r[0] < x < r[2] and r[1] < y < r[3] for r in rects) == 1
             space = HierarchicalSpace(mesh)
+            view = space.active_cells
             for side in SIDE_NAMES:
-                got = [ElementId(op.level, *c)
-                       for op, at, *_ in _side_batches(space, GeometryMap.identity(), side)
-                       for c in op.cells[at].tolist()]
+                got = [ElementId(int(view.level[k]), *view.cells[k].tolist())
+                       for at, *_ in _side_batches(space, GeometryMap.identity(), side)
+                       for k in at.tolist()]
                 assert got == [e for e in mesh.active_elements()
                                if on_domain_side(mesh, mesh.element_rect(e), side)]
 
