@@ -69,6 +69,10 @@ class LoopConfig:
             raise ValueError("estimator must be 'bubble' or 'residual'")
         if self.admissibility is not None and self.admissibility < 2:
             raise ValueError("admissibility class must be at least 2")
+        MarkParams(self.gamma)  # raises for gamma outside (0, 1)
+        if not 0.0 < self.calibration < math.inf:
+            raise ValueError("calibration must be finite and positive, got %r"
+                             % (self.calibration,))
 
 
 @dataclass

@@ -10,10 +10,11 @@ estimator blocks alike.
 Everything is assembled from the two-scale relation: on the active cells
 of level l every active function is a fixed sum of level l's own tensor
 B-splines, (p + 1)^2 per cell, given by the sparse operator C_l
-(:attr:`hbplate.hierarchy.HierarchicalSpace.levels`, built once per
-space). With the keys of all levels numbered one after another, C = [C_l]
-maps them all at once (``stacked_c``, ``stacked_ct``), and each operator
-works on those single-level functions only: K = C^T blockdiag(K_l) C
+(:func:`hbplate.hierarchy.two_scale`). With the keys of all levels
+numbered one after another, C = [C_l] maps them all at once (``stacked_c``,
+``stacked_ct`` of :class:`~hbplate.hierarchy.HierarchicalSpace`, built once
+per space), and each operator works on those single-level functions only:
+K = C^T blockdiag(K_l) C
 (:func:`assemble_stiffness`), b = C^T b_s (:func:`assemble_load`), a
 field u enters as C u (:func:`h2_seminorm_error`, :func:`evaluate` and
 the estimators), and the Dirichlet fit's least-squares matrix is W T C,
@@ -32,16 +33,16 @@ those knot vectors, so the tables carry over from iteration to iteration,
 while a new space starts with none. On top of it, body loads and fields
 are sum-factorised (``tx @ G @ ty^T`` per cell, and the coefficients
 contracted in y, then in x, :func:`_field_chunks`); edge integrals and the
-spline-map stiffness use rows (:func:`_cell_rows`). All but the stiffness
-make one pass over the cells of all levels. One-off points
+spline-map stiffness use rows (:func:`_cell_rows`). Every operator makes
+one pass over the cells of all levels. One-off points
 (:func:`evaluate`, point loads, the residual estimator's edge pieces) are
 tabulated in one :func:`hbplate.splines.tabulate_in_span` call per level
 and direction, each point in its own cell's span, and not kept.
 
 Under a constant Jacobian the element matrices of K_l are sums of
-Kronecker products of univariate cell Gram matrices, and a mesh with one
-fully active level is one sum of Kronecker products of banded matrices;
-under a spline map K_l comes from quadrature on the level's own functions.
+Kronecker products of univariate cell Gram matrices, one per pair of cell
+classes, and a mesh with one fully active level is one sum of Kronecker
+products of banded matrices; under a spline map they come from quadrature.
 The upper triangle of K is mirrored, so the matrix is exactly symmetric.
 :func:`solve` runs CG with a fast-diagonalisation preconditioner on the
 Kronecker case and factors every other system by splu.
@@ -292,6 +293,15 @@ class PlateProblem:
         for side in self.load_grading:
             if side not in SIDES:
                 raise ValueError("unknown grading side %r" % side)
+        for k, load in enumerate(self.point_loads):
+            try:
+                pt, magnitude = load
+                ok = np.shape(pt) == (2,) and np.isfinite(np.array([*pt, magnitude], float)).all()
+            except (TypeError, ValueError):
+                ok = False
+            if not ok:
+                raise ValueError("point load %d must be ((x, y), magnitude) with finite "
+                                 "values, got %r" % (k, load))
 
 
 @dataclass
@@ -352,7 +362,7 @@ def _cell_chunks(space, at, rule, max_der, floats):
     for nodes, _ in rule:
         if (nodes.tobytes(), max_der) not in view.tables:
             view.tables[nodes.tobytes(), max_der] = np.concatenate([
-                class_tables(space.mesh.knots(op.level), nodes, max_der) for op in space.levels])
+                class_tables(space.mesh.knots(l), nodes, max_der) for l in np.unique(view.level)])
     xtab, ytab = (view.tables[nodes.tobytes(), max_der] for nodes, _ in rule)
     step = max(1, _CHUNK_BYTES // (8 * floats))
     for start in range(0, len(at), step):
@@ -539,26 +549,14 @@ def _energy_form(geo, poisson):
     return ((terms * w[:, None]) @ terms.swapaxes(1, 2))[0]
 
 
-def _gram_terms(kv, form):
+def _gram_terms(grams, form):
     """The terms (M_ab, x Gram matrices, y Gram matrices) of the energy form
-    M with M_ab != 0: the cell Gram matrices of kv, by class, of the x and y
-    derivative orders of the Hessian components a and b."""
-    grams = cell_grams(kv)
+    M with M_ab != 0: the cell Gram matrices grams (class, derivative,
+    derivative, p + 1, p + 1) of :func:`~hbplate.splines.cell_grams`, by
+    class, of the x and y derivative orders of the Hessian components a and
+    b."""
     return [(form[a, b], grams[:, _HESSIANS[a][0], _HESSIANS[b][0]],
              grams[:, _HESSIANS[a][1], _HESSIANS[b][1]]) for a, b in zip(*np.nonzero(form))]
-
-
-def _class_elements(kv, form):
-    """Element matrices, up to the factor D, of the tensor B-splines of one
-    uniform level under a constant Jacobian, for each pair of cell classes
-    (:func:`~hbplate.splines.cell_classes`) in x and y: (x class, y class,
-    (p + 1)^2, (p + 1)^2), functions x-major, each a sum of Kronecker
-    products of cell Gram matrices."""
-    out = 0.0
-    for m, gx, gy in _gram_terms(kv, form):
-        out = out + m * gx[:, None, :, None, :, None] * gy[None, :, None, :, None, :]
-    nc, n1 = out.shape[0], out.shape[2]
-    return out.reshape(nc, nc, n1 * n1, n1 * n1)
 
 
 def _band(kv, gram):
@@ -577,9 +575,9 @@ def _tensor_knots(space, geo):
     """The knot vector of the one level of a mesh whose active cells all lie
     on it, under a constant Jacobian: the case where the stiffness is a sum
     of Kronecker products of banded univariate matrices; else None."""
-    levels = space.levels
-    if len(levels) == 1 and geo.constant_jacobian:
-        return space.mesh.knots(levels[0].level)
+    level = space.active_cells.level
+    if level[0] == level[-1] and geo.constant_jacobian:
+        return space.mesh.knots(level[0])
     return None
 
 
@@ -596,7 +594,7 @@ def _kron_upper(kv, form, stiffness):
     up = (d > p) | ((d == p) & (e >= p))
     d, e = d[up], e[up]
     vals = 0.0
-    for m, gx, gy in _gram_terms(kv, form):
+    for m, gx, gy in _gram_terms(cell_grams(kv), form):
         vals = vals + m * _band(kv, gx)[:, None, d] * _band(kv, gy)[None, :, e]
     vals = stiffness * vals
     keep = vals != 0.0
@@ -606,70 +604,51 @@ def _kron_upper(kv, form, stiffness):
     return sp.csr_matrix((vals[keep], cols[keep], indptr), shape=(n * n, n * n))
 
 
-def _level_stiffness(space, geo, problem, op, form, base):
-    """Stiffness of the tensor B-splines of the level of op (a
-    :class:`~hbplate.hierarchy.LevelOperator` whose keys come after the
-    `base` keys of the levels before it) over its active cells, rows and
-    columns in the order of ``op.keys``, as CSR arrays (data, columns,
-    entries per row), columns sorted within rows.
-
-    The element matrices are scattered into a stencil (function, offset of
-    the other function), one local row of every cell at a time, so no
-    entry is written twice by one scatter; the offsets of a row are in the
-    order of its columns, so the stencil's nonzeros are the CSR arrays.
-    Under a constant Jacobian (form is its energy form) the element
-    matrices come from :func:`_class_elements`; under a spline map from the
-    kernel's quadrature of the (p + 1)^2 functions, pushed forward.
-    """
-    p, keys, local = space.degree, op.keys, op.local - base
-    n1, width = p + 1, 2 * p + 1
-    ix, iy = np.divmod(np.arange(n1 * n1), n1)
-    # stencil column of the pair (a, b) of a cell's functions
-    offset = (ix[None, :] - ix[:, None] + p) * width + (iy[None, :] - iy[:, None] + p)
-    stencil = np.zeros(len(keys) * width * width)
-    if form is not None:
-        kv = space.mesh.knots(op.level)
-        elems = problem.stiffness * _class_elements(kv, form)
-        cx, cy = cell_classes(kv, op.cells).T
-        step = max(1, _CHUNK_BYTES // (8 * n1 ** 4))
-        chunks = ((sl, elems[cx[sl], cy[sl]]) for sl in (
-            slice(start, start + step) for start in range(0, len(op.cells), step)))
-    else:
-        first = space.active_cells.start[op.level]
-        chunks = _stiffness_chunks(space, geo, problem, np.arange(first, first + len(op.cells)))
-    for sl, aloc in chunks:
-        for a in range(n1 * n1):
-            stencil[local[sl, a, None] * width * width + offset[a]] += aloc[:, a]
-    stencil = stencil.reshape(len(keys), -1)
-    live = stencil != 0.0
-    dx, dy = np.divmod(np.arange(width * width), width)
-    cols = np.searchsorted(keys, (keys[:, None] + ((dx - p) << 32) + (dy - p))[live])
-    return stencil[live], cols.astype(np.int32), live.sum(axis=1)
-
-
-def _stiffness_chunks(space, geo, problem, at):
+def _element_matrices(space, geo, problem, form):
     """Element matrices (e, (p + 1)^2, (p + 1)^2) of the levels' own tensor
-    B-splines under a spline map on the active cells at, consecutive
-    positions, chunk by chunk: (positions in at, matrices)."""
-    view = space.active_cells
-    for c, rows, wts, pts in _cell_rows(space, at, _DERIVATIVES):
-        rows, wts, _ = _transform_rows(geo, pts, rows, wts, view.level[c], view.cells[c])
-        terms, w = _energy_terms(rows, wts, problem.poisson)
-        yield c - at[0], problem.stiffness * ((terms * w[:, None]) @ terms.swapaxes(1, 2))
+    B-splines on chunks of the active cells of all levels, functions x-major
+    as in ``space.active_cells.local``: yields (positions in
+    ``space.active_cells``, matrices).
+
+    Under a constant Jacobian (form is its energy form) they are gathered
+    from the matrices of the (x class, y class) pairs that occur, each a sum
+    of Kronecker products of the levels' cell Gram matrices; under a spline
+    map they come from the kernel's quadrature, pushed forward.
+    """
+    view, n1 = space.active_cells, space.degree + 1
+    at = np.arange(len(view.cells))
+    if form is None:
+        for c, rows, wts, pts in _cell_rows(space, at, _DERIVATIVES):
+            rows, wts, _ = _transform_rows(geo, pts, rows, wts, view.level[c], view.cells[c])
+            terms, w = _energy_terms(rows, wts, problem.poisson)
+            yield c, problem.stiffness * ((terms * w[:, None]) @ terms.swapaxes(1, 2))
+        return
+    # the Gram matrices of all levels, stacked as the class rows of the view
+    grams = np.concatenate([cell_grams(space.mesh.knots(l)) for l in np.unique(view.level)])
+    pairs, pair = np.unique(view.classes @ [len(grams), 1], return_inverse=True)
+    px, py = np.divmod(pairs, len(grams))
+    elems = np.zeros((len(pairs), n1, n1, n1, n1))
+    for m, gx, gy in _gram_terms(grams, form):
+        elems += m * gx[px, :, None, :, None] * gy[py, None, :, None, :]
+    elems = problem.stiffness * elems.reshape(len(pairs), n1 * n1, n1 * n1)
+    step = max(1, _CHUNK_BYTES // (8 * n1 ** 4))
+    for start in range(0, len(at), step):
+        c = at[start:start + step]
+        yield c, elems[pair[c]]
 
 
 def assemble_stiffness(space, geo, problem):
     """Sparse symmetric plate stiffness matrix over the active basis, in
-    CSR with int32 indices, by two-scale assembly: K = sum over the levels
-    l of C_l^T K_l C_l.
+    CSR with int32 indices, by two-scale assembly: K = C^T blockdiag(K_l) C.
 
     K_l is the stiffness of level l's tensor B-splines over its active
-    cells, (p + 1)^2 functions per cell (:func:`_level_stiffness`), and C_l
-    writes each active function that acts on those cells as a sum of them
-    (:func:`hbplate.hierarchy.two_scale`). The products run as one,
-    C^T blockdiag(K_l) C with C the C_l stacked. A mesh whose active cells
-    all lie on one level has C = I, and under a constant Jacobian its K is
-    a sum of Kronecker products of banded univariate matrices
+    cells, (p + 1)^2 functions per cell, all levels in one pass over
+    :attr:`~hbplate.hierarchy.HierarchicalSpace.active_cells`
+    (:func:`_blockdiag_stiffness`), and C = [C_l] writes each active
+    function that acts on a level's cells as a sum of them
+    (:func:`hbplate.hierarchy.two_scale`). A mesh whose active cells all
+    lie on one level has C = I, and under a constant Jacobian its K is a
+    sum of Kronecker products of banded univariate matrices
     (:func:`_kron_upper`). The upper triangle of the result is mirrored,
     so the matrix is exactly symmetric.
     """
@@ -679,26 +658,37 @@ def assemble_stiffness(space, geo, problem):
         upper = _kron_upper(kv, form, problem.stiffness)
     else:
         full = _blockdiag_stiffness(space, geo, problem, form)
-        if len(space.levels) > 1:
-            full = space.stacked_ct @ (full @ space.stacked_c)
-        upper = _triangle(full, 0)
+        upper = _triangle(space.stacked_ct @ (full @ space.stacked_c), 0)
         upper.sort_indices()
     return upper + _triangle(upper, 1).T
 
 
 def _blockdiag_stiffness(space, geo, problem, form):
-    """blockdiag(K_l) over the levels with active cells
-    (:attr:`~hbplate.hierarchy.HierarchicalSpace.levels`), in CSR, the rows
-    of each K_l numbered after those of the levels before it, as in
-    :attr:`~hbplate.hierarchy.HierarchicalSpace.stacked_ct`."""
-    blocks, base = [], 0
-    for op in space.levels:
-        data, cols, counts = _level_stiffness(space, geo, problem, op, form, base)
-        blocks.append((data, cols + base, counts))
-        base += len(op.keys)
-    data, cols, counts = map(np.concatenate, zip(*blocks))
-    return sp.csr_matrix((data, cols, np.concatenate([[0], np.cumsum(counts)])),
-                         shape=(base, base))
+    """blockdiag(K_l) in CSR over the stacked keys of ``space.stacked_ct``,
+    from one pass of :func:`_element_matrices` over the cells of all levels.
+
+    The element matrices are scattered into a stencil (key, offset of the
+    other function) one local row of every cell at a time, so no entry is
+    written twice by one scatter, and the same scatter writes each slot's
+    column from the cells' locals. The offsets of a row are in the order of
+    its columns, so the stencil's nonzeros are the CSR arrays.
+    """
+    p, local = space.degree, space.active_cells.local
+    n, n1, width = space.stacked_ct.shape[1], p + 1, 2 * p + 1
+    ix, iy = np.divmod(np.arange(n1 * n1), n1)
+    # stencil slot of the pair (a, b) of a cell's functions, from a's key
+    offset = (ix[None, :] - ix[:, None] + p) * width + (iy[None, :] - iy[:, None] + p)
+    stencil = np.zeros(n * width * width)
+    cols = np.zeros(stencil.size, dtype=np.int32)
+    for c, elems in _element_matrices(space, geo, problem, form):
+        for a in range(n1 * n1):
+            slot = local[c, a, None] * width * width + offset[a]
+            stencil[slot] += elems[:, a]
+            cols[slot] = local[c]
+        del elems  # so that two chunks are never held at once
+    live = stencil != 0.0
+    indptr = np.concatenate([[0], np.cumsum(live.reshape(n, -1).sum(axis=1))])
+    return sp.csr_matrix((stencil[live], cols[live], indptr), shape=(n, n))
 
 
 def _triangle(a, k):

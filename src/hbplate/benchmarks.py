@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -123,21 +122,6 @@ def benchmark_singular(alpha=2.8, beta=2.8):
 
 
 _ZETA3 = 1.2020569031595942853997  # Apery's constant zeta(3)
-
-
-@lru_cache(maxsize=None)
-def _odd_series_sum(limit=20001):
-    """sum over odd m, n <= limit of 1/(m^2 + n^2)^2, compensated.
-
-    The classical double Fourier series of the center deflection, kept as
-    an independent check of the single series used for the reference.
-    """
-    m = np.arange(1.0, limit + 0.5, 2.0)
-    partials = []
-    for chunk in np.array_split(m, max(1, m.size // 256)):
-        terms = 1.0 / (chunk[:, None] ** 2 + m[None, :] ** 2) ** 2
-        partials.extend(terms.sum(axis=1))
-    return math.fsum(partials)
 
 
 def center_deflection_reference(load=-1.0, length=1.0, stiffness=1.0):

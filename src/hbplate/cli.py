@@ -82,16 +82,19 @@ def main(argv=None):
                   "(relative deviation %.3e)" % mismatch, file=sys.stderr)
             return 1
 
-    space = HierarchicalSpace.create(args.n0, args.degree)
-    config = LoopConfig(
-        max_iterations=args.max_iter,
-        max_dofs=args.max_dofs,
-        mode=args.refine,
-        estimator=args.estimator,
-        admissibility=args.admissibility,
-        gamma=args.gamma,
-        calibration=args.ca,
-    )
+    try:
+        space = HierarchicalSpace.create(args.n0, args.degree)
+        config = LoopConfig(
+            max_iterations=args.max_iter,
+            max_dofs=args.max_dofs,
+            mode=args.refine,
+            estimator=args.estimator,
+            admissibility=args.admissibility,
+            gamma=args.gamma,
+            calibration=args.ca,
+        )
+    except ValueError as exc:
+        parser.error(str(exc))  # exits with status 2, before any solve
 
     dumps = []
     def on_iteration(space_it, u_h, record):

@@ -298,6 +298,8 @@ def solve_blocks(blocks):
 def eta_elements(blocks, calibration=3.0):
     """Element indicators, calibration times the local energy norm, as one
     float array: the rows of the blocks, in block order."""
+    if not 0.0 < calibration < math.inf:
+        raise ValueError("calibration must be finite and positive, got %r" % (calibration,))
     if any(blk.coeffs is None for blk in blocks):
         raise ValueError("blocks must be solved before computing indicators")
     energy = []
@@ -389,9 +391,6 @@ def residual_estimator(u_h, space, problem, point_load_sigma=None, geo=None):
     for (pt, magnitude) in problem.point_loads:
         owner = mesh.locate(pt[0], pt[1])
         sigma = point_load_sigma or mesh.h(owner.level) / 4.0
-        captured = 1.0 - math.exp(-18.0)  # analytic mass inside radius 6 sigma
-        if captured < 1.0 - 1e-6:
-            raise ValueError("Gaussian regularization too wide for the load at %s" % (pt,))
         loads.append(_gaussian_load(pt, magnitude, sigma))
     interior = []
     for at, d, wts, pts in _field_chunks(space, np.arange(len(view.cells)), coeffs,

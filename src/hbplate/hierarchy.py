@@ -17,9 +17,9 @@ the same arrays, in one sweep from the finest level down.
 
 On the active cells of one level every active function is a fixed sum of
 that level's tensor B-splines (the dyadic two-scale relation);
-:func:`two_scale` gives that sum as a sparse operator per level, and
-:attr:`HierarchicalSpace.levels` keeps it, once per space, for every
-consumer, with the cells and keys of all levels stacked.
+:func:`two_scale` gives that sum as a sparse operator per level, and a
+:class:`HierarchicalSpace` stacks them, once per space, for every
+consumer: C = [C_l] and the active cells of all levels in one numbering.
 """
 
 from __future__ import annotations
@@ -356,9 +356,9 @@ def connectivity(mesh, basis, e):
 class LevelOperator(NamedTuple):
     """The two-scale operator of one level with active cells: the level's
     active cells (E, 2), the sorted keys of its tensor B-splines on them,
-    each cell's (p + 1)^2 functions among the keys (E, (p + 1)^2, x-major;
-    in a space, among those of all levels), and C (keys x dofs, CSR): the
-    active functions are C^T times the level's B-splines on those cells."""
+    each cell's (p + 1)^2 functions among the keys (E, (p + 1)^2, x-major),
+    and C (keys x dofs, CSR): the active functions are C^T times the
+    level's B-splines on those cells."""
 
     level: int
     cells: np.ndarray
@@ -369,12 +369,13 @@ class LevelOperator(NamedTuple):
 
 class ActiveCells(NamedTuple):
     """The active cells of all levels in ``mesh.active_elements()`` order
-    (E, 2), with their levels and sizes h (E,), the rows (E, 2) of their x
-    and y classes (:func:`~hbplate.splines.cell_classes`) in those of all
-    levels with cells, stacked, and their (p + 1)^2 functions among the
-    keys of :attr:`HierarchicalSpace.stacked_ct`; start[l] is the position
-    of the first cell of level l. tables keeps the stacked class tables
-    the level kernel has used."""
+    (E, 2), the one numbering of every assembly pass, with their levels and
+    sizes h (E,), the rows (E, 2) of their x and y classes
+    (:func:`~hbplate.splines.cell_classes`) in those of all levels with
+    cells, stacked, and their (p + 1)^2 functions among the keys of
+    :attr:`HierarchicalSpace.stacked_ct`; start[l] is the position of the
+    first cell of level l. tables keeps the stacked class tables the level
+    kernel has used."""
 
     cells: np.ndarray
     level: np.ndarray
@@ -455,30 +456,24 @@ class HierarchicalSpace:
         return self.basis.num_dofs
 
     @property
-    def levels(self):
-        """The :class:`LevelOperator` of every level with active cells, whose
-        cells and locals are slices of :attr:`active_cells`."""
+    def active_cells(self):
+        """The :class:`ActiveCells` of this space."""
         return self._stacked[0]
 
     @property
-    def active_cells(self):
-        """The :class:`ActiveCells` of this space."""
-        return self._stacked[1]
-
-    @property
     def stacked_ct(self):
-        """C^T = [C_l^T] over :attr:`levels`, in CSR, the columns of each
-        C_l^T numbered after those of the levels before it."""
-        return self._stacked[2]
+        """C^T = [C_l^T] over the levels with active cells, in CSR, the
+        columns of each C_l^T numbered after those of the levels before it."""
+        return self._stacked[1]
 
     @property
     def stacked_c(self):
         """C = [C_l], the transpose of :attr:`stacked_ct`: a CSC view of it."""
-        return self._stacked[3]
+        return self._stacked[2]
 
     @cached_property
     def _stacked(self):
-        """:attr:`levels`, :attr:`active_cells` and :attr:`stacked_ct`,
+        """:attr:`active_cells` and :attr:`stacked_ct` from :func:`two_scale`,
         built on first use and shared by every assembly on this space."""
         mesh = self.mesh
         ops = [two_scale(mesh, self.basis, l) for l in range(mesh.num_levels) if len(mesh.cells(l))]
@@ -486,17 +481,15 @@ class HierarchicalSpace:
         keys = np.cumsum([0] + [len(op.keys) for op in ops])
         classes = np.cumsum([0] + [min(kv.num_elements, 2 * mesh.p + 1) for kv in kvs])
         level = np.concatenate([np.full(len(op.cells), op.level) for op in ops])
-        start = np.searchsorted(level, np.arange(mesh.num_levels + 1))
         view = ActiveCells(
             np.concatenate([op.cells for op in ops]), level,
             np.array([mesh.h(l) for l in range(mesh.num_levels)])[level],
             np.concatenate([cell_classes(kv, op.cells) + c
                             for op, kv, c in zip(ops, kvs, classes)]),
-            np.concatenate([op.local + k for op, k in zip(ops, keys)]), start, {})
-        at = [slice(start[op.level], start[op.level + 1]) for op in ops]
+            np.concatenate([op.local + k for op, k in zip(ops, keys)]),
+            np.searchsorted(level, np.arange(mesh.num_levels + 1)), {})
         ct = sp.vstack([op.matrix for op in ops], format="csr").T.tocsr()
-        return ([op._replace(cells=view.cells[s], local=view.local[s]) for op, s in zip(ops, at)],
-                view, ct, ct.T)
+        return view, ct, ct.T
 
     def refined(self, marked, m):
         return HierarchicalSpace(refine(self.mesh, marked, m))

@@ -1,9 +1,9 @@
 """The per-level passes that the stacked level kernel replaced, kept as the
-oracle of its tests: the load, the Dirichlet fit, the energy error norm,
-field evaluation and the bubble estimator's blocks, each one pass of a
-level kernel per level with active cells, on the level operators of
-:func:`hbplate.hierarchy.two_scale`, whose locals number each level's own
-keys from 0.
+oracle of its tests: the stiffness, the load, the Dirichlet fit, the energy
+error norm, field evaluation and the bubble estimator's blocks, each one
+pass of a level kernel per level with active cells, on the level operators
+of :func:`hbplate.hierarchy.two_scale`, whose locals number each level's
+own keys from 0.
 """
 
 import numpy as np
@@ -20,8 +20,10 @@ from hbplate.assembly import (
     _at_points,
     _edge_rule,
     _edge_transform,
+    _energy_form,
     _energy_terms,
     _gauss01,
+    _gram_terms,
     _graded_rule,
     _least_squares,
     _natural_terms,
@@ -29,11 +31,18 @@ from hbplate.assembly import (
     _side_groups,
     _trace_dofs,
     _transform_rows,
+    _triangle,
     _vanishes,
 )
 from hbplate.estimators import BubbleBlock
 from hbplate.hierarchy import two_scale
-from hbplate.splines import bernstein_knots, cell_classes, class_tables, tabulate_in_span
+from hbplate.splines import (
+    bernstein_knots,
+    cell_classes,
+    cell_grams,
+    class_tables,
+    tabulate_in_span,
+)
 
 
 def level_ops(space):
@@ -90,6 +99,75 @@ def field_chunks(space, op, coeff, combos):
             e, nd, nx, nd, ny)
         yield sl, {(dx, dy): full[:, dx, :, dy].reshape(e, 1, nx * ny)
                    for dx, dy in combos}, wts, pts
+
+
+def class_elements(kv, form):
+    """Element matrices of one level under a constant Jacobian, for each
+    pair of cell classes: (x class, y class, (p + 1)^2, (p + 1)^2)."""
+    out = 0.0
+    for m, gx, gy in _gram_terms(cell_grams(kv), form):
+        out = out + m * gx[:, None, :, None, :, None] * gy[None, :, None, :, None, :]
+    nc, n1 = out.shape[0], out.shape[2]
+    return out.reshape(nc, nc, n1 * n1, n1 * n1)
+
+
+def level_stiffness(space, geo, problem, op, form):
+    """K_l of one level over its cells, rows and columns in the order of
+    op.keys, as CSR arrays (data, columns, entries per row): the element
+    matrices scattered into a stencil (function, offset of the other
+    function) one local row at a time, and the columns of its nonzeros
+    searched in op.keys."""
+    p, keys, local = space.degree, op.keys, op.local
+    n1, width = p + 1, 2 * p + 1
+    ix, iy = np.divmod(np.arange(n1 * n1), n1)
+    offset = (ix[None, :] - ix[:, None] + p) * width + (iy[None, :] - iy[:, None] + p)
+    stencil = np.zeros(len(keys) * width * width)
+    if form is not None:
+        kv = space.mesh.knots(op.level)
+        elems = problem.stiffness * class_elements(kv, form)
+        cx, cy = cell_classes(kv, op.cells).T
+        step = max(1, _CHUNK_BYTES // (8 * n1 ** 4))
+        chunks = ((sl, elems[cx[sl], cy[sl]]) for sl in (
+            slice(start, start + step) for start in range(0, len(op.cells), step)))
+    else:
+        def quadrature():
+            for sl, rows, wts, pts in level_rows(space, op.level, op.cells, _DERIVATIVES,
+                                                 (_gauss01(n1 + 1),) * 2):
+                rows, wts, _ = _transform_rows(geo, pts, rows, wts, op.level, op.cells[sl])
+                terms, w = _energy_terms(rows, wts, problem.poisson)
+                yield sl, problem.stiffness * ((terms * w[:, None]) @ terms.swapaxes(1, 2))
+        chunks = quadrature()
+    for sl, aloc in chunks:
+        for a in range(n1 * n1):
+            stencil[local[sl, a, None] * width * width + offset[a]] += aloc[:, a]
+    stencil = stencil.reshape(len(keys), -1)
+    live = stencil != 0.0
+    dx, dy = np.divmod(np.arange(width * width), width)
+    cols = np.searchsorted(keys, (keys[:, None] + ((dx - p) << 32) + (dy - p))[live])
+    return stencil[live], cols.astype(np.int32), live.sum(axis=1)
+
+
+def blockdiag_stiffness(space, geo, problem):
+    """blockdiag(K_l) over the levels with active cells, in CSR, the rows
+    of each K_l numbered after those of the levels before it."""
+    form = _energy_form(geo, problem.poisson) if geo.constant_jacobian else None
+    blocks, base = [], 0
+    for op in level_ops(space):
+        data, cols, counts = level_stiffness(space, geo, problem, op, form)
+        blocks.append((data, cols + base, counts))
+        base += len(op.keys)
+    data, cols, counts = map(np.concatenate, zip(*blocks))
+    return sp.csr_matrix((data, cols, np.concatenate([[0], np.cumsum(counts)])),
+                         shape=(base, base))
+
+
+def assemble_stiffness(space, geo, problem):
+    """K = sum over the levels of C_l^T K_l C_l, its upper triangle
+    mirrored."""
+    ct = sp.vstack([op.matrix for op in level_ops(space)], format="csr").T.tocsr()
+    upper = _triangle(ct @ (blockdiag_stiffness(space, geo, problem) @ ct.T.tocsc()), 0)
+    upper.sort_indices()
+    return upper + _triangle(upper, 1).T
 
 
 def point_tables(space, op, cells, pts, max_der):

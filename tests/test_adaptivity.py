@@ -188,3 +188,17 @@ class TestRun:
             LoopConfig(max_iterations=0)
         with pytest.raises(ValueError):
             LoopConfig(admissibility=1)
+
+    @pytest.mark.parametrize("gamma", [0.0, 1.0, 1.5, -0.5, math.nan])
+    def test_gamma_outside_the_open_unit_interval_rejected(self, gamma):
+        # checked with the config, before any solve, not at the first marking
+        with pytest.raises(ValueError, match=r"gamma must lie in \(0, 1\), got %r" % gamma):
+            LoopConfig(gamma=gamma)
+
+    @pytest.mark.parametrize("calibration", [-1.0, 0.0, math.inf, math.nan])
+    def test_calibration_not_finite_and_positive_rejected(self, calibration):
+        # a negative calibration makes every indicator negative, so nothing
+        # would be marked and an adaptive study would stop after one solve
+        with pytest.raises(ValueError, match="calibration must be finite and positive, got %r"
+                           % calibration):
+            LoopConfig(calibration=calibration)

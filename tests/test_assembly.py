@@ -105,6 +105,22 @@ class TestPlateProblemValidation:
                                % d):
                 simply_supported_with(stiffness=d)
 
+    @pytest.mark.parametrize("loads,k", [
+        ([((0.5, 0.5), math.nan)], 0),
+        ([((0.5, 0.5), -1.0), ((0.25, math.inf), 1.0)], 1),
+        ([((0.5,), -1.0)], 0),
+        ([((0.5, 0.5, 0.5), -1.0)], 0),
+        ([((0.5, 0.5), -1.0), ((0.5, 0.5), None)], 1),
+        ([((0.5, 0.5),)], 0),
+        ([0.5], 0),
+    ])
+    def test_malformed_point_load_rejected(self, loads, k):
+        # unchecked, a NaN magnitude reaches the solver as a NaN load, and a
+        # point of one or three coordinates fails where it is unpacked
+        with pytest.raises(ValueError, match=r"point load %d must be \(\(x, y\), magnitude\) "
+                           "with finite values" % k):
+            simply_supported_with(point_loads=loads)
+
     def test_nan_material_constants_rejected(self):
         with pytest.raises(ValueError, match="stiffness .* got nan"):
             simply_supported_with(stiffness=math.nan)
@@ -592,14 +608,18 @@ class TestSplineMapTabulation:
         chunks = sum(len(list(hbplate.assembly._side_batches(space, geo, side))) for side in SIDES)
         assert len(calls) == chunks > 4
         calls.clear()
-        # the stiffness: chunks of each level's cells
+        # the stiffness: one pass over the cells of all levels
         prob = PlateProblem(dirichlet_w={s: 0.0 for s in SIDES}, neumann_M={s: 0.0 for s in SIDES})
+        passes = []
+
+        def recorded(space, at, *args):
+            passes.append(at.tolist())
+            return _cell_rows(space, at, *args)
+        monkeypatch.setattr(hbplate.assembly, "_cell_rows", recorded)
         assemble_stiffness(space, geo, prob)
-        chunks = sum(len(list(_cell_rows(space, np.arange(view.start[op.level],
-                                                          view.start[op.level + 1]),
-                                         _DERIVATIVES)))
-                     for op in space.levels)
-        assert len(calls) == chunks > 3
+        assert passes == [list(range(len(view.cells)))]
+        chunks = list(_cell_rows(space, np.arange(len(view.cells)), _DERIVATIVES))
+        assert len(calls) == len(chunks) > 3
         calls.clear()
         # the error norm: chunks of the cells of all levels
         from hbplate.assembly import DiscreteField

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -99,3 +100,22 @@ class TestMain:
         assert main(argv + ["--out", str(out1)]) == 0
         assert main(argv + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+
+class TestArguments:
+    @pytest.mark.parametrize("flags,message", [
+        (["--n0", "0"], "n0 must be at least 1"),
+        (["--max-iter", "0"], "iteration and dof budgets must be positive"),
+        (["--gamma", "1.5"], r"gamma must lie in \(0, 1\)"),
+        (["--ca", "-1"], "calibration must be finite and positive"),
+        (["--ca", "nan"], "calibration must be finite and positive"),
+    ])
+    def test_bad_value_is_a_usage_error(self, flags, message, tmp_path, capsys):
+        # rejected before any solve: exit status 2 with the reason, and no
+        # records written
+        out = tmp_path / "records.csv"
+        with pytest.raises(SystemExit) as info:
+            main(["--benchmark", "smooth", "--out", str(out)] + flags)
+        assert info.value.code == 2
+        assert re.search(message, capsys.readouterr().err)
+        assert not out.exists()

@@ -1,6 +1,6 @@
 """The one pass over the active cells of all levels against the per-level
-passes it replaced (``level_oracle.py``): load, Dirichlet fit, energy
-error norm, field evaluation and the bubble estimator's blocks, on
+passes it replaced (``level_oracle.py``): stiffness, load, Dirichlet fit,
+energy error norm, field evaluation and the bubble estimator's blocks, on
 multi-level meshes under identity, affine and spline maps, with a graded
 load, point loads on two levels, moment and shear sides and rotation fits.
 """
@@ -14,8 +14,11 @@ from hbplate.assembly import (
     GeometryMap,
     LinearSystem,
     PlateProblem,
+    _blockdiag_stiffness,
+    _energy_form,
     apply_dirichlet,
     assemble_load,
+    assemble_stiffness,
     evaluate,
     h2_seminorm_error,
 )
@@ -76,6 +79,23 @@ KINDS = ["identity", "affine", "spline"]
 
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("p", [3, 4])
+def test_stiffness(kind, p):
+    # the stacked keys are the level oracle's keys, level after level, so
+    # blockdiag(K_l) and K have the same sparsity and differ only by the
+    # order in which chunk boundaries add the entries
+    space, geo, prob = space_of(p), geometry(kind), problem()
+    form = _energy_form(geo, prob.poisson) if geo.constant_jacobian else None
+    for got, want in ((_blockdiag_stiffness(space, geo, prob, form),
+                       level_oracle.blockdiag_stiffness(space, geo, prob)),
+                      (assemble_stiffness(space, geo, prob),
+                       level_oracle.assemble_stiffness(space, geo, prob))):
+        np.testing.assert_array_equal(got.indptr, want.indptr)
+        np.testing.assert_array_equal(got.indices, want.indices)
+        assert relative(got.data, want.data) <= 1e-15
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("p", [3, 4])
 def test_load(kind, p):
     space, geo, prob = space_of(p), geometry(kind), problem()
     levels = [space.mesh.locate(*pt).level for pt, _ in prob.point_loads]
@@ -122,7 +142,8 @@ def test_estimator_blocks(kind, p):
     bubbles = build_bubble_space(space.mesh, p, natural_boundary_sides(prob))
     got = assemble_blocks(bubbles, u, space, geo, prob)
     want = level_oracle.assemble_blocks(bubbles, u, space, geo, prob)
-    assert len(got) == len(want) == len(bubbles.groups) > len(space.levels)
+    levels = len(np.unique(space.active_cells.level))
+    assert len(got) == len(want) == len(bubbles.groups) > levels
     for blk, ref in zip(got, want):
         assert blk.level == ref.level and blk.indices == ref.indices
         np.testing.assert_array_equal(blk.cells, ref.cells)
