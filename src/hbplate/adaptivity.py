@@ -188,7 +188,11 @@ def run(problem, space, config, geo=None, exact_hessian=None, qoi_point=None,
 
 
 def slopes(records, x_axis="h", k=3, fieldname="error_h2"):
-    """Least-squares slope of log(field) against log(x) over the last k records."""
+    """Least-squares slope of log(field) against log(x) over the last k
+    records, x the mesh size ("h") or the square root of the dofs
+    ("sqrt_dofs")."""
+    if x_axis not in ("h", "sqrt_dofs"):
+        raise ValueError("x_axis must be 'h' or 'sqrt_dofs', got %r" % (x_axis,))
     xs, ys = [], []
     for rec in records:
         y = getattr(rec, fieldname)

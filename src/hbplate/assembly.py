@@ -220,13 +220,12 @@ def _graded_rule(p, sides):
 
 
 @lru_cache(maxsize=None)
-def _edge_rule(p, side, part=(0, 1)):
+def _edge_rule(p, side):
     """Reference rule of the edge on one side of an element: one node of
     weight 1 at the side's end of [0, 1] across it, the Gauss rule along
-    it, on part r of f equal parts of the edge for part (r, f)."""
+    it."""
     end = (np.array([0.0 if side in ("left", "bottom") else 1.0]), np.ones(1))
-    (r, f), (nodes, w1) = part, _gauss01(p + 2)
-    along = ((r + nodes) / f, w1 / f)
+    along = _gauss01(p + 2)
     return (end, along) if side in ("left", "right") else (along, end)
 
 
@@ -340,7 +339,7 @@ def _rule_on_cells(space, at, rule):
     pts[..., 0] = (a + (cells[:, 0, None] + xn) * h)[:, :, None]
     pts[..., 1] = (a + (cells[:, 1, None] + yn) * h)[:, None, :]
     scale = (h if xn.size > 1 else 1.0) * (h if yn.size > 1 else 1.0)
-    return pts.reshape(len(at), -1, 2), np.outer(xw, yw).ravel() * scale
+    return pts.reshape(len(at), xn.size * yn.size, 2), np.outer(xw, yw).ravel() * scale
 
 
 def _cell_chunks(space, at, rule, max_der, floats):
@@ -444,7 +443,7 @@ def _point_ders(space, at, pts, coeff, combos):
     at the parametric points pts (n, 2) of the active cells at (n,), by
     :func:`_point_tables`."""
     tx, ty = _point_tables(space, at, pts, max(max(c) for c in combos))
-    coef = coeff[space.active_cells.local[at]].reshape(len(pts), tx.shape[1], -1)
+    coef = coeff[space.active_cells.local[at]].reshape(len(pts), tx.shape[1], tx.shape[1])
     return {(dx, dy): np.einsum("ik,jk,kij->k", tx[dx], ty[dy], coef) for dx, dy in combos}
 
 
@@ -841,15 +840,12 @@ def _trace_dofs(space, side, depth):
     """Dofs of the active functions in the first `depth` layers along a
     side: depth 1 has the nonzero deflection traces, depth 2 the nonzero
     rotation traces."""
-    out = []
-    for k in range(space.mesh.num_levels):
-        n = space.mesh.knots(k).num_basis
-        near = np.arange(depth) if side in ("left", "bottom") else n - 1 - np.arange(depth)
-        along = np.arange(n)
-        ix, iy = (near[:, None], along) if side in ("left", "right") else (along[:, None], near)
-        d = space.basis.level_dofs(k, ix, iy)
-        out.append(d[d >= 0])
-    return np.concatenate(out)
+    mesh, (level, ix, iy) = space.mesh, space.basis.indices
+    normal = ix if side in ("left", "right") else iy
+    if side in ("right", "top"):
+        # a level has p more functions than cells along a side
+        normal = mesh.n_elements_1d(level) + mesh.p - 1 - normal
+    return np.flatnonzero(normal < depth)
 
 
 def _fit_side(space, geo, side, kind, data, constraints):

@@ -19,7 +19,9 @@ selection from it.
 
 A classical strong-residual estimator with interior and edge-jump terms is
 provided for comparison; it needs fourth derivatives of the discrete
-solution and a regularized representation of point loads.
+solution and a regularized representation of point loads. Its interior
+terms come from one pass over the active cells of all levels, its
+interior-edge jumps from one lookup per level over all active cells.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .assembly import (
     _ASSEMBLY_COMBOS,
     _DERIVATIVES,
     SIDES,
+    _SIDE_NORMAL,
     GeometryMap,
     _as_fn,
     _at_points,
@@ -341,44 +344,57 @@ def _gaussian_load(pt, magnitude, sigma):
     return fn
 
 
-def _edge_neighbor_pieces(mesh, e, side):
-    """Active elements across one edge, each with the piece of the edge the
-    two share: part r of f equal parts of the edge of the coarser element
-    (r = 0, f = 1 when both are on one level), as (element, (r, f)).
+def _edge_pieces(space, side):
+    """The interior edge pieces on one side of the active cells: positions
+    f and c in ``space.active_cells``, c the active cell across the whole
+    edge of f, on f's level or a coarser one. They tile every interior
+    edge; a same-level pair is found from both of its cells. One lookup
+    per level finds the cells across the edges of all cells."""
+    mesh, view = space.mesh, space.active_cells
+    # the index across each edge; one step off the domain finds no cell
+    across = view.cells + np.array(_SIDE_NORMAL[side], dtype=np.int64)
+    f, c = [], []
+    for level in range(mesh.num_levels):
+        at = np.arange(view.start[level], len(view.cells))
+        found = mesh.cell_index(level, *(across[at] >> (view.level[at, None] - level)).T)
+        f.append(at[found >= 0])
+        c.append(view.start[level] + found[found >= 0])
+    return np.concatenate(f), np.concatenate(c)
 
-    Returns [] for edges on the domain boundary. Pieces are found with
-    exact integer index arithmetic across all levels.
+
+def _jump_terms(space, coeffs):
+    """Edge terms of the strong-residual indicators by active cell, for
+    the field with coefficients coeffs = C u: half of the squared jumps of
+    lap(u_h) (weight h) and of its normal derivative (weight h^3) on the
+    pieces of :func:`_edge_pieces`, at the edge rule of f, from one-sided
+    limits on f and on c. Each piece goes to f, and to c when c is coarser.
     """
-    l = e.level
-    vertical = side in ("left", "right")
-    # the grid line of the edge, across it, and the edge's cell along it
-    line, t_lo = (e.ix, e.iy) if vertical else (e.iy, e.ix)
-    line += side in ("right", "top")
-    if line == 0 or line == mesh.n_elements_1d(l):
-        return []
-    pieces = []
-    for lp in range(mesh.num_levels):
-        finer = lp >= l
-        f = 1 << abs(lp - l)
-        if not finer and line % f:
-            continue
-        col = (line * f if finer else line // f) - (side in ("left", "bottom"))
-        rows = np.arange(t_lo * f, (t_lo + 1) * f) if finer else np.array([t_lo // f])
-        found = mesh.cell_index(lp, *((col, rows) if vertical else (rows, col))) >= 0
-        for row in rows[found].tolist():
-            pieces.append((ElementId(lp, *((col, row) if vertical else (row, col))),
-                           (row - t_lo * f, f) if finer else (t_lo % f, f)))
-    return pieces
+    view, p = space.active_cells, space.degree
+    w1, out = _gauss01(p + 2)[1], np.zeros(len(view.cells))
+    for side in SIDES:
+        f, c = _edge_pieces(space, side)
+        pts = _rule_on_cells(space, f, _edge_rule(p, side))[0]
+        nq = pts.shape[1]
+        # the Laplacian and its derivative across the edge, on f and on c
+        pairs = (((2, 0), (0, 2)),
+                 ((3, 0), (1, 2)) if side in ("left", "right") else ((0, 3), (2, 1)))
+        on_f, on_c = (_point_ders(space, cells.repeat(nq), pts.reshape(-1, 2), coeffs,
+                                  pairs[0] + pairs[1]) for cells in (f, c))
+        jl, jn = ((on_f[a] + on_f[b] - (on_c[a] + on_c[b])).reshape(-1, nq) for a, b in pairs)
+        he = view.h[f]
+        term = 0.5 * he**2 * ((jl**2 + he[:, None]**2 * jn**2) @ w1)
+        coarser = view.level[c] < view.level[f]
+        out += np.bincount(f, term, out.size) + np.bincount(c[coarser], term[coarser], out.size)
+    return out
 
 
-def residual_estimator(u_h, space, problem, point_load_sigma=None, geo=None):
+def residual_estimator(u_h, space, problem, geo=None):
     """Classical strong-residual indicators for the biharmonic problem, as
     one float array aligned with ``mesh.active_elements()``.
 
-    Interior term h^4 ||g - D lap^2 u_h||^2 plus half of the edge jumps of
-    lap(u_h) (weight h) and of its normal derivative (weight h^3) on each
-    interior edge. Point loads enter through a Gaussian regularization with
-    width tied to the containing element.
+    Interior term h^4 ||g - D lap^2 u_h||^2 plus the edge terms of
+    :func:`_jump_terms`. Point loads enter through a Gaussian
+    regularization of width h / 4 of the containing element.
     """
     geo = geo or GeometryMap.identity()
     if not geo.is_identity:
@@ -387,11 +403,8 @@ def residual_estimator(u_h, space, problem, point_load_sigma=None, geo=None):
     coeffs = space.stacked_c @ u_h.coefficients
     gfun = _as_fn(problem.g)
     d_const = problem.stiffness
-    loads = []
-    for (pt, magnitude) in problem.point_loads:
-        owner = mesh.locate(pt[0], pt[1])
-        sigma = point_load_sigma or mesh.h(owner.level) / 4.0
-        loads.append(_gaussian_load(pt, magnitude, sigma))
+    loads = [_gaussian_load(pt, magnitude, mesh.h(mesh.locate(*pt).level) / 4.0)
+             for pt, magnitude in problem.point_loads]
     interior = []
     for at, d, wts, pts in _field_chunks(space, np.arange(len(view.cells)), coeffs,
                                          ((4, 0), (2, 2), (0, 4))):
@@ -402,46 +415,4 @@ def residual_estimator(u_h, space, problem, point_load_sigma=None, geo=None):
         for fn in loads:
             gv += _at_points(fn, pts, "regularized point load on level %d", view.level[at])
         interior.append(view.h[at]**4 * np.sum(wts * (gv - d_const * bilap) ** 2, axis=1))
-    # each interior edge piece is evaluated from both of its elements, with
-    # the edge rule of that element's side restricted to the piece; all
-    # points go through one batched tabulation, not kept
-    opposite = dict(zip(SIDES, SIDES[2:] + SIDES[:2]))
-    batches, pieces = {}, []
-
-    def at(pos, side, part):
-        cells = batches.setdefault((side, part), [])
-        cells.append(pos)
-        return (side, part), len(cells) - 1
-
-    for pos, e in enumerate(mesh.active_elements()):
-        for side in SIDES:
-            for nb, part in _edge_neighbor_pieces(mesh, e, side):
-                finer = nb.level >= e.level
-                other = view.start[nb.level] + mesh.cell_index(nb.level, nb.ix, nb.iy)
-                pieces.append((pos, mesh.h(max(e.level, nb.level)),
-                               at(pos, side, part if finer else (0, 1)),
-                               at(other, opposite[side], (0, 1) if finer else part)))
-    traces, keys = {}, list(batches)
-    cells = [np.array(batches[key]) for key in keys]
-    pts = [_rule_on_cells(space, c, _edge_rule(space.degree, side, part))[0]
-           for c, (side, part) in zip(cells, keys)]
-    if keys:
-        d = _point_ders(space, np.concatenate([c.repeat(pt.shape[1]) for c, pt in zip(cells, pts)]),
-                        np.concatenate([pt.reshape(-1, 2) for pt in pts]), coeffs,
-                        ((2, 0), (0, 2), (3, 0), (1, 2), (0, 3), (2, 1)))
-    start = 0
-    for key, pt in zip(keys, pts):
-        sl = slice(start, start + pt[..., 0].size)
-        start = sl.stop
-        across = ((3, 0), (1, 2)) if key[0] in ("left", "right") else ((0, 3), (2, 1))
-        # rows (E, nq) of the Laplacian and of its derivative across the edge
-        traces[key] = [(d[k1][sl] + d[k2][sl]).reshape(pt.shape[:2])
-                       for k1, k2 in (((2, 0), (0, 2)), across)]
-    w1 = _gauss01(space.degree + 2)[1]
-    eta2 = np.concatenate(interior)
-    for pos, he, (own, i), (oth, j) in pieces:
-        jl = traces[own][0][i] - traces[oth][0][j]
-        jn = traces[own][1][i] - traces[oth][1][j]
-        eta2[pos] += 0.5 * he * float(np.sum(w1 * he * jl**2))
-        eta2[pos] += 0.5 * he**3 * float(np.sum(w1 * he * jn**2))
-    return np.sqrt(eta2)
+    return np.sqrt(np.concatenate(interior) + _jump_terms(space, coeffs))

@@ -195,11 +195,15 @@ class HierarchicalBasis:
         self._keys = np.concatenate(level_keys)
 
     @cached_property
+    def indices(self):
+        """The level, ix and iy of every dof, as three int64 arrays."""
+        levels = np.repeat(np.arange(len(self._starts) - 1), np.diff(self._starts))
+        return levels, self._keys >> 32, self._keys & _LOW
+
+    @cached_property
     def active(self):
         """The active functions as one :class:`FunctionId` per dof."""
-        levels = np.repeat(np.arange(len(self._starts) - 1), np.diff(self._starts))
-        return tuple(map(FunctionId._make, zip(
-            levels.tolist(), (self._keys >> 32).tolist(), (self._keys & _LOW).tolist())))
+        return tuple(map(FunctionId._make, zip(*(a.tolist() for a in self.indices))))
 
     @property
     def num_dofs(self):

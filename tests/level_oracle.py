@@ -1,10 +1,13 @@
 """The per-level passes that the stacked level kernel replaced, kept as the
-oracle of its tests: the stiffness, the load, the Dirichlet fit, the energy
-error norm, field evaluation and the bubble estimator's blocks, each one
-pass of a level kernel per level with active cells, on the level operators
-of :func:`hbplate.hierarchy.two_scale`, whose locals number each level's
-own keys from 0.
+oracle of its tests: the stiffness, the load, the Dirichlet fit (with its
+per-level trace lookup), the energy error norm, field evaluation and the
+bubble estimator's blocks, each one pass of a level kernel per level with
+active cells, on the level operators of :func:`hbplate.hierarchy.two_scale`,
+whose locals number each level's own keys from 0; and the strong-residual
+estimator's per-element search for the pieces of its edge jumps.
 """
+
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -19,6 +22,7 @@ from hbplate.assembly import (
     _as_fn,
     _at_points,
     _edge_rule,
+    _field_chunks,
     _edge_transform,
     _energy_form,
     _energy_terms,
@@ -28,14 +32,15 @@ from hbplate.assembly import (
     _least_squares,
     _natural_terms,
     _on_side,
+    _point_ders,
+    _rule_on_cells,
     _side_groups,
-    _trace_dofs,
     _transform_rows,
     _triangle,
     _vanishes,
 )
-from hbplate.estimators import BubbleBlock
-from hbplate.hierarchy import two_scale
+from hbplate.estimators import BubbleBlock, _gaussian_load
+from hbplate.hierarchy import ElementId, two_scale
 from hbplate.splines import (
     bernstein_knots,
     cell_classes,
@@ -234,11 +239,25 @@ def _fit_block(op, at, rows, w):
                          shape=(vals[..., 0].size, len(op.keys)))
 
 
+def trace_dofs(space, side, depth):
+    """Dofs of the active functions in the first `depth` layers along a
+    side, by one lookup of the layers' functions on every level."""
+    out = []
+    for k in range(space.mesh.num_levels):
+        n = space.mesh.knots(k).num_basis
+        near = np.arange(depth) if side in ("left", "bottom") else n - 1 - np.arange(depth)
+        along = np.arange(n)
+        ix, iy = (near[:, None], along) if side in ("left", "right") else (along[:, None], near)
+        d = space.basis.level_dofs(k, ix, iy)
+        out.append(d[d >= 0])
+    return np.concatenate(out)
+
+
 def fit_side(space, geo, side, kind, data, constraints):
     """One side's least-squares fit, W T_l C_l per level, stacked."""
     n, ops = space.num_dofs, level_ops(space)
     trace = np.zeros(n, dtype=bool)
-    trace[_trace_dofs(space, side, 1 if kind == "deflection" else 2)] = True
+    trace[trace_dofs(space, side, 1 if kind == "deflection" else 2)] = True
     fixed = np.zeros(n, dtype=bool)
     fixed[list(constraints)] = True
     given = np.zeros(n)
@@ -387,3 +406,110 @@ def assemble_blocks(bubbles, u_h, space, geo, problem):
             blocks[k] = BubbleBlock(level=level, cells=cells, indices=list(pairs),
                                     matrix=m[:, sel[:, None], sel], rhs=r[pos][:, sel])
     return blocks
+
+
+@lru_cache(maxsize=None)
+def edge_rule(p, side, part=(0, 1)):
+    """The edge rule on part r of f equal parts of the edge, for part (r, f)."""
+    end = (np.array([0.0 if side in ("left", "bottom") else 1.0]), np.ones(1))
+    (r, f), (nodes, w1) = part, _gauss01(p + 2)
+    along = ((r + nodes) / f, w1 / f)
+    return (end, along) if side in ("left", "right") else (along, end)
+
+
+def edge_neighbor_pieces(mesh, e, side):
+    """Active elements across one edge, each with the piece of the edge the
+    two share: part r of f equal parts of the edge of the coarser element
+    (r = 0, f = 1 when both are on one level), as (element, (r, f)); []
+    for edges on the domain boundary."""
+    l = e.level
+    vertical = side in ("left", "right")
+    # the grid line of the edge, across it, and the edge's cell along it
+    line, t_lo = (e.ix, e.iy) if vertical else (e.iy, e.ix)
+    line += side in ("right", "top")
+    if line == 0 or line == mesh.n_elements_1d(l):
+        return []
+    pieces = []
+    for lp in range(mesh.num_levels):
+        finer = lp >= l
+        f = 1 << abs(lp - l)
+        if not finer and line % f:
+            continue
+        col = (line * f if finer else line // f) - (side in ("left", "bottom"))
+        rows = np.arange(t_lo * f, (t_lo + 1) * f) if finer else np.array([t_lo // f])
+        found = mesh.cell_index(lp, *((col, rows) if vertical else (rows, col))) >= 0
+        for row in rows[found].tolist():
+            pieces.append((ElementId(lp, *((col, row) if vertical else (row, col))),
+                           (row - t_lo * f, f) if finer else (t_lo % f, f)))
+    return pieces
+
+
+def residual_estimator(u_h, space, problem):
+    """The strong-residual indicators: the interior terms as in the
+    estimator, the edge terms by :func:`jump_terms`."""
+    mesh, view = space.mesh, space.active_cells
+    coeffs = space.stacked_c @ u_h.coefficients
+    gfun = _as_fn(problem.g)
+    d_const = problem.stiffness
+    loads = [_gaussian_load(pt, magnitude, mesh.h(mesh.locate(*pt).level) / 4.0)
+             for pt, magnitude in problem.point_loads]
+    interior = []
+    for at, d, wts, pts in _field_chunks(space, np.arange(len(view.cells)), coeffs,
+                                         ((4, 0), (2, 2), (0, 4))):
+        bilap = (d[(4, 0)] + 2.0 * d[(2, 2)] + d[(0, 4)])[:, 0]
+        gv = np.zeros(bilap.shape)
+        if gfun is not None:
+            gv += _at_points(gfun, pts, "load g on level %d", view.level[at])
+        for fn in loads:
+            gv += _at_points(fn, pts, "regularized point load on level %d", view.level[at])
+        interior.append(view.h[at]**4 * np.sum(wts * (gv - d_const * bilap) ** 2, axis=1))
+    return np.sqrt(np.concatenate(interior) + jump_terms(space, coeffs))
+
+
+def jump_terms(space, coeffs):
+    """The edge terms of the strong-residual indicators, with every interior
+    edge piece found from each of its two elements by
+    :func:`edge_neighbor_pieces`, once per element and side, and evaluated
+    from both elements, with the edge rule of each one's side restricted to
+    the piece."""
+    mesh, view = space.mesh, space.active_cells
+    opposite = dict(zip(SIDES, SIDES[2:] + SIDES[:2]))
+    batches, pieces = {}, []
+
+    def at(pos, side, part):
+        cells = batches.setdefault((side, part), [])
+        cells.append(pos)
+        return (side, part), len(cells) - 1
+
+    for pos, e in enumerate(mesh.active_elements()):
+        for side in SIDES:
+            for nb, part in edge_neighbor_pieces(mesh, e, side):
+                finer = nb.level >= e.level
+                other = view.start[nb.level] + mesh.cell_index(nb.level, nb.ix, nb.iy)
+                pieces.append((pos, mesh.h(max(e.level, nb.level)),
+                               at(pos, side, part if finer else (0, 1)),
+                               at(other, opposite[side], (0, 1) if finer else part)))
+    traces, keys = {}, list(batches)
+    cells = [np.array(batches[key]) for key in keys]
+    pts = [_rule_on_cells(space, c, edge_rule(space.degree, side, part))[0]
+           for c, (side, part) in zip(cells, keys)]
+    if keys:
+        d = _point_ders(space, np.concatenate([c.repeat(pt.shape[1]) for c, pt in zip(cells, pts)]),
+                        np.concatenate([pt.reshape(-1, 2) for pt in pts]), coeffs,
+                        ((2, 0), (0, 2), (3, 0), (1, 2), (0, 3), (2, 1)))
+    start = 0
+    for key, pt in zip(keys, pts):
+        sl = slice(start, start + pt[..., 0].size)
+        start = sl.stop
+        across = ((3, 0), (1, 2)) if key[0] in ("left", "right") else ((0, 3), (2, 1))
+        # rows (E, nq) of the Laplacian and of its derivative across the edge
+        traces[key] = [(d[k1][sl] + d[k2][sl]).reshape(pt.shape[:2])
+                       for k1, k2 in (((2, 0), (0, 2)), across)]
+    w1 = _gauss01(space.degree + 2)[1]
+    eta2 = np.zeros(len(view.cells))
+    for pos, he, (own, i), (oth, j) in pieces:
+        jl = traces[own][0][i] - traces[oth][0][j]
+        jn = traces[own][1][i] - traces[oth][1][j]
+        eta2[pos] += 0.5 * he * float(np.sum(w1 * he * jl**2))
+        eta2[pos] += 0.5 * he**3 * float(np.sum(w1 * he * jn**2))
+    return eta2

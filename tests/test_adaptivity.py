@@ -121,6 +121,13 @@ class TestSlopes:
         with pytest.raises(ValueError):
             slopes(recs)
 
+    def test_unknown_x_axis_is_rejected(self):
+        recs = [IterationRecord(i, 10 * 4**i, 0, h_max=2.0**-i, error_h2=(2.0**-i) ** 2)
+                for i in range(5)]
+        for axis in ("dofs", "H", None):
+            with pytest.raises(ValueError, match="x_axis must be 'h' or 'sqrt_dofs', got"):
+                slopes(recs, axis)
+
     def test_eta_field_selectable(self):
         recs = [IterationRecord(i, 10, 0, h_max=2.0**-i, error_h2=math.nan,
                                 eta_total=(2.0**-i) ** 3) for i in range(4)]

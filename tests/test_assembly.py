@@ -409,7 +409,7 @@ class TestLevelBatchKernel:
         order = rng.permutation(mesh.n_active)
         combos = _ASSEMBLY_COMBOS + ((3, 0), (2, 2), (1, 3), (0, 4))
         rules = [None, _graded_rule(p, frozenset({"left", "bottom"}))]
-        rules += [_edge_rule(p, side, (1, 2)) for side in SIDES]
+        rules += [_edge_rule(p, side) for side in SIDES]
         rules.append(((np.array([0.0, 0.3, 1.0]), np.ones(3)), (np.array([0.7, 1.0]), np.ones(2))))
         split = 0
         for rule in rules:

@@ -508,34 +508,45 @@ class TestQueriesAgainstGeometry:
                 assert connectivity(mesh, basis, e) == want
 
     def test_edge_neighbor_pieces_tile_each_interior_edge(self, p, m):
-        from hbplate.estimators import _edge_neighbor_pieces
+        # each piece (f, c) is f's whole edge, lying on c's edge across it; an
+        # element's edge is tiled by the piece it finds itself or by the
+        # pieces the finer elements across it find, and by nothing on the
+        # domain boundary
+        from hbplate.estimators import _edge_pieces
         opposite = dict(zip(SIDE_NAMES, SIDE_NAMES[2:] + SIDE_NAMES[:2]))
         for mesh in random_admissible_meshes(p, m):
+            space = HierarchicalSpace(mesh)
             active = mesh.active_elements()
-            for e in active:
-                rect = mesh.element_rect(e)
-                for side in SIDE_NAMES:
-                    pieces = _edge_neighbor_pieces(mesh, e, side)
-                    if on_domain_side(mesh, rect, side):
-                        assert pieces == []
+            rects = [mesh.element_rect(e) for e in active]
+            pieces = {side: [pair.tolist() for pair in _edge_pieces(space, side)]
+                      for side in SIDE_NAMES}
+            for side in SIDE_NAMES:
+                for f, c in zip(*pieces[side]):
+                    assert active[f].level >= active[c].level
+                    line, lo, hi = edge_segment(rects[f], side)
+                    cline, clo, chi = edge_segment(rects[c], opposite[side])
+                    assert abs(line - cline) <= TOL and clo - TOL <= lo and hi <= chi + TOL
+                for k, e in enumerate(active):
+                    line, lo, hi = edge_segment(rects[k], side)
+                    across = [c for f, c in zip(*pieces[side]) if f == k]
+                    finer = [f for f, c in zip(*pieces[opposite[side]])
+                             if c == k and active[f].level > e.level]
+                    if on_domain_side(mesh, rects[k], side):
+                        assert across == finer == []
                         continue
-                    line, lo, hi = edge_segment(rect, side)
                     want = set()
-                    for f in active:
-                        fline, flo, fhi = edge_segment(mesh.element_rect(f), opposite[side])
+                    for j, f in enumerate(active):
+                        fline, flo, fhi = edge_segment(rects[j], opposite[side])
                         if abs(fline - line) <= TOL and min(hi, fhi) - max(lo, flo) > TOL:
-                            want.add(f)
-                    assert {nb for nb, _ in pieces} == want
-                    total = 0.0
-                    for nb, (r, f) in pieces:
-                        _, nlo, nhi = edge_segment(mesh.element_rect(nb), opposite[side])
-                        clo, chi = (lo, hi) if e.level <= nb.level else (nlo, nhi)
-                        length = (chi - clo) / f
-                        piece = (clo + r * length, clo + (r + 1) * length)
-                        assert piece[0] == pytest.approx(max(lo, nlo), abs=TOL)
-                        assert piece[1] == pytest.approx(min(hi, nhi), abs=TOL)
-                        total += length
-                    assert total == pytest.approx(hi - lo, rel=1e-12)
+                            want.add(j)
+                    assert len(across) <= 1 and not (across and finer)
+                    assert set(across + finer) == want
+                    segments = sorted([(lo, hi)] if across else
+                                      [edge_segment(rects[f], opposite[side])[1:] for f in finer])
+                    assert segments[0][0] == pytest.approx(lo, abs=TOL)
+                    assert segments[-1][1] == pytest.approx(hi, abs=TOL)
+                    for (_, a), (b, _) in zip(segments, segments[1:]):
+                        assert a == pytest.approx(b, abs=TOL)
 
     def test_locate_finds_the_finest_element_at_corners_and_edge_midpoints(self, p, m):
         for mesh in random_admissible_meshes(p, m):

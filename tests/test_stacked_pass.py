@@ -2,7 +2,9 @@
 passes it replaced (``level_oracle.py``): stiffness, load, Dirichlet fit,
 energy error norm, field evaluation and the bubble estimator's blocks, on
 multi-level meshes under identity, affine and spline maps, with a graded
-load, point loads on two levels, moment and shear sides and rotation fits.
+load, point loads on two levels, moment and shear sides and rotation fits;
+the trace dofs of the Dirichlet fit and the strong-residual estimator
+against their per-level and per-element forms.
 """
 
 import numpy as np
@@ -10,21 +12,33 @@ import pytest
 
 import level_oracle
 from hbplate.assembly import (
+    SIDES,
     DiscreteField,
     GeometryMap,
     LinearSystem,
     PlateProblem,
     _blockdiag_stiffness,
     _energy_form,
+    _trace_dofs,
     apply_dirichlet,
     assemble_load,
     assemble_stiffness,
+    assemble_system,
     evaluate,
     h2_seminorm_error,
+    solve,
 )
-from hbplate.estimators import assemble_blocks, build_bubble_space, natural_boundary_sides
+from hbplate.estimators import (
+    _edge_pieces,
+    _jump_terms,
+    assemble_blocks,
+    build_bubble_space,
+    natural_boundary_sides,
+    residual_estimator,
+)
 from hbplate.hierarchy import ElementId, HierarchicalSpace, check_admissible
 from hbplate.splines import make_open_uniform
+from test_hierarchy import random_admissible_meshes
 
 RTOL = 1e-13
 
@@ -150,3 +164,82 @@ def test_estimator_blocks(kind, p):
         assert blk.matrix.shape == ref.matrix.shape and blk.rhs.shape == ref.rhs.shape
         assert relative(blk.matrix, ref.matrix) <= RTOL
         assert relative(blk.rhs, ref.rhs) <= RTOL
+
+
+@pytest.mark.parametrize("p, m", [(3, 2), (3, 3), (4, 2), (4, 3)])
+def test_trace_dofs(p, m):
+    for mesh in random_admissible_meshes(p, m):
+        space = HierarchicalSpace(mesh)
+        for side in SIDES:
+            for depth in (1, 2):
+                got = _trace_dofs(space, side, depth)
+                np.testing.assert_array_equal(
+                    got, np.sort(level_oracle.trace_dofs(space, side, depth)))
+                assert got.size
+
+
+def clamped(g, point_loads=()):
+    return PlateProblem(g=g, dirichlet_w=dict.fromkeys(SIDES, 0.0),
+                        dirichlet_phi=dict.fromkeys(SIDES, 0.0), point_loads=list(point_loads))
+
+
+def solved(space, prob):
+    system = assemble_system(space, GeometryMap.identity(), prob)
+    return solve(apply_dirichlet(system, space, prob))
+
+
+def residual_cases():
+    """Random admissible meshes with a random field, and the solutions on a
+    mesh refined toward a point load and on a graded mesh whose level
+    interfaces meet on part of an edge."""
+    load = clamped(lambda x, y: np.cos(3.0 * x) + x * y, [((0.3, 0.7), 1.5)])
+    for p, m in ((3, 2), (3, 3), (4, 2), (4, 3)):
+        for k, mesh in enumerate(random_admissible_meshes(p, m)):
+            space = HierarchicalSpace(mesh)
+            rng = np.random.default_rng(10 * p + k)
+            yield "random p=%d m=%d #%d" % (p, m, k), space, load, DiscreteField(
+                rng.standard_normal(space.num_dofs))
+    point = clamped(0.0, [((0.5, 0.5), -1.0)])
+    space = HierarchicalSpace.create(4, 3)
+    for _ in range(4):
+        space = space.refined([space.mesh.locate(0.5, 0.5)], 2)
+    yield "point load", space, point, solved(space, point)
+    smooth = clamped(lambda x, y: 64.0 * np.pi**4 * np.sin(2 * np.pi * x) * np.sin(2 * np.pi * y))
+    space = HierarchicalSpace.create(3, 3).refined([ElementId(0, 1, 1)], 2).refined(
+        [ElementId(1, 2, 3)], 2)
+    yield "graded", space, smooth, solved(space, smooth)
+
+
+def test_residual_estimator():
+    names = []
+    for name, space, prob, u in residual_cases():
+        # some pieces have their two cells on different levels
+        view = space.active_cells
+        assert any((view.level[c] < view.level[f]).any()
+                   for f, c in (_edge_pieces(space, side) for side in SIDES))
+        got = residual_estimator(u, space, prob)
+        want = level_oracle.residual_estimator(u, space, prob)
+        assert got.shape == (space.mesh.n_active,)
+        assert relative(got, want) <= 1e-12, name
+        # the edge terms alone, which the interior terms outweigh; p = 4
+        # fields are C^3, so there both jumps vanish up to rounding
+        coeffs = space.stacked_c @ u.coefficients
+        jumps, ref = _jump_terms(space, coeffs), level_oracle.jump_terms(space, coeffs)
+        if space.degree == 3:
+            assert relative(jumps, ref) <= 1e-12 and (ref > 0.0).all(), name
+        else:
+            assert max(jumps.max(), ref.max()) <= 1e-24 * (want**2).max(), name
+        names.append(name)
+    assert len(names) == 14
+
+
+def test_residual_estimator_on_one_cell():
+    # no interior edge: the indicator is the interior term alone
+    space = HierarchicalSpace.create(1, 3)
+    prob = clamped(lambda x, y: 1.0 + x * y, [((0.4, 0.6), 2.0)])
+    u = DiscreteField(np.random.default_rng(0).standard_normal(space.num_dofs))
+    coeffs = space.stacked_c @ u.coefficients
+    assert not _jump_terms(space, coeffs).any()
+    got = residual_estimator(u, space, prob)
+    assert got.shape == (1,)
+    assert relative(got, level_oracle.residual_estimator(u, space, prob)) <= 1e-12
