@@ -193,6 +193,8 @@ def slopes(records, x_axis="h", k=3, fieldname="error_h2"):
     ("sqrt_dofs")."""
     if x_axis not in ("h", "sqrt_dofs"):
         raise ValueError("x_axis must be 'h' or 'sqrt_dofs', got %r" % (x_axis,))
+    if k < 2:
+        raise ValueError("k must be at least 2 to fit a slope, got %r" % (k,))
     xs, ys = [], []
     for rec in records:
         y = getattr(rec, fieldname)

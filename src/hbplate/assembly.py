@@ -128,6 +128,8 @@ class GeometryMap:
 
     @classmethod
     def spline(cls, kv, control):
+        if kv.domain != (0.0, 1.0):
+            raise GeometryError("spline map knot vector spans %s, not (0.0, 1.0)" % (kv.domain,))
         control = np.asarray(control, dtype=float)
         n = kv.num_basis
         if control.shape != (n, n, 2):
@@ -332,12 +334,12 @@ def _rule_on_cells(space, at, rule):
     on the active cells at (positions in ``space.active_cells``), each at
     its own size h. A direction with several nodes scales its weights by h;
     a direction with one node is a trace and keeps its weight."""
-    view, a = space.active_cells, space.mesh.interval[0]
+    view = space.active_cells
     (xn, xw), (yn, yw) = rule
     cells, h = view.cells[at], view.h[at, None]
     pts = np.empty((len(at), xn.size, yn.size, 2))
-    pts[..., 0] = (a + (cells[:, 0, None] + xn) * h)[:, :, None]
-    pts[..., 1] = (a + (cells[:, 1, None] + yn) * h)[:, None, :]
+    pts[..., 0] = ((cells[:, 0, None] + xn) * h)[:, :, None]
+    pts[..., 1] = ((cells[:, 1, None] + yn) * h)[:, None, :]
     scale = (h if xn.size > 1 else 1.0) * (h if yn.size > 1 else 1.0)
     return pts.reshape(len(at), xn.size * yn.size, 2), np.outer(xw, yw).ravel() * scale
 
@@ -885,11 +887,8 @@ def _fit_side(space, geo, side, kind, data, constraints):
         w = np.sqrt(wts)
         chunks.append((view.local[at], rows * w[:, None, :], (target * w).ravel()))
     b = np.concatenate([c[2] for c in chunks])
-    scale = np.abs(b).max() if b.size else 0.0
-    # vanishing data need no least-squares matrix
-    if scale <= 1e-14:
-        values = np.zeros(unknowns.size)
-    else:
+    values = np.zeros(unknowns.size)
+    if b.any():  # only exactly vanishing data need no least-squares matrix
         a = _fit_matrix(chunks, ct.shape[1]) @ ct[unknowns].T
         values = _least_squares(a, b, "%s fit on side %r" % (kind, side))
     constraints.update(zip(unknowns.tolist(), values.tolist()))
@@ -946,9 +945,8 @@ def apply_dirichlet(system, space, problem, geo=None):
     geo = geo or GeometryMap.identity()
     constraints = {}
     w_data = {s: _as_fn(d) for s, d in problem.dirichlet_w.items()}
-    a, b = space.mesh.interval
-    corners = {("left", "bottom"): (a, a), ("bottom", "right"): (b, a),
-               ("right", "top"): (b, b), ("top", "left"): (a, b)}
+    corners = {("left", "bottom"): (0.0, 0.0), ("bottom", "right"): (1.0, 0.0),
+               ("right", "top"): (1.0, 1.0), ("top", "left"): (0.0, 1.0)}
     for (s1, s2), pt in corners.items():
         if s1 in w_data and s2 in w_data:
             xy = geo.map_points([pt])
@@ -1033,20 +1031,26 @@ def _refined_solution(solver, a, b, dofs):
     :class:`_TensorPCG`) and check the result; dofs are the global dof
     numbers of the unknowns, for the error message.
 
-    Steps of iterative refinement against the solver are taken while the
-    residual |b - a x| exceeds 1e-12 |b| and falls, at most 8 of them. The
-    result is accepted when its residual is within 1e-10 |b|, or within the
-    floor 100 eps (|a| |x| + |b|) below which a double-precision residual
-    cannot be measured, with |a| the largest absolute row sum; the floor
-    counts only while the growth |a| |x| / |b| stays within 1e13, as in a
-    regular solve. A non-finite or unaccepted x raises SolverError, which
-    names the dof of the largest residual entry.
+    The result is accepted when its residual |b - a x| is within 1e-10 |b|
+    or within the floor 100 eps (|a| |x| + |b|), |a| the largest absolute
+    row sum, below which a double-precision residual cannot be measured;
+    the floor counts only while the growth |a| |x| / |b| stays within 1e13,
+    as in a regular solve. Steps of iterative refinement against the solver
+    are taken while the residual exceeds 1e-12 |b| and the floor and falls,
+    at most 8. A non-finite or unaccepted x raises SolverError, which names
+    the dof of the largest residual entry.
     """
-    x = solver.solve(b)
     scale = np.linalg.norm(b)
+    anorm = np.abs(a).sum(axis=1).max() if a.nnz else 0.0
+
+    def floor(x):
+        ax = anorm * np.linalg.norm(x)
+        return 100.0 * np.finfo(float).eps * (ax + scale) if ax <= 1e13 * scale else 0.0
+
+    x = solver.solve(b)
     resid = np.linalg.norm(b - a @ x)
     for _ in range(8):
-        if resid <= 1e-12 * max(scale, 1e-300):
+        if resid <= max(1e-12 * max(scale, 1e-300), floor(x)):
             break
         better = x + solver.solve(b - a @ x)
         resid_better = np.linalg.norm(b - a @ better)
@@ -1055,10 +1059,8 @@ def _refined_solution(solver, a, b, dofs):
         x, resid = better, resid_better
     if not np.all(np.isfinite(x)):
         raise SolverError("solver produced non-finite values (n=%d)" % b.size)
-    anorm = np.abs(a).sum(axis=1).max() if a.nnz else 0.0
     growth = anorm * np.linalg.norm(x) / scale if scale > 0.0 else 0.0
-    floor = 100.0 * np.finfo(float).eps * (anorm * np.linalg.norm(x) + scale)
-    if scale > 0.0 and resid > max(1e-10 * scale, floor if growth <= 1e13 else 0.0):
+    if scale > 0.0 and resid > max(1e-10 * scale, floor(x)):
         raise SolverError(
             "relative residual %.3e exceeds 1e-10 (n=%d, growth %.1e); largest entry at dof %d"
             % (resid / scale, b.size, growth, dofs[np.abs(b - a @ x).argmax()]))

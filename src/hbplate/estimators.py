@@ -17,11 +17,11 @@ spline map. The blocks come from one sweep over the active cells of all
 levels and the union of the groups' bubbles; each group's block is a
 selection from it.
 
-A classical strong-residual estimator with interior and edge-jump terms is
-provided for comparison; it needs fourth derivatives of the discrete
-solution and a regularized representation of point loads. Its interior
-terms come from one pass over the active cells of all levels, its
-interior-edge jumps from one lookup per level over all active cells.
+A classical strong-residual estimator is provided for comparison; it needs
+fourth derivatives of u_h and a regularized representation of point loads.
+Its interior terms come from one pass over the active cells of all levels,
+its one edge jump, of the third normal derivative, from one lookup per
+level over all active cells.
 """
 
 from __future__ import annotations
@@ -250,7 +250,7 @@ def assemble_blocks(bubbles, u_h, space, geo, problem):
         # each load's point on its cell's reference square, by direction
         h = view.h[on, None]
         bx, by = (tabulate_in_span(bernstein_knots(q), np.clip(t, 0.0, 1.0), q, 0)[0]
-                  for t in ((pts - (mesh.interval[0] + view.cells[on] * h)) / h).T)
+                  for t in ((pts - view.cells[on] * h) / h).T)
         ii, jj = np.array(union).T
         np.add.at(r, on, (np.array([m for _, m in loads]) * bx[ii] * by[jj]).T)
     index = {pair: k for k, pair in enumerate(union)}
@@ -364,25 +364,21 @@ def _edge_pieces(space, side):
 
 def _jump_terms(space, coeffs):
     """Edge terms of the strong-residual indicators by active cell, for
-    the field with coefficients coeffs = C u: half of the squared jumps of
-    lap(u_h) (weight h) and of its normal derivative (weight h^3) on the
-    pieces of :func:`_edge_pieces`, at the edge rule of f, from one-sided
-    limits on f and on c. Each piece goes to f, and to c when c is coarser.
+    the field with coefficients coeffs = C u: half of the squared jump of
+    its third normal derivative (weight h^3), the only jump a C^(p-1) field
+    has (and zero up to rounding for p >= 4), on the pieces of
+    :func:`_edge_pieces`, at the edge rule of f, from one-sided limits on f
+    and on c. Each piece goes to f, and to c when c is coarser.
     """
     view, p = space.active_cells, space.degree
     w1, out = _gauss01(p + 2)[1], np.zeros(len(view.cells))
     for side in SIDES:
         f, c = _edge_pieces(space, side)
-        pts = _rule_on_cells(space, f, _edge_rule(p, side))[0]
-        nq = pts.shape[1]
-        # the Laplacian and its derivative across the edge, on f and on c
-        pairs = (((2, 0), (0, 2)),
-                 ((3, 0), (1, 2)) if side in ("left", "right") else ((0, 3), (2, 1)))
-        on_f, on_c = (_point_ders(space, cells.repeat(nq), pts.reshape(-1, 2), coeffs,
-                                  pairs[0] + pairs[1]) for cells in (f, c))
-        jl, jn = ((on_f[a] + on_f[b] - (on_c[a] + on_c[b])).reshape(-1, nq) for a, b in pairs)
-        he = view.h[f]
-        term = 0.5 * he**2 * ((jl**2 + he[:, None]**2 * jn**2) @ w1)
+        pts = _rule_on_cells(space, f, _edge_rule(p, side))[0].reshape(-1, 2)
+        normal = (3, 0) if side in ("left", "right") else (0, 3)
+        on_f, on_c = (_point_ders(space, cells.repeat(w1.size), pts, coeffs, (normal,))[normal]
+                      for cells in (f, c))
+        term = 0.5 * view.h[f]**4 * ((on_f - on_c).reshape(-1, w1.size) ** 2 @ w1)
         coarser = view.level[c] < view.level[f]
         out += np.bincount(f, term, out.size) + np.bincount(c[coarser], term[coarser], out.size)
     return out
@@ -399,12 +395,12 @@ def residual_estimator(u_h, space, problem, geo=None):
     geo = geo or GeometryMap.identity()
     if not geo.is_identity:
         raise ValueError("the strong-residual estimator supports the identity geometry only")
-    mesh, view = space.mesh, space.active_cells
+    view = space.active_cells
     coeffs = space.stacked_c @ u_h.coefficients
     gfun = _as_fn(problem.g)
     d_const = problem.stiffness
-    loads = [_gaussian_load(pt, magnitude, mesh.h(mesh.locate(*pt).level) / 4.0)
-             for pt, magnitude in problem.point_loads]
+    width = view.h[_locate(space, [pt for pt, _ in problem.point_loads])] / 4.0
+    loads = [_gaussian_load(pt, m, sigma) for (pt, m), sigma in zip(problem.point_loads, width)]
     interior = []
     for at, d, wts, pts in _field_chunks(space, np.arange(len(view.cells)), coeffs,
                                          ((4, 0), (2, 2), (0, 4))):

@@ -2,9 +2,10 @@
 
 A mesh is a stack of tensor grids, one per level, where each level doubles
 the resolution of the previous one. The active cells of all levels form a
-disjoint partition of the parametric square. The active basis keeps, per
-level, the tensor B-splines whose support meets active cells of that level
-but no active cell of any coarser level.
+disjoint partition of the parametric unit square, which only a geometry
+map carries to the plate. The active basis keeps, per level, the tensor
+B-splines whose support meets active cells of that level but no active
+cell of any coarser level.
 
 Mesh and basis store their active cells and functions the same way: per
 level, the sorted int64 keys ``ix << 32 | iy``. Every query goes through
@@ -88,7 +89,7 @@ def _find(keys, want, base=0):
 
 
 class HierarchicalMesh:
-    """Multi-level dyadic mesh over a square parametric domain.
+    """Multi-level dyadic mesh over the parametric unit square.
 
     Each level holds its knot vector and the sorted keys of its active
     cells; refinement never mutates a mesh in place, and refined meshes
@@ -96,7 +97,7 @@ class HierarchicalMesh:
     mesh they came from.
     """
 
-    def __init__(self, n0, p, interval=(0.0, 1.0), max_level=20):
+    def __init__(self, n0, p, max_level=20):
         if n0 < 1:
             raise ValueError("n0 must be at least 1, got %d" % n0)
         if p < 3:
@@ -104,10 +105,9 @@ class HierarchicalMesh:
                 "hierarchical plate spaces need degree >= 3, got %d" % p)
         self.n0 = int(n0)
         self.p = int(p)
-        self.interval = (float(interval[0]), float(interval[1]))
         self.max_level = int(max_level)
         ix, iy = np.divmod(np.arange(self.n0 * self.n0), self.n0)
-        self._kvs = [make_open_uniform(self.n0, self.p, self.interval)]
+        self._kvs = [make_open_uniform(self.n0, self.p)]
         self._keys = [_keys(ix, iy)]
 
     @property
@@ -121,8 +121,7 @@ class HierarchicalMesh:
         return self.n0 << level
 
     def h(self, level):
-        a, b = self.interval
-        return (b - a) / (self.n0 * 2**level)
+        return 1.0 / (self.n0 * 2**level)
 
     def cells(self, level):
         """Active cells of one level as an (E, 2) int64 array of (ix, iy),
@@ -153,9 +152,8 @@ class HierarchicalMesh:
         return sum(keys.size for keys in self._keys)
 
     def element_rect(self, e):
-        a, _ = self.interval
         h = self.h(e.level)
-        return (a + e.ix * h, a + e.iy * h, a + (e.ix + 1) * h, a + (e.iy + 1) * h)
+        return (e.ix * h, e.iy * h, (e.ix + 1) * h, (e.iy + 1) * h)
 
     def h_max(self):
         for l, keys in enumerate(self._keys):
@@ -168,15 +166,14 @@ class HierarchicalMesh:
 
     def locate(self, x, y):
         """Finest active element whose closed cell contains the point, to
-        1e-12 of the interval; of several on that level, the cell that
-        truncating the point's cell coordinates names comes first."""
-        a, b = self.interval
-        tol = 1e-12 * max(1.0, abs(a), abs(b))
-        if not (a - tol <= x <= b + tol and a - tol <= y <= b + tol):
+        1e-12; of several on that level, the cell that truncating the
+        point's cell coordinates names comes first."""
+        tol = 1e-12
+        if not (-tol <= x <= 1.0 + tol and -tol <= y <= 1.0 + tol):
             raise ValueError("point (%r, %r) outside the parametric domain" % (x, y))
         for l in range(self.num_levels - 1, -1, -1):
             h, nel = self.h(l), self.n_elements_1d(l)
-            cx, cy = ([min(int((t - a + d) / h), nel - 1) for d in (0.0, -tol, tol)]
+            cx, cy = ([min(int((t + d) / h), nel - 1) for d in (0.0, -tol, tol)]
                       for t in (x, y))
             hit = np.flatnonzero(self.cell_index(l, np.array(cx)[:, None], cy) >= 0)
             if hit.size:
@@ -216,9 +213,9 @@ class HierarchicalBasis:
         return _find(self._keys[lo:hi], _keys(ix, iy), lo)
 
 
-def init(n0, p, interval=(0.0, 1.0), max_level=20):
+def init(n0, p, max_level=20):
     """Fresh single-level space: all coarse elements and functions active."""
-    mesh = HierarchicalMesh(n0, p, interval, max_level)
+    mesh = HierarchicalMesh(n0, p, max_level)
     return mesh, rebuild_basis(mesh)
 
 
@@ -448,8 +445,8 @@ class HierarchicalSpace:
         self.basis = basis if basis is not None else rebuild_basis(mesh)
 
     @classmethod
-    def create(cls, n0, p, interval=(0.0, 1.0), max_level=20):
-        return cls(HierarchicalMesh(n0, p, interval, max_level))
+    def create(cls, n0, p, max_level=20):
+        return cls(HierarchicalMesh(n0, p, max_level))
 
     @property
     def degree(self):

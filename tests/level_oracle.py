@@ -59,9 +59,9 @@ def level_ops(space):
 
 def rule_on_cells(mesh, level, cells, rule):
     (xn, xw), (yn, yw) = rule
-    h, a = mesh.h(level), mesh.interval[0]
-    xs = a + (cells[:, 0, None] + xn) * h
-    ys = a + (cells[:, 1, None] + yn) * h
+    h = mesh.h(level)
+    xs = (cells[:, 0, None] + xn) * h
+    ys = (cells[:, 1, None] + yn) * h
     pts = np.stack([np.repeat(xs, yn.size, axis=1), np.tile(ys, xn.size)], axis=-1)
     scale = (h if xn.size > 1 else 1.0) * (h if yn.size > 1 else 1.0)
     return pts, np.outer(xw, yw).ravel() * scale
@@ -394,7 +394,7 @@ def assemble_blocks(bubbles, u_h, space, geo, problem):
                                             problem, geo)
         on = np.flatnonzero(owners[:, 0] == level)
         if on.size:
-            corner = mesh.interval[0] + owners[on, 1:] * h
+            corner = owners[on, 1:] * h
             bx, by = (tabulate_in_span(bernstein_knots(q), np.clip(t, 0.0, 1.0), q, 0)[0]
                       for t in ((np.array([loads[i][0] for i in on]) - corner) / h).T)
             ii, jj = np.array(union).T

@@ -128,6 +128,13 @@ class TestSlopes:
             with pytest.raises(ValueError, match="x_axis must be 'h' or 'sqrt_dofs', got"):
                 slopes(recs, axis)
 
+    @pytest.mark.parametrize("k", [1, 0, -1])
+    def test_fewer_than_two_records_to_fit_is_rejected(self, k):
+        recs = [IterationRecord(i, 10 * 4**i, 0, h_max=2.0**-i, error_h2=(2.0**-i) ** 2)
+                for i in range(5)]
+        with pytest.raises(ValueError, match="k must be at least 2 to fit a slope, got %d" % k):
+            slopes(recs, k=k)
+
     def test_eta_field_selectable(self):
         recs = [IterationRecord(i, 10, 0, h_max=2.0**-i, error_h2=math.nan,
                                 eta_total=(2.0**-i) ** 3) for i in range(4)]

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 import hbplate.assembly
 from hbplate.assembly import (
@@ -31,6 +32,7 @@ from hbplate.assembly import (
     _gauss01,
     _graded_rule,
 )
+from hbplate.benchmarks import benchmark_singular
 from hbplate.hierarchy import ElementId, HierarchicalSpace, check_admissible, connectivity
 from hbplate.splines import eval_ders, make_open_uniform, tabulate_in_span
 from pushforward import pushforward2
@@ -250,6 +252,13 @@ class TestGeometryErrors:
             with pytest.raises(GeometryError, match=r"level 1, cell \(2, 2\)"):
                 assemble(space, geo, prob)
 
+    @pytest.mark.parametrize("domain", [(0.0, 2.0), (0.0, 0.5)])
+    def test_spline_map_off_the_unit_square_names_its_domain(self, domain):
+        kv = make_open_uniform(2, 3, domain)
+        control = np.zeros((kv.num_basis, kv.num_basis, 2))
+        with pytest.raises(GeometryError, match=r"spans \(0\.0, %s\)" % domain[1]):
+            GeometryMap.spline(kv, control)
+
 
 class TestStiffness:
     def test_symmetry(self):
@@ -362,7 +371,6 @@ class TestLevelBatchKernel:
             for k in range(2 * (p + 2)):
                 assert np.sum(xw * xn ** k) == pytest.approx(1.0 / (k + 1), rel=1e-13)
         rules["graded corner"] = (corner, corner, 2)
-        a = mesh.interval[0]
         c = space.stacked_ct.T.toarray()
         mixed, levels = 0, []
         for name, (rule, ((xn, xw), (yn, yw)), dims) in rules.items():
@@ -373,7 +381,7 @@ class TestLevelBatchKernel:
                 for r, k in enumerate(at.tolist()):
                     (ix, iy), level = view.cells[k].tolist(), int(view.level[k])
                     h = mesh.h(level)
-                    xs, ys = a + (ix + xn) * h, a + (iy + yn) * h
+                    xs, ys = (ix + xn) * h, (iy + yn) * h
                     np.testing.assert_array_equal(pts[r, :, 0], np.repeat(xs, yn.size))
                     np.testing.assert_array_equal(pts[r, :, 1], np.tile(ys, xn.size))
                     np.testing.assert_allclose(wts[r], np.outer(xw, yw).ravel() * h ** dims,
@@ -403,7 +411,7 @@ class TestLevelBatchKernel:
         # split the cells
         monkeypatch.setattr(hbplate.assembly, "_CHUNK_BYTES", 1 << 14)
         space = self.three_level_space(p)
-        mesh, a, view = space.mesh, space.mesh.interval[0], space.active_cells
+        mesh, view = space.mesh, space.active_cells
         rng = np.random.default_rng(p)
         coeff = rng.standard_normal(space.num_dofs)
         order = rng.permutation(mesh.n_active)
@@ -427,7 +435,7 @@ class TestLevelBatchKernel:
                 (ix, iy), level = view.cells[k].tolist(), int(view.level[k])
                 h = mesh.h(level)
                 e = ElementId(level, ix, iy)
-                dofs, tx, ty = oracle_tables(space, e, a + (ix + xn) * h, a + (iy + yn) * h, 4)
+                dofs, tx, ty = oracle_tables(space, e, (ix + xn) * h, (iy + yn) * h, 4)
                 for dx, dy in combos:
                     rows = (tx[:, dx, :, None] * ty[:, dy, None, :]).reshape(len(dofs), -1)
                     want[(dx, dy)].append(coeff[dofs] @ rows)
@@ -910,6 +918,22 @@ class TestDirichletLeastSquares:
         assert scale > 0.5
         assert max(abs(got[d] - want[d]) for d in want) <= 1e-10 * scale
 
+    @pytest.mark.parametrize("scale", [1e-14, 1e-15, 1e-16])
+    def test_small_data_are_fitted(self, scale):
+        # the singular problem's load, deflection and moment data times a
+        # small scale: u_h scales with them, up to rounding, and no side's
+        # deflection data are taken for zero
+        def scaled(f):
+            return lambda x, y: scale * f(x, y)
+        prob = benchmark_singular().problem
+        small = replace(prob, g=scaled(prob.g),
+                        dirichlet_w={s: scaled(f) for s, f in prob.dirichlet_w.items()},
+                        neumann_M={s: scaled(f) for s, f in prob.neumann_M.items()})
+        space = HierarchicalSpace.create(4, 3).refined([ElementId(0, 0, 0)], 2)
+        u, u_small = (solve(apply_dirichlet(assemble_system(space, IDENTITY, pb), space, pb,
+                                            IDENTITY)).coefficients for pb in (prob, small))
+        assert np.abs(u_small - scale * u).max() <= 1e-14 * scale * np.abs(u).max()
+
     def test_rank_deficient_fit_names_the_side(self):
         a = sp.csr_matrix(np.array([[1.0, 1.0], [2.0, 2.0], [0.0, 0.0]]))
         with pytest.raises(BoundaryDataError, match="deflection fit on side 'top'"):
@@ -1028,6 +1052,23 @@ class TestSolve:
         assert resid > 1e-10 * np.linalg.norm(b)
         assert resid <= 100.0 * np.finfo(float).eps * (anorm * np.linalg.norm(x) + np.linalg.norm(b))
         assert anorm * np.linalg.norm(x) <= 1e13 * np.linalg.norm(b)
+
+    def test_refinement_stops_at_the_floor(self):
+        # Hilbert(12) again: the first solve's residual lies above 1e-12 |b|
+        # but within the floor, which no refinement step can go below
+        a = sp.csr_matrix(scipy.linalg.hilbert(12))
+        b = np.ones(12)
+        lu, calls = spla.splu(a.tocsc()), []
+
+        class Counted:
+            def solve(self, r):
+                calls.append(r)
+                return lu.solve(r)
+        x = hbplate.assembly._refined_solution(Counted(), a, b, np.arange(12))
+        floor = 100.0 * np.finfo(float).eps * (np.abs(a).sum(axis=1).max() * np.linalg.norm(x)
+                                                + np.linalg.norm(b))
+        assert 1e-12 * np.linalg.norm(b) < np.linalg.norm(b - a @ x) <= floor
+        assert len(calls) == 1
 
     def test_residual_at_the_floor_of_a_runaway_solution_is_rejected(self):
         # the same matrix on its eigenvector of least eigenvalue (~1e-16): the

@@ -432,9 +432,8 @@ def contains(rect, x, y):
 
 
 def on_domain_side(mesh, rect, side):
-    a, b = mesh.interval
-    coord, end = {"left": (rect[0], a), "right": (rect[2], b),
-                  "bottom": (rect[1], a), "top": (rect[3], b)}[side]
+    coord, end = {"left": (rect[0], 0.0), "right": (rect[2], 1.0),
+                  "bottom": (rect[1], 0.0), "top": (rect[3], 1.0)}[side]
     return abs(coord - end) <= TOL
 
 
@@ -594,8 +593,8 @@ class TestTwoScale:
                 np.testing.assert_array_equal(keys[local], want)
                 c = op.matrix.toarray()
                 # one random point inside each active cell of the level
-                h, a = mesh.h(level), mesh.interval[0]
-                pts = a + (cells + rng.uniform(0.05, 0.95, cells.shape)) * h
+                h = mesh.h(level)
+                pts = (cells + rng.uniform(0.05, 0.95, cells.shape)) * h
                 tab = {(k, axis, der): all_ders(mesh.knots(k), pts[:, axis], der)
                        for k in range(level + 1) for axis in (0, 1) for der in (0, 1, 2)}
                 for dx, dy in ((0, 0), (2, 0), (1, 1), (0, 2)):
