@@ -22,7 +22,7 @@ from .assembly import (
     solve,
 )
 from .estimators import effectivity, estimate, residual_estimator
-from .hierarchy import ElementId, check_admissible
+from .hierarchy import _positions, check_admissible
 
 __all__ = [
     "MarkParams",
@@ -101,25 +101,21 @@ def mark_maximum(eta, params):
     return np.flatnonzero(eta > params.gamma * eta.max())
 
 
-_AROUND = np.array([(dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)])  # (0, 0) at 4
+_AROUND = np.array([(dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)])
 
 
-def expand_marks(mesh, marked):
-    """Marked set plus all active same-level neighbors of each element: one
-    lookup per level of the cells around all marked elements of the level."""
-    out = set(marked)
-    by_level = {}
-    for e in marked:
-        by_level.setdefault(e.level, []).append(e[1:])
-    for level, cells in by_level.items():
-        near = np.array(cells)[:, None] + _AROUND
-        found = (mesh.cell_index(level, near[..., 0], near[..., 1]) >= 0
-                 if level < mesh.num_levels else np.zeros(near.shape[:2], dtype=bool))
-        if not found[:, 4].all():
-            raise ValueError("element %s is not active"
-                             % (ElementId(level, *cells[found[:, 4].argmin()]),))
-        out.update(ElementId(level, i, j) for i, j in near[found].tolist())
-    return out
+def expand_marks(space, marked):
+    """The marked cells, positions in ``space.active_cells``, and all their
+    active same-level neighbors, as sorted int64 positions: one lookup per
+    level of the cells around all marked cells of the level."""
+    view = space.active_cells
+    marked = _positions(marked, len(view.level))
+    levels, out = view.level[marked], [marked]
+    for level in np.unique(levels).tolist():
+        near = view.cells[marked[levels == level]][:, None] + _AROUND
+        found = space.mesh.cell_index(level, near[..., 0], near[..., 1])
+        out.append(found[found >= 0] + view.start[level])
+    return np.unique(np.concatenate(out))
 
 
 def run(problem, space, config, geo=None, exact_hessian=None, qoi_point=None,
@@ -165,16 +161,14 @@ def run(problem, space, config, geo=None, exact_hessian=None, qoi_point=None,
         if it + 1 >= config.max_iterations:
             break
         if config.mode == "uniform":
-            marked = space.mesh.active_elements()
+            marked = np.arange(space.mesh.n_active)
         else:
             energy = math.sqrt(max(float(
                 u_h.coefficients @ (system.matrix @ u_h.coefficients)), 0.0))
             if eta_total <= 1e-12 * max(energy, 1e-30):
                 break  # indicators vanish at solver precision: converged
-            marked = mark_maximum(eta, MarkParams(config.gamma))
-            if not marked.size:
-                break
-            marked = expand_marks(space.mesh, space.mesh.active_elements(marked))
+            # eta_total > 0 above, so the largest indicator is marked
+            marked = expand_marks(space, mark_maximum(eta, MarkParams(config.gamma)))
         refined = space.refined(marked, m)
         if config.validate and not check_admissible(refined.mesh, m, refined.basis):
             raise AssertionError("refinement broke admissibility class %d" % m)

@@ -138,14 +138,10 @@ class HierarchicalMesh:
     def is_active(self, e):
         return e.level < self.num_levels and bool(self.cell_index(e.level, e.ix, e.iy) >= 0)
 
-    def active_elements(self, at=None):
-        """Active elements, sorted by (level, ix, iy): all of them, or those
-        at the positions `at` of that order."""
-        keys = np.concatenate(self._keys)
-        at = np.arange(keys.size) if at is None else np.asarray(at, dtype=np.int64)
-        levels = np.searchsorted(np.cumsum([k.size for k in self._keys]), at, side="right")
-        return list(map(ElementId._make, zip(
-            levels.tolist(), (keys[at] >> 32).tolist(), (keys[at] & _LOW).tolist())))
+    def active_elements(self):
+        """Active elements, sorted by (level, ix, iy): a cell's position here
+        is its number in the indicators, the marks and :func:`refine`."""
+        return [ElementId(l, *c) for l in range(self.num_levels) for c in self.cells(l).tolist()]
 
     @property
     def n_active(self):
@@ -255,8 +251,21 @@ def _coarsen(keys, shift=1):
     return np.unique(_keys((keys >> 32) >> shift, (keys & _LOW) >> shift))
 
 
+def _positions(marked, n_active):
+    """The positions `marked` as int64; ValueError for anything but a 1-D
+    integer array, and for the first position outside [0, n_active)."""
+    marked = np.asarray(marked)
+    if marked.ndim != 1 or (marked.size and marked.dtype.kind not in "iu"):
+        raise ValueError("marks must be 1-D integers, got %s %s" % (marked.dtype, marked.shape))
+    bad = np.flatnonzero((marked < 0) | (marked >= n_active))
+    if bad.size:
+        raise ValueError("marked position %d is outside [0, %d)" % (marked[bad[0]], n_active))
+    return marked.astype(np.int64)
+
+
 def refine(mesh, marked, m):
-    """Subdivide the marked elements, closing the mesh to admissibility class m.
+    """Subdivide the marked elements, positions in ``mesh.active_elements()``
+    (any order, repeats allowed), closing the mesh to admissibility class m.
 
     Splitting a level-l element requires every cell of level l - m + 1 in
     its support extension (the box of p cells on each side of its ancestor
@@ -271,15 +280,9 @@ def refine(mesh, marked, m):
     """
     if m < 2:
         raise ValueError("admissibility class must be at least 2, got %d" % m)
-    marks = np.array([tuple(e) for e in marked], dtype=np.int64).reshape(-1, 3)
-    marks = marks[np.lexsort(marks.T[::-1])]
-    active = np.zeros(len(marks), dtype=bool)
-    for l in range(mesh.num_levels):
-        on = marks[:, 0] == l
-        active[on] = mesh.cell_index(l, marks[on, 1], marks[on, 2]) >= 0
-    if not active.all():
-        raise ValueError("marked element %s is not active"
-                         % (ElementId(*marks[active.argmin()].tolist()),))
+    marked = _positions(marked, mesh.n_active)
+    marks = np.concatenate(mesh._keys)[marked]
+    marks_level = np.searchsorted(np.cumsum([k.size for k in mesh._keys]), marked, side="right")
     levels, empty = mesh.num_levels, np.empty(0, dtype=np.int64)
     # covered[l]: the level-l cells that finer active cells already cover
     covered = [empty] * levels
@@ -289,9 +292,8 @@ def refine(mesh, marked, m):
     split = [empty] * (levels + 1)
     box = np.arange(-mesh.p, mesh.p + 1)
     for l in range(levels - 1, -1, -1):
-        own = marks[marks[:, 0] == l]
         split[l] = np.unique(np.concatenate(
-            [covered[l], _keys(own[:, 1], own[:, 2]), _coarsen(split[l + 1]), *asked[l]]))
+            [covered[l], marks[marks_level == l], _coarsen(split[l + 1]), *asked[l]]))
         new = split[l][_find(covered[l], split[l]) < 0]
         if new.size and l >= mesh.max_level:
             raise RefinementLimitError(
@@ -493,4 +495,5 @@ class HierarchicalSpace:
         return view, ct, ct.T
 
     def refined(self, marked, m):
+        """The space on ``refine(self.mesh, marked, m)``, marked in :attr:`active_cells`."""
         return HierarchicalSpace(refine(self.mesh, marked, m))

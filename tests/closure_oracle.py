@@ -2,7 +2,8 @@
 the program's one-sweep :func:`hbplate.hierarchy.refine` against: a working
 copy of the mesh on Python sets, split one cell at a time, where every
 split first splits the active cells of its support extension on the level
-m - 1 coarser, recursively."""
+m - 1 coarser, recursively. The reference takes elements (level, ix, iy);
+:func:`positions` names them as ``refine`` does."""
 
 import copy
 
@@ -10,6 +11,19 @@ import numpy as np
 
 from hbplate.hierarchy import ElementId, RefinementLimitError
 from hbplate.splines import dyadic_refine
+
+
+def positions(mesh, elements):
+    """Positions in ``mesh.active_elements()`` of the active elements
+    (level, ix, iy), the marks that ``refine`` takes: each cell's
+    ``cell_index`` on its level after the cells of the coarser levels."""
+    start = np.cumsum([0] + [len(mesh.cells(l)) for l in range(mesh.num_levels)])
+    out = []
+    for e in map(ElementId._make, elements):
+        k = int(mesh.cell_index(e.level, e.ix, e.iy)) if e.level < mesh.num_levels else -1
+        assert k >= 0, "element %s is not active" % (e,)
+        out.append(start[e.level] + k)
+    return np.array(out, dtype=np.int64)
 
 
 class _Draft:

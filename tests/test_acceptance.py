@@ -211,7 +211,7 @@ def test_criterion_6_structural_invariants():
             active = mesh.active_elements()
             k = int(rng.integers(1, min(4, len(active)) + 1))
             picks = rng.choice(len(active), size=k, replace=False)
-            mesh = refine(mesh, [active[i] for i in picks], m=int(rng.integers(2, 4)))
+            mesh = refine(mesh, picks, m=int(rng.integers(2, 4)))
             worst = max(worst, abs(mesh.area_covered() - 1.0))
             ops += 1
     ok &= report("6 area partition after 200 refines", worst <= 1e-12, "worst=%.2e" % worst)
@@ -252,7 +252,7 @@ def test_criterion_6_structural_invariants():
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
     space = HierarchicalSpace.create(3, 3)
-    space = space.refined([ElementId(0, 0, 0), ElementId(0, 2, 2)], m=2)
+    space = space.refined([0, 8], m=2)
     prob = smooth.problem
     system = apply_dirichlet(assemble_system(space, IDENTITY, prob), space, prob)
     u = solve(system)

@@ -13,7 +13,9 @@ from hbplate.adaptivity import (
     slopes,
 )
 from hbplate.benchmarks import benchmark_smooth, benchmark_spline_exact
-from hbplate.hierarchy import ElementId, HierarchicalSpace, init, neighbors
+from hbplate.hierarchy import ElementId, HierarchicalSpace, neighbors
+
+from closure_oracle import positions
 
 
 class TestMarkMaximum:
@@ -60,25 +62,27 @@ class TestMarkMaximum:
 
 class TestExpandMarks:
     def test_interior_mark_grows_to_nine(self):
-        mesh, _ = init(4, 3)
-        marked = expand_marks(mesh, {ElementId(0, 1, 1)})
+        space = HierarchicalSpace.create(4, 3)
+        marked = expand_marks(space, positions(space.mesh, [ElementId(0, 1, 1)]))
+        assert marked.dtype == np.int64 and marked.tolist() == sorted(set(marked.tolist()))
         assert len(marked) == 9
 
     def test_corner_mark_grows_to_four(self):
-        mesh, _ = init(4, 3)
-        marked = expand_marks(mesh, {ElementId(0, 0, 0)})
+        space = HierarchicalSpace.create(4, 3)
+        marked = expand_marks(space, positions(space.mesh, [ElementId(0, 0, 0)]))
         assert len(marked) == 4
 
     def test_adjacent_marks_union_without_duplicates(self):
-        mesh, _ = init(4, 3)
-        marked = expand_marks(mesh, {ElementId(0, 1, 1), ElementId(0, 2, 1)})
-        assert marked == (expand_marks(mesh, {ElementId(0, 1, 1)})
-                          | expand_marks(mesh, {ElementId(0, 2, 1)}))
+        space = HierarchicalSpace.create(4, 3)
+        a, b = positions(space.mesh, [ElementId(0, 1, 1), ElementId(0, 2, 1)])
+        marked = expand_marks(space, [a, b])
+        assert np.array_equal(marked, np.union1d(expand_marks(space, [a]),
+                                                 expand_marks(space, [b])))
 
     def test_superset_of_input(self):
-        mesh, _ = init(3, 3)
-        inp = {ElementId(0, 0, 0), ElementId(0, 2, 2)}
-        assert inp <= expand_marks(mesh, inp)
+        space = HierarchicalSpace.create(3, 3)
+        inp = positions(space.mesh, [ElementId(0, 0, 0), ElementId(0, 2, 2)])
+        assert np.isin(inp, expand_marks(space, inp)).all()
 
     @pytest.mark.parametrize("p", [3, 4])
     def test_matches_the_union_of_neighbors_on_adaptive_meshes(self, p):
@@ -88,20 +92,23 @@ class TestExpandMarks:
         for _ in range(4):
             active = space.mesh.active_elements()
             picks = rng.choice(len(active), size=max(1, len(active) // 6), replace=False)
-            space = space.refined([active[i] for i in picks], p - 1)
+            space = space.refined(picks, p - 1)
         mesh = space.mesh
         assert mesh.num_levels >= 4
         active = mesh.active_elements()
         for size in (1, len(active) // 10, len(active) // 3, len(active)):
-            marked = {active[i] for i in rng.choice(len(active), size=size, replace=False)}
-            want = set(marked).union(*(neighbors(mesh, e) for e in marked))
-            assert expand_marks(mesh, marked) == want
+            marked = rng.choice(len(active), size=size, replace=False)
+            want = {active[k] for k in marked}.union(*(neighbors(mesh, active[k]) for k in marked))
+            assert [active[k] for k in expand_marks(space, marked)] == sorted(want)
 
     def test_inactive_mark_is_rejected(self):
-        mesh, _ = init(4, 3)
-        for e in (ElementId(0, 4, 0), ElementId(1, 0, 0)):
-            with pytest.raises(ValueError, match="not active"):
-                expand_marks(mesh, {ElementId(0, 1, 1), e})
+        # a position names an active cell only inside [0, 16)
+        space = HierarchicalSpace.create(4, 3)
+        for bad in (-1, 16, 40):
+            with pytest.raises(ValueError, match=r"marked position %d is outside \[0, 16\)" % bad):
+                expand_marks(space, np.array([5, bad]))
+        with pytest.raises(ValueError, match="marks must be 1-D integers"):
+            expand_marks(space, np.array([5.0]))
 
 
 class TestSlopes:

@@ -33,6 +33,7 @@ from hbplate.benchmarks import benchmark_spline_exact
 from hbplate.assembly import DiscreteField
 from hbplate.hierarchy import ElementId, HierarchicalSpace, connectivity
 from hbplate.splines import eval_bernstein_ders, make_open_uniform, tabulate_in_span
+from closure_oracle import positions
 from pushforward import pushforward2
 
 IDENTITY = GeometryMap.identity()
@@ -208,7 +209,7 @@ class TestBlocks:
     def test_block_diagonal_equivalence_with_global_system(self):
         # oracle: assemble one global sparse system over all bubbles at once
         space = HierarchicalSpace.create(3, 3)
-        space = space.refined([ElementId(0, 0, 0)], m=2)
+        space = space.refined(positions(space.mesh, [ElementId(0, 0, 0)]), m=2)
         prob = smooth_problem()
         u = solve_problem(space, prob)
         bubbles = build_bubble_space(space.mesh, 3, natural_boundary_sides(prob))
@@ -316,7 +317,9 @@ class TestMappedDomain:
         # data n.H.n of benchmark_spline_exact stay exact on every side
         spec = benchmark_spline_exact()
         geo = GeometryMap.affine(np.diag([2.0, 0.5]), (-1.0, 0.25))
-        space = HierarchicalSpace.create(3, p).refined([ElementId(0, 0, 0), ElementId(0, 2, 1)], 2)
+        space = HierarchicalSpace.create(3, p)
+        space = space.refined(
+            positions(space.mesh, [ElementId(0, 0, 0), ElementId(0, 2, 1)]), 2)
         system = apply_dirichlet(assemble_system(space, geo, spec.problem), space, spec.problem,
                                  geo)
         u = solve(system)
@@ -438,7 +441,8 @@ class TestMappedBlocks:
                 ElementId(0, 2, 3), ElementId(0, 3, 3))
 
     def blocks(self, kind, p):
-        space = HierarchicalSpace.create(4, p).refined([ElementId(0, 1, 1)], 2)
+        space = HierarchicalSpace.create(4, p)
+        space = space.refined(positions(space.mesh, [ElementId(0, 1, 1)]), 2)
         prob = mapped_block_problem()
         u = DiscreteField(np.random.default_rng(p).standard_normal(space.num_dofs))
         geo = mapped_geometry(kind)
@@ -534,7 +538,8 @@ def side_data_problem(data):
 class TestVanishingData:
     @pytest.mark.parametrize("kind", ["identity", "spline"])
     def test_constant_zero_matches_a_zero_callable_without_quadrature(self, kind, monkeypatch):
-        space = HierarchicalSpace.create(3, 3).refined([ElementId(0, 0, 0)], 2)
+        space = HierarchicalSpace.create(3, 3)
+        space = space.refined(positions(space.mesh, [ElementId(0, 0, 0)]), 2)
         geo = mapped_geometry(kind)
         u = DiscreteField(np.random.default_rng(3).standard_normal(space.num_dofs))
         out = []
@@ -617,7 +622,8 @@ class TestResidualEstimator:
     def test_spline_exact_estimates_vanish(self):
         uniform = HierarchicalSpace.create(3, 3)
         # level interfaces: the two sides of a jump meet on part of an edge
-        graded = uniform.refined([ElementId(0, 1, 1)], 2).refined([ElementId(1, 2, 3)], 2)
+        graded = uniform.refined(positions(uniform.mesh, [ElementId(0, 1, 1)]), 2)
+        graded = graded.refined(positions(graded.mesh, [ElementId(1, 2, 3)]), 2)
         prob = spline_exact_problem()
         for space in (uniform, graded):
             u = solve_problem(space, prob)
@@ -651,7 +657,7 @@ class TestResidualEstimator:
     def test_jump_terms_present_on_level_interfaces(self):
         # a refined patch creates interior edges between levels
         space = HierarchicalSpace.create(2, 3)
-        space = space.refined([ElementId(0, 0, 0)], m=2)
+        space = space.refined(positions(space.mesh, [ElementId(0, 0, 0)]), m=2)
         prob = smooth_problem()
         u = solve_problem(space, prob)
         eta = residual_estimator(u, space, prob)

@@ -17,7 +17,7 @@ from hbplate.hierarchy import (
 )
 from hbplate.splines import eval_ders, find_span, tabulate_in_span
 
-from closure_oracle import refine_recursive
+from closure_oracle import positions, refine_recursive
 
 
 def overlap_area(a, b):
@@ -76,7 +76,7 @@ class TestRebuildBasis:
 
     def test_global_refinement_degenerates_to_fine_tensor_basis(self):
         mesh, basis = init(4, 3)
-        fine = refine(mesh, mesh.active_elements(), m=2)
+        fine = refine(mesh, np.arange(mesh.n_active), m=2)
         fb = rebuild_basis(fine)
         n1 = 2 * 4 + 3
         expected = {FunctionId(1, i, j) for i in range(n1) for j in range(n1)}
@@ -85,7 +85,7 @@ class TestRebuildBasis:
     def test_corner_block_refinement_against_brute_force(self):
         mesh, _ = init(4, 3)
         marked = [ElementId(0, 0, 0), ElementId(0, 1, 0), ElementId(0, 0, 1), ElementId(0, 1, 1)]
-        fine = refine(mesh, marked, m=2)
+        fine = refine(mesh, positions(mesh, marked), m=2)
         basis = rebuild_basis(fine)
         assert set(basis.active) == brute_force_active_functions(fine)
         # frozen counts from the oracle: 4 coarse corner functions deactivate,
@@ -103,21 +103,21 @@ class TestRebuildBasis:
                 active = mesh.active_elements()
                 k = rng.integers(1, max(2, len(active) // 4))
                 picks = rng.choice(len(active), size=k, replace=False)
-                mesh = refine(mesh, [active[i] for i in picks], m=2)
+                mesh = refine(mesh, picks, m=2)
             basis = rebuild_basis(mesh)
             assert set(basis.active) == brute_force_active_functions(mesh)
 
     def test_dof_numbering_is_dense_and_ordered(self):
         mesh, _ = init(4, 3)
-        fine = refine(mesh, [ElementId(0, 2, 2)], m=2)
+        fine = refine(mesh, positions(mesh, [ElementId(0, 2, 2)]), m=2)
         basis = rebuild_basis(fine)
         assert [int(basis.level_dofs(*f)) for f in basis.active] == list(range(basis.num_dofs))
         assert list(basis.active) == sorted(basis.active)
 
     def test_linear_independence_on_fine_sample_grid(self):
         mesh, _ = init(2, 3)
-        mesh = refine(mesh, [ElementId(0, 0, 0)], m=2)
-        mesh = refine(mesh, [ElementId(1, 0, 0)], m=2)
+        mesh = refine(mesh, positions(mesh, [ElementId(0, 0, 0)]), m=2)
+        mesh = refine(mesh, positions(mesh, [ElementId(1, 0, 0)]), m=2)
         basis = rebuild_basis(mesh)
         xs = np.linspace(0.0, 1.0, 40)
         cols = np.zeros((40 * 40, basis.num_dofs))
@@ -139,12 +139,12 @@ class TestRebuildBasis:
 class TestRefine:
     def test_mark_all_quadruples_element_count(self):
         mesh, _ = init(4, 3)
-        fine = refine(mesh, mesh.active_elements(), m=2)
+        fine = refine(mesh, np.arange(mesh.n_active), m=2)
         assert fine.n_active == 64
 
     def test_single_interior_mark_no_closure(self):
         mesh, _ = init(4, 3)
-        fine = refine(mesh, [ElementId(0, 1, 1)], m=2)
+        fine = refine(mesh, positions(mesh, [ElementId(0, 1, 1)]), m=2)
         assert fine.n_active == 15 + 4
         assert not fine.is_active(ElementId(0, 1, 1))
         for dx in (0, 1):
@@ -156,7 +156,7 @@ class TestRefine:
         for _ in range(4):
             corner = min(e for e in mesh.active_elements()
                          if e.level == max(q.level for q in mesh.active_elements()))
-            mesh = refine(mesh, [corner], m=2)
+            mesh = refine(mesh, positions(mesh, [corner]), m=2)
             assert check_admissible(mesh, 2)
 
     def test_partition_of_area_preserved(self):
@@ -165,31 +165,40 @@ class TestRefine:
         for _ in range(6):
             active = mesh.active_elements()
             picks = rng.choice(len(active), size=3, replace=False)
-            mesh = refine(mesh, [active[i] for i in picks], m=3)
+            mesh = refine(mesh, picks, m=3)
             assert abs(mesh.area_covered() - 1.0) <= 1e-12
 
     def test_refine_validates_marked(self):
         mesh, _ = init(4, 3)
+        fine = refine(mesh, np.array([5]), m=2)
+        # negative and past-the-end positions: the first of them is named
+        for n, coarse in ((16, mesh), (19, fine)):
+            for bad, named in (([3, -1], -1), ([n], n), ([0, n + 4, -2], n + 4)):
+                with pytest.raises(ValueError, match=r"marked position %d is outside \[0, %d\)"
+                                   % (named, n)):
+                    refine(coarse, np.array(bad), m=2)
+        assert refine(fine, np.array([18]), m=2).n_active > 19
+        for bad in (np.array([1.0, 2.0]), np.array([[0, 1, 1]]), np.array([True])):
+            with pytest.raises(ValueError, match="marks must be 1-D integers"):
+                refine(mesh, bad, m=2)
         with pytest.raises(ValueError):
-            refine(mesh, [ElementId(1, 0, 0)], m=2)
-        with pytest.raises(ValueError):
-            refine(mesh, [ElementId(0, 0, 0)], m=1)
+            refine(mesh, np.array([0]), m=1)
 
     def test_level_cap_refused_with_diagnostic(self):
         mesh, _ = init(1, 3, max_level=2)
         for _ in range(2):
             deepest = max(mesh.active_elements(), key=lambda e: e.level)
-            mesh = refine(mesh, [deepest], m=2)
+            mesh = refine(mesh, positions(mesh, [deepest]), m=2)
         deepest = max(mesh.active_elements(), key=lambda e: e.level)
         assert deepest.level == 2
         with pytest.raises(RefinementLimitError):
-            refine(mesh, [deepest], m=2)
+            refine(mesh, positions(mesh, [deepest]), m=2)
 
     def test_spanned_space_nestedness(self):
         # any coarse-space field is reproduced on the refined space
         rng = np.random.default_rng(9)
         mesh, basis = init(3, 3)
-        mesh2 = refine(mesh, [ElementId(0, 0, 0), ElementId(0, 2, 2)], m=2)
+        mesh2 = refine(mesh, positions(mesh, [ElementId(0, 0, 0), ElementId(0, 2, 2)]), m=2)
         basis2 = rebuild_basis(mesh2)
         xs = np.linspace(0, 1, 50)
         def sample_matrix(msh, bas):
@@ -221,10 +230,14 @@ def same_mesh(a, b):
 
 
 def random_marks(rng, mesh, most=6):
+    return rng.choice(mesh.n_active, size=int(rng.integers(1, min(most, mesh.n_active) + 1)),
+                      replace=False)
+
+
+def elements(mesh, marked):
+    """The elements at the positions `marked`, as the recursion takes them."""
     active = mesh.active_elements()
-    picks = rng.choice(len(active), size=int(rng.integers(1, min(most, len(active)) + 1)),
-                       replace=False)
-    return mesh.active_elements(np.sort(picks))
+    return [active[k] for k in marked]
 
 
 class TestClosureOracle:
@@ -240,7 +253,7 @@ class TestClosureOracle:
             for _ in range(int(rng.integers(2, 7))):
                 step_m = int(rng.integers(2, 6)) if m == "mixed" else m
                 marked = random_marks(rng, mesh)
-                want = refine_recursive(mesh, marked, step_m)
+                want = refine_recursive(mesh, elements(mesh, marked), step_m)
                 mesh = refine(mesh, marked, step_m)
                 assert same_mesh(mesh, want)
 
@@ -250,8 +263,8 @@ class TestClosureOracle:
         # level-1 cells, which only the parents of the finer splits split
         mesh, _ = init(4, 3)
         for l in range(4):
-            mesh = refine(mesh, [ElementId(l, 0, 0)], m=5)
-        fine = refine(mesh, [ElementId(4, 0, 0)], m=3)
+            mesh = refine(mesh, positions(mesh, [ElementId(l, 0, 0)]), m=5)
+        fine = refine(mesh, positions(mesh, [ElementId(4, 0, 0)]), m=3)
         assert same_mesh(fine, refine_recursive(mesh, [ElementId(4, 0, 0)], 3))
         assert abs(fine.area_covered() - 1.0) <= 1e-12
 
@@ -261,10 +274,12 @@ class TestClosureOracle:
         for m in (2, 3, 4):
             mesh, _ = init(2, p, max_level=3)
             for _ in range(6):
-                deepest = [e for e in mesh.active_elements() if e.level == mesh.num_levels - 1]
-                marked = random_marks(rng, mesh) + [deepest[int(rng.integers(len(deepest)))]]
+                deepest = [k for k, e in enumerate(mesh.active_elements())
+                           if e.level == mesh.num_levels - 1]
+                marked = np.append(random_marks(rng, mesh),
+                                   deepest[int(rng.integers(len(deepest)))])
                 try:
-                    want = refine_recursive(mesh, marked, m)
+                    want = refine_recursive(mesh, elements(mesh, marked), m)
                 except RefinementLimitError:
                     with pytest.raises(RefinementLimitError, match="maximum level 3"):
                         refine(mesh, marked, m)
@@ -274,29 +289,27 @@ class TestClosureOracle:
             else:
                 pytest.fail("the level cap was never reached")
 
-    def test_inactive_marks_as_the_recursion(self):
+    def test_marks_in_any_order_and_repeated_as_the_recursion(self):
+        rng = np.random.default_rng(5)
         mesh, _ = init(8, 3)
-        mesh = refine(mesh, [ElementId(0, 4, 4)], m=2)
-        mesh = refine(mesh, [ElementId(1, 8, 8)], m=2)
-        for bad in (ElementId(0, 4, 4), ElementId(1, 8, 8), ElementId(3, 0, 0),
-                    ElementId(0, 8, 0), ElementId(1, -1, 0)):
-            # the error names the first inactive mark in (level, ix, iy) order
-            marked = [ElementId(2, 16, 16), ElementId(5, 0, 0), bad, ElementId(0, 0, 0)]
-            with pytest.raises(ValueError) as want:
-                refine_recursive(mesh, marked, 2)
-            with pytest.raises(ValueError) as got:
-                refine(mesh, marked, 2)
-            assert str(got.value) == str(want.value) == "marked element %s is not active" % (bad,)
+        mesh = refine(mesh, positions(mesh, [ElementId(0, 4, 4)]), m=2)
+        mesh = refine(mesh, positions(mesh, [ElementId(1, 8, 8)]), m=2)
+        marked = rng.choice(mesh.n_active, size=6, replace=False)
+        want = refine_recursive(mesh, elements(mesh, marked), 2)
+        for order in (marked, marked[::-1], np.concatenate([marked, marked[:2]]),
+                      rng.permutation(np.repeat(marked, 2))):
+            assert same_mesh(refine(mesh, order, 2), want)
 
     def test_active_elements_at_positions(self):
         mesh, _ = init(2, 3)
-        mesh = refine(mesh, [ElementId(0, 1, 1), ElementId(0, 0, 0)], m=2)
-        mesh = refine(mesh, [ElementId(1, 2, 2)], m=2)
+        mesh = refine(mesh, positions(mesh, [ElementId(0, 1, 1), ElementId(0, 0, 0)]), m=2)
+        mesh = refine(mesh, positions(mesh, [ElementId(1, 2, 2)]), m=2)
         every = mesh.active_elements()
-        at = np.array([0, 1, len(every) - 5, len(every) - 1])
-        assert mesh.active_elements(at) == [every[k] for k in at.tolist()]
-        assert mesh.active_elements(np.arange(0)) == []
         assert every == sorted(every) and len(every) == mesh.n_active
+        assert np.array_equal(positions(mesh, every), np.arange(mesh.n_active))
+        # the mark k splits the element at position k
+        for k in (0, 1, len(every) - 5, len(every) - 1):
+            assert not refine(mesh, [k], m=2).is_active(every[k])
 
 
 class TestAdmissibility:
@@ -307,7 +320,7 @@ class TestAdmissibility:
 
     def test_two_level_single_refined_element(self):
         mesh, _ = init(4, 3)
-        fine = refine(mesh, [ElementId(0, 1, 1)], m=2)
+        fine = refine(mesh, positions(mesh, [ElementId(0, 1, 1)]), m=2)
         assert check_admissible(fine, 2)
 
     def test_adversarial_mesh_detected(self):
@@ -315,7 +328,7 @@ class TestAdmissibility:
         # levels, with no closure, is not of class 2
         mesh, _ = init(4, 3)
         for l in range(3):
-            mesh = refine(mesh, [ElementId(l, 0, 0)], m=4)
+            mesh = refine(mesh, positions(mesh, [ElementId(l, 0, 0)]), m=4)
         assert mesh.num_levels == 4 and mesh.n_active == 16 + 3 * 3
         assert not check_admissible(mesh, 2)
 
@@ -328,7 +341,7 @@ class TestAdmissibility:
                 active = mesh.active_elements()
                 k = int(rng.integers(1, min(4, len(active)) + 1))
                 picks = rng.choice(len(active), size=k, replace=False)
-                mesh = refine(mesh, [active[i] for i in picks], m=m)
+                mesh = refine(mesh, picks, m=m)
             assert check_admissible(mesh, m)
             assert abs(mesh.area_covered() - 1.0) <= 1e-12
 
@@ -344,7 +357,7 @@ class TestNeighbors:
 
     def test_refined_away_neighbors_not_listed(self):
         mesh, _ = init(4, 3)
-        fine = refine(mesh, [ElementId(0, 1, 1)], m=2)
+        fine = refine(mesh, positions(mesh, [ElementId(0, 1, 1)]), m=2)
         nb = neighbors(fine, ElementId(0, 2, 2))
         assert ElementId(0, 1, 1) not in nb
         assert nb == {e for e in nb if fine.is_active(e) and e.level == 0}
@@ -364,7 +377,7 @@ class TestConnectivity:
         for _ in range(4):
             active = mesh.active_elements()
             picks = rng.choice(len(active), size=2, replace=False)
-            mesh = refine(mesh, [active[i] for i in picks], m=m)
+            mesh = refine(mesh, picks, m=m)
         basis = rebuild_basis(mesh)
         p = mesh.p
         for e in mesh.active_elements():
@@ -376,7 +389,7 @@ class TestConnectivity:
 class TestDump:
     def test_format_and_partition(self):
         mesh, _ = init(2, 3)
-        mesh = refine(mesh, [ElementId(0, 0, 0)], m=2)
+        mesh = refine(mesh, positions(mesh, [ElementId(0, 0, 0)]), m=2)
         text = dump_mesh(mesh)
         lines = text.strip().split("\n")
         assert len(lines) == mesh.n_active
@@ -396,7 +409,7 @@ class TestSpace:
     def test_space_bundles_mesh_and_basis(self):
         space = HierarchicalSpace.create(4, 3)
         assert space.num_dofs == 49
-        refined = space.refined([ElementId(0, 0, 0)], m=2)
+        refined = space.refined(positions(space.mesh, [ElementId(0, 0, 0)]), m=2)
         assert refined.num_dofs > 49
         assert space.num_dofs == 49  # original untouched
 
@@ -417,7 +430,7 @@ def random_admissible_meshes(p, m, count=3):
             active = mesh.active_elements()
             k = int(rng.integers(1, max(2, len(active) // 3)))
             picks = rng.choice(len(active), size=k, replace=False)
-            mesh = refine(mesh, [active[i] for i in picks], m=m)
+            mesh = refine(mesh, picks, m=m)
         yield mesh
 
 

@@ -38,6 +38,7 @@ from hbplate.estimators import (
 )
 from hbplate.hierarchy import ElementId, HierarchicalSpace, check_admissible
 from hbplate.splines import make_open_uniform
+from closure_oracle import positions
 from test_hierarchy import random_admissible_meshes
 
 RTOL = 1e-13
@@ -59,9 +60,10 @@ def geometry(kind):
 
 def space_of(p):
     """A refined corner at the right and four levels along the left side."""
-    space = HierarchicalSpace.create(8, p).refined([ElementId(0, 7, 0)], 2)
+    space = HierarchicalSpace.create(8, p)
+    space = space.refined(positions(space.mesh, [ElementId(0, 7, 0)]), 2)
     for level in range(3):
-        space = space.refined([ElementId(level, 0, 4 << level)], 2)
+        space = space.refined(positions(space.mesh, [ElementId(level, 0, 4 << level)]), 2)
     mesh = space.mesh
     assert mesh.num_levels == 4 and check_admissible(mesh, 2, space.basis)
     assert all(len(mesh.cells(level)) for level in range(4))
@@ -202,11 +204,12 @@ def residual_cases():
     point = clamped(0.0, [((0.5, 0.5), -1.0)])
     space = HierarchicalSpace.create(4, 3)
     for _ in range(4):
-        space = space.refined([space.mesh.locate(0.5, 0.5)], 2)
+        space = space.refined(positions(space.mesh, [space.mesh.locate(0.5, 0.5)]), 2)
     yield "point load", space, point, solved(space, point)
     smooth = clamped(lambda x, y: 64.0 * np.pi**4 * np.sin(2 * np.pi * x) * np.sin(2 * np.pi * y))
-    space = HierarchicalSpace.create(3, 3).refined([ElementId(0, 1, 1)], 2).refined(
-        [ElementId(1, 2, 3)], 2)
+    space = HierarchicalSpace.create(3, 3)
+    space = space.refined(positions(space.mesh, [ElementId(0, 1, 1)]), 2)
+    space = space.refined(positions(space.mesh, [ElementId(1, 2, 3)]), 2)
     yield "graded", space, smooth, solved(space, smooth)
 
 
