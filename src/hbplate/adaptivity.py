@@ -114,7 +114,7 @@ def expand_marks(space, marked):
     for level in np.unique(levels).tolist():
         near = view.cells[marked[levels == level]][:, None] + _AROUND
         found = space.mesh.cell_index(level, near[..., 0], near[..., 1])
-        out.append(found[found >= 0] + view.start[level])
+        out.append(found[found >= 0])
     return np.unique(np.concatenate(out))
 
 

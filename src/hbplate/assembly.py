@@ -420,14 +420,6 @@ def _field_chunks(space, at, coeff, combos, rule=None):
                   for dx, dy in combos}, wts, pts
 
 
-def _locate(space, points):
-    """Positions in ``space.active_cells`` of the finest active cells that
-    hold the parametric points (:meth:`~hbplate.hierarchy.HierarchicalMesh.locate`)."""
-    mesh, start = space.mesh, space.active_cells.start
-    return np.array([start[e.level] + mesh.cell_index(e.level, e.ix, e.iy)
-                     for e in (mesh.locate(x, y) for x, y in points)], dtype=np.int64)
-
-
 def _point_tables(space, at, pts, max_der):
     """Tables (derivative, i, point) in x and in y of the levels' own
     B-splines at the parametric points pts (n, 2), each in the span of its
@@ -819,7 +811,7 @@ def assemble_load(space, geo, problem):
             _add_local(b, view.local[c], loc.reshape(len(loc), -1))
     if loads:
         pts = np.array([pt for pt, _ in loads], dtype=float)
-        at = _locate(space, pts.tolist())
+        at = space.mesh.locate(pts)
         tx, ty = _point_tables(space, at, pts, 0)
         loc = tx[0].T[:, :, None] * ty[0].T[:, None, :]
         _add_local(b, view.local[at],
@@ -1090,9 +1082,9 @@ def solve(system):
 
 
 def h2_seminorm_error(field, exact_hessian, space, geo=None):
-    """Energy-norm distance sqrt(int |H(u_h) - H_exact|_F^2) by element
-    quadrature, from the coefficients C u on the levels' own B-splines, in
-    one pass over the active cells of all levels."""
+    """H^2 seminorm sqrt(int |H(u_h) - H_exact|_F^2) of the error, in one pass
+    over the active cells of all levels: the plate energy norm only at D = 1,
+    nu = 0, though theta divides the energy-norm eta by it."""
     geo = geo or GeometryMap.identity()
     view, total = space.active_cells, 0.0
     for c, ders, wts, pts in _field_chunks(space, np.arange(len(view.cells)),
@@ -1116,7 +1108,7 @@ def evaluate(field, space, geo, points):
     geo = geo or GeometryMap.identity()
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     view = space.active_cells
-    at = _locate(space, pts.tolist())
+    at = space.mesh.locate(pts)
     d = _point_ders(space, at, pts, space.stacked_c @ field.coefficients, _ASSEMBLY_COMBOS)
     d = _transform_rows(geo, pts[:, None], {k: v[:, None, None] for k, v in d.items()},
                         np.ones((len(at), 1)), view.level[at], view.cells[at])[0]

@@ -10,7 +10,7 @@ polynomials are the B-splines of the one-span knot vector
 :func:`~hbplate.splines.bernstein_knots`, so the bubbles share the solver's
 tabulation kernel, table cache and natural-boundary integrals. The
 elements of one level that touch the same natural sides have the same
-bubbles and form a group, with one block of arrays: its cells,
+bubbles and form a group, with one block of arrays: its cells' positions,
 right-hand sides and solutions, and one matrix under a map with a
 constant Jacobian, formed and factored once, or one per element under a
 spline map. The blocks come from one sweep over the active cells of all
@@ -44,7 +44,6 @@ from .assembly import (
     _energy_terms,
     _field_chunks,
     _gauss01,
-    _locate,
     _natural_terms,
     _point_ders,
     _rule_on_cells,
@@ -52,7 +51,6 @@ from .assembly import (
     _transform_rows,
     _vanishes,
 )
-from .hierarchy import ElementId
 from .splines import bernstein_knots, class_tables, tabulate_in_span
 # bench/tracer.py counts calls by wrapping this module's names, so they stay
 # bound here although nothing in this module calls them any more
@@ -76,7 +74,7 @@ __all__ = [
 @dataclass
 class BubbleSpace:
     """Bernstein index pairs of the enrichment space, by group: a list of
-    (level, touched natural sides, pairs, cells (E, 2))."""
+    (level, touched natural sides, pairs, positions (E,) of its cells)."""
 
     degree: int
     groups: list
@@ -84,13 +82,13 @@ class BubbleSpace:
 
 @dataclass
 class BubbleBlock:
-    """The residual systems of one group's E elements, one row of the
-    right-hand sides and solutions to an element, and m matrices, each for
-    E / m consecutive rows: m = 1 under a constant Jacobian, m = E under a
-    spline map."""
+    """The residual systems of one group's E elements, at their positions
+    in ``mesh.active_elements()``, one row of the right-hand sides and
+    solutions to an element, and m matrices, each for E / m consecutive
+    rows: m = 1 under a constant Jacobian, m = E under a spline map."""
 
     level: int
-    cells: np.ndarray  # (E, 2)
+    at: np.ndarray  # (E,)
     indices: list
     matrix: np.ndarray  # (m, nb, nb)
     rhs: np.ndarray  # (E, nb)
@@ -136,15 +134,15 @@ def build_bubble_space(mesh, p, neumann_sides=None):
     with an edge on a natural-boundary side additionally get boundary
     bubbles pairing a boundary-active index with interior indices in the
     other direction, side by side in the order of `neumann_sides`. The
-    elements of one level that touch the same natural sides form a group;
-    groups go by level and then by first cell.
+    elements of one level that touch the same natural sides form a group,
+    held by their positions; groups go by level and then by first cell.
     """
     if p < 3:
         raise ValueError("bubble space needs degree >= 3, got %d" % p)
     q = p + 1
     interior = list(range(2, q - 1))
     neumann_sides = neumann_sides or {}
-    groups = []
+    groups, base = [], 0
     for level in range(mesh.num_levels):
         cells = mesh.cells(level)
         for touched, at in _side_groups(mesh, level, cells, neumann_sides):
@@ -154,7 +152,8 @@ def build_bubble_space(mesh, p, neumann_sides=None):
                     for b in _side_indices(side, kinds, q):
                         pairs.extend((b, t) if side in ("left", "right") else (t, b)
                                      for t in interior)
-            groups.append((level, touched, pairs, cells[at]))
+            groups.append((level, touched, pairs, base + at))
+        base += len(cells)
     return BubbleSpace(degree=q, groups=groups)
 
 
@@ -237,16 +236,14 @@ def assemble_blocks(bubbles, u_h, space, geo, problem):
         if gfun is not None:
             res += (uwts * _at_points(gfun, pts, "load g on level %d", level)) @ values.T
         r[at] = res
-    at = [view.start[level] + mesh.cell_index(level, cells[:, 0], cells[:, 1])
-          for level, _, _, cells in bubbles.groups]
     for side in SIDES:
-        pos = [p for (_, touched, _, _), p in zip(bubbles.groups, at) if side in touched]
+        pos = [at for _, touched, _, at in bubbles.groups if side in touched]
         if pos and not _vanishes(problem.neumann_M.get(side), problem.neumann_Q.get(side)):
             pos = np.concatenate(pos)
             r[pos] += _bubble_edge_terms(q, union, side, space, pos, problem, geo)
     if loads:
         pts = np.array([pt for pt, _ in loads], dtype=float)
-        on = _locate(space, pts.tolist())
+        on = mesh.locate(pts)
         # each load's point on its cell's reference square, by direction
         h = view.h[on, None]
         bx, by = (tabulate_in_span(bernstein_knots(q), np.clip(t, 0.0, 1.0), q, 0)[0]
@@ -256,11 +253,11 @@ def assemble_blocks(bubbles, u_h, space, geo, problem):
     index = {pair: k for k, pair in enumerate(union)}
     mat = None if geo.constant_jacobian else np.concatenate(mats)
     blocks = []
-    for (level, _, pairs, cells), pos in zip(bubbles.groups, at):
+    for level, _, pairs, at in bubbles.groups:
         sel = np.array([index[pair] for pair in pairs])
-        m = unit * mesh.h(level) ** -2.0 if mat is None else mat[pos]
-        blocks.append(BubbleBlock(level=level, cells=cells, indices=list(pairs),
-                                  matrix=m[:, sel[:, None], sel], rhs=r[pos][:, sel]))
+        m = unit * mesh.h(level) ** -2.0 if mat is None else mat[at]
+        blocks.append(BubbleBlock(level=level, at=at, indices=list(pairs),
+                                  matrix=m[:, sel[:, None], sel], rhs=r[at][:, sel]))
     return blocks
 
 
@@ -283,13 +280,12 @@ def solve_blocks(blocks):
         try:
             low = np.linalg.cholesky(blk.matrix)
         except np.linalg.LinAlgError as exc:
-            for k, mat in enumerate(blk.matrix):
+            for pos, mat in zip(blk.at[::len(blk.at) // len(blk.matrix)].tolist(), blk.matrix):
                 try:
                     np.linalg.cholesky(mat)
                 except np.linalg.LinAlgError:
-                    ix, iy = _rows_by_matrix(blk, blk.cells)[k, 0].tolist()
-                    raise RuntimeError("bubble block on %s is not SPD (assembly bug): %s"
-                                       % (ElementId(blk.level, ix, iy), exc)) from exc
+                    raise RuntimeError("bubble block at position %d (level %d) is not SPD "
+                                       "(assembly bug): %s" % (pos, blk.level, exc)) from exc
             raise
         # (L L^T) X = B for the stack, by a forward and a backward solve
         coeffs = np.linalg.solve(low.swapaxes(1, 2), np.linalg.solve(
@@ -320,8 +316,8 @@ def estimate(u_h, space, problem, geo=None, calibration=3.0):
     squares."""
     bubbles = build_bubble_space(space.mesh, space.degree, natural_boundary_sides(problem))
     blocks = solve_blocks(assemble_blocks(bubbles, u_h, space, geo, problem))
-    keys = np.concatenate([np.c_[np.full(len(blk.cells), blk.level), blk.cells] for blk in blocks])
-    eta = eta_elements(blocks, calibration)[np.lexsort(keys.T[::-1])]
+    eta = np.empty(space.mesh.n_active)
+    eta[np.concatenate([blk.at for blk in blocks])] = eta_elements(blocks, calibration)
     return eta, math.sqrt(sum(v**2 for v in eta.tolist()))
 
 
@@ -349,16 +345,16 @@ def _edge_pieces(space, side):
     f and c in ``space.active_cells``, c the active cell across the whole
     edge of f, on f's level or a coarser one. They tile every interior
     edge; a same-level pair is found from both of its cells. One lookup
-    per level finds the cells across the edges of all cells."""
+    per level l finds the level-l cells across the edges of all finer cells."""
     mesh, view = space.mesh, space.active_cells
     # the index across each edge; one step off the domain finds no cell
     across = view.cells + np.array(_SIDE_NORMAL[side], dtype=np.int64)
     f, c = [], []
     for level in range(mesh.num_levels):
-        at = np.arange(view.start[level], len(view.cells))
+        at = np.flatnonzero(view.level >= level)
         found = mesh.cell_index(level, *(across[at] >> (view.level[at, None] - level)).T)
         f.append(at[found >= 0])
-        c.append(view.start[level] + found[found >= 0])
+        c.append(found[found >= 0])
     return np.concatenate(f), np.concatenate(c)
 
 
@@ -399,7 +395,7 @@ def residual_estimator(u_h, space, problem, geo=None):
     coeffs = space.stacked_c @ u_h.coefficients
     gfun = _as_fn(problem.g)
     d_const = problem.stiffness
-    width = view.h[_locate(space, [pt for pt, _ in problem.point_loads])] / 4.0
+    width = view.h[space.mesh.locate([pt for pt, _ in problem.point_loads])] / 4.0
     loads = [_gaussian_load(pt, m, sigma) for (pt, m), sigma in zip(problem.point_loads, width)]
     interior = []
     for at, d, wts, pts in _field_chunks(space, np.arange(len(view.cells)), coeffs,

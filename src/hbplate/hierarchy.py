@@ -130,10 +130,10 @@ class HierarchicalMesh:
         return np.stack([keys >> 32, keys & _LOW], axis=1)
 
     def cell_index(self, level, ix, iy):
-        """Positions in :meth:`cells` of the level-`level` cells (ix, iy),
-        elementwise over broadcast index arrays, and -1 where a cell is
-        inactive."""
-        return _find(self._keys[level], _keys(ix, iy))
+        """Positions in :meth:`active_elements` of the level-`level` cells
+        (ix, iy), elementwise over broadcast index arrays, and -1 where a
+        cell is inactive."""
+        return _find(self._keys[level], _keys(ix, iy), sum(k.size for k in self._keys[:level]))
 
     def is_active(self, e):
         return e.level < self.num_levels and bool(self.cell_index(e.level, e.ix, e.iy) >= 0)
@@ -160,21 +160,27 @@ class HierarchicalMesh:
     def area_covered(self):
         return sum(self.h(l) ** 2 * keys.size for l, keys in enumerate(self._keys))
 
-    def locate(self, x, y):
-        """Finest active element whose closed cell contains the point, to
-        1e-12; of several on that level, the cell that truncating the
-        point's cell coordinates names comes first."""
-        tol = 1e-12
-        if not (-tol <= x <= 1.0 + tol and -tol <= y <= 1.0 + tol):
-            raise ValueError("point (%r, %r) outside the parametric domain" % (x, y))
+    def locate(self, points):
+        """Positions (n,) in :meth:`active_elements` of the finest active
+        cells whose closed cells hold the points (n, 2), to 1e-12: of several
+        on a level, the first that the truncated cell coordinates of the point,
+        then of the point moved by -1e-12 and by +1e-12, name, x-major."""
+        tol, pts = 1e-12, np.asarray(points, dtype=float)
+        pts = pts.reshape(0, 2) if pts.shape == (0,) else pts
+        if pts.ndim != 2 or pts.shape[1] != 2:
+            raise ValueError("points must be shaped (n, 2), got %s" % (pts.shape,))
+        inside = ((pts >= -tol) & (pts <= 1.0 + tol)).all(axis=1)
+        out = np.full(len(pts), -1, dtype=np.int64)
         for l in range(self.num_levels - 1, -1, -1):
-            h, nel = self.h(l), self.n_elements_1d(l)
-            cx, cy = ([min(int((t + d) / h), nel - 1) for d in (0.0, -tol, tol)]
-                      for t in (x, y))
-            hit = np.flatnonzero(self.cell_index(l, np.array(cx)[:, None], cy) >= 0)
-            if hit.size:
-                return ElementId(l, cx[hit[0] // 3], cy[hit[0] % 3])
-        raise ValueError("no active element contains (%r, %r)" % (x, y))
+            left = np.flatnonzero((out < 0) & inside)
+            c = np.minimum(((pts[left, :, None] + [0.0, -tol, tol]) / self.h(l)).astype(np.int64),
+                           self.n_elements_1d(l) - 1)
+            # the first active candidate of each point, or -1 where none is
+            found = self.cell_index(l, c[:, 0, :, None], c[:, 1, None, :]).reshape(-1, 9)
+            out[left] = found[np.arange(len(left)), (found >= 0).argmax(axis=1)]
+        if (out < 0).any():
+            raise ValueError("point (%g, %g) outside the unit square" % tuple(pts[out < 0][0]))
+        return out
 
 
 class HierarchicalBasis:
@@ -297,8 +303,8 @@ def refine(mesh, marked, m):
         new = split[l][_find(covered[l], split[l]) < 0]
         if new.size and l >= mesh.max_level:
             raise RefinementLimitError(
-                "refining element %s would exceed maximum level %d"
-                % (ElementId(l, int(new[0] >> 32), int(new[0] & _LOW)), mesh.max_level))
+                "refining level-%d cell (%d, %d) would exceed maximum level %d"
+                % (l, new[0] >> 32, new[0] & _LOW, mesh.max_level))
         c = l - m + 1
         if new.size and c >= 0:
             a, last = _coarsen(new, l - c), mesh.n_elements_1d(c) - 1
@@ -372,20 +378,19 @@ class LevelOperator(NamedTuple):
 
 class ActiveCells(NamedTuple):
     """The active cells of all levels in ``mesh.active_elements()`` order
-    (E, 2), the one numbering of every assembly pass, with their levels and
+    (E, 2), the one numbering of every assembly pass, in which
+    ``mesh.cell_index`` and ``mesh.locate`` answer, with their levels and
     sizes h (E,), the rows (E, 2) of their x and y classes
     (:func:`~hbplate.splines.cell_classes`) in those of all levels with
     cells, stacked, and their (p + 1)^2 functions among the keys of
-    :attr:`HierarchicalSpace.stacked_ct`; start[l] is the position of the
-    first cell of level l. tables keeps the stacked class tables the level
-    kernel has used."""
+    :attr:`HierarchicalSpace.stacked_ct`. tables keeps the stacked class
+    tables the level kernel has used."""
 
     cells: np.ndarray
     level: np.ndarray
     h: np.ndarray
     classes: np.ndarray
     local: np.ndarray
-    start: np.ndarray
     tables: dict
 
 
@@ -489,8 +494,7 @@ class HierarchicalSpace:
             np.array([mesh.h(l) for l in range(mesh.num_levels)])[level],
             np.concatenate([cell_classes(kv, op.cells) + c
                             for op, kv, c in zip(ops, kvs, classes)]),
-            np.concatenate([op.local + k for op, k in zip(ops, keys)]),
-            np.searchsorted(level, np.arange(mesh.num_levels + 1)), {})
+            np.concatenate([op.local + k for op, k in zip(ops, keys)]), {})
         ct = sp.vstack([op.matrix for op in ops], format="csr").T.tocsr()
         return view, ct, ct.T
 

@@ -3,7 +3,8 @@ the program's one-sweep :func:`hbplate.hierarchy.refine` against: a working
 copy of the mesh on Python sets, split one cell at a time, where every
 split first splits the active cells of its support extension on the level
 m - 1 coarser, recursively. The reference takes elements (level, ix, iy);
-:func:`positions` names them as ``refine`` does."""
+:func:`positions` names them as ``refine`` does. :func:`locate` is the
+per-point reference for ``mesh.locate``."""
 
 import copy
 
@@ -16,14 +17,32 @@ from hbplate.splines import dyadic_refine
 def positions(mesh, elements):
     """Positions in ``mesh.active_elements()`` of the active elements
     (level, ix, iy), the marks that ``refine`` takes: each cell's
-    ``cell_index`` on its level after the cells of the coarser levels."""
-    start = np.cumsum([0] + [len(mesh.cells(l)) for l in range(mesh.num_levels)])
+    ``cell_index``."""
     out = []
     for e in map(ElementId._make, elements):
         k = int(mesh.cell_index(e.level, e.ix, e.iy)) if e.level < mesh.num_levels else -1
         assert k >= 0, "element %s is not active" % (e,)
-        out.append(start[e.level] + k)
+        out.append(k)
     return np.array(out, dtype=np.int64)
+
+
+def locate(mesh, x, y):
+    """The finest active element whose closed cell contains the point (x, y),
+    to 1e-12, one point and one level at a time: of several on that level,
+    the first of the cells that the truncated cell coordinates, then those
+    of the point moved by -1e-12 and by +1e-12, name, x-major. The
+    reference for the batched ``mesh.locate``."""
+    tol = 1e-12
+    if not (-tol <= x <= 1.0 + tol and -tol <= y <= 1.0 + tol):
+        raise ValueError("point (%r, %r) outside the parametric domain" % (x, y))
+    for l in range(mesh.num_levels - 1, -1, -1):
+        h, nel = mesh.h(l), mesh.n_elements_1d(l)
+        cx, cy = ([min(int((t + d) / h), nel - 1) for d in (0.0, -tol, tol)] for t in (x, y))
+        for i in cx:
+            for j in cy:
+                if mesh.cell_index(l, i, j) >= 0:
+                    return ElementId(l, i, j)
+    raise ValueError("no active element contains (%r, %r)" % (x, y))
 
 
 class _Draft:

@@ -4,7 +4,9 @@ per-level trace lookup), the energy error norm, field evaluation and the
 bubble estimator's blocks, each one pass of a level kernel per level with
 active cells, on the level operators of :func:`hbplate.hierarchy.two_scale`,
 whose locals number each level's own keys from 0; and the strong-residual
-estimator's per-element search for the pieces of its edge jumps.
+estimator's per-element search for the pieces of its edge jumps. Points
+go to their cells one at a time, by the per-point
+:func:`closure_oracle.locate`.
 """
 
 from functools import lru_cache
@@ -49,12 +51,22 @@ from hbplate.splines import (
     tabulate_in_span,
 )
 
+from closure_oracle import locate
+
 
 def level_ops(space):
     """The level operator of every level with active cells, locals from 0."""
     mesh = space.mesh
     return [two_scale(mesh, space.basis, level) for level in range(mesh.num_levels)
             if len(mesh.cells(level))]
+
+
+def level_positions(mesh, level, cells):
+    """The numbers from 0 of the active cells (E, 2) of one level among that
+    level's cells: their ``cell_index`` less the cells of coarser levels."""
+    pos = mesh.cell_index(level, cells[:, 0], cells[:, 1])
+    assert (pos >= 0).all()
+    return pos - sum(len(mesh.cells(k)) for k in range(level))
 
 
 def rule_on_cells(mesh, level, cells, rule):
@@ -178,7 +190,7 @@ def assemble_stiffness(space, geo, problem):
 def point_tables(space, op, cells, pts, max_der):
     kv, p = space.mesh.knots(op.level), space.degree
     tx, ty = (tabulate_in_span(kv, pts[:, axis], cells[:, axis] + p, max_der) for axis in (0, 1))
-    return tx, ty, space.mesh.cell_index(op.level, cells[:, 0], cells[:, 1])
+    return tx, ty, level_positions(space.mesh, op.level, cells)
 
 
 def side_batches(space, ops, geo, side):
@@ -197,7 +209,7 @@ def assemble_load(space, geo, problem):
     mesh, n1, ops = space.mesh, space.degree + 1, level_ops(space)
     gfun = _as_fn(problem.g)
     loads = problem.point_loads
-    owners = np.array([mesh.locate(pt[0], pt[1]) for pt, _ in loads],
+    owners = np.array([locate(mesh, pt[0], pt[1]) for pt, _ in loads],
                       dtype=np.int64).reshape(-1, 3)
     b = {op.level: np.zeros(len(op.keys)) for op in ops}
     for side in SIDES:
@@ -315,7 +327,7 @@ def h2_seminorm_error(field, exact_hessian, space, geo):
 
 def evaluate(field, space, geo, points):
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    owners = np.array([space.mesh.locate(x, y) for x, y in pts.tolist()], dtype=np.int64)
+    owners = np.array([locate(space.mesh, x, y) for x, y in pts.tolist()], dtype=np.int64)
     ders = np.empty((len(_ASSEMBLY_COMBOS), len(pts)))
     for op in level_ops(space):
         at = np.flatnonzero(owners[:, 0] == op.level)
@@ -358,7 +370,7 @@ def assemble_blocks(bubbles, u_h, space, geo, problem):
     mesh, q, loads = space.mesh, bubbles.degree, problem.point_loads
     gfun = _as_fn(problem.g)
     d_const, nu = problem.stiffness, problem.poisson
-    owners = np.array([mesh.locate(*pt) for pt, _ in loads], dtype=np.int64).reshape(-1, 3)
+    owners = np.array([locate(mesh, *pt) for pt, _ in loads], dtype=np.int64).reshape(-1, 3)
     interior = (_gauss01(space.degree + 2),) * 2
     blocks = [None] * len(bubbles.groups)
     for op in level_ops(space):
@@ -385,7 +397,9 @@ def assemble_blocks(bubbles, u_h, space, geo, problem):
                 r += (bwts * gv) @ brows[(0, 0)][0].T
             rhs.append(r)
         mat, r = np.concatenate(mats), np.concatenate(rhs)
-        at = [mesh.cell_index(level, cells[:, 0], cells[:, 1]) for *_, cells in groups]
+        # the groups' cells among the level's own, numbered from 0
+        first = sum(len(mesh.cells(k)) for k in range(level))
+        at = [pos - first for *_, pos in groups]
         for side in SIDES:
             pos = [p for (_, touched, _, _), p in zip(groups, at) if side in touched]
             if pos and not _vanishes(problem.neumann_M.get(side), problem.neumann_Q.get(side)):
@@ -398,12 +412,12 @@ def assemble_blocks(bubbles, u_h, space, geo, problem):
             bx, by = (tabulate_in_span(bernstein_knots(q), np.clip(t, 0.0, 1.0), q, 0)[0]
                       for t in ((np.array([loads[i][0] for i in on]) - corner) / h).T)
             ii, jj = np.array(union).T
-            np.add.at(r, mesh.cell_index(level, owners[on, 1], owners[on, 2]),
+            np.add.at(r, level_positions(mesh, level, owners[on, 1:]),
                       (np.array([loads[i][1] for i in on]) * bx[ii] * by[jj]).T)
-        for k, (_, _, pairs, cells), pos in zip(ks, groups, at):
+        for k, (_, _, pairs, positions), pos in zip(ks, groups, at):
             sel = np.array([union.index(pair) for pair in pairs])
             m = mat if geo.constant_jacobian else mat[pos]
-            blocks[k] = BubbleBlock(level=level, cells=cells, indices=list(pairs),
+            blocks[k] = BubbleBlock(level=level, at=positions, indices=list(pairs),
                                     matrix=m[:, sel[:, None], sel], rhs=r[pos][:, sel])
     return blocks
 
@@ -451,7 +465,7 @@ def residual_estimator(u_h, space, problem):
     coeffs = space.stacked_c @ u_h.coefficients
     gfun = _as_fn(problem.g)
     d_const = problem.stiffness
-    loads = [_gaussian_load(pt, magnitude, mesh.h(mesh.locate(*pt).level) / 4.0)
+    loads = [_gaussian_load(pt, magnitude, mesh.h(locate(mesh, *pt).level) / 4.0)
              for pt, magnitude in problem.point_loads]
     interior = []
     for at, d, wts, pts in _field_chunks(space, np.arange(len(view.cells)), coeffs,
@@ -485,7 +499,7 @@ def jump_terms(space, coeffs):
         for side in SIDES:
             for nb, part in edge_neighbor_pieces(mesh, e, side):
                 finer = nb.level >= e.level
-                other = view.start[nb.level] + mesh.cell_index(nb.level, nb.ix, nb.iy)
+                other = int(mesh.cell_index(nb.level, nb.ix, nb.iy))
                 pieces.append((pos, mesh.h(max(e.level, nb.level)),
                                at(pos, side, part if finer else (0, 1)),
                                at(other, opposite[side], (0, 1) if finer else part)))

@@ -36,7 +36,6 @@ from hbplate.estimators import (
     solve_blocks,
 )
 from hbplate.hierarchy import (
-    ElementId,
     HierarchicalSpace,
     check_admissible,
     init,
@@ -259,8 +258,8 @@ def test_criterion_6_structural_invariants():
     bubbles = build_bubble_space(space.mesh, 3, natural_boundary_sides(prob))
     blocks = solve_blocks(assemble_blocks(bubbles, u, space, IDENTITY, prob))
     # row k of a block of E rows and m matrices goes with matrix k // (E / m)
-    rows = [(blk.matrix[k // (len(blk.cells) // len(blk.matrix))], blk.rhs[k], blk.coeffs[k])
-            for blk in blocks for k in range(len(blk.cells))]
+    rows = [(blk.matrix[k // (len(blk.at) // len(blk.matrix))], blk.rhs[k], blk.coeffs[k])
+            for blk in blocks for k in range(len(blk.at))]
     assert len(rows) == space.mesh.n_active
     total = sum(len(rhs) for _, rhs, _ in rows)
     gmat = sp.lil_matrix((total, total))
@@ -289,7 +288,7 @@ def test_criterion_6_structural_invariants():
     for blk in blocks:
         e1 = eta_elements([blk], calibration=3.0)
         e2 = eta_elements([blk], calibration=6.0)
-        lin_ok &= e1.shape == e2.shape == (len(blk.cells),) and np.array_equal(e2, 2.0 * e1)
+        lin_ok &= e1.shape == e2.shape == (len(blk.at),) and np.array_equal(e2, 2.0 * e1)
     ok &= report("6 calibration linearity", lin_ok, "exact doubling")
 
     # physical Hessian pushforward against finite differences

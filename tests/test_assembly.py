@@ -35,7 +35,7 @@ from hbplate.assembly import (
 from hbplate.benchmarks import benchmark_singular
 from hbplate.hierarchy import ElementId, HierarchicalSpace, check_admissible, connectivity
 from hbplate.splines import eval_ders, make_open_uniform, tabulate_in_span
-from closure_oracle import positions
+from closure_oracle import locate, positions
 from pushforward import pushforward2
 
 IDENTITY = GeometryMap.identity()
@@ -720,7 +720,7 @@ class TestLoad:
         # oracle: the functions on the owning element, from connectivity and
         # the univariate tables of the one-level space at the point
         mesh = space.mesh
-        e = mesh.locate(0.4, 0.55)
+        e = locate(mesh, 0.4, 0.55)
         kv = mesh.knots(0)
         tx = tabulate_in_span(kv, [0.4], e.ix + 3, 0)[0, :, 0]
         ty = tabulate_in_span(kv, [0.55], e.iy + 3, 0)[0, :, 0]
@@ -749,7 +749,7 @@ class TestLoad:
                             neumann_Q={"left": shear}, point_loads=loads,
                             load_grading=("left",))
         got = assemble_load(space, IDENTITY, prob)
-        assert mesh.locate(*loads[0][0]).level == 3 and mesh.locate(*loads[1][0]).level < 2
+        assert locate(mesh, *loads[0][0]).level == 3 and locate(mesh, *loads[1][0]).level < 2
         ref = np.zeros(space.num_dofs)
         gauss = _gauss01(p + 2)
         for e in mesh.active_elements():
@@ -766,7 +766,7 @@ class TestLoad:
                 ref[dofs] += (-tx[:, 1, 0, None] * ty[:, 0]) @ (w * moment(0.0, ys))
                 ref[dofs] += (tx[:, 0, 0, None] * ty[:, 0]) @ (w * shear(0.0, ys))
         for (x, y), magnitude in loads:
-            dofs, tx, ty = oracle_tables(space, mesh.locate(x, y), np.array([x]), np.array([y]))
+            dofs, tx, ty = oracle_tables(space, locate(mesh, x, y), np.array([x]), np.array([y]))
             ref[dofs] += magnitude * tx[:, 0, 0] * ty[:, 0, 0]
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
@@ -1283,6 +1283,15 @@ class TestEvaluate:
         field = DiscreteField(np.zeros(space.num_dofs))
         with pytest.raises(ValueError):
             evaluate(field, space, IDENTITY, [[1.2, 0.5]])
+
+    def test_badly_shaped_and_non_finite_points_are_named(self):
+        space = HierarchicalSpace.create(2, 3)
+        from hbplate.assembly import DiscreteField
+        field = DiscreteField(np.zeros(space.num_dofs))
+        with pytest.raises(ValueError, match=r"shaped \(n, 2\), got \(1, 3\)"):
+            evaluate(field, space, IDENTITY, [(0.1, 0.2, 0.3)])
+        with pytest.raises(ValueError, match=r"point \(0.3, nan\)"):
+            evaluate(field, space, IDENTITY, [(0.1, 0.2), (0.3, float("nan"))])
 
 
 class TestTableCache:

@@ -71,28 +71,29 @@ def smooth_hessian(x, y):
     return (-4 * np.pi**2 * s, 4 * np.pi**2 * c, -4 * np.pi**2 * s)
 
 
-def pairs_of(bubbles, e):
-    """The bubble index pairs of element e, looked up through the groups."""
-    found = [pairs for level, _, pairs, cells in bubbles.groups
-             if level == e.level and np.all(cells == e[1:], axis=1).any()]
+def pairs_of(mesh, bubbles, e):
+    """The bubble index pairs of element e, looked up through the groups
+    by its position."""
+    k = positions(mesh, [e])[0]
+    found = [pairs for level, _, pairs, at in bubbles.groups if level == e.level and k in at]
     assert len(found) == 1, e
     return found[0]
 
 
 def element_rows(blocks):
-    """(element, matrix, rhs, coeffs) of every row of every block: row k
+    """(position, matrix, rhs, coeffs) of every row of every block: row k
     of a block of E rows and m matrices goes with matrix k // (E / m)."""
     for blk in blocks:
-        per = len(blk.cells) // len(blk.matrix)
-        for k, (ix, iy) in enumerate(blk.cells.tolist()):
-            yield (ElementId(blk.level, ix, iy), blk.matrix[k // per], blk.rhs[k],
+        per = len(blk.at) // len(blk.matrix)
+        for k, pos in enumerate(blk.at.tolist()):
+            yield (pos, blk.matrix[k // per], blk.rhs[k],
                    None if blk.coeffs is None else blk.coeffs[k])
 
 
-def block(level, cells, matrices, rhs, coeffs=None):
-    """A hand-made block: cells (E, 2), matrices (m, n, n), rows (E, n)."""
+def block(level, at, matrices, rhs, coeffs=None):
+    """A hand-made block: positions at (E,), matrices (m, n, n), rows (E, n)."""
     matrices = np.asarray(matrices, dtype=float)
-    return BubbleBlock(level=level, cells=np.array(cells, dtype=np.int64),
+    return BubbleBlock(level=level, at=np.array(at, dtype=np.int64),
                        indices=list(range(matrices.shape[-1])), matrix=matrices,
                        rhs=np.asarray(rhs, dtype=float),
                        coeffs=None if coeffs is None else np.asarray(coeffs, dtype=float))
@@ -104,20 +105,20 @@ class TestBubbleSpace:
             space = HierarchicalSpace.create(3, p)
             bubbles = build_bubble_space(space.mesh, p)
             inner = ElementId(0, 1, 1)
-            assert len(pairs_of(bubbles, inner)) == count
+            assert len(pairs_of(space.mesh, bubbles, inner)) == count
             if p == 3:
-                assert pairs_of(bubbles, inner) == [(2, 2)]
+                assert pairs_of(space.mesh, bubbles, inner) == [(2, 2)]
 
     def test_moment_side_adds_rotation_bubbles(self):
         p = 4
         space = HierarchicalSpace.create(3, p)
         bubbles = build_bubble_space(space.mesh, p, {"bottom": {"moment"}})
         edge = ElementId(0, 1, 0)
-        pairs = pairs_of(bubbles, edge)
+        pairs = pairs_of(space.mesh, bubbles, edge)
         assert len(pairs) == 4 + (p - 2)
         assert set(pairs) == {(2, 2), (2, 3), (3, 2), (3, 3), (2, 1), (3, 1)}
         inner = ElementId(0, 1, 1)
-        assert len(pairs_of(bubbles, inner)) == 4
+        assert len(pairs_of(space.mesh, bubbles, inner)) == 4
 
     def test_shear_side_adds_value_bubbles(self):
         p = 4
@@ -125,7 +126,7 @@ class TestBubbleSpace:
         bubbles = build_bubble_space(space.mesh, p, {"right": {"shear"}})
         edge = ElementId(0, 2, 1)
         q = p + 1
-        assert (q, 2) in pairs_of(bubbles, edge)
+        assert (q, 2) in pairs_of(space.mesh, bubbles, edge)
 
     def test_interior_bubble_vanishes_with_gradient_on_boundary(self):
         for p in (3, 4, 5):
@@ -215,7 +216,7 @@ class TestBlocks:
         bubbles = build_bubble_space(space.mesh, 3, natural_boundary_sides(prob))
         rows = list(element_rows(solve_blocks(
             assemble_blocks(bubbles, u, space, IDENTITY, prob))))
-        assert sorted(e for e, _, _, _ in rows) == space.mesh.active_elements()
+        assert sorted(k for k, _, _, _ in rows) == list(range(space.mesh.n_active))
         offsets = {}
         total = 0
         for e, _, rhs, _ in rows:
@@ -234,10 +235,10 @@ class TestBlocks:
         assert np.abs(gsol - packed).max() <= 1e-12 * scale
 
     def test_solve_blocks_trivial_cases(self):
-        blk = block(0, [[0, 0]], [[[4.0]]], [[2.0]])
+        blk = block(0, [0], [[[4.0]]], [[2.0]])
         solve_blocks([blk])
         assert blk.coeffs[0, 0] == pytest.approx(0.5)
-        blk2 = block(0, [[0, 0]], [[[4.0]]], [[0.0]])
+        blk2 = block(0, [0], [[[4.0]]], [[0.0]])
         solve_blocks([blk2])
         assert blk2.coeffs[0, 0] == 0.0
 
@@ -251,7 +252,7 @@ class TestBlocks:
                 [np.kron(scipy.linalg.hilbert(4), scipy.linalg.hilbert(4)),
                  np.kron(scipy.linalg.invhilbert(4), scipy.linalg.hilbert(4))]]
         rng = np.random.default_rng(5)
-        blocks = [block(1, [[k, r] for r in range(3 * len(m))], m,
+        blocks = [block(1, [10 * k + r for r in range(3 * len(m))], m,
                         rng.standard_normal((3 * len(m), len(m[0]))))
                   for k, m in enumerate(mats)]
         rows = list(element_rows(solve_blocks(blocks)))
@@ -267,23 +268,23 @@ class TestBlocks:
         bad = [[1.0, 2.0], [2.0, 1.0]]
         # shared: the failing matrix belongs to the whole group, named by
         # its first cell
-        shared = [block(1, [[0, 0], [0, 1]], [good], np.ones((2, 2))),
-                  block(1, [[2, 3], [4, 5], [0, 2]], [bad], np.ones((3, 2)))]
-        with pytest.raises(RuntimeError, match=re.escape(str(ElementId(1, 2, 3)))):
+        shared = [block(1, [0, 1], [good], np.ones((2, 2))),
+                  block(1, [5, 7, 2], [bad], np.ones((3, 2)))]
+        with pytest.raises(RuntimeError, match=re.escape("position 5 (level 1)")):
             solve_blocks(shared)
         # per element: the bad element's own cell, not the block's first
-        per_element = [block(2, [[0, 0], [2, 3], [4, 5]], [good, bad, good], np.ones((3, 2)))]
-        with pytest.raises(RuntimeError, match=re.escape(str(ElementId(2, 2, 3)))):
+        per_element = [block(2, [0, 5, 7], [good, bad, good], np.ones((3, 2)))]
+        with pytest.raises(RuntimeError, match=re.escape("position 5 (level 2)")):
             solve_blocks(per_element)
 
 class TestEta:
     def test_zero_coeffs_zero_eta(self):
-        blk = block(0, [[0, 0]], [[[4.0]]], [[0.0]], coeffs=[[0.0]])
+        blk = block(0, [0], [[[4.0]]], [[0.0]], coeffs=[[0.0]])
         assert eta_elements([blk]).tolist() == [0.0]
 
     @pytest.mark.parametrize("calibration", [-3.0, 0.0, math.inf, math.nan])
     def test_calibration_not_finite_and_positive_rejected(self, calibration):
-        blk = block(0, [[0, 0]], [[[4.0]]], [[1.0]], coeffs=[[1.0]])
+        blk = block(0, [0], [[[4.0]]], [[1.0]], coeffs=[[1.0]])
         with pytest.raises(ValueError, match="calibration must be finite and positive"):
             eta_elements([blk], calibration)
 
@@ -428,7 +429,7 @@ def reference_block(space, geo, problem, u, e, pairs):
                         push.apply(g, hs)[0] @ n / np.linalg.norm(n) if slope else v
                         for v, g, hs in bubbles(tx, ty)])
     for (px, py), magnitude in problem.point_loads:
-        if mesh.locate(px, py) == e:
+        if mesh.locate([(px, py)])[0] == mesh.cell_index(e.level, e.ix, e.iy):
             rhs += magnitude * np.array([v for v, _, _ in bubbles((px - x0) / h, (py - y0) / h)])
     return amat, rhs
 
@@ -453,14 +454,14 @@ class TestMappedBlocks:
     @pytest.mark.parametrize("p", [3, 4])
     def test_blocks_match_per_point_quadrature(self, kind, p):
         space, geo, prob, u, bubbles, blocks = self.blocks(kind, p)
-        by_element = {e: (mat, rhs) for e, mat, rhs, _ in element_rows(blocks)}
-        indices = {ElementId(blk.level, ix, iy): blk.indices
-                   for blk in blocks for ix, iy in blk.cells.tolist()}
+        by_element = {k: (mat, rhs) for k, mat, rhs, _ in element_rows(blocks)}
+        indices = {k: blk.indices for blk in blocks for k in blk.at.tolist()}
         for e in self.ELEMENTS:
-            pairs = pairs_of(bubbles, e)
+            pairs = pairs_of(space.mesh, bubbles, e)
             amat, rhs = reference_block(space, geo, prob, u, e, pairs)
-            assert indices[e] == pairs
-            mat, row = by_element[e]
+            k = positions(space.mesh, [e])[0]
+            assert indices[k] == pairs
+            mat, row = by_element[k]
             assert np.abs(mat - amat).max() <= 1e-12 * np.abs(amat).max(), e
             assert np.abs(row - rhs).max() <= 1e-12 * np.abs(rhs).max(), e
 
@@ -485,7 +486,7 @@ class TestMappedBlocks:
         wanted = assemble_blocks(bubbles, u, space, geo, prob)
         assert len(wanted) == len(blocks)
         for blk, want in zip(blocks, wanted):
-            assert np.array_equal(blk.cells, want.cells) and blk.indices == want.indices
+            assert np.array_equal(blk.at, want.at) and blk.indices == want.indices
             assert np.abs(blk.matrix - want.matrix).max() <= 1e-14 * np.abs(want.matrix).max()
             assert np.abs(blk.rhs - want.rhs).max() <= 1e-14 * np.abs(want.rhs).max()
 
@@ -495,13 +496,13 @@ class TestMappedBlocks:
         for blk in blocks:
             # one matrix for the group under a constant Jacobian, one to an
             # element under the spline map
-            assert len(blk.matrix) == (len(blk.cells) if kind == "spline" else 1)
+            assert len(blk.matrix) == (len(blk.at) if kind == "spline" else 1)
             assert blk.matrix.shape[1:] == (len(blk.indices),) * 2
-            assert blk.rhs.shape == (len(blk.cells), len(blk.indices))
+            assert blk.rhs.shape == (len(blk.at), len(blk.indices))
         keys = [(blk.level, tuple(blk.indices)) for blk in blocks]
         assert len(set(keys)) == len(keys)
-        assert any(len(blk.cells) > 1 for blk in blocks)
-        assert sum(len(blk.cells) for blk in blocks) == space.mesh.n_active
+        assert any(len(blk.at) > 1 for blk in blocks)
+        assert sum(len(blk.at) for blk in blocks) == space.mesh.n_active
 
 
 class TestLevelSweep:
@@ -587,7 +588,7 @@ class TestEstimate:
         assert eta.shape == (len(active),)
         assert total == math.sqrt(sum(v**2 for v in eta.tolist()))
         for e in TestMappedBlocks.ELEMENTS:
-            amat, rhs = reference_block(space, geo, prob, u, e, pairs_of(bubbles, e))
+            amat, rhs = reference_block(space, geo, prob, u, e, pairs_of(space.mesh, bubbles, e))
             c = np.linalg.solve(amat, rhs)
             assert eta[active.index(e)] == pytest.approx(3.0 * math.sqrt(c @ amat @ c),
                                                          rel=1e-12), e

@@ -17,6 +17,7 @@ from hbplate.hierarchy import (
 )
 from hbplate.splines import eval_ders, find_span, tabulate_in_span
 
+from closure_oracle import locate as oracle_locate
 from closure_oracle import positions, refine_recursive
 
 
@@ -561,17 +562,37 @@ class TestQueriesAgainstGeometry:
                         assert a == pytest.approx(b, abs=TOL)
 
     def test_locate_finds_the_finest_element_at_corners_and_edge_midpoints(self, p, m):
+        # one batched call per mesh; the per-point reference pins which of
+        # several finest cells a corner or edge point goes to
         for mesh in random_admissible_meshes(p, m):
             active = mesh.active_elements()
             rects = {e: mesh.element_rect(e) for e in active}
+            pts = []
             for e in active:
                 x0, y0, x1, y1 = rects[e]
                 xm, ym = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
-                for x, y in ((x0, y0), (x1, y0), (x0, y1), (x1, y1),
-                             (xm, y0), (xm, y1), (x0, ym), (x1, ym)):
-                    finest = max(f.level for f in active if contains(rects[f], x, y))
-                    got = mesh.locate(x, y)
-                    assert got.level == finest and contains(rects[got], x, y)
+                pts += [(x0, y0), (x1, y0), (x0, y1), (x1, y1),
+                        (xm, y0), (xm, y1), (x0, ym), (x1, ym)]
+            got = mesh.locate(pts)
+            assert got.dtype == np.int64 and got.shape == (len(pts),)
+            for (x, y), k in zip(pts, got.tolist()):
+                finest = max(f.level for f in active if contains(rects[f], x, y))
+                e = active[k]
+                assert e.level == finest and contains(rects[e], x, y)
+                assert e == oracle_locate(mesh, x, y)
+
+
+def test_locate_rejects_bad_points():
+    mesh = refine(init(2, 3)[0], [0], m=2)
+    assert mesh.locate([]).dtype == np.int64 and mesh.locate([]).shape == (0,)
+    for pts, match in (([(0.1, 0.2, 0.3)], r"shaped \(n, 2\), got \(1, 3\)"),
+                       ([0.1, 0.2], r"shaped \(n, 2\), got \(2,\)"),
+                       (np.zeros((2, 2, 2)), r"got \(2, 2, 2\)"),
+                       ([(0.5, 0.5), (0.2, float("nan"))], r"\(0.2, nan\)"),
+                       ([(0.5, 0.5), (0.2, float("inf"))], r"\(0.2, inf\)"),
+                       ([(0.5, 0.5), (1.1, 0.3), (-0.1, 0.3)], r"\(1.1, 0.3\) outside")):
+        with pytest.raises(ValueError, match=match):
+            mesh.locate(pts)
 
 
 def all_ders(kv, xs, der):
