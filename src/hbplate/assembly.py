@@ -1106,7 +1106,8 @@ def evaluate(field, space, geo, points):
     coefficients C u, all points at once.
     """
     geo = geo or GeometryMap.identity()
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    pts = np.asarray(points, dtype=float)
+    pts = pts.reshape(0, 2) if pts.shape == (0,) else np.atleast_2d(pts)
     view = space.active_cells
     at = space.mesh.locate(pts)
     d = _point_ders(space, at, pts, space.stacked_c @ field.coefficients, _ASSEMBLY_COMBOS)

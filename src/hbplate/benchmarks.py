@@ -33,7 +33,6 @@ class BenchmarkSpec:
     name: str
     problem: PlateProblem
     exact_value: object = None
-    exact_gradient: object = None
     exact_hessian: object = None
     qoi_point: tuple = None
     reference_qoi: float = None
@@ -61,10 +60,6 @@ def benchmark_smooth():
     def value(x, y):
         return np.sin(two_pi * x) * np.sin(two_pi * y)
 
-    def gradient(x, y):
-        return (two_pi * np.cos(two_pi * x) * np.sin(two_pi * y),
-                two_pi * np.sin(two_pi * x) * np.cos(two_pi * y))
-
     def hessian(x, y):
         s = np.sin(two_pi * x) * np.sin(two_pi * y)
         c = np.cos(two_pi * x) * np.cos(two_pi * y)
@@ -78,7 +73,7 @@ def benchmark_smooth():
         dirichlet_w={s: 0.0 for s in ALL_SIDES},
         neumann_M={s: 0.0 for s in ALL_SIDES},
     )
-    return BenchmarkSpec("smooth", problem, value, gradient, hessian)
+    return BenchmarkSpec("smooth", problem, value, exact_hessian=hessian)
 
 
 def benchmark_singular(alpha=2.8, beta=2.8):
@@ -93,10 +88,6 @@ def benchmark_singular(alpha=2.8, beta=2.8):
 
     def value(x, y):
         return x**alpha * y**beta
-
-    def gradient(x, y):
-        return (alpha * x**(alpha - 1) * y**beta,
-                beta * x**alpha * y**(beta - 1))
 
     def hessian(x, y):
         x = np.asarray(x, dtype=float)
@@ -118,7 +109,7 @@ def benchmark_singular(alpha=2.8, beta=2.8):
         dirichlet_w={s: value for s in ALL_SIDES},
         neumann_M=_moment_from_hessian(hessian),
     )
-    return BenchmarkSpec("singular", problem, value, gradient, hessian)
+    return BenchmarkSpec("singular", problem, value, exact_hessian=hessian)
 
 
 _ZETA3 = 1.2020569031595942853997  # Apery's constant zeta(3)
@@ -167,9 +158,6 @@ def benchmark_spline_exact():
     def value(x, y):
         return x**2 * y**2
 
-    def gradient(x, y):
-        return (2.0 * x * y**2, 2.0 * x**2 * y)
-
     def hessian(x, y):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
@@ -180,7 +168,7 @@ def benchmark_spline_exact():
         dirichlet_w={s: value for s in ALL_SIDES},
         neumann_M=_moment_from_hessian(hessian),
     )
-    return BenchmarkSpec("spline_exact", problem, value, gradient, hessian)
+    return BenchmarkSpec("spline_exact", problem, value, exact_hessian=hessian)
 
 
 def check_manufactured_load(spec, n_points=10, step=2e-3, lo=0.4, hi=0.9, seed=20):

@@ -35,8 +35,6 @@ import scipy.sparse as sp
 from .splines import cell_classes, dyadic_refine, make_open_uniform, refinement_matrix
 
 __all__ = [
-    "ElementId",
-    "FunctionId",
     "HierarchicalMesh",
     "HierarchicalBasis",
     "HierarchicalSpace",
@@ -47,7 +45,6 @@ __all__ = [
     "rebuild_basis",
     "refine",
     "check_admissible",
-    "neighbors",
     "connectivity",
     "two_scale",
     "dump_mesh",
@@ -56,18 +53,6 @@ __all__ = [
 
 class RefinementLimitError(RuntimeError):
     """Raised when refinement would exceed the configured maximum level."""
-
-
-class ElementId(NamedTuple):
-    level: int
-    ix: int
-    iy: int
-
-
-class FunctionId(NamedTuple):
-    level: int
-    ix: int
-    iy: int
 
 
 _LOW = (1 << 32) - 1
@@ -135,21 +120,17 @@ class HierarchicalMesh:
         cell is inactive."""
         return _find(self._keys[level], _keys(ix, iy), sum(k.size for k in self._keys[:level]))
 
-    def is_active(self, e):
-        return e.level < self.num_levels and bool(self.cell_index(e.level, e.ix, e.iy) >= 0)
-
     def active_elements(self):
-        """Active elements, sorted by (level, ix, iy): a cell's position here
-        is its number in the indicators, the marks and :func:`refine`."""
-        return [ElementId(l, *c) for l in range(self.num_levels) for c in self.cells(l).tolist()]
+        """Active cells as an (E, 3) int64 array of rows (level, ix, iy),
+        sorted: a cell's row here is its position in the indicators, the
+        marks and :func:`refine`."""
+        keys = np.concatenate(self._keys)
+        level = np.repeat(np.arange(self.num_levels, dtype=np.int64), [k.size for k in self._keys])
+        return np.stack([level, keys >> 32, keys & _LOW], axis=1)
 
     @property
     def n_active(self):
         return sum(keys.size for keys in self._keys)
-
-    def element_rect(self, e):
-        h = self.h(e.level)
-        return (e.ix * h, e.iy * h, (e.ix + 1) * h, (e.iy + 1) * h)
 
     def h_max(self):
         for l, keys in enumerate(self._keys):
@@ -198,11 +179,6 @@ class HierarchicalBasis:
         """The level, ix and iy of every dof, as three int64 arrays."""
         levels = np.repeat(np.arange(len(self._starts) - 1), np.diff(self._starts))
         return levels, self._keys >> 32, self._keys & _LOW
-
-    @cached_property
-    def active(self):
-        """The active functions as one :class:`FunctionId` per dof."""
-        return tuple(map(FunctionId._make, zip(*(a.tolist() for a in self.indices))))
 
     @property
     def num_dofs(self):
@@ -340,26 +316,17 @@ def check_admissible(mesh, m, basis=None):
     return True
 
 
-def neighbors(mesh, e):
-    """Active same-level elements sharing an edge or a vertex with e."""
-    if not mesh.is_active(e):
-        raise ValueError("element %s is not active" % (e,))
-    around = [(e.ix + dx, e.iy + dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1) if dx or dy]
-    found = mesh.cell_index(e.level, *np.array(around).T) >= 0
-    return {ElementId(e.level, i, j) for (i, j), f in zip(around, found) if f}
-
-
-def connectivity(mesh, basis, e):
-    """Active functions (of any level up to e's) nonzero on element e,
-    ordered by (level, ix, iy)."""
-    if not mesh.is_active(e):
-        raise ValueError("element %s is not active" % (e,))
+def connectivity(mesh, basis, cell):
+    """Sorted int64 dofs of the active functions (of any level up to the
+    cell's) nonzero on the active cell (level, ix, iy)."""
+    level, ix, iy = map(int, cell)
+    if not (0 <= level < mesh.num_levels and mesh.cell_index(level, ix, iy) >= 0):
+        raise ValueError("cell (%d, %d, %d) is not active" % (level, ix, iy))
     loc = np.arange(mesh.p + 1)
     dofs = np.concatenate([
-        basis.level_dofs(k, (e.ix >> (e.level - k)) + loc[:, None],
-                         (e.iy >> (e.level - k)) + loc).ravel()
-        for k in range(e.level + 1)])
-    return [basis.active[d] for d in dofs[dofs >= 0].tolist()]
+        basis.level_dofs(k, (ix >> (level - k)) + loc[:, None], (iy >> (level - k)) + loc).ravel()
+        for k in range(level + 1)])
+    return dofs[dofs >= 0]
 
 
 class LevelOperator(NamedTuple):
@@ -438,9 +405,10 @@ def two_scale(mesh, basis, level):
 def dump_mesh(mesh):
     """Plain-text dump: one active element per line, 'level x0 y0 x1 y1'."""
     lines = []
-    for e in mesh.active_elements():
-        x0, y0, x1, y1 = mesh.element_rect(e)
-        lines.append("%d %.17g %.17g %.17g %.17g" % (e.level, x0, y0, x1, y1))
+    for level, ix, iy in mesh.active_elements().tolist():
+        h = mesh.h(level)
+        lines.append("%d %.17g %.17g %.17g %.17g"
+                     % (level, ix * h, iy * h, (ix + 1) * h, (iy + 1) * h))
     return "\n".join(lines) + "\n"
 
 
@@ -488,10 +456,10 @@ class HierarchicalSpace:
         kvs = [mesh.knots(op.level) for op in ops]
         keys = np.cumsum([0] + [len(op.keys) for op in ops])
         classes = np.cumsum([0] + [min(kv.num_elements, 2 * mesh.p + 1) for kv in kvs])
-        level = np.concatenate([np.full(len(op.cells), op.level) for op in ops])
+        rows = mesh.active_elements()
         view = ActiveCells(
-            np.concatenate([op.cells for op in ops]), level,
-            np.array([mesh.h(l) for l in range(mesh.num_levels)])[level],
+            rows[:, 1:], rows[:, 0],
+            np.array([mesh.h(l) for l in range(mesh.num_levels)])[rows[:, 0]],
             np.concatenate([cell_classes(kv, op.cells) + c
                             for op, kv, c in zip(ops, kvs, classes)]),
             np.concatenate([op.local + k for op, k in zip(ops, keys)]), {})

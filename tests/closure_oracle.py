@@ -4,22 +4,71 @@ copy of the mesh on Python sets, split one cell at a time, where every
 split first splits the active cells of its support extension on the level
 m - 1 coarser, recursively. The reference takes elements (level, ix, iy);
 :func:`positions` names them as ``refine`` does. :func:`locate` is the
-per-point reference for ``mesh.locate``."""
+per-point reference for ``mesh.locate``, and :func:`neighbors` the
+per-element reference for ``expand_marks``.
+
+The program names cells and functions by their rows in
+``mesh.active_elements()`` and ``basis.indices``; :func:`elements`,
+:func:`functions` and :func:`cell_rect` turn those rows into the tuples and
+rectangles that the oracles compare."""
 
 import copy
+from typing import NamedTuple
 
 import numpy as np
 
-from hbplate.hierarchy import ElementId, RefinementLimitError
+from hbplate.hierarchy import RefinementLimitError
 from hbplate.splines import dyadic_refine
 
 
-def positions(mesh, elements):
+class ElementId(NamedTuple):
+    """An active cell, by its level and its index on that level."""
+
+    level: int
+    ix: int
+    iy: int
+
+
+class FunctionId(NamedTuple):
+    """An active function, by its level and its tensor index on that level."""
+
+    level: int
+    ix: int
+    iy: int
+
+
+def elements(mesh):
+    """The active cells in position order, one :class:`ElementId` each."""
+    return [ElementId(*row) for row in mesh.active_elements().tolist()]
+
+
+def functions(basis):
+    """The active functions in dof order, one :class:`FunctionId` each."""
+    return [FunctionId(*f) for f in zip(*(a.tolist() for a in basis.indices))]
+
+
+def cell_rect(mesh, e):
+    """The parametric rectangle (x0, y0, x1, y1) of the cell e."""
+    h = mesh.h(e.level)
+    return (e.ix * h, e.iy * h, (e.ix + 1) * h, (e.iy + 1) * h)
+
+
+def neighbors(mesh, e):
+    """Active same-level elements sharing an edge or a vertex with the
+    active element e."""
+    if e.level >= mesh.num_levels or mesh.cell_index(*e) < 0:
+        raise ValueError("element %s is not active" % (e,))
+    around = [(e.ix + dx, e.iy + dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1) if dx or dy]
+    found = mesh.cell_index(e.level, *np.array(around).T) >= 0
+    return {ElementId(e.level, i, j) for (i, j), f in zip(around, found) if f}
+
+
+def positions(mesh, marked):
     """Positions in ``mesh.active_elements()`` of the active elements
     (level, ix, iy), the marks that ``refine`` takes: each cell's
     ``cell_index``."""
     out = []
-    for e in map(ElementId._make, elements):
+    for e in map(ElementId._make, marked):
         k = int(mesh.cell_index(e.level, e.ix, e.iy)) if e.level < mesh.num_levels else -1
         assert k >= 0, "element %s is not active" % (e,)
         out.append(k)

@@ -42,7 +42,7 @@ from hbplate.assembly import (
     _vanishes,
 )
 from hbplate.estimators import BubbleBlock, _gaussian_load
-from hbplate.hierarchy import ElementId, two_scale
+from hbplate.hierarchy import two_scale
 from hbplate.splines import (
     bernstein_knots,
     cell_classes,
@@ -51,7 +51,7 @@ from hbplate.splines import (
     tabulate_in_span,
 )
 
-from closure_oracle import locate
+from closure_oracle import ElementId, elements, locate
 
 
 def level_ops(space):
@@ -495,7 +495,7 @@ def jump_terms(space, coeffs):
         cells.append(pos)
         return (side, part), len(cells) - 1
 
-    for pos, e in enumerate(mesh.active_elements()):
+    for pos, e in enumerate(elements(mesh)):
         for side in SIDES:
             for nb, part in edge_neighbor_pieces(mesh, e, side):
                 finer = nb.level >= e.level

@@ -13,9 +13,9 @@ from hbplate.adaptivity import (
     slopes,
 )
 from hbplate.benchmarks import benchmark_smooth, benchmark_spline_exact
-from hbplate.hierarchy import ElementId, HierarchicalSpace, neighbors
+from hbplate.hierarchy import HierarchicalSpace
 
-from closure_oracle import positions
+from closure_oracle import ElementId, elements, neighbors, positions
 
 
 class TestMarkMaximum:
@@ -95,7 +95,7 @@ class TestExpandMarks:
             space = space.refined(picks, p - 1)
         mesh = space.mesh
         assert mesh.num_levels >= 4
-        active = mesh.active_elements()
+        active = elements(mesh)
         for size in (1, len(active) // 10, len(active) // 3, len(active)):
             marked = rng.choice(len(active), size=size, replace=False)
             want = {active[k] for k in marked}.union(*(neighbors(mesh, active[k]) for k in marked))

@@ -33,9 +33,9 @@ from hbplate.assembly import (
     _graded_rule,
 )
 from hbplate.benchmarks import benchmark_singular
-from hbplate.hierarchy import ElementId, HierarchicalSpace, check_admissible, connectivity
+from hbplate.hierarchy import HierarchicalSpace, check_admissible, connectivity
 from hbplate.splines import eval_ders, make_open_uniform, tabulate_in_span
-from closure_oracle import locate, positions
+from closure_oracle import ElementId, cell_rect, elements, functions, locate, positions
 from pushforward import pushforward2
 
 IDENTITY = GeometryMap.identity()
@@ -322,7 +322,7 @@ def oracle_tables(space, e, xs, ys, max_der=2):
     their univariate tables (function, derivative, node) at xs and ys, each
     from tabulate_in_span on its own level, in the span of e's ancestor."""
     mesh, basis, p = space.mesh, space.basis, space.degree
-    funcs = connectivity(mesh, basis, e)
+    dofs = connectivity(mesh, basis, e)
     tables = {}  # (level, its cell there, direction) -> table
 
     def table(k, cell, t):
@@ -331,12 +331,12 @@ def oracle_tables(space, e, xs, ys, max_der=2):
             tables[key] = tabulate_in_span(mesh.knots(k), t, cell + p, max_der)
         return tables[key]
     tx, ty = [], []
-    for f in funcs:
-        shift = e.level - f.level
+    for k, fx, fy in zip(*(a[dofs].tolist() for a in basis.indices)):
+        shift = e.level - k
         ax, ay = e.ix >> shift, e.iy >> shift
-        tx.append(table(f.level, ax, xs)[:, f.ix - ax])
-        ty.append(table(f.level, ay, ys)[:, f.iy - ay])
-    return [int(basis.level_dofs(*f)) for f in funcs], np.array(tx), np.array(ty)
+        tx.append(table(k, ax, xs)[:, fx - ax])
+        ty.append(table(k, ay, ys)[:, fy - ay])
+    return dofs.tolist(), np.array(tx), np.array(ty)
 
 
 class TestLevelBatchKernel:
@@ -403,7 +403,7 @@ class TestLevelBatchKernel:
                             (name, e, (dx, dy))
                     seen.append(e)
                     mixed += len({d for d in dofs if d < space.basis._starts[level]}) > 0
-            assert seen == mesh.active_elements()
+            assert seen == elements(mesh)
         assert mixed > 0 and max(levels) > 1
 
     @pytest.mark.parametrize("p", [3, 4, 5])
@@ -466,17 +466,18 @@ class TestLevelBatchKernel:
         nodes, w1 = np.polynomial.legendre.leggauss(5)
         nodes, w1 = 0.5 * (nodes + 1.0), 0.5 * w1
         ref = np.zeros_like(got)
-        for e in mesh.active_elements():
-            x0, y0, x1, y1 = mesh.element_rect(e)
+        every = functions(basis)
+        for e in elements(mesh):
+            x0, y0, x1, y1 = cell_rect(mesh, e)
             xs, ys = x0 + (x1 - x0) * nodes, y0 + (y1 - y0) * nodes
-            funcs = connectivity(mesh, basis, e)
+            idx = connectivity(mesh, basis, e)
+            funcs = [every[d] for d in idx]
             tabs = []
             for f in funcs:
                 k = mesh.knots(f.level)
                 ax, ay = e.ix >> (e.level - f.level), e.iy >> (e.level - f.level)
                 tabs.append((tabulate_in_span(k, xs, ax + 3, 2)[:, f.ix - ax],
                              tabulate_in_span(k, ys, ay + 3, 2)[:, f.iy - ay]))
-            idx = [int(basis.level_dofs(*f)) for f in funcs]
             for qx, x in enumerate(xs):
                 for qy, y in enumerate(ys):
                     push = pushforward2(geo, (x, y))
@@ -520,7 +521,8 @@ def oracle_space(name="three_levels"):
     space = HierarchicalSpace.create(5, 3)
     space = space.refined(positions(space.mesh, [ElementId(0, 0, 0)]), 2)
     space = space.refined(positions(space.mesh, [ElementId(1, 0, 0)]), 2)
-    counts = {len(connectivity(space.mesh, space.basis, e)) for e in space.mesh.active_elements()}
+    counts = {len(connectivity(space.mesh, space.basis, cell))
+              for cell in space.mesh.active_elements()}
     assert space.mesh.num_levels == 3 and check_admissible(space.mesh, 2, space.basis)
     assert min(counts) < max(counts)
     return space
@@ -535,11 +537,12 @@ def oracle_hessians(kind, name="three_levels"):
     mesh, basis, p = space.mesh, space.basis, space.degree
     nodes, w1 = np.polynomial.legendre.leggauss(p + 2)
     nodes, w1 = 0.5 * (nodes + 1.0), 0.5 * w1
-    out = []
-    for e in mesh.active_elements():
-        x0, y0, x1, y1 = mesh.element_rect(e)
+    out, every = [], functions(basis)
+    for e in elements(mesh):
+        x0, y0, x1, y1 = cell_rect(mesh, e)
         xs, ys = x0 + (x1 - x0) * nodes, y0 + (y1 - y0) * nodes
-        funcs = connectivity(mesh, basis, e)
+        idx = connectivity(mesh, basis, e)
+        funcs = [every[d] for d in idx]
         tx, ty = [], []
         for f in funcs:
             kv, shift = mesh.knots(f.level), e.level - f.level
@@ -557,7 +560,7 @@ def oracle_hessians(kind, name="three_levels"):
                                  a[:, 1] * b[:, 1], a[:, 0] * b[:, 2]], axis=1).reshape(-1, 2, 2)
                 points.append((w1[qx] * w1[qy] * (x1 - x0) * (y1 - y0) * push.jacobian_det,
                                np.array([push.apply(g, h)[1] for g, h in zip(grad, hpar)])))
-        out.append(([int(basis.level_dofs(*f)) for f in funcs], points))
+        out.append((idx, points))
     return out
 
 
@@ -649,8 +652,8 @@ def connectivity_pattern(space):
     active element, from connectivity, one element at a time."""
     n = space.num_dofs
     pairs = set()
-    for e in space.mesh.active_elements():
-        idx = [int(space.basis.level_dofs(*f)) for f in connectivity(space.mesh, space.basis, e)]
+    for cell in space.mesh.active_elements():
+        idx = connectivity(space.mesh, space.basis, cell).tolist()
         pairs.update((i, j) for i in idx for j in idx)
     i, j = np.array(sorted(pairs)).T
     m = sp.csr_matrix((np.ones(i.size), (i, j)), shape=(n, n))
@@ -701,15 +704,16 @@ class TestLoad:
         kv = mesh.knots(0)
         nodes, w1 = np.polynomial.legendre.leggauss(10)
         nodes, w1 = 0.5 * (nodes + 1.0), 0.5 * w1
-        ref = np.zeros(space.num_dofs)
-        for e in mesh.active_elements():
-            x0, y0, x1, y1 = mesh.element_rect(e)
+        ref, every = np.zeros(space.num_dofs), functions(space.basis)
+        for e in elements(mesh):
+            x0, y0, x1, y1 = cell_rect(mesh, e)
             xs, ys = x0 + (x1 - x0) * nodes, y0 + (y1 - y0) * nodes
             tx = tabulate_in_span(kv, xs, e.ix + 3, 0)[0]
             ty = tabulate_in_span(kv, ys, e.iy + 3, 0)[0]
             gw = g(xs[:, None], ys[None, :]) * np.outer(w1, w1) * (x1 - x0) * (y1 - y0)
-            for f in connectivity(mesh, space.basis, e):
-                ref[int(space.basis.level_dofs(*f))] += tx[f.ix - e.ix] @ gw @ ty[f.iy - e.iy]
+            for d in connectivity(mesh, space.basis, e).tolist():
+                f = every[d]
+                ref[d] += tx[f.ix - e.ix] @ gw @ ty[f.iy - e.iy]
         scale = np.abs(ref).max()
         assert np.abs(rhs - ref).max() <= 1e-10 * scale
 
@@ -724,9 +728,10 @@ class TestLoad:
         kv = mesh.knots(0)
         tx = tabulate_in_span(kv, [0.4], e.ix + 3, 0)[0, :, 0]
         ty = tabulate_in_span(kv, [0.55], e.iy + 3, 0)[0, :, 0]
-        expected = np.zeros(space.num_dofs)
-        for f in connectivity(mesh, space.basis, e):
-            expected[int(space.basis.level_dofs(*f))] = -tx[f.ix - e.ix] * ty[f.iy - e.iy]
+        expected, every = np.zeros(space.num_dofs), functions(space.basis)
+        for d in connectivity(mesh, space.basis, e).tolist():
+            f = every[d]
+            expected[d] = -tx[f.ix - e.ix] * ty[f.iy - e.iy]
         np.testing.assert_allclose(rhs, expected, atol=1e-15)
 
     @pytest.mark.parametrize("p", [3, 4])
@@ -752,8 +757,8 @@ class TestLoad:
         assert locate(mesh, *loads[0][0]).level == 3 and locate(mesh, *loads[1][0]).level < 2
         ref = np.zeros(space.num_dofs)
         gauss = _gauss01(p + 2)
-        for e in mesh.active_elements():
-            x0, y0, x1, y1 = mesh.element_rect(e)
+        for e in elements(mesh):
+            x0, y0, x1, y1 = cell_rect(mesh, e)
             (xn, xw), (yn, yw) = _graded_rule(p, frozenset({"left"})) if x0 == 0.0 else (gauss,) * 2
             xs, ys = x0 + (x1 - x0) * xn, y0 + (y1 - y0) * yn
             dofs, tx, ty = oracle_tables(space, e, xs, ys)
@@ -792,9 +797,9 @@ class TestDirichlet:
         sys0 = assemble_system(space, IDENTITY, prob)
         sys1 = apply_dirichlet(sys0, space, prob)
         # bottom side trace of x^2 y^2 vanishes: its dofs are zero
-        for f in space.basis.active:
+        for d, f in enumerate(functions(space.basis)):
             if f.iy == 0:
-                assert abs(sys1.constraints[int(space.basis.level_dofs(*f))]) <= 1e-12
+                assert abs(sys1.constraints[d]) <= 1e-12
 
     def test_clamped_side_constrains_two_layers(self):
         space = HierarchicalSpace.create(4, 3)
@@ -807,7 +812,7 @@ class TestDirichlet:
                             rhs=np.zeros(space.num_dofs))
         sys1 = apply_dirichlet(sys0, space, prob)
         n = space.mesh.knots(0).num_basis
-        expected = {int(space.basis.level_dofs(*f)) for f in space.basis.active
+        expected = {d for d, f in enumerate(functions(space.basis))
                     if f.ix == 0 or f.iy in (0, n - 1) or f.ix == n - 1 or f.ix == 1}
         assert set(sys1.constraints) == expected
 
@@ -865,8 +870,8 @@ def dense_side_rows(space, side, kind):
     nodes, w1 = _gauss01(space.degree + 2)
     vertical, end = side in ("left", "right"), 0.0 if side in ("left", "bottom") else 1.0
     rows, wts, pts = [], [], []
-    for e in mesh.active_elements():
-        x0, y0, x1, y1 = mesh.element_rect(e)
+    for e in elements(mesh):
+        x0, y0, x1, y1 = cell_rect(mesh, e)
         if (x0, x1, y0, y1)[2 * (not vertical) + (end == 1.0)] != end:
             continue
         h = x1 - x0
@@ -895,8 +900,8 @@ class TestDirichletLeastSquares:
         for level in range(3):
             space = space.refined(
                 positions(space.mesh, [ElementId(level, 0, 8 << level)]), 2)
-        mesh, basis = space.mesh, space.basis
-        assert mesh.num_levels == 4 and len({f.level for f in basis.active if f.ix == 0}) >= 3
+        mesh, funcs = space.mesh, functions(space.basis)
+        assert mesh.num_levels == 4 and len({f.level for f in funcs if f.ix == 0}) >= 3
         w_left = lambda x, y: np.sin(np.pi * y) * (1.0 + y) + 0.0 * x
         phi_left = lambda x, y: np.cos(2.0 * y) - x
         prob = PlateProblem(dirichlet_w={**{s: 0.0 for s in SIDES}, "left": w_left},
@@ -913,7 +918,7 @@ class TestDirichletLeastSquares:
         fits.append(("left", "rotation", phi_left))
         for side, kind, data in fits:
             depth = 1 if kind == "deflection" else 2
-            trace = [d for d, f in enumerate(basis.active) if layer[side](f) < depth]
+            trace = [d for d, f in enumerate(funcs) if layer[side](f) < depth]
             fixed = [d for d in trace if d in want]
             unknowns = [d for d in trace if d not in want]
             a, w, pts = dense_side_rows(space, side, kind)
@@ -1292,6 +1297,16 @@ class TestEvaluate:
             evaluate(field, space, IDENTITY, [(0.1, 0.2, 0.3)])
         with pytest.raises(ValueError, match=r"point \(0.3, nan\)"):
             evaluate(field, space, IDENTITY, [(0.1, 0.2), (0.3, float("nan"))])
+
+    def test_no_points_give_empty_arrays(self):
+        space = HierarchicalSpace.create(2, 3)
+        space = space.refined(positions(space.mesh, [ElementId(0, 0, 0)]), 2)
+        from hbplate.assembly import DiscreteField
+        field = DiscreteField(np.ones(space.num_dofs))
+        for geo in (IDENTITY, GeometryMap.affine([[1.1, 0.3], [-0.2, 0.8]], (0.2, -0.1))):
+            for points in ([], np.empty((0, 2))):
+                vals, grads, hess = evaluate(field, space, geo, points)
+                assert (vals.shape, grads.shape, hess.shape) == ((0,), (0, 2), (0, 3))
 
 
 class TestTableCache:

@@ -133,7 +133,6 @@ class TestGradedLoadQuadrature:
         changed = np.abs(plain - graded) > 1e-13
         assert changed.any()
         # graded and plain agree where the integrand is smooth
-        interior_funcs = [f for f in space.basis.active if f.ix > 3 and f.iy > 3]
-        for f in interior_funcs:
-            d = int(space.basis.level_dofs(*f))
+        _, fx, fy = space.basis.indices
+        for d in np.flatnonzero((fx > 3) & (fy > 3)).tolist():
             assert abs(plain[d] - graded[d]) <= 1e-12 * max(1.0, abs(plain[d]))

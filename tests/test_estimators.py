@@ -31,9 +31,9 @@ from hbplate.estimators import (
 )
 from hbplate.benchmarks import benchmark_spline_exact
 from hbplate.assembly import DiscreteField
-from hbplate.hierarchy import ElementId, HierarchicalSpace, connectivity
+from hbplate.hierarchy import HierarchicalSpace, connectivity
 from hbplate.splines import eval_bernstein_ders, make_open_uniform, tabulate_in_span
-from closure_oracle import positions
+from closure_oracle import ElementId, cell_rect, elements, functions, positions
 from pushforward import pushforward2
 
 IDENTITY = GeometryMap.identity()
@@ -370,12 +370,12 @@ def reference_block(space, geo, problem, u, e, pairs):
     e's edges along natural sides, and the point loads inside e."""
     mesh, p = space.mesh, space.degree
     q, d, nu = p + 1, problem.stiffness, problem.poisson
-    x0, y0, x1, y1 = mesh.element_rect(e)
+    x0, y0, x1, y1 = cell_rect(mesh, e)
     h = x1 - x0
     nodes, w1 = np.polynomial.legendre.leggauss(p + 2)
     nodes, w1 = 0.5 * (nodes + 1.0), 0.5 * w1
-    funcs = connectivity(mesh, space.basis, e)
-    coeffs = [u.coefficients[int(space.basis.level_dofs(*f))] for f in funcs]
+    dofs, every = connectivity(mesh, space.basis, e), functions(space.basis)
+    funcs, coeffs = [every[k] for k in dofs], u.coefficients[dofs]
 
     def bubbles(tx, ty):
         bx = eval_bernstein_ders(q, tx, 2).ders
@@ -584,7 +584,7 @@ class TestEstimate:
         # quadrature and a dense solve
         space, geo, prob, u, bubbles, _ = TestMappedBlocks().blocks(kind, 3)
         eta, total = estimate(u, space, prob, geo, calibration=3.0)
-        active = space.mesh.active_elements()
+        active = elements(space.mesh)
         assert eta.shape == (len(active),)
         assert total == math.sqrt(sum(v**2 for v in eta.tolist()))
         for e in TestMappedBlocks.ELEMENTS:

@@ -2,23 +2,21 @@ import numpy as np
 import pytest
 
 from hbplate.hierarchy import (
-    ElementId,
-    FunctionId,
     HierarchicalSpace,
     RefinementLimitError,
     check_admissible,
     connectivity,
     dump_mesh,
     init,
-    neighbors,
     rebuild_basis,
     refine,
     two_scale,
 )
 from hbplate.splines import eval_ders, find_span, tabulate_in_span
 
+from closure_oracle import ElementId, FunctionId, cell_rect, elements, functions
 from closure_oracle import locate as oracle_locate
-from closure_oracle import positions, refine_recursive
+from closure_oracle import neighbors, positions, refine_recursive
 
 
 def overlap_area(a, b):
@@ -36,8 +34,8 @@ def brute_force_active_functions(mesh):
     active level-l cells and no active cell of a coarser level.
     """
     cells = {l: [] for l in range(mesh.num_levels)}
-    for e in mesh.active_elements():
-        cells[e.level].append(mesh.element_rect(e))
+    for e in elements(mesh):
+        cells[e.level].append(cell_rect(mesh, e))
     expected = set()
     for l in range(mesh.num_levels):
         kv = mesh.knots(l)
@@ -72,7 +70,7 @@ class TestInit:
 class TestRebuildBasis:
     def test_unrefined_all_level0(self):
         mesh, basis = init(4, 3)
-        assert all(f.level == 0 for f in basis.active)
+        assert (basis.indices[0] == 0).all()
         assert basis.num_dofs == 49
 
     def test_global_refinement_degenerates_to_fine_tensor_basis(self):
@@ -81,18 +79,18 @@ class TestRebuildBasis:
         fb = rebuild_basis(fine)
         n1 = 2 * 4 + 3
         expected = {FunctionId(1, i, j) for i in range(n1) for j in range(n1)}
-        assert set(fb.active) == expected
+        assert set(functions(fb)) == expected
 
     def test_corner_block_refinement_against_brute_force(self):
         mesh, _ = init(4, 3)
         marked = [ElementId(0, 0, 0), ElementId(0, 1, 0), ElementId(0, 0, 1), ElementId(0, 1, 1)]
         fine = refine(mesh, positions(mesh, marked), m=2)
         basis = rebuild_basis(fine)
-        assert set(basis.active) == brute_force_active_functions(fine)
+        assert set(functions(basis)) == brute_force_active_functions(fine)
         # frozen counts from the oracle: 4 coarse corner functions deactivate,
         # 16 fine functions fit inside the refined block
         by_level = {}
-        for f in basis.active:
+        for f in functions(basis):
             by_level[f.level] = by_level.get(f.level, 0) + 1
         assert by_level == {0: 45, 1: 16}
 
@@ -106,14 +104,15 @@ class TestRebuildBasis:
                 picks = rng.choice(len(active), size=k, replace=False)
                 mesh = refine(mesh, picks, m=2)
             basis = rebuild_basis(mesh)
-            assert set(basis.active) == brute_force_active_functions(mesh)
+            assert set(functions(basis)) == brute_force_active_functions(mesh)
 
     def test_dof_numbering_is_dense_and_ordered(self):
         mesh, _ = init(4, 3)
         fine = refine(mesh, positions(mesh, [ElementId(0, 2, 2)]), m=2)
         basis = rebuild_basis(fine)
-        assert [int(basis.level_dofs(*f)) for f in basis.active] == list(range(basis.num_dofs))
-        assert list(basis.active) == sorted(basis.active)
+        funcs = functions(basis)
+        assert [int(basis.level_dofs(*f)) for f in funcs] == list(range(basis.num_dofs))
+        assert funcs == sorted(funcs)
 
     def test_linear_independence_on_fine_sample_grid(self):
         mesh, _ = init(2, 3)
@@ -122,7 +121,7 @@ class TestRebuildBasis:
         basis = rebuild_basis(mesh)
         xs = np.linspace(0.0, 1.0, 40)
         cols = np.zeros((40 * 40, basis.num_dofs))
-        for f in basis.active:
+        for f in functions(basis):
             kv = mesh.knots(f.level)
             vx = np.zeros(40)
             vy = np.zeros(40)
@@ -147,16 +146,16 @@ class TestRefine:
         mesh, _ = init(4, 3)
         fine = refine(mesh, positions(mesh, [ElementId(0, 1, 1)]), m=2)
         assert fine.n_active == 15 + 4
-        assert not fine.is_active(ElementId(0, 1, 1))
+        assert fine.cell_index(0, 1, 1) < 0
         for dx in (0, 1):
             for dy in (0, 1):
-                assert fine.is_active(ElementId(1, 2 + dx, 2 + dy))
+                assert fine.cell_index(1, 2 + dx, 2 + dy) >= 0
 
     def test_repeated_corner_marking_stays_admissible(self):
         mesh, _ = init(4, 3)
         for _ in range(4):
-            corner = min(e for e in mesh.active_elements()
-                         if e.level == max(q.level for q in mesh.active_elements()))
+            every = elements(mesh)
+            corner = min(e for e in every if e.level == max(q.level for q in every))
             mesh = refine(mesh, positions(mesh, [corner]), m=2)
             assert check_admissible(mesh, 2)
 
@@ -188,9 +187,9 @@ class TestRefine:
     def test_level_cap_refused_with_diagnostic(self):
         mesh, _ = init(1, 3, max_level=2)
         for _ in range(2):
-            deepest = max(mesh.active_elements(), key=lambda e: e.level)
+            deepest = max(elements(mesh), key=lambda e: e.level)
             mesh = refine(mesh, positions(mesh, [deepest]), m=2)
-        deepest = max(mesh.active_elements(), key=lambda e: e.level)
+        deepest = max(elements(mesh), key=lambda e: e.level)
         assert deepest.level == 2
         with pytest.raises(RefinementLimitError):
             refine(mesh, positions(mesh, [deepest]), m=2)
@@ -205,7 +204,7 @@ class TestRefine:
         def sample_matrix(msh, bas):
             cols = np.zeros((50 * 50, bas.num_dofs))
             kv = {l: msh.knots(l) for l in range(msh.num_levels)}
-            for f in bas.active:
+            for f in functions(bas):
                 vals_x = np.zeros(50)
                 vals_y = np.zeros(50)
                 for r, x in enumerate(xs):
@@ -235,9 +234,9 @@ def random_marks(rng, mesh, most=6):
                       replace=False)
 
 
-def elements(mesh, marked):
+def elements_at(mesh, marked):
     """The elements at the positions `marked`, as the recursion takes them."""
-    active = mesh.active_elements()
+    active = elements(mesh)
     return [active[k] for k in marked]
 
 
@@ -254,7 +253,7 @@ class TestClosureOracle:
             for _ in range(int(rng.integers(2, 7))):
                 step_m = int(rng.integers(2, 6)) if m == "mixed" else m
                 marked = random_marks(rng, mesh)
-                want = refine_recursive(mesh, elements(mesh, marked), step_m)
+                want = refine_recursive(mesh, elements_at(mesh, marked), step_m)
                 mesh = refine(mesh, marked, step_m)
                 assert same_mesh(mesh, want)
 
@@ -275,12 +274,12 @@ class TestClosureOracle:
         for m in (2, 3, 4):
             mesh, _ = init(2, p, max_level=3)
             for _ in range(6):
-                deepest = [k for k, e in enumerate(mesh.active_elements())
+                deepest = [k for k, e in enumerate(elements(mesh))
                            if e.level == mesh.num_levels - 1]
                 marked = np.append(random_marks(rng, mesh),
                                    deepest[int(rng.integers(len(deepest)))])
                 try:
-                    want = refine_recursive(mesh, elements(mesh, marked), m)
+                    want = refine_recursive(mesh, elements_at(mesh, marked), m)
                 except RefinementLimitError:
                     with pytest.raises(RefinementLimitError, match="maximum level 3"):
                         refine(mesh, marked, m)
@@ -296,7 +295,7 @@ class TestClosureOracle:
         mesh = refine(mesh, positions(mesh, [ElementId(0, 4, 4)]), m=2)
         mesh = refine(mesh, positions(mesh, [ElementId(1, 8, 8)]), m=2)
         marked = rng.choice(mesh.n_active, size=6, replace=False)
-        want = refine_recursive(mesh, elements(mesh, marked), 2)
+        want = refine_recursive(mesh, elements_at(mesh, marked), 2)
         for order in (marked, marked[::-1], np.concatenate([marked, marked[:2]]),
                       rng.permutation(np.repeat(marked, 2))):
             assert same_mesh(refine(mesh, order, 2), want)
@@ -305,12 +304,14 @@ class TestClosureOracle:
         mesh, _ = init(2, 3)
         mesh = refine(mesh, positions(mesh, [ElementId(0, 1, 1), ElementId(0, 0, 0)]), m=2)
         mesh = refine(mesh, positions(mesh, [ElementId(1, 2, 2)]), m=2)
-        every = mesh.active_elements()
-        assert every == sorted(every) and len(every) == mesh.n_active
+        rows = mesh.active_elements()
+        assert rows.dtype == np.int64 and rows.shape == (mesh.n_active, 3)
+        every = elements(mesh)
+        assert every == sorted(every)
         assert np.array_equal(positions(mesh, every), np.arange(mesh.n_active))
         # the mark k splits the element at position k
         for k in (0, 1, len(every) - 5, len(every) - 1):
-            assert not refine(mesh, [k], m=2).is_active(every[k])
+            assert refine(mesh, [k], m=2).cell_index(*every[k]) < 0
 
 
 class TestAdmissibility:
@@ -361,15 +362,20 @@ class TestNeighbors:
         fine = refine(mesh, positions(mesh, [ElementId(0, 1, 1)]), m=2)
         nb = neighbors(fine, ElementId(0, 2, 2))
         assert ElementId(0, 1, 1) not in nb
-        assert nb == {e for e in nb if fine.is_active(e) and e.level == 0}
+        assert nb == {e for e in nb if fine.cell_index(*e) >= 0 and e.level == 0}
         assert len(nb) == 7
 
 
 class TestConnectivity:
     def test_single_level_interior_element(self):
         mesh, basis = init(4, 3)
-        funcs = connectivity(mesh, basis, ElementId(0, 1, 1))
-        assert len(funcs) == 16
+        dofs = connectivity(mesh, basis, ElementId(0, 1, 1))
+        assert dofs.dtype == np.int64 and len(dofs) == 16
+        assert dofs.tolist() == sorted(dofs.tolist())
+        fine = refine(mesh, positions(mesh, [ElementId(0, 1, 1)]), m=2)
+        for inactive in ((0, 1, 1), (2, 0, 0), (0, 4, 0), (-1, 0, 0)):
+            with pytest.raises(ValueError, match=r"cell \(%d, %d, %d\) is not active" % inactive):
+                connectivity(fine, rebuild_basis(fine), inactive)
 
     def test_admissible_bound_on_function_count(self):
         rng = np.random.default_rng(17)
@@ -381,10 +387,10 @@ class TestConnectivity:
             mesh = refine(mesh, picks, m=m)
         basis = rebuild_basis(mesh)
         p = mesh.p
-        for e in mesh.active_elements():
-            funcs = connectivity(mesh, basis, e)
-            assert len(funcs) <= m * (p + 1) ** 2
-            assert all(e.level - m + 1 <= f.level <= e.level for f in funcs)
+        for cell in mesh.active_elements():
+            levels = basis.indices[0][connectivity(mesh, basis, cell)]
+            assert len(levels) <= m * (p + 1) ** 2
+            assert ((cell[0] - m + 1 <= levels) & (levels <= cell[0])).all()
 
 
 class TestDump:
@@ -404,6 +410,21 @@ class TestDump:
             assert level >= 0
             total += (x1 - x0) * (y1 - y0)
         assert abs(total - 1.0) <= 1e-12
+
+    def test_lines_from_levels_and_indices(self):
+        # every number of a three-level dump, against the cell's level and
+        # index times h = 1 / (n0 2^l)
+        mesh, _ = init(3, 3)
+        mesh = refine(mesh, positions(mesh, [ElementId(0, 1, 1)]), m=2)
+        mesh = refine(mesh, positions(mesh, [ElementId(1, 2, 2)]), m=2)
+        assert mesh.num_levels == 3
+        want = []
+        for l in range(mesh.num_levels):
+            h = 1.0 / (3 * 2**l)
+            for ix, iy in mesh.cells(l).tolist():
+                want.append("%d %.17g %.17g %.17g %.17g"
+                            % (l, ix * h, iy * h, (ix + 1) * h, (iy + 1) * h))
+        assert dump_mesh(mesh) == "\n".join(want) + "\n"
 
 
 class TestSpace:
@@ -472,11 +493,11 @@ class TestQueriesAgainstGeometry:
                 as_tuples = [tuple(c) for c in cells.tolist()]
                 assert as_tuples == sorted(set(as_tuples))
                 for ix, iy in as_tuples:
-                    rect = mesh.element_rect(ElementId(l, ix, iy))
+                    rect = cell_rect(mesh, ElementId(l, ix, iy))
                     assert rect[2] - rect[0] == pytest.approx(mesh.h(l), rel=1e-12)
                     rects.append(rect)
                 for side in SIDE_NAMES:
-                    want = [on_domain_side(mesh, mesh.element_rect(ElementId(l, *c)), side)
+                    want = [on_domain_side(mesh, cell_rect(mesh, ElementId(l, *c)), side)
                             for c in as_tuples]
                     np.testing.assert_array_equal(_on_side(mesh, l, cells, side), want)
             assert sum((r[2] - r[0]) * (r[3] - r[1]) for r in rects) == pytest.approx(1.0)
@@ -488,37 +509,39 @@ class TestQueriesAgainstGeometry:
                 got = [ElementId(int(view.level[k]), *view.cells[k].tolist())
                        for at, *_ in _side_batches(space, GeometryMap.identity(), side)
                        for k in at.tolist()]
-                assert got == [e for e in mesh.active_elements()
-                               if on_domain_side(mesh, mesh.element_rect(e), side)]
+                assert got == [e for e in elements(mesh)
+                               if on_domain_side(mesh, cell_rect(mesh, e), side)]
 
     def test_basis_and_admissibility(self, p, m):
         for mesh in random_admissible_meshes(p, m):
             basis = rebuild_basis(mesh)
-            assert set(basis.active) == brute_force_active_functions(mesh)
-            assert list(basis.active) == sorted(basis.active)
+            funcs = functions(basis)
+            assert set(funcs) == brute_force_active_functions(mesh)
+            assert funcs == sorted(funcs)
             assert check_admissible(mesh, m, basis)
 
     def test_neighbors(self, p, m):
         for mesh in random_admissible_meshes(p, m):
-            active = mesh.active_elements()
+            active = elements(mesh)
             for e in active:
-                rect = mesh.element_rect(e)
+                rect = cell_rect(mesh, e)
                 want = {f for f in active if f.level == e.level and f != e
-                        and touches(rect, mesh.element_rect(f))}
+                        and touches(rect, cell_rect(mesh, f))}
                 assert neighbors(mesh, e) == want
 
     def test_connectivity(self, p, m):
         for mesh in random_admissible_meshes(p, m):
             basis = rebuild_basis(mesh)
-            for e in mesh.active_elements():
-                rect = mesh.element_rect(e)
+            for e in elements(mesh):
+                rect = cell_rect(mesh, e)
                 want = []
-                for f in basis.active:
+                for d, f in enumerate(functions(basis)):
                     t = mesh.knots(f.level).knots
                     sup = (t[f.ix], t[f.iy], t[f.ix + p + 1], t[f.iy + p + 1])
                     if f.level <= e.level and overlap_area(sup, rect) > 1e-14:
-                        want.append(f)
-                assert connectivity(mesh, basis, e) == want
+                        want.append(d)
+                got = connectivity(mesh, basis, e)
+                assert got.dtype == np.int64 and got.tolist() == want
 
     def test_edge_neighbor_pieces_tile_each_interior_edge(self, p, m):
         # each piece (f, c) is f's whole edge, lying on c's edge across it; an
@@ -529,8 +552,8 @@ class TestQueriesAgainstGeometry:
         opposite = dict(zip(SIDE_NAMES, SIDE_NAMES[2:] + SIDE_NAMES[:2]))
         for mesh in random_admissible_meshes(p, m):
             space = HierarchicalSpace(mesh)
-            active = mesh.active_elements()
-            rects = [mesh.element_rect(e) for e in active]
+            active = elements(mesh)
+            rects = [cell_rect(mesh, e) for e in active]
             pieces = {side: [pair.tolist() for pair in _edge_pieces(space, side)]
                       for side in SIDE_NAMES}
             for side in SIDE_NAMES:
@@ -565,8 +588,8 @@ class TestQueriesAgainstGeometry:
         # one batched call per mesh; the per-point reference pins which of
         # several finest cells a corner or edge point goes to
         for mesh in random_admissible_meshes(p, m):
-            active = mesh.active_elements()
-            rects = {e: mesh.element_rect(e) for e in active}
+            active = elements(mesh)
+            rects = {e: cell_rect(mesh, e) for e in active}
             pts = []
             for e in active:
                 x0, y0, x1, y1 = rects[e]
@@ -611,7 +634,7 @@ class TestTwoScale:
         rng = np.random.default_rng(p)
         for mesh in random_admissible_meshes(p, m, count=2):
             basis = rebuild_basis(mesh)
-            funcs = basis.active
+            funcs = functions(basis)
             for level in range(mesh.num_levels):
                 cells = mesh.cells(level)
                 if not len(cells):

@@ -36,9 +36,9 @@ from hbplate.estimators import (
     natural_boundary_sides,
     residual_estimator,
 )
-from hbplate.hierarchy import ElementId, HierarchicalSpace, check_admissible
+from hbplate.hierarchy import HierarchicalSpace, check_admissible
 from hbplate.splines import make_open_uniform
-from closure_oracle import positions
+from closure_oracle import ElementId, positions
 from test_hierarchy import random_admissible_meshes
 
 RTOL = 1e-13
