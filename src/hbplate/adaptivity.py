@@ -9,6 +9,7 @@ class of the mesh.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,14 +62,19 @@ class LoopConfig:
     validate: bool = False
 
     def __post_init__(self):
-        if self.max_iterations < 1 or self.max_dofs < 1:
-            raise ValueError("iteration and dof budgets must be positive")
+        for name in ("max_iterations", "max_dofs"):
+            budget = getattr(self, name)
+            if not (isinstance(budget, numbers.Integral) and budget >= 1):
+                raise ValueError("iteration and dof budgets must be positive integers, got %s=%r"
+                                 % (name, budget))
         if self.mode not in ("uniform", "adaptive"):
-            raise ValueError("mode must be 'uniform' or 'adaptive'")
+            raise ValueError("mode must be 'uniform' or 'adaptive', got %r" % (self.mode,))
         if self.estimator not in ("bubble", "residual"):
-            raise ValueError("estimator must be 'bubble' or 'residual'")
+            raise ValueError("estimator must be 'bubble' or 'residual', got %r"
+                             % (self.estimator,))
         if self.admissibility is not None and self.admissibility < 2:
-            raise ValueError("admissibility class must be at least 2")
+            raise ValueError("admissibility class must be at least 2, got %r"
+                             % (self.admissibility,))
         MarkParams(self.gamma)  # raises for gamma outside (0, 1)
         if not 0.0 < self.calibration < math.inf:
             raise ValueError("calibration must be finite and positive, got %r"

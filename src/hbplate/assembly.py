@@ -121,19 +121,26 @@ class GeometryMap:
 
     @classmethod
     def affine(cls, matrix, offset=(0.0, 0.0)):
-        matrix = np.asarray(matrix, dtype=float)
+        matrix, offset = np.asarray(matrix, dtype=float), np.asarray(offset, dtype=float)
+        if matrix.shape != (2, 2) or not np.isfinite(matrix).all():
+            raise GeometryError("affine map matrix must be a finite 2x2, got %r" % matrix.tolist())
+        if offset.shape != (2,) or not np.isfinite(offset).all():
+            raise GeometryError("affine map offset must be two finite numbers, got %r"
+                                % (offset.tolist(),))
         if np.linalg.det(matrix) <= 0.0:
             raise GeometryError("affine map must have positive Jacobian determinant")
         return cls("affine", matrix=matrix, offset=offset)
 
     @classmethod
     def spline(cls, kv, control):
-        if kv.domain != (0.0, 1.0):
-            raise GeometryError("spline map knot vector spans %s, not (0.0, 1.0)" % (kv.domain,))
         control = np.asarray(control, dtype=float)
         n = kv.num_basis
         if control.shape != (n, n, 2):
             raise GeometryError("control net must have shape (%d, %d, 2)" % (n, n))
+        bad = np.argwhere(~np.isfinite(control).all(axis=2))
+        if bad.size:
+            raise GeometryError("control point (%d, %d) is not finite: %r"
+                                % (*bad[0], control[tuple(bad[0])].tolist()))
         return cls("spline", kv=kv, control=control)
 
     @property
@@ -594,6 +601,7 @@ def _kron_upper(kv, form, stiffness):
     for m, gx, gy in _gram_terms(cell_grams(kv), form):
         vals = vals + m * _band(kv, gx)[:, None, d] * _band(kv, gy)[None, :, e]
     vals = stiffness * vals
+    # entries at off-grid offsets are exact zeros, and so dropped, only when the form is finite
     keep = vals != 0.0
     r = np.arange(n)
     cols = (r[:, None, None] + d - p) * n + (r[None, :, None] + e - p)

@@ -56,6 +56,7 @@ class RefinementLimitError(RuntimeError):
 
 
 _LOW = (1 << 32) - 1
+_NO_KEYS = np.empty(0, dtype=np.int64)
 
 
 def _keys(ix, iy):
@@ -117,7 +118,9 @@ class HierarchicalMesh:
     def cell_index(self, level, ix, iy):
         """Positions in :meth:`active_elements` of the level-`level` cells
         (ix, iy), elementwise over broadcast index arrays, and -1 where a
-        cell is inactive."""
+        cell is inactive or the level is outside [0, num_levels)."""
+        if not 0 <= level < self.num_levels:
+            return _find(_NO_KEYS, _keys(ix, iy))
         return _find(self._keys[level], _keys(ix, iy), sum(k.size for k in self._keys[:level]))
 
     def active_elements(self):
@@ -186,7 +189,10 @@ class HierarchicalBasis:
 
     def level_dofs(self, level, ix, iy):
         """Dof numbers of the level-`level` functions (ix, iy), elementwise
-        over broadcast index arrays, and -1 where a function is inactive."""
+        over broadcast index arrays, and -1 where a function is inactive or
+        the level is outside [0, num_levels)."""
+        if not 0 <= level < len(self._starts) - 1:
+            return _find(_NO_KEYS, _keys(ix, iy))
         lo, hi = self._starts[level], self._starts[level + 1]
         return _find(self._keys[lo:hi], _keys(ix, iy), lo)
 
@@ -265,13 +271,13 @@ def refine(mesh, marked, m):
     marked = _positions(marked, mesh.n_active)
     marks = np.concatenate(mesh._keys)[marked]
     marks_level = np.searchsorted(np.cumsum([k.size for k in mesh._keys]), marked, side="right")
-    levels, empty = mesh.num_levels, np.empty(0, dtype=np.int64)
+    levels = mesh.num_levels
     # covered[l]: the level-l cells that finer active cells already cover
-    covered = [empty] * levels
+    covered = [_NO_KEYS] * levels
     for l in range(levels - 2, -1, -1):
         covered[l] = _coarsen(np.concatenate([mesh._keys[l + 1], covered[l + 1]]))
     asked = [[] for _ in range(levels)]
-    split = [empty] * (levels + 1)
+    split = [_NO_KEYS] * (levels + 1)
     box = np.arange(-mesh.p, mesh.p + 1)
     for l in range(levels - 1, -1, -1):
         split[l] = np.unique(np.concatenate(

@@ -1,11 +1,13 @@
 """Univariate B-spline evaluation with derivatives.
 
-Only open knot vectors of maximum smoothness (single interior knots) are
-supported; this is all the dyadic hierarchical construction needs. Basis
-values and derivatives follow the standard Cox-de Boor recurrence, in one
-tabulation kernel, :func:`tabulate_in_span`, which evaluates many points
-at once, each in its own span or all in one; derivative orders beyond the
-polynomial degree evaluate to zero.
+Only open knot vectors of maximum smoothness (single interior knots) on
+[0, 1] are supported; this is all the dyadic hierarchical construction
+needs. Every mesh level, the Bernstein bubbles and the spline geometry map
+live on [0, 1], and :class:`KnotVector` rejects knots with other ends.
+Basis values and derivatives follow the standard Cox-de Boor recurrence,
+in one tabulation kernel, :func:`tabulate_in_span`, which evaluates many
+points at once, each in its own span or all in one; derivative orders
+beyond the polynomial degree evaluate to zero.
 
 The Bernstein polynomials of degree q on [0, 1] are the B-splines of the
 one-span open knot vector :func:`bernstein_knots`, so they go through the
@@ -49,9 +51,9 @@ __all__ = [
 class KnotVector:
     """Open knot vector of a given degree with single interior knots.
 
-    The first and last knot are repeated ``degree + 1`` times and interior
-    knots are strictly increasing, so the spline space has maximum
-    smoothness C^{p-1} everywhere inside the domain.
+    The first knot, 0, and the last, 1, are repeated ``degree + 1`` times
+    and interior knots are strictly increasing, so the spline space has
+    maximum smoothness C^{p-1} everywhere inside [0, 1].
 
     A knot vector keeps the basis tables of :func:`class_tables` computed
     on it, and its cell Gram and refinement matrices, so every mesh that
@@ -68,15 +70,16 @@ class KnotVector:
             raise ValueError("degree must be at least 2, got %d" % p)
         if knots.ndim != 1:
             raise ValueError("knots must be a one-dimensional sequence")
-        if np.any(np.diff(knots) < 0.0):
+        if not np.all(np.diff(knots) >= 0.0):
             raise ValueError("knots must be nondecreasing")
         n = knots.size - p - 1
         if n < p + 1:
             raise ValueError("need at least %d knots for degree %d" % (2 * p + 2, p))
-        if not (np.all(knots[: p + 1] == knots[0]) and np.all(knots[-(p + 1):] == knots[-1])):
-            raise ValueError("knot vector must be open (end knots repeated degree+1 times)")
+        if not (np.all(knots[: p + 1] == 0.0) and np.all(knots[-(p + 1):] == 1.0)):
+            raise ValueError("knot vector must be open on [0, 1] (0 and 1 repeated degree+1 "
+                             "times), got ends %r and %r" % (float(knots[0]), float(knots[-1])))
         bp = knots[p: n + 1]
-        if np.any(np.diff(bp) <= 0.0):
+        if not np.all(np.diff(bp) > 0.0):
             raise ValueError("interior knots must be single (maximum smoothness)")
         knots.setflags(write=False)
         self.knots = knots
@@ -95,12 +98,8 @@ class KnotVector:
 
     @property
     def breakpoints(self):
-        """Distinct knot values including the domain endpoints."""
+        """Distinct knot values, 0 and 1 included."""
         return self.knots[self.degree: self.num_basis + 1]
-
-    @property
-    def domain(self):
-        return float(self.knots[0]), float(self.knots[-1])
 
     @property
     def num_tables(self):
@@ -115,17 +114,8 @@ class KnotVector:
             out = self._tables[key] = build()
         return out
 
-    def __eq__(self, other):
-        if not isinstance(other, KnotVector):
-            return NotImplemented
-        return self.degree == other.degree and np.array_equal(self.knots, other.knots)
-
-    def __hash__(self):
-        return hash((self.degree, self.knots.tobytes()))
-
     def __repr__(self):
-        return "KnotVector(degree=%d, elements=%d, domain=%s)" % (
-            self.degree, self.num_elements, self.domain)
+        return "KnotVector(degree=%d, elements=%d)" % (self.degree, self.num_elements)
 
 
 @dataclass
@@ -152,18 +142,14 @@ class BasisEval:
         return self.ders[2]
 
 
-def make_open_uniform(n_elements, p, interval=(0.0, 1.0)):
-    """Open uniform knot vector with `n_elements` equal spans on `interval`."""
-    if n_elements < 1:
-        raise ValueError("n_elements must be at least 1, got %d" % n_elements)
-    if p < 2:
-        raise ValueError("degree must be at least 2, got %d" % p)
-    a, b = float(interval[0]), float(interval[1])
-    if not b > a:
-        raise ValueError("interval must have positive length")
-    bp = np.linspace(a, b, n_elements + 1)
-    knots = np.concatenate([np.full(p, a), bp, np.full(p, b)])
-    return KnotVector(knots, p)
+def _open(breakpoints, p):
+    """The open knot vector of degree p on the breakpoints 0, ..., 1."""
+    return KnotVector(np.concatenate([np.zeros(p), breakpoints, np.ones(p)]), p)
+
+
+def make_open_uniform(n_elements, p):
+    """Open uniform knot vector with `n_elements` equal spans on [0, 1]."""
+    return _open(np.linspace(0.0, 1.0, n_elements + 1), p)
 
 
 @lru_cache(maxsize=None)
@@ -178,27 +164,22 @@ def dyadic_refine(kv):
     """Bisect every nonempty span of an open knot vector."""
     bp = kv.breakpoints
     mids = 0.5 * (bp[:-1] + bp[1:])
-    new_bp = np.sort(np.concatenate([bp, mids]))
-    p = kv.degree
-    knots = np.concatenate([np.full(p, new_bp[0]), new_bp, np.full(p, new_bp[-1])])
-    return KnotVector(knots, p)
+    return _open(np.sort(np.concatenate([bp, mids])), kv.degree)
 
 
 def find_span(kv, x):
-    """Index of the nonempty span containing x (the last span owns b): an
+    """Index of the nonempty span containing x (the last span owns 1): an
     int for a number, an integer array of the same shape for an array.
 
-    Points within 1e-12 (relative) outside the domain are clamped onto it;
-    any other point, NaN included, raises ValueError naming the first one.
+    Points within 1e-12 outside [0, 1] are clamped onto it; any other
+    point, NaN included, raises ValueError naming the first one.
     """
-    a, b = kv.domain
-    tol = 1e-12 * max(1.0, abs(a), abs(b))
     xs = np.asarray(x, dtype=float)
-    outside = ~((xs >= a - tol) & (xs <= b + tol))
+    outside = ~((xs >= -1e-12) & (xs <= 1.0 + 1e-12))
     if outside.any():
         first = xs.reshape(-1)[outside.reshape(-1).argmax()]
-        raise ValueError("point %r outside knot vector domain [%r, %r]" % (float(first), a, b))
-    span = np.searchsorted(kv.knots, np.clip(xs, a, b), side="right") - 1
+        raise ValueError("point %r outside the knot vector's domain [0, 1]" % float(first))
+    span = np.searchsorted(kv.knots, np.clip(xs, 0.0, 1.0), side="right") - 1
     span = np.clip(span, kv.degree, kv.num_basis - 1)
     return int(span) if span.ndim == 0 else span
 
@@ -305,18 +286,17 @@ def eval_bernstein_ders(q, t, max_der=2):
     element scaling.
     """
     if not -1e-12 <= t <= 1.0 + 1e-12:
-        raise ValueError("point %r outside the reference interval [0, 1]" % t)
+        raise ValueError("point %r outside the reference cell [0, 1]" % t)
     t = min(max(float(t), 0.0), 1.0)
     return eval_ders_in_span(bernstein_knots(q), t, q, max_der)
 
 
 def _check_uniform(kv):
     """ValueError unless the breakpoints of kv are equally spaced, up to
-    rounding: within 1e-12 of the domain's size and position, since deep
-    dyadic refinements of a domain such as thirds have spans that differ
-    by their breakpoints' rounding, a large part of a tiny span."""
-    a, b = kv.domain
-    if np.ptp(np.diff(kv.breakpoints)) > 1e-12 * max(abs(a), abs(b), b - a):
+    rounding: within 1e-12, since deep dyadic refinements of thirds have
+    spans that differ by their breakpoints' rounding, a large part of a
+    tiny span."""
+    if np.ptp(np.diff(kv.breakpoints)) > 1e-12:
         raise ValueError("%r does not have equally spaced breakpoints" % (kv,))
 
 
@@ -335,8 +315,8 @@ def cell_classes(kv, cells):
 def class_tables(kv, nodes, max_der=2):
     """Basis tables of a uniform open knot vector at reference nodes on
     [0, 1], one per class of :func:`cell_classes`: ``tab[g, k, j, q]`` is
-    the k-th derivative of B_{c+j} at a + (c + nodes[q]) h on a cell c of
-    class g, for the nominal span h, as one-sided limits on the cell at
+    the k-th derivative of B_{c+j} at (c + nodes[q]) / n on a cell c of
+    class g of the n cells, as one-sided limits on the cell at
     nodes 0 and 1. All classes come from one :func:`tabulate_in_span`
     call on a representative cell each. Derivatives go at least to second
     order; cached on the knot vector per (nodes, order) and read-only."""
@@ -347,8 +327,7 @@ def class_tables(kv, nodes, max_der=2):
         _check_uniform(kv)
         n, p = kv.num_elements, kv.degree
         reps = np.arange(n) if n <= 2 * p else np.r_[0:p + 1, n - p:n]
-        a, b = kv.domain
-        xs = a + (reps[:, None] + nodes) * ((b - a) / n)
+        xs = (reps[:, None] + nodes) * (1.0 / n)
         tab = tabulate_in_span(kv, xs.ravel(), np.repeat(reps + p, nodes.size), max_der)
         tab = np.ascontiguousarray(
             tab.reshape(max_der + 1, p + 1, len(reps), nodes.size).transpose(2, 0, 1, 3))
@@ -368,9 +347,8 @@ def cell_grams(kv):
     def build():
         p = kv.degree
         nodes, weights = np.polynomial.legendre.leggauss(p + 2)
-        a, b = kv.domain
         tab = class_tables(kv, 0.5 * (nodes + 1.0), 2)
-        w = 0.5 * (b - a) / kv.num_elements * weights
+        w = 0.5 / kv.num_elements * weights
         grams = np.einsum("gaiq,q,gbjq->gabij", tab, w, tab)
         grams.setflags(write=False)
         return grams
@@ -396,7 +374,7 @@ def refinement_matrix(coarse, fine):
     ratio = fine.num_elements // coarse.num_elements
     d = ratio.bit_length() - 1
     if (fine.degree != p or ratio < 2 or ratio != 1 << d
-            or fine.num_elements != ratio * coarse.num_elements or fine.domain != coarse.domain):
+            or fine.num_elements != ratio * coarse.num_elements):
         raise ValueError("%r is not a dyadic refinement of %r" % (fine, coarse))
     return coarse.cached(("refine", d), lambda: _refinement_arrays(coarse, fine, d))
 

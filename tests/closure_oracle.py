@@ -56,7 +56,7 @@ def cell_rect(mesh, e):
 def neighbors(mesh, e):
     """Active same-level elements sharing an edge or a vertex with the
     active element e."""
-    if e.level >= mesh.num_levels or mesh.cell_index(*e) < 0:
+    if mesh.cell_index(*e) < 0:
         raise ValueError("element %s is not active" % (e,))
     around = [(e.ix + dx, e.iy + dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1) if dx or dy]
     found = mesh.cell_index(e.level, *np.array(around).T) >= 0
@@ -69,7 +69,7 @@ def positions(mesh, marked):
     ``cell_index``."""
     out = []
     for e in map(ElementId._make, marked):
-        k = int(mesh.cell_index(e.level, e.ix, e.iy)) if e.level < mesh.num_levels else -1
+        k = int(mesh.cell_index(e.level, e.ix, e.iy))
         assert k >= 0, "element %s is not active" % (e,)
         out.append(k)
     return np.array(out, dtype=np.int64)

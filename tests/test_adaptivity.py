@@ -201,14 +201,21 @@ class TestRun:
         assert records[0].theta > 10.0  # strong-residual comparator overestimates
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="mode must be 'uniform' or 'adaptive', got 'bogus'"):
             LoopConfig(mode="bogus")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="estimator must be 'bubble' or 'residual', got 'bogus'"):
             LoopConfig(estimator="bogus")
-        with pytest.raises(ValueError):
-            LoopConfig(max_iterations=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="admissibility class must be at least 2, got 1"):
             LoopConfig(admissibility=1)
+        # budgets are integers >= 1: a NaN dof budget would never stop a
+        # study, and a fractional iteration budget failed only in run
+        for budget, bad in [("max_iterations", 0), ("max_iterations", 2.5),
+                            ("max_dofs", 0), ("max_dofs", math.nan), ("max_dofs", 1e4)]:
+            with pytest.raises(ValueError, match="budgets must be positive integers, got %s=%r"
+                               % (budget, bad)):
+                LoopConfig(**{budget: bad})
+        config = LoopConfig(max_iterations=np.int64(3), max_dofs=np.int32(500))
+        assert (config.max_iterations, config.max_dofs) == (3, 500)
 
     @pytest.mark.parametrize("gamma", [0.0, 1.0, 1.5, -0.5, math.nan])
     def test_gamma_outside_the_open_unit_interval_rejected(self, gamma):

@@ -254,11 +254,25 @@ class TestGeometryErrors:
             with pytest.raises(GeometryError, match=r"level 1, cell \(2, 2\)"):
                 assemble(space, geo, prob)
 
-    @pytest.mark.parametrize("domain", [(0.0, 2.0), (0.0, 0.5)])
-    def test_spline_map_off_the_unit_square_names_its_domain(self, domain):
-        kv = make_open_uniform(2, 3, domain)
+    @pytest.mark.parametrize("matrix,offset,message", [
+        ([[math.nan, 0.0], [0.0, 1.0]], (0.0, 0.0), r"matrix must be a finite 2x2, got \[\[nan"),
+        ([[1.0, 0.0], [0.0, math.inf]], (0.0, 0.0), r"matrix must be a finite 2x2, got .*inf"),
+        (np.eye(3), (0.0, 0.0), r"matrix must be a finite 2x2, got \[\[1\.0, 0\.0, 0\.0\]"),
+        (np.eye(2), (math.nan, 0.0), r"offset must be two finite numbers, got \[nan, 0\.0\]"),
+        (np.eye(2), (0.0, 0.0, 0.0), r"offset must be two finite numbers, got \[0\.0, 0\.0, 0\.0\]"),
+    ])
+    def test_affine_map_not_finite_2x2_rejected(self, matrix, offset, message):
+        # a NaN matrix once reached the stiffness assembly, whose off-grid
+        # Kronecker entries it made NaN instead of 0, and crashed the process
+        with pytest.raises(GeometryError, match=message):
+            GeometryMap.affine(matrix, offset)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_spline_map_names_the_first_non_finite_control_point(self, value):
+        kv = make_open_uniform(2, 3)
         control = np.zeros((kv.num_basis, kv.num_basis, 2))
-        with pytest.raises(GeometryError, match=r"spans \(0\.0, %s\)" % domain[1]):
+        control[2, 3, 1] = control[4, 0, 0] = value
+        with pytest.raises(GeometryError, match=r"control point \(2, 3\) is not finite"):
             GeometryMap.spline(kv, control)
 
 

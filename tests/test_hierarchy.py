@@ -151,6 +151,18 @@ class TestRefine:
             for dy in (0, 1):
                 assert fine.cell_index(1, 2 + dx, 2 + dy) >= 0
 
+    @pytest.mark.parametrize("level", [-2, -1, 2])
+    def test_levels_outside_the_mesh_have_no_cells_or_functions(self, level):
+        # a negative level is not an index from the end, and the level past
+        # the finest is empty rather than out of range
+        mesh = refine(init(2, 3)[0], [0], 2)
+        basis = rebuild_basis(mesh)
+        assert mesh.num_levels == 2
+        ix, iy = np.arange(3)[:, None], np.arange(2)
+        assert mesh.cell_index(level, 0, 0) == -1 and basis.level_dofs(level, 0, 0) == -1
+        np.testing.assert_array_equal(mesh.cell_index(level, ix, iy), np.full((3, 2), -1))
+        np.testing.assert_array_equal(basis.level_dofs(level, ix, iy), np.full((3, 2), -1))
+
     def test_repeated_corner_marking_stays_admissible(self):
         mesh, _ = init(4, 3)
         for _ in range(4):
