@@ -22,11 +22,11 @@ from .assembly import (
     h2_seminorm_error,
     solve,
 )
-from .estimators import effectivity, estimate, residual_estimator
+from .estimators import estimate, residual_estimator
 from .hierarchy import _positions, check_admissible
+from .splines import _check_integer
 
 __all__ = [
-    "MarkParams",
     "LoopConfig",
     "IterationRecord",
     "StagnationError",
@@ -41,13 +41,9 @@ class StagnationError(RuntimeError):
     """Refinement did not add degrees of freedom."""
 
 
-@dataclass
-class MarkParams:
-    gamma: float = 0.5
-
-    def __post_init__(self):
-        if not 0.0 < self.gamma < 1.0:
-            raise ValueError("gamma must lie in (0, 1), got %r" % self.gamma)
+def _check_gamma(gamma):
+    if not 0.0 < gamma < 1.0:
+        raise ValueError("gamma must lie in (0, 1), got %r" % (gamma,))
 
 
 @dataclass
@@ -72,10 +68,9 @@ class LoopConfig:
         if self.estimator not in ("bubble", "residual"):
             raise ValueError("estimator must be 'bubble' or 'residual', got %r"
                              % (self.estimator,))
-        if self.admissibility is not None and self.admissibility < 2:
-            raise ValueError("admissibility class must be at least 2, got %r"
-                             % (self.admissibility,))
-        MarkParams(self.gamma)  # raises for gamma outside (0, 1)
+        if self.admissibility is not None:
+            _check_integer(self.admissibility, 2, "admissibility class must be at least 2")
+        _check_gamma(self.gamma)
         if not 0.0 < self.calibration < math.inf:
             raise ValueError("calibration must be finite and positive, got %r"
                              % (self.calibration,))
@@ -93,18 +88,19 @@ class IterationRecord:
     qoi: float = math.nan
 
 
-def mark_maximum(eta, params):
+def mark_maximum(eta, gamma):
     """Sorted positions in the indicator array `eta` of the indicators that
-    exceed gamma times the largest one; with the arrays of
+    exceed gamma times the largest one, gamma in (0, 1); with the arrays of
     :func:`~hbplate.estimators.estimate`, positions in
     ``mesh.active_elements()``."""
+    _check_gamma(gamma)
     eta = np.asarray(eta, dtype=float)
     if not eta.size:
         raise ValueError("cannot mark from an empty indicator array")
     bad = np.flatnonzero(~np.isfinite(eta))
     if bad.size:
         raise ValueError("indicator %d is not finite: %r" % (bad[0], float(eta[bad[0]])))
-    return np.flatnonzero(eta > params.gamma * eta.max())
+    return np.flatnonzero(eta > gamma * eta.max())
 
 
 _AROUND = np.array([(dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)])
@@ -129,8 +125,6 @@ def run(problem, space, config, geo=None, exact_hessian=None, qoi_point=None,
     """Adaptive (or uniform) refinement study; one record per solve."""
     geo = geo or GeometryMap.identity()
     m = config.admissibility if config.admissibility is not None else space.degree - 1
-    if m < 2:
-        raise ValueError("admissibility class must be at least 2, got %d" % m)
     records = []
     for it in range(config.max_iterations):
         system = apply_dirichlet(assemble_system(space, geo, problem), space, problem, geo)
@@ -146,7 +140,7 @@ def run(problem, space, config, geo=None, exact_hessian=None, qoi_point=None,
         if exact_hessian is not None:
             err = h2_seminorm_error(u_h, exact_hessian, space, geo)
             if err > 0.0:
-                theta = effectivity(eta_total, err).theta
+                theta = eta_total / err
         qoi = math.nan
         if qoi_point is not None:
             vals, _, _ = evaluate(u_h, space, geo, [qoi_point])
@@ -169,12 +163,11 @@ def run(problem, space, config, geo=None, exact_hessian=None, qoi_point=None,
         if config.mode == "uniform":
             marked = np.arange(space.mesh.n_active)
         else:
-            energy = math.sqrt(max(float(
-                u_h.coefficients @ (system.matrix @ u_h.coefficients)), 0.0))
+            energy = math.sqrt(max(float(u_h @ (system.matrix @ u_h)), 0.0))
             if eta_total <= 1e-12 * max(energy, 1e-30):
                 break  # indicators vanish at solver precision: converged
             # eta_total > 0 above, so the largest indicator is marked
-            marked = expand_marks(space, mark_maximum(eta, MarkParams(config.gamma)))
+            marked = expand_marks(space, mark_maximum(eta, config.gamma))
         refined = space.refined(marked, m)
         if config.validate and not check_admissible(refined.mesh, m, refined.basis):
             raise AssertionError("refinement broke admissibility class %d" % m)

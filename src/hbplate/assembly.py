@@ -72,7 +72,6 @@ __all__ = [
     "BoundaryDataError",
     "GeometryMap",
     "PlateProblem",
-    "DiscreteField",
     "LinearSystem",
     "assemble_stiffness",
     "assemble_load",
@@ -108,12 +107,36 @@ class GeometryMap:
     (control points over the coarsest tensor-product basis).
     """
 
-    def __init__(self, kind, matrix=None, offset=None, kv=None, control=None):
-        self.kind = kind
-        self.matrix = None if matrix is None else np.asarray(matrix, dtype=float)
-        self.offset = None if offset is None else np.asarray(offset, dtype=float)
-        self.kv = kv
-        self.control = None if control is None else np.asarray(control, dtype=float)
+    def __init__(self, kind, matrix=None, offset=(0.0, 0.0), kv=None, control=None):
+        if kind not in ("identity", "affine", "spline"):
+            raise GeometryError("geometry kind must be 'identity', 'affine' or 'spline', got %r"
+                                % (kind,))
+        if (kind == "affine" and matrix is None
+                or kind == "spline" and (kv is None or control is None)):
+            raise GeometryError("%s map given without its %s" % (
+                kind, "matrix" if kind == "affine" else "knot vector and control net"))
+        self.kind, self.kv = kind, kv
+        self.matrix = self.offset = self.control = None
+        if kind == "affine":
+            matrix, offset = np.asarray(matrix, dtype=float), np.asarray(offset, dtype=float)
+            if matrix.shape != (2, 2) or not np.isfinite(matrix).all():
+                raise GeometryError("affine map matrix must be a finite 2x2, got %r"
+                                    % (matrix.tolist(),))
+            if offset.shape != (2,) or not np.isfinite(offset).all():
+                raise GeometryError("affine map offset must be two finite numbers, got %r"
+                                    % (offset.tolist(),))
+            if np.linalg.det(matrix) <= 0.0:
+                raise GeometryError("affine map must have positive Jacobian determinant")
+            self.matrix, self.offset = matrix, offset
+        if kind == "spline":
+            control, n = np.asarray(control, dtype=float), kv.num_basis
+            if control.shape != (n, n, 2):
+                raise GeometryError("control net must have shape (%d, %d, 2)" % (n, n))
+            bad = np.argwhere(~np.isfinite(control).all(axis=2))
+            if bad.size:
+                raise GeometryError("control point (%d, %d) is not finite: %r"
+                                    % (*bad[0], control[tuple(bad[0])].tolist()))
+            self.control = control
 
     @classmethod
     def identity(cls):
@@ -121,26 +144,10 @@ class GeometryMap:
 
     @classmethod
     def affine(cls, matrix, offset=(0.0, 0.0)):
-        matrix, offset = np.asarray(matrix, dtype=float), np.asarray(offset, dtype=float)
-        if matrix.shape != (2, 2) or not np.isfinite(matrix).all():
-            raise GeometryError("affine map matrix must be a finite 2x2, got %r" % matrix.tolist())
-        if offset.shape != (2,) or not np.isfinite(offset).all():
-            raise GeometryError("affine map offset must be two finite numbers, got %r"
-                                % (offset.tolist(),))
-        if np.linalg.det(matrix) <= 0.0:
-            raise GeometryError("affine map must have positive Jacobian determinant")
         return cls("affine", matrix=matrix, offset=offset)
 
     @classmethod
     def spline(cls, kv, control):
-        control = np.asarray(control, dtype=float)
-        n = kv.num_basis
-        if control.shape != (n, n, 2):
-            raise GeometryError("control net must have shape (%d, %d, 2)" % (n, n))
-        bad = np.argwhere(~np.isfinite(control).all(axis=2))
-        if bad.size:
-            raise GeometryError("control point (%d, %d) is not finite: %r"
-                                % (*bad[0], control[tuple(bad[0])].tolist()))
         return cls("spline", kv=kv, control=control)
 
     @property
@@ -314,13 +321,6 @@ class PlateProblem:
             if not ok:
                 raise ValueError("point load %d must be ((x, y), magnitude) with finite "
                                  "values, got %r" % (k, load))
-
-
-@dataclass
-class DiscreteField:
-    """Coefficient vector over the active basis dofs."""
-
-    coefficients: np.ndarray
 
 
 @dataclass
@@ -1056,11 +1056,11 @@ def _checked_solution(solver, a, b, dofs):
 
 
 def solve(system):
-    """Solve of the constrained system. Constraints are eliminated
-    symmetrically; the free block is solved by :class:`_TensorPCG` if the
-    system has a knot vector (``system.tensor``) and its free dofs form a
-    box, else factored by splu, and checked by :func:`_checked_solution`.
-    """
+    """The dof coefficients (n,) solving the constrained system. Constraints
+    are eliminated symmetrically; the free block is solved by
+    :class:`_TensorPCG` if the system has a knot vector (``system.tensor``)
+    and its free dofs form a box, else factored by splu, and checked by
+    :func:`_checked_solution`."""
     a = system.matrix.tocsr()
     n = a.shape[0]
     x = np.zeros(n)
@@ -1070,7 +1070,7 @@ def solve(system):
     constrained[list(system.constraints)] = True
     free = np.flatnonzero(~constrained)
     if free.size == 0:
-        return DiscreteField(x)
+        return x
     b = system.rhs - a @ x
     # one outer-index selection of the free rows and columns
     aff = a[free[:, None], free]
@@ -1086,17 +1086,17 @@ def solve(system):
             raise SolverError("sparse factorization of the free block (n=%d, nnz=%d) failed: %s"
                               % (free.size, aff.nnz, exc)) from exc
     x[free] = _checked_solution(solver, aff, b[free], free)
-    return DiscreteField(x)
+    return x
 
 
-def h2_seminorm_error(field, exact_hessian, space, geo=None):
+def h2_seminorm_error(u_h, exact_hessian, space, geo=None):
     """H^2 seminorm sqrt(int |H(u_h) - H_exact|_F^2) of the error, in one pass
     over the active cells of all levels: the plate energy norm only at D = 1,
     nu = 0, though theta divides the energy-norm eta by it."""
     geo = geo or GeometryMap.identity()
     view, total = space.active_cells, 0.0
     for c, ders, wts, pts in _field_chunks(space, np.arange(len(view.cells)),
-                                           space.stacked_c @ field.coefficients, _DERIVATIVES):
+                                           space.stacked_c @ u_h, _DERIVATIVES):
         ders, wts, pts = _transform_rows(geo, pts, ders, wts, view.level[c], view.cells[c])
         exx, exy, eyy = _at_points(exact_hessian, pts, "exact Hessian on level %d", view.level[c])
         total += float(np.sum(wts * ((ders[(2, 0)][:, 0] - exx) ** 2
@@ -1105,8 +1105,8 @@ def h2_seminorm_error(field, exact_hessian, space, geo=None):
     return float(np.sqrt(total))
 
 
-def evaluate(field, space, geo, points):
-    """Field values, gradients and Hessians at parametric points.
+def evaluate(u_h, space, geo, points):
+    """Values, gradients and Hessians of the field u_h at parametric points.
 
     Returns (values (N,), gradients (N, 2), hessians (N, 3)) with the
     Hessian packed as (xx, xy, yy), in physical coordinates. Each point is
@@ -1118,7 +1118,7 @@ def evaluate(field, space, geo, points):
     pts = pts.reshape(0, 2) if pts.shape == (0,) else np.atleast_2d(pts)
     view = space.active_cells
     at = space.mesh.locate(pts)
-    d = _point_ders(space, at, pts, space.stacked_c @ field.coefficients, _ASSEMBLY_COMBOS)
+    d = _point_ders(space, at, pts, space.stacked_c @ u_h, _ASSEMBLY_COMBOS)
     d = _transform_rows(geo, pts[:, None], {k: v[:, None, None] for k, v in d.items()},
                         np.ones((len(at), 1)), view.level[at], view.cells[at])[0]
     ders = np.array([d[k][:, 0, 0] for k in _ASSEMBLY_COMBOS])

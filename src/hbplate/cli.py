@@ -3,7 +3,7 @@
 Runs one benchmark with uniform or adaptive refinement, writes the
 per-iteration records as CSV (17 significant digits, bit-reproducible),
 optionally dumps the active mesh per iteration, and prints a summary line
-with the fitted convergence slope and the final effectivity index.
+with the fitted convergence slope and the final theta (estimate over error).
 """
 
 from __future__ import annotations

@@ -57,9 +57,7 @@ from .splines import bernstein_knots, class_tables, tabulate_in_span
 from .splines import eval_bernstein_ders, eval_ders_in_span  # noqa: F401
 
 __all__ = [
-    "BubbleSpace",
     "BubbleBlock",
-    "EffectivityReport",
     "natural_boundary_sides",
     "build_bubble_space",
     "assemble_blocks",
@@ -67,17 +65,7 @@ __all__ = [
     "eta_elements",
     "estimate",
     "residual_estimator",
-    "effectivity",
 ]
-
-
-@dataclass
-class BubbleSpace:
-    """Bernstein index pairs of the enrichment space, by group: a list of
-    (level, touched natural sides, pairs, positions (E,) of its cells)."""
-
-    degree: int
-    groups: list
 
 
 @dataclass
@@ -93,13 +81,6 @@ class BubbleBlock:
     matrix: np.ndarray  # (m, nb, nb)
     rhs: np.ndarray  # (E, nb)
     coeffs: np.ndarray = None  # (E, nb)
-
-
-@dataclass
-class EffectivityReport:
-    eta_total: float
-    error: float
-    theta: float
 
 
 def natural_boundary_sides(problem):
@@ -127,8 +108,10 @@ def _side_indices(side, kinds, q):
     return idx
 
 
-def build_bubble_space(mesh, p, neumann_sides=None):
-    """Bubble index pairs of degree p+1 for every group of active elements.
+def build_bubble_space(mesh, neumann_sides=None):
+    """Bubble index pairs of degree p+1, p = ``mesh.p``, by group of active
+    elements: a list of (level, touched natural sides, pairs, positions
+    (E,) of its cells).
 
     Interior bubbles use indices {2, ..., q-2} in both directions; elements
     with an edge on a natural-boundary side additionally get boundary
@@ -137,9 +120,7 @@ def build_bubble_space(mesh, p, neumann_sides=None):
     elements of one level that touch the same natural sides form a group,
     held by their positions; groups go by level and then by first cell.
     """
-    if p < 3:
-        raise ValueError("bubble space needs degree >= 3, got %d" % p)
-    q = p + 1
+    q = mesh.p + 1
     interior = list(range(2, q - 1))
     neumann_sides = neumann_sides or {}
     groups, base = [], 0
@@ -154,7 +135,7 @@ def build_bubble_space(mesh, p, neumann_sides=None):
                                      for t in interior)
             groups.append((level, touched, pairs, base + at))
         base += len(cells)
-    return BubbleSpace(degree=q, groups=groups)
+    return groups
 
 
 def _bubble_rows(q, pairs, rule, h, combos):
@@ -184,9 +165,9 @@ def _bubble_edge_terms(q, pairs, side, space, at, problem, geo):
     return _natural_terms(problem, side, view.level[at], rows[(0, 0)], dn, pts, wts)
 
 
-def assemble_blocks(bubbles, u_h, space, geo, problem):
-    """Independent residual systems, one block per group of the bubble
-    space, in the order of its groups, from one sweep over the active
+def assemble_blocks(groups, u_h, space, geo, problem):
+    """Independent residual systems, one block per group of
+    :func:`build_bubble_space`, in their order, from one sweep over the active
     cells of all levels and the union of the groups' bubble pairs.
 
     u_h's derivatives come from one pass of the level kernel over C u.
@@ -200,11 +181,11 @@ def assemble_blocks(bubbles, u_h, space, geo, problem):
     and its pairs' rows and columns.
     """
     geo = geo or GeometryMap.identity()
-    mesh, view, q, loads = space.mesh, space.active_cells, bubbles.degree, problem.point_loads
+    mesh, view, q, loads = space.mesh, space.active_cells, space.degree + 1, problem.point_loads
     gfun = _as_fn(problem.g)
     d_const, nu = problem.stiffness, problem.poisson
     interior = (_gauss01(space.degree + 2),) * 2
-    union = list(dict.fromkeys(pair for *_, pairs, _ in bubbles.groups for pair in pairs))
+    union = list(dict.fromkeys(pair for *_, pairs, _ in groups for pair in pairs))
     values = _bubble_rows(q, union, interior, 1.0, ((0, 0),))[(0, 0)][0]
     if geo.constant_jacobian:
         # the bubbles' weighted energy terms do not depend on the element,
@@ -218,7 +199,7 @@ def assemble_blocks(bubbles, u_h, space, geo, problem):
         unit = d_const * (weighted @ terms.swapaxes(1, 2))
     mats, r = [], np.empty((len(view.cells), len(union)))
     for at, ders, wts, pts in _field_chunks(space, np.arange(len(view.cells)),
-                                            space.stacked_c @ u_h.coefficients, _DERIVATIVES):
+                                            space.stacked_c @ u_h, _DERIVATIVES):
         level, cells = view.level[at], view.cells[at]
         # a spline map is tabulated once per chunk, for bubbles and u_h
         local = None if geo.constant_jacobian else geo.derivatives(pts.reshape(-1, 2))
@@ -237,7 +218,7 @@ def assemble_blocks(bubbles, u_h, space, geo, problem):
             res += (uwts * _at_points(gfun, pts, "load g on level %d", level)) @ values.T
         r[at] = res
     for side in SIDES:
-        pos = [at for _, touched, _, at in bubbles.groups if side in touched]
+        pos = [at for _, touched, _, at in groups if side in touched]
         if pos and not _vanishes(problem.neumann_M.get(side), problem.neumann_Q.get(side)):
             pos = np.concatenate(pos)
             r[pos] += _bubble_edge_terms(q, union, side, space, pos, problem, geo)
@@ -253,7 +234,7 @@ def assemble_blocks(bubbles, u_h, space, geo, problem):
     index = {pair: k for k, pair in enumerate(union)}
     mat = None if geo.constant_jacobian else np.concatenate(mats)
     blocks = []
-    for level, _, pairs, at in bubbles.groups:
+    for level, _, pairs, at in groups:
         sel = np.array([index[pair] for pair in pairs])
         m = unit * mesh.h(level) ** -2.0 if mat is None else mat[at]
         blocks.append(BubbleBlock(level=level, at=at, indices=list(pairs),
@@ -314,19 +295,11 @@ def estimate(u_h, space, problem, geo=None, calibration=3.0):
     array, aligned with ``mesh.active_elements()`` (position k is the k-th
     active element in (level, ix, iy) order), and their root sum of
     squares."""
-    bubbles = build_bubble_space(space.mesh, space.degree, natural_boundary_sides(problem))
-    blocks = solve_blocks(assemble_blocks(bubbles, u_h, space, geo, problem))
+    groups = build_bubble_space(space.mesh, natural_boundary_sides(problem))
+    blocks = solve_blocks(assemble_blocks(groups, u_h, space, geo, problem))
     eta = np.empty(space.mesh.n_active)
     eta[np.concatenate([blk.at for blk in blocks])] = eta_elements(blocks, calibration)
     return eta, math.sqrt(sum(v**2 for v in eta.tolist()))
-
-
-def effectivity(eta_total, exact_error):
-    """Ratio of the estimated total to the true energy error."""
-    if not exact_error > 0.0:
-        raise ValueError("effectivity undefined for zero exact error")
-    return EffectivityReport(eta_total=float(eta_total), error=float(exact_error),
-                             theta=float(eta_total) / float(exact_error))
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +365,7 @@ def residual_estimator(u_h, space, problem, geo=None):
     if not geo.is_identity:
         raise ValueError("the strong-residual estimator supports the identity geometry only")
     view = space.active_cells
-    coeffs = space.stacked_c @ u_h.coefficients
+    coeffs = space.stacked_c @ u_h
     gfun = _as_fn(problem.g)
     d_const = problem.stiffness
     width = view.h[space.mesh.locate([pt for pt, _ in problem.point_loads])] / 4.0

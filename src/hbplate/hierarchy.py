@@ -32,7 +32,8 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
-from .splines import cell_classes, dyadic_refine, make_open_uniform, refinement_matrix
+from .splines import (_check_integer, cell_classes, dyadic_refine, make_open_uniform,
+                      refinement_matrix)
 
 __all__ = [
     "HierarchicalMesh",
@@ -84,14 +85,9 @@ class HierarchicalMesh:
     """
 
     def __init__(self, n0, p, max_level=20):
-        if n0 < 1:
-            raise ValueError("n0 must be at least 1, got %d" % n0)
-        if p < 3:
-            raise ValueError(
-                "hierarchical plate spaces need degree >= 3, got %d" % p)
-        self.n0 = int(n0)
-        self.p = int(p)
-        self.max_level = int(max_level)
+        self.n0 = _check_integer(n0, 1, "n0 must be at least 1")
+        self.p = _check_integer(p, 3, "hierarchical plate spaces need degree >= 3")
+        self.max_level = _check_integer(max_level, 0, "max_level must be at least 0")
         ix, iy = np.divmod(np.arange(self.n0 * self.n0), self.n0)
         self._kvs = [make_open_uniform(self.n0, self.p)]
         self._keys = [_keys(ix, iy)]
@@ -266,8 +262,7 @@ def refine(mesh, marked, m):
     ask, each for its box on level l - m + 1 < l, which the sweep has not
     reached yet.
     """
-    if m < 2:
-        raise ValueError("admissibility class must be at least 2, got %d" % m)
+    _check_integer(m, 2, "admissibility class must be at least 2")
     marked = _positions(marked, mesh.n_active)
     marks = np.concatenate(mesh._keys)[marked]
     marks_level = np.searchsorted(np.cumsum([k.size for k in mesh._keys]), marked, side="right")
@@ -421,9 +416,13 @@ def dump_mesh(mesh):
 class HierarchicalSpace:
     """A hierarchical mesh together with its active basis."""
 
-    def __init__(self, mesh, basis=None):
+    def __init__(self, mesh):
         self.mesh = mesh
-        self.basis = basis if basis is not None else rebuild_basis(mesh)
+
+    @cached_property
+    def basis(self):
+        """The active basis of the mesh, built on first use."""
+        return rebuild_basis(self.mesh)
 
     @classmethod
     def create(cls, n0, p, max_level=20):

@@ -25,6 +25,7 @@ refinement, :func:`refinement_matrix`.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -48,6 +49,16 @@ __all__ = [
 ]
 
 
+def _check_integer(value, low, text):
+    """value as an int, for an integer (numpy's too) of at least low;
+    ValueError "text, got ..." naming the value otherwise."""
+    if not isinstance(value, numbers.Integral):
+        raise ValueError("%s, got non-integer %r" % (text, value))
+    if value < low:
+        raise ValueError("%s, got %d" % (text, value))
+    return int(value)
+
+
 class KnotVector:
     """Open knot vector of a given degree with single interior knots.
 
@@ -65,9 +76,7 @@ class KnotVector:
 
     def __init__(self, knots, degree):
         knots = np.ascontiguousarray(knots, dtype=float)
-        p = int(degree)
-        if p < 2:
-            raise ValueError("degree must be at least 2, got %d" % p)
+        p = _check_integer(degree, 2, "degree must be at least 2")
         if knots.ndim != 1:
             raise ValueError("knots must be a one-dimensional sequence")
         if not np.all(np.diff(knots) >= 0.0):

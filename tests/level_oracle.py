@@ -315,7 +315,7 @@ def dirichlet_constraints(space, geo, problem):
 def h2_seminorm_error(field, exact_hessian, space, geo):
     total = 0.0
     for op in level_ops(space):
-        coeff = op.matrix @ field.coefficients
+        coeff = op.matrix @ field
         for sl, ders, wts, pts in field_chunks(space, op, coeff, _DERIVATIVES):
             ders, wts, pts = _transform_rows(geo, pts, ders, wts, op.level, op.cells[sl])
             exx, exy, eyy = _at_points(exact_hessian, pts, "exact Hessian on level %d" % op.level)
@@ -334,7 +334,7 @@ def evaluate(field, space, geo, points):
         if at.size:
             cells = owners[at, 1:]
             tx, ty, pos = point_tables(space, op, cells, pts[at], 2)
-            coef = (op.matrix @ field.coefficients)[op.local[pos]].reshape(at.size, tx.shape[1], -1)
+            coef = (op.matrix @ field)[op.local[pos]].reshape(at.size, tx.shape[1], -1)
             d = {(dx, dy): np.einsum("ik,jk,kij->k", tx[dx], ty[dy], coef)
                  for dx, dy in _ASSEMBLY_COMBOS}
             d = _transform_rows(geo, pts[at, None], {k: v[:, None, None] for k, v in d.items()},
@@ -367,20 +367,20 @@ def assemble_blocks(bubbles, u_h, space, geo, problem):
     """The bubble blocks from one sweep per level over the union of its
     groups' bubbles."""
     geo = geo or GeometryMap.identity()
-    mesh, q, loads = space.mesh, bubbles.degree, problem.point_loads
+    mesh, q, loads = space.mesh, space.degree + 1, problem.point_loads
     gfun = _as_fn(problem.g)
     d_const, nu = problem.stiffness, problem.poisson
     owners = np.array([locate(mesh, *pt) for pt, _ in loads], dtype=np.int64).reshape(-1, 3)
     interior = (_gauss01(space.degree + 2),) * 2
-    blocks = [None] * len(bubbles.groups)
+    blocks = [None] * len(bubbles)
     for op in level_ops(space):
         level, h = op.level, mesh.h(op.level)
-        ks = [k for k, group in enumerate(bubbles.groups) if group[0] == level]
-        groups = [bubbles.groups[k] for k in ks]
+        ks = [k for k, group in enumerate(bubbles) if group[0] == level]
+        groups = [bubbles[k] for k in ks]
         union = list(dict.fromkeys(pair for _, _, pairs, _ in groups for pair in pairs))
         brows = bubble_rows(q, union, interior, h, _ASSEMBLY_COMBOS)
         mats, rhs = [], []
-        for sl, ders, wts, pts in field_chunks(space, op, op.matrix @ u_h.coefficients,
+        for sl, ders, wts, pts in field_chunks(space, op, op.matrix @ u_h,
                                                _DERIVATIVES):
             chunk = op.cells[sl]
             local = None if geo.constant_jacobian else geo.derivatives(pts.reshape(-1, 2))
@@ -462,7 +462,7 @@ def residual_estimator(u_h, space, problem):
     """The strong-residual indicators: the interior terms as in the
     estimator, the edge terms by :func:`jump_terms`."""
     mesh, view = space.mesh, space.active_cells
-    coeffs = space.stacked_c @ u_h.coefficients
+    coeffs = space.stacked_c @ u_h
     gfun = _as_fn(problem.g)
     d_const = problem.stiffness
     loads = [_gaussian_load(pt, magnitude, mesh.h(locate(mesh, *pt).level) / 4.0)

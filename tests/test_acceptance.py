@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hbplate.adaptivity import LoopConfig, MarkParams, mark_maximum, run, slopes
+from hbplate.adaptivity import LoopConfig, mark_maximum, run, slopes
 from hbplate.assembly import (
     GeometryMap,
     apply_dirichlet,
@@ -53,7 +53,7 @@ def report(criterion, passed, detail):
 
 def solution_energy(space, problem, u):
     system = assemble_system(space, IDENTITY, problem)
-    return math.sqrt(max(float(u.coefficients @ (system.matrix @ u.coefficients)), 0.0))
+    return math.sqrt(max(float(u @ (system.matrix @ u)), 0.0))
 
 
 def test_criterion_1_smooth_uniform_rates():
@@ -255,7 +255,7 @@ def test_criterion_6_structural_invariants():
     prob = smooth.problem
     system = apply_dirichlet(assemble_system(space, IDENTITY, prob), space, prob)
     u = solve(system)
-    bubbles = build_bubble_space(space.mesh, 3, natural_boundary_sides(prob))
+    bubbles = build_bubble_space(space.mesh, natural_boundary_sides(prob))
     blocks = solve_blocks(assemble_blocks(bubbles, u, space, IDENTITY, prob))
     # row k of a block of E rows and m matrices goes with matrix k // (E / m)
     rows = [(blk.matrix[k // (len(blk.at) // len(blk.matrix))], blk.rhs[k], blk.coeffs[k])
@@ -277,9 +277,9 @@ def test_criterion_6_structural_invariants():
 
     # marking is invariant under indicator rescaling
     eta = rng.uniform(0, 5, 16)
-    base = mark_maximum(eta, MarkParams(0.5))
+    base = mark_maximum(eta, 0.5)
     scale_ok = all(
-        np.array_equal(mark_maximum(c * eta, MarkParams(0.5)), base)
+        np.array_equal(mark_maximum(c * eta, 0.5), base)
         for c in (1e-9, 0.3, 4.0, 1e7))
     ok &= report("6 marking scale invariance", scale_ok, "4 scales tested")
 

@@ -6,7 +6,6 @@ import pytest
 from hbplate.adaptivity import (
     IterationRecord,
     LoopConfig,
-    MarkParams,
     expand_marks,
     mark_maximum,
     run,
@@ -20,30 +19,30 @@ from closure_oracle import ElementId, elements, neighbors, positions
 
 class TestMarkMaximum:
     def test_threshold(self):
-        marked = mark_maximum(np.array([1.0, 0.6, 0.4]), MarkParams(gamma=0.5))
+        marked = mark_maximum(np.array([1.0, 0.6, 0.4]), 0.5)
         assert marked.tolist() == [0, 1]
 
     def test_gamma_close_to_one_keeps_only_argmax(self):
-        marked = mark_maximum(np.array([0.5, 1.0, 0.99]), MarkParams(gamma=0.995))
+        marked = mark_maximum(np.array([0.5, 1.0, 0.99]), 0.995)
         assert marked.tolist() == [1]
 
     def test_uniform_estimates_mark_everything(self):
-        marked = mark_maximum(np.full(5, 2.5), MarkParams(gamma=0.9))
+        marked = mark_maximum(np.full(5, 2.5), 0.9)
         assert marked.tolist() == [0, 1, 2, 3, 4]
 
     def test_all_zero_gives_empty_set(self):
-        assert mark_maximum(np.zeros(4), MarkParams()).size == 0
+        assert mark_maximum(np.zeros(4), 0.5).size == 0
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(31)
         eta = rng.uniform(0, 3, 16)
-        base = mark_maximum(eta, MarkParams(gamma=0.3))
+        base = mark_maximum(eta, 0.3)
         for c in (1e-6, 0.1, 7.0, 1e8):
-            assert np.array_equal(mark_maximum(c * eta, MarkParams(gamma=0.3)), base)
+            assert np.array_equal(mark_maximum(c * eta, 0.3), base)
 
     def test_empty_input_is_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            mark_maximum(np.zeros(0), MarkParams())
+            mark_maximum(np.zeros(0), 0.5)
 
     @pytest.mark.parametrize("eta,pos", [([math.nan, 1.0, 2.0], 0), ([1.0, 2.0, math.nan], 2),
                                          ([1.0, math.inf, 0.5], 1), ([0.0, -math.inf], 1)])
@@ -51,13 +50,12 @@ class TestMarkMaximum:
         # wherever it sits: a NaN first used to mark nothing, a NaN later
         # was ignored
         with pytest.raises(ValueError, match="indicator %d is not finite" % pos):
-            mark_maximum(np.array(eta), MarkParams())
+            mark_maximum(np.array(eta), 0.5)
 
     def test_gamma_validation(self):
-        with pytest.raises(ValueError):
-            MarkParams(gamma=0.0)
-        with pytest.raises(ValueError):
-            MarkParams(gamma=1.0)
+        for gamma in (0.0, 1.0, math.nan):
+            with pytest.raises(ValueError, match=r"gamma must lie in \(0, 1\), got %r" % gamma):
+                mark_maximum(np.ones(3), gamma)
 
 
 class TestExpandMarks:
@@ -207,6 +205,10 @@ class TestRun:
             LoopConfig(estimator="bogus")
         with pytest.raises(ValueError, match="admissibility class must be at least 2, got 1"):
             LoopConfig(admissibility=1)
+        # a fractional class once failed several solves later, inside refine
+        with pytest.raises(ValueError, match="at least 2, got non-integer 2.5"):
+            LoopConfig(admissibility=2.5)
+        assert LoopConfig(admissibility=np.int64(3)).admissibility == 3
         # budgets are integers >= 1: a NaN dof budget would never stop a
         # study, and a fractional iteration budget failed only in run
         for budget, bad in [("max_iterations", 0), ("max_iterations", 2.5),

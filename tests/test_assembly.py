@@ -267,6 +267,28 @@ class TestGeometryErrors:
         with pytest.raises(GeometryError, match=message):
             GeometryMap.affine(matrix, offset)
 
+    @pytest.mark.parametrize("args,message", [
+        (("bogus",), "kind must be 'identity', 'affine' or 'spline', got 'bogus'"),
+        (("affine",), "affine map given without its matrix"),
+        (("spline",), "spline map given without its knot vector and control net"),
+        (("spline", None, (0.0, 0.0), make_open_uniform(2, 3)), "spline map given without"),
+        (("affine", [[math.nan, 0.0], [0.0, 1.0]]), r"matrix must be a finite 2x2, got \[\[nan"),
+    ])
+    def test_constructor_rejects_unknown_kinds_and_missing_parts(self, args, message):
+        # checked at construction, not in the first assembly
+        with pytest.raises(GeometryError, match=message):
+            GeometryMap(*args)
+
+    def test_constructor_builds_the_kinds(self):
+        kv = make_open_uniform(1, 3)
+        grev = np.array([np.mean(kv.knots[i + 1:i + 4]) for i in range(kv.num_basis)])
+        net = np.stack(np.meshgrid(grev, grev, indexing="ij"), axis=-1)
+        pts = np.array([[0.2, 0.7], [0.9, 0.1]])
+        for geo, want in ((GeometryMap("identity"), pts),
+                          (GeometryMap("affine", [[2.0, 0.0], [0.0, 1.0]]), pts * [2.0, 1.0]),
+                          (GeometryMap("spline", kv=kv, control=net), pts)):
+            np.testing.assert_allclose(geo.map_points(pts), want, atol=1e-14)
+
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_spline_map_names_the_first_non_finite_control_point(self, value):
         kv = make_open_uniform(2, 3)
@@ -652,8 +674,7 @@ class TestSplineMapTabulation:
         assert len(calls) == len(chunks) > 3
         calls.clear()
         # the error norm: chunks of the cells of all levels
-        from hbplate.assembly import DiscreteField
-        h2_seminorm_error(DiscreteField(np.ones(space.num_dofs)), exact_hessian_x2y2, space, geo)
+        h2_seminorm_error(np.ones(space.num_dofs), exact_hessian_x2y2, space, geo)
         chunks = list(_field_chunks(space, np.arange(len(view.cells)),
                                     np.zeros(space.stacked_ct.shape[1]), _DERIVATIVES))
         assert len(calls) == len(chunks) > 3
@@ -959,7 +980,7 @@ class TestDirichletLeastSquares:
         space = HierarchicalSpace.create(4, 3)
         space = space.refined(positions(space.mesh, [ElementId(0, 0, 0)]), 2)
         u, u_small = (solve(apply_dirichlet(assemble_system(space, IDENTITY, pb), space, pb,
-                                            IDENTITY)).coefficients for pb in (prob, small))
+                                            IDENTITY)) for pb in (prob, small))
         assert np.abs(u_small - scale * u).max() <= 1e-14 * scale * np.abs(u).max()
 
     def test_rank_deficient_fit_names_the_side(self):
@@ -1019,7 +1040,7 @@ class TestSolve:
         system = apply_dirichlet(assemble_system(space, IDENTITY, prob), space, prob)
         u = solve(system)
         free = sorted(set(range(space.num_dofs)) - set(system.constraints))
-        resid = system.rhs - system.matrix @ u.coefficients
+        resid = system.rhs - system.matrix @ u
         scale = max(np.abs(system.rhs).max(), 1e-30)
         for _ in range(20):
             v = np.zeros(space.num_dofs)
@@ -1066,9 +1087,7 @@ class TestSolve:
         space = HierarchicalSpace.create(3, 4)
         space = space.refined(positions(space.mesh, [ElementId(0, 1, 1)]), 2)
         u = solve(apply_dirichlet(assemble_system(space, geo, prob), space, prob, geo))
-        from hbplate.assembly import DiscreteField
-        norm = h2_seminorm_error(DiscreteField(np.zeros(space.num_dofs)), exact_hessian_x2y2,
-                                 space, geo)
+        norm = h2_seminorm_error(np.zeros(space.num_dofs), exact_hessian_x2y2, space, geo)
         assert norm > 1.0
         assert h2_seminorm_error(u, exact_hessian_x2y2, space, geo) <= 1e-8 * norm
 
@@ -1078,7 +1097,7 @@ class TestSolve:
         # growth |A| |x| / |b| is that of a regular solve
         a = scipy.linalg.hilbert(12)
         b = np.ones(12)
-        x = solve(LinearSystem(matrix=sp.csr_matrix(a), rhs=b)).coefficients
+        x = solve(LinearSystem(matrix=sp.csr_matrix(a), rhs=b))
         anorm, resid = np.abs(a).sum(axis=1).max(), np.linalg.norm(b - a @ x)
         assert resid > 1e-10 * np.linalg.norm(b)
         assert resid <= 100.0 * np.finfo(float).eps * (anorm * np.linalg.norm(x) + np.linalg.norm(b))
@@ -1181,8 +1200,8 @@ class TestTensorSolve:
         system = apply_dirichlet(assemble_system(space, geo, prob), space, prob, geo)
         aff, free = free_block(system)
         assert hbplate.assembly._TensorPCG.on_box(aff, system.tensor, free) is not None
-        got = solve(system).coefficients
-        want = solve(replace(system, tensor=None)).coefficients
+        got = solve(system)
+        want = solve(replace(system, tensor=None))
         assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
     def test_only_single_level_constant_jacobian_systems_carry_the_knots(self):
@@ -1207,8 +1226,8 @@ class TestTensorSolve:
         system = replace(system, constraints=inner)
         aff, free = free_block(system)
         assert hbplate.assembly._TensorPCG.on_box(aff, system.tensor, free) is None
-        got = solve(system).coefficients
-        want = solve(replace(system, tensor=None)).coefficients
+        got = solve(system)
+        want = solve(replace(system, tensor=None))
         np.testing.assert_array_equal(got, want)
 
     def test_a_plate_without_constraints_goes_to_splu(self):
@@ -1243,8 +1262,7 @@ class TestH2Seminorm:
 
     def test_zero_field_measures_exact_seminorm(self):
         space = HierarchicalSpace.create(8, 3)
-        from hbplate.assembly import DiscreteField
-        zero = DiscreteField(np.zeros(space.num_dofs))
+        zero = np.zeros(space.num_dofs)
         def hess(x, y):
             s = np.sin(2 * np.pi * x) * np.sin(2 * np.pi * y)
             c = np.cos(2 * np.pi * x) * np.cos(2 * np.pi * y)
@@ -1256,8 +1274,7 @@ class TestH2Seminorm:
 class TestEvaluate:
     def test_all_ones_on_single_level_is_one(self):
         space = HierarchicalSpace.create(3, 3)
-        from hbplate.assembly import DiscreteField
-        ones = DiscreteField(np.ones(space.num_dofs))
+        ones = np.ones(space.num_dofs)
         pts = np.array([[0.1, 0.2], [0.5, 0.5], [0.99, 0.01]])
         vals, grads, hess = evaluate(ones, space, IDENTITY, pts)
         np.testing.assert_allclose(vals, 1.0, atol=1e-12)
@@ -1267,9 +1284,7 @@ class TestEvaluate:
         space = HierarchicalSpace.create(4, 3)
         kv = space.mesh.knots(0)
         grev = np.array([np.mean(kv.knots[i + 1:i + 4]) for i in range(kv.num_basis)])
-        from hbplate.assembly import DiscreteField
-        coeffs = np.add.outer(grev, grev).ravel()
-        field = DiscreteField(coeffs)
+        field = np.add.outer(grev, grev).ravel()
         rng = np.random.default_rng(8)
         pts = rng.uniform(0, 1, size=(10, 2))
         vals, grads, hess = evaluate(field, space, IDENTITY, pts)
@@ -1283,9 +1298,8 @@ class TestEvaluate:
         space = HierarchicalSpace.create(4, 3)
         space = space.refined(positions(
             space.mesh, [ElementId(0, 1, 1), ElementId(0, 1, 2), ElementId(0, 2, 1)]), 2)
-        from hbplate.assembly import DiscreteField
         rng = np.random.default_rng(21)
-        field = DiscreteField(rng.standard_normal(space.num_dofs))
+        field = rng.standard_normal(space.num_dofs)
         grid = np.linspace(0.0, 1.0, 9)
         pts = np.vstack([rng.uniform(0, 1, size=(150, 2)), np.stack(np.meshgrid(
             grid, grid), axis=-1).reshape(-1, 2), np.full((40, 2), 0.3)])
@@ -1298,15 +1312,13 @@ class TestEvaluate:
 
     def test_out_of_domain_point(self):
         space = HierarchicalSpace.create(2, 3)
-        from hbplate.assembly import DiscreteField
-        field = DiscreteField(np.zeros(space.num_dofs))
+        field = np.zeros(space.num_dofs)
         with pytest.raises(ValueError):
             evaluate(field, space, IDENTITY, [[1.2, 0.5]])
 
     def test_badly_shaped_and_non_finite_points_are_named(self):
         space = HierarchicalSpace.create(2, 3)
-        from hbplate.assembly import DiscreteField
-        field = DiscreteField(np.zeros(space.num_dofs))
+        field = np.zeros(space.num_dofs)
         with pytest.raises(ValueError, match=r"shaped \(n, 2\), got \(1, 3\)"):
             evaluate(field, space, IDENTITY, [(0.1, 0.2, 0.3)])
         with pytest.raises(ValueError, match=r"point \(0.3, nan\)"):
@@ -1315,8 +1327,7 @@ class TestEvaluate:
     def test_no_points_give_empty_arrays(self):
         space = HierarchicalSpace.create(2, 3)
         space = space.refined(positions(space.mesh, [ElementId(0, 0, 0)]), 2)
-        from hbplate.assembly import DiscreteField
-        field = DiscreteField(np.ones(space.num_dofs))
+        field = np.ones(space.num_dofs)
         for geo in (IDENTITY, GeometryMap.affine([[1.1, 0.3], [-0.2, 0.8]], (0.2, -0.1))):
             for points in ([], np.empty((0, 2))):
                 vals, grads, hess = evaluate(field, space, geo, points)

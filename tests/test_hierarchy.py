@@ -54,17 +54,34 @@ def brute_force_active_functions(mesh):
 
 
 class TestInit:
-    @pytest.mark.parametrize("n0,p,nel,dofs", [(4, 3, 16, 49), (1, 4, 1, 25), (8, 5, 64, 169)])
+    @pytest.mark.parametrize("n0,p,nel,dofs", [(4, 3, 16, 49), (1, 4, 1, 25), (8, 5, 64, 169),
+                                               (np.int64(2), np.int32(3), 4, 25)])
     def test_counts(self, n0, p, nel, dofs):
-        mesh, basis = init(n0, p)
+        mesh, basis = init(n0, p, np.int64(20))
         assert mesh.n_active == nel
         assert basis.num_dofs == dofs
+        assert all(type(v) is int for v in (mesh.n0, mesh.p, mesh.max_level))
 
     def test_unsupported_degree(self):
         with pytest.raises(ValueError):
             init(4, 2)
         with pytest.raises(ValueError):
             init(0, 3)
+
+    @pytest.mark.parametrize("args,message", [
+        ((2.5, 3), "n0 must be at least 1, got non-integer 2.5"),
+        ((0, 3), "n0 must be at least 1, got 0"),
+        ((2, 2.5), "need degree >= 3, got non-integer 2.5"),
+        ((2, 3.5), "need degree >= 3, got non-integer 3.5"),
+        ((2, 2), "need degree >= 3, got 2"),
+        ((2, 3, 2.5), "max_level must be at least 0, got non-integer 2.5"),
+        ((2, 3, -1), "max_level must be at least 0, got -1"),
+        ((2, 3, float("nan")), "max_level must be at least 0, got non-integer nan"),
+    ])
+    def test_sizes_must_be_integers_naming_the_value(self, args, message):
+        # fractional sizes were truncated: create(2, 3.5) built a cubic space
+        with pytest.raises(ValueError, match=message):
+            HierarchicalSpace.create(*args)
 
 
 class TestRebuildBasis:
@@ -195,6 +212,10 @@ class TestRefine:
                 refine(mesh, bad, m=2)
         with pytest.raises(ValueError):
             refine(mesh, np.array([0]), m=1)
+        # a fractional class passed on a one-level mesh, and failed a level deeper
+        with pytest.raises(ValueError, match="at least 2, got non-integer 2.5"):
+            refine(mesh, np.array([0]), m=2.5)
+        assert refine(mesh, np.array([0]), m=np.int64(2)).n_active == 19
 
     def test_level_cap_refused_with_diagnostic(self):
         mesh, _ = init(1, 3, max_level=2)
@@ -446,6 +467,20 @@ class TestSpace:
         refined = space.refined(positions(space.mesh, [ElementId(0, 0, 0)]), m=2)
         assert refined.num_dofs > 49
         assert space.num_dofs == 49  # original untouched
+
+    def test_basis_is_built_on_first_use(self, monkeypatch):
+        import hbplate.hierarchy
+        calls = []
+        build = hbplate.hierarchy.rebuild_basis
+        monkeypatch.setattr(hbplate.hierarchy, "rebuild_basis",
+                            lambda mesh: calls.append(mesh) or build(mesh))
+        space = HierarchicalSpace.create(4, 3)
+        refined = space.refined(positions(space.mesh, [ElementId(0, 0, 0)]), m=2)
+        assert calls == []
+        assert space.num_dofs == 49 and space.basis is space.basis
+        assert calls == [space.mesh]
+        assert len(refined.active_cells.cells) == refined.mesh.n_active
+        assert calls == [space.mesh, refined.mesh]
 
 
 # ---------------------------------------------------------------------------

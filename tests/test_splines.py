@@ -549,6 +549,12 @@ class TestKnotVectorValidation:
         with pytest.raises(ValueError, match=r"open on \[0, 1\].*got ends %r and %r" % (a, b)):
             KnotVector([a] * 4 + [0.5 * (a + b)] + [b] * 4, 3)
 
+    def test_rejects_a_fractional_degree_naming_it(self):
+        # int(3.7) used to build a cubic
+        with pytest.raises(ValueError, match="degree must be at least 2, got non-integer 3.7"):
+            KnotVector([0] * 4 + [1] * 4, 3.7)
+        assert KnotVector([0] * 4 + [1] * 4, np.int64(3)).degree == 3
+
     def test_rejects_decreasing(self):
         with pytest.raises(ValueError):
             KnotVector([0, 0, 0, 0, 0.6, 0.4, 1, 1, 1, 1], 3)

@@ -13,7 +13,6 @@ import pytest
 import level_oracle
 from hbplate.assembly import (
     SIDES,
-    DiscreteField,
     GeometryMap,
     LinearSystem,
     PlateProblem,
@@ -135,7 +134,7 @@ def test_dirichlet_fit(kind, p):
 def test_error_norm_and_evaluation(kind):
     space, geo = space_of(3), geometry(kind)
     rng = np.random.default_rng(5)
-    field = DiscreteField(rng.standard_normal(space.num_dofs))
+    field = rng.standard_normal(space.num_dofs)
 
     def hessian(x, y):
         return np.sin(x) * y, x * x, np.cos(y)
@@ -154,12 +153,12 @@ def test_error_norm_and_evaluation(kind):
 @pytest.mark.parametrize("p", [3, 4])
 def test_estimator_blocks(kind, p):
     space, geo, prob = space_of(p), geometry(kind), problem()
-    u = DiscreteField(np.random.default_rng(p).standard_normal(space.num_dofs))
-    bubbles = build_bubble_space(space.mesh, p, natural_boundary_sides(prob))
+    u = np.random.default_rng(p).standard_normal(space.num_dofs)
+    bubbles = build_bubble_space(space.mesh, natural_boundary_sides(prob))
     got = assemble_blocks(bubbles, u, space, geo, prob)
     want = level_oracle.assemble_blocks(bubbles, u, space, geo, prob)
     levels = len(np.unique(space.active_cells.level))
-    assert len(got) == len(want) == len(bubbles.groups) > levels
+    assert len(got) == len(want) == len(bubbles) > levels
     for blk, ref in zip(got, want):
         assert blk.level == ref.level and blk.indices == ref.indices
         np.testing.assert_array_equal(blk.at, ref.at)
@@ -199,8 +198,8 @@ def residual_cases():
         for k, mesh in enumerate(random_admissible_meshes(p, m)):
             space = HierarchicalSpace(mesh)
             rng = np.random.default_rng(10 * p + k)
-            yield "random p=%d m=%d #%d" % (p, m, k), space, load, DiscreteField(
-                rng.standard_normal(space.num_dofs))
+            yield ("random p=%d m=%d #%d" % (p, m, k), space, load,
+                   rng.standard_normal(space.num_dofs))
     point = clamped(0.0, [((0.5, 0.5), -1.0)])
     space = HierarchicalSpace.create(4, 3)
     for _ in range(4):
@@ -226,7 +225,7 @@ def test_residual_estimator():
         assert relative(got, want) <= 1e-12, name
         # the edge terms alone, which the interior terms outweigh; p = 4
         # fields are C^3, so there both jumps vanish up to rounding
-        coeffs = space.stacked_c @ u.coefficients
+        coeffs = space.stacked_c @ u
         jumps, ref = _jump_terms(space, coeffs), level_oracle.jump_terms(space, coeffs)
         if space.degree == 3:
             assert relative(jumps, ref) <= 1e-12 and (ref > 0.0).all(), name
@@ -240,8 +239,8 @@ def test_residual_estimator_on_one_cell():
     # no interior edge: the indicator is the interior term alone
     space = HierarchicalSpace.create(1, 3)
     prob = clamped(lambda x, y: 1.0 + x * y, [((0.4, 0.6), 2.0)])
-    u = DiscreteField(np.random.default_rng(0).standard_normal(space.num_dofs))
-    coeffs = space.stacked_c @ u.coefficients
+    u = np.random.default_rng(0).standard_normal(space.num_dofs)
+    coeffs = space.stacked_c @ u
     assert not _jump_terms(space, coeffs).any()
     got = residual_estimator(u, space, prob)
     assert got.shape == (1,)

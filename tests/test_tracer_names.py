@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hbplate.adaptivity import MarkParams, mark_maximum
+from hbplate.adaptivity import mark_maximum
 from hbplate.hierarchy import init, refine
 
 TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
@@ -63,10 +63,9 @@ def test_refine_counts_read_the_marks():
         mesh = refine(mesh, np.array([mesh.n_active - 1]), m=2)
     assert mesh.num_levels == 3
     eta = np.random.default_rng(3).uniform(0.0, 1.0, mesh.n_active)
-    params = MarkParams(gamma=0.8)
-    marked = mark_maximum(eta, params)
+    marked = mark_maximum(eta, 0.8)
     fine = refine(mesh, marked, 2)
-    counts = derived["adaptivity.mark"]((eta, params), marked)
+    counts = derived["adaptivity.mark"]((eta, 0.8), marked)
     counts.update(derived["hierarchy.refine"]((mesh, marked, 2), fine))
     before, after = (set(map(tuple, m.active_elements().tolist())) for m in (mesh, fine))
     gone = before - after
